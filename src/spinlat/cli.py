@@ -31,6 +31,7 @@ from .couplings import (
 from .dynamics import (
     JumpBasisDissipator,
     fit_decay_rate,
+    frame_rotation,
     lindblad_evolve,
     redfield_evolve,
 )
@@ -76,7 +77,6 @@ _DEFAULTS: dict = {
         "delta_angstrom": 0.01,
         "fit_window_us": None,
         "time_samples": 2001,
-        "max_step_us": None,
     },
     "seed": 0,
 }
@@ -168,7 +168,6 @@ def _apply_flags(cfg: dict, args: argparse.Namespace) -> None:
         ("omega", phys, "omega_override_cm", float),
         ("delta", num, "delta_angstrom", float),
         ("samples", num, "time_samples", int),
-        ("max_step", num, "max_step_us", float),
     ]
     for attr, section, key, cast in flag_map:
         value = getattr(args, attr, None)
@@ -442,12 +441,11 @@ def _cmd_dynamics(args: argparse.Namespace, cfg: dict) -> int:
 
     if args.engine == "lindblad":
         omega = 0.0 if args.rotating_frame else spin.larmor_cm()
-        diss = JumpBasisDissipator(tensor.lambda_total, omega)
-        traj = lindblad_evolve(rho0, diss, grid, max_step_us=num["max_step_us"])
+        rot = frame_rotation(spin.axis)
+        diss = JumpBasisDissipator(rot @ tensor.lambda_total @ rot.T, omega)
+        traj = lindblad_evolve(rho0, diss, grid)
     else:
-        traj = redfield_evolve(
-            rho0, c, bath, spin, grid, max_step_us=num["max_step_us"]
-        )
+        traj = redfield_evolve(rho0, c, bath, spin, grid)
     window = num["fit_window_us"]
     fit = fit_decay_rate(
         traj, observable, window=None if window is None else tuple(window)
@@ -609,7 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-end", type=float, help="trajectory span, us")
     sp.add_argument("--samples", type=int, help="trajectory sample count")
     sp.add_argument("--fit-window", help="fit window lo,hi in us")
-    sp.add_argument("--max-step", type=float, help="integrator step cap, us")
     sp.add_argument("--no-rotating-frame", dest="rotating_frame",
                     action="store_false",
                     help="keep coherent precession in the lindblad engine")

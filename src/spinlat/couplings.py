@@ -271,10 +271,15 @@ def export_couplings(c: CouplingTensors, path=None) -> str:
 
 
 def load_couplings(source) -> CouplingTensors:
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
-        text = Path(source).read_text()
-    else:
+    """Couplings from a path, or from JSON text given as a str.
+
+    A str whose first non-blank character is '{' is JSON text; any other
+    str, and every Path, names a file.
+    """
+    if isinstance(source, str) and source.lstrip().startswith("{"):
         text = source
+    else:
+        text = Path(source).read_text()
     doc = json.loads(text)
     if doc.get("format") != COUPLINGS_FORMAT:
         raise ValueError(

@@ -1,7 +1,10 @@
 """End-to-end command tests over a fabricated displacement dataset."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import make_modeset
+import spinlat.cli
 from spinlat.cli import main
 from spinlat.core import larmor_frequency
 from spinlat.couplings import build_couplings, load_couplings
@@ -282,6 +286,54 @@ def test_dynamics_axial_system_matches_analytic(dataset, tmp_path):
     assert code == 0
     doc = json.loads((out / "dynamics.json").read_text())
     assert doc["fitted_time_us"] == pytest.approx(doc["analytic_t2_us"], rel=0.01)
+
+
+@pytest.mark.parametrize("direction", ["0,0,1", "1,0,0", "1,-2,-2"])
+@pytest.mark.parametrize("kind", ["t1", "t2"])
+def test_dynamics_lab_frame_follows_field_direction(dataset, tmp_path, direction, kind):
+    # the lab-frame run precesses about the field, so on this non-axial
+    # tensor the fit matches the time projected on that axis
+    out = tmp_path / "lab"
+    code, _, _ = run("dynamics", "--modes", dataset["modes"],
+                     "--manifest", dataset["manifest"],
+                     "--temp", "200", "--field-mt", "1266",
+                     "--field-dir", direction, "--kind", kind,
+                     "--no-rotating-frame", "--samples", "801", "--out", str(out))
+    assert code == 0
+    doc = json.loads((out / "dynamics.json").read_text())
+    analytic = doc["analytic_t1_us"] if kind == "t1" else doc["analytic_t2_us"]
+    assert doc["fitted_time_us"] == pytest.approx(analytic, rel=1e-3)
+
+
+def test_step_control_flag_and_key_are_gone(dataset, tmp_path, capsys):
+    # propagation is exact, so there is no integrator step to cap
+    code, _, _ = run("dynamics", "--modes", dataset["modes"],
+                     "--manifest", dataset["manifest"], "--max-step", "1e-3",
+                     capsys=capsys)
+    assert code == 2
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({
+        "format": "spinlat-config/1",
+        "numerics": {"max_step_us": 1e-3},
+    }))
+    code, _, err = run("dynamics", "--config", str(cfgfile), capsys=capsys)
+    assert code == 2
+    assert "unknown config key 'numerics.max_step_us'" in err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported inside the functions that use it; a top-level
+    # import would add about half a second to every command
+    src = str(Path(spinlat.cli.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    probe = ("import sys, spinlat.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_dynamics_bad_fit_window_exits_2(dataset, capsys):

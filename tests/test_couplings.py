@@ -322,6 +322,17 @@ def test_export_load_round_trip(toy_modes, tmp_path):
     assert doc["units"]["frequencies_cm"] == "cm^-1"
 
 
+def test_load_single_line_json_text(toy_modes):
+    gfun, _, _ = quadratic_surface(toy_modes)
+    c = build_couplings(sample_g_surface(toy_modes, gfun))
+    text = json.dumps(json.loads(export_couplings(c)))
+    assert "\n" not in text
+    loaded = load_couplings(text)
+    assert np.array_equal(loaded.d1, c.d1)
+    assert np.array_equal(loaded.d2, c.d2)
+    assert np.array_equal(load_couplings("  " + export_couplings(c)).d1, c.d1)
+
+
 def test_load_rejects_unknown_format(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"format": "something/9"}))
