@@ -3,8 +3,8 @@
 Every subcommand reads one effective configuration (built-in defaults,
 then an optional JSON config file, then flags, flags winning) and
 writes deterministic artifacts that embed that configuration.  Identical
-inputs give bitwise-identical outputs, including parallel sweeps, so any
-result file can be traced back to exactly one invocation.
+inputs give bitwise-identical outputs, so any result file can be traced
+back to exactly one invocation.
 
 Exit codes: 0 success, 2 for bad flags, malformed config, or missing
 input files, 1 for errors raised while computing.
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -213,19 +212,6 @@ def _validate_config(cfg: dict, need: tuple[str, ...]) -> None:
             raise UsageError(f"paths.{key} file not found: {value}")
 
 
-def _jobs(args: argparse.Namespace) -> int:
-    raw = getattr(args, "jobs", None)
-    if raw is None:
-        raw = os.environ.get("SPINLAT_JOBS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise UsageError(f"--jobs / SPINLAT_JOBS must be an integer, got {raw!r}") from None
-    if jobs < 1:
-        raise UsageError("--jobs must be >= 1")
-    return jobs
-
-
 # ---------------------------------------------------- shared assembly
 
 
@@ -244,16 +230,23 @@ def _outdir(cfg: dict) -> Path:
 
 
 def _assemble_couplings(cfg: dict) -> tuple[CouplingTensors, np.ndarray | None]:
-    """Couplings plus the baseline g matrix when runs are available."""
+    """Couplings plus the baseline g matrix when runs are available.
+
+    Records the finite-difference step the couplings were built with in
+    the config, so every artifact embeds the step actually used.
+    """
     paths = cfg["paths"]
     if paths["couplings"] is not None:
         _validate_config(cfg, need=("couplings",))
-        return load_couplings(paths["couplings"]), None
-    _validate_config(cfg, need=("modes", "manifest"))
-    modeset = parse_modes(paths["modes"])
-    runset = load_run_set(paths["manifest"], modeset)
-    c = build_couplings(runset, field_direction=cfg["physics"]["field_direction"])
-    return c, runset.baseline
+        c, baseline = load_couplings(paths["couplings"]), None
+    else:
+        _validate_config(cfg, need=("modes", "manifest"))
+        modeset = parse_modes(paths["modes"])
+        runset = load_run_set(paths["manifest"], modeset)
+        c = build_couplings(runset, field_direction=cfg["physics"]["field_direction"])
+        baseline = runset.baseline
+    cfg["numerics"]["delta_angstrom"] = c.delta_angstrom
+    return c, baseline
 
 
 def _spin_system(cfg: dict, baseline_g, field_mt: float) -> SpinSystem:
@@ -289,6 +282,23 @@ def _bath(cfg: dict, c: CouplingTensors, temperature_k: float) -> BathSpec:
         gamma_cm=float(phys["gamma_cm"]),
         linewidth_cm=linewidth,
         raman_pairing=phys["pairing"],
+    )
+
+
+def _sweep_grid(cfg: dict, c: CouplingTensors, spin: SpinSystem) -> list:
+    """`sweep` over the configured (T, B) grid.
+
+    `sweep` takes only the field direction from `spin`, so callers build
+    it at any nonzero field and the grid may include B = 0.
+    """
+    phys = cfg["physics"]
+    return sweep(
+        c,
+        spin,
+        phys["temperatures_k"],
+        phys["fields_mt"],
+        _bath(cfg, c, phys["temperatures_k"][0]),
+        convention=phys["convention"],
     )
 
 
@@ -357,32 +367,24 @@ def _cmd_tensor(args: argparse.Namespace, cfg: dict) -> int:
 def _cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     c, baseline = _assemble_couplings(cfg)
     phys = cfg["physics"]
-    spin = _spin_system(cfg, baseline, phys["fields_mt"][0])
-    bath = _bath(cfg, c, phys["temperatures_k"][0])
-    points = sweep(
-        c,
-        spin,
-        phys["temperatures_k"],
-        phys["fields_mt"],
-        bath,
-        convention=phys["convention"],
-        jobs=_jobs(args),
-    )
+    points = _sweep_grid(cfg, c, _spin_system(cfg, baseline, 1.0))
     out = _outdir(cfg)
     header = _config_comment(cfg)
     (out / "sweep.csv").write_text(header + "\n" + sweep_csv(points))
-    for field in phys["fields_mt"]:
+    fields = list(dict.fromkeys(phys["fields_mt"]))
+    for field in fields:
         rows = [p for p in points if p.field_mt == field]
         for name, pick in (("t1", lambda p: p.t1_us), ("t2", lambda p: p.t2_us)):
             lines = [header, "# columns: temperature_k inv_%s_per_us" % name]
             for p in rows:
                 rate = 0.0 if np.isinf(pick(p)) else 1.0 / pick(p)
                 lines.append(f"{p.temperature_k!r} {rate!r}")
-            path = out / f"inv_{name}_vs_temp_{field:g}mT.dat"
+            tag = np.format_float_positional(field, trim="-")
+            path = out / f"inv_{name}_vs_temp_{tag}mT.dat"
             path.write_text("\n".join(lines) + "\n")
     print(
         f"wrote sweep.csv ({len(points)} points) and "
-        f"{2 * len(phys['fields_mt'])} plot files to {out}"
+        f"{2 * len(fields)} plot files to {out}"
     )
     return 0
 
@@ -440,9 +442,18 @@ def _cmd_dynamics(args: argparse.Namespace, cfg: dict) -> int:
     grid = np.linspace(0.0, span, int(num["time_samples"]))
 
     if args.engine == "lindblad":
-        omega = 0.0 if args.rotating_frame else spin.larmor_cm()
         rot = frame_rotation(spin.axis)
-        diss = JumpBasisDissipator(rot @ tensor.lambda_total @ rot.T, omega)
+        lam = rot @ tensor.lambda_total @ rot.T
+        omega = spin.larmor_cm()
+        if args.rotating_frame:
+            # secular approximation (Breuer & Petruccione, The Theory of Open
+            # Quantum Systems, 2002, ch. 3): the xz and yz terms rotate at
+            # Omega and the xy anisotropy at 2 Omega, so they average out;
+            # Tr L and n.L.n, hence the analytic times, are kept
+            transverse = 0.5 * (lam[0, 0] + lam[1, 1])
+            lam = np.diag([transverse, transverse, lam[2, 2]])
+            omega = 0.0
+        diss = JumpBasisDissipator(lam, omega)
         traj = lindblad_evolve(rho0, diss, grid)
     else:
         traj = redfield_evolve(rho0, c, bath, spin, grid)
@@ -503,21 +514,23 @@ def _cmd_validate(args: argparse.Namespace, cfg: dict) -> int:
         )
 
     def tensors():
-        c = state["c"]
-        spin = _spin_system(cfg, state["runset"].baseline, phys["fields_mt"][0])
-        state["spin"] = spin
-        for t in phys["temperatures_k"]:
-            state["tensor"] = build_tensor(c, _bath(cfg, c, t), spin)
+        # every grid point's RelaxationTensor runs the symmetry and PSD checks
+        state["spin"] = _spin_system(cfg, state["runset"].baseline, 1.0)
+        state["points"] = _sweep_grid(cfg, state["c"], state["spin"])
 
     def identity():
-        times = relaxation_times(
-            state["tensor"], axis=state["spin"].axis, convention="projection"
-        )
-        lam = state["tensor"].lambda_total
-        lhs = times.rate2_cm
-        rhs = float(np.trace(lam)) - 0.5 * times.rate1_cm
-        if abs(lhs - rhs) > 1e-12 * max(abs(rhs), 1e-300):
-            raise ValueError(f"T2 identity violated by {abs(lhs - rhs):.3e}")
+        for p in state["points"]:
+            lam = p.lambda1 + p.lambda2
+            times = relaxation_times(
+                lam, axis=state["spin"].axis, convention="projection"
+            )
+            lhs = times.rate2_cm
+            rhs = float(np.trace(lam)) - 0.5 * times.rate1_cm
+            if abs(lhs - rhs) > 1e-12 * max(abs(rhs), 1e-300):
+                raise ValueError(
+                    f"T2 identity violated by {abs(lhs - rhs):.3e} at "
+                    f"{p.temperature_k!r} K, {p.field_mt!r} mT"
+                )
 
     run("modes-parse", parse)
     if state.get("modeset") is not None:
@@ -527,7 +540,7 @@ def _cmd_validate(args: argparse.Namespace, cfg: dict) -> int:
         run("couplings-assemble", couplings)
     if state.get("c") is not None:
         run("tensor-psd", tensors)
-    if state.get("tensor") is not None:
+    if state.get("points") is not None:
         run("time-identity", identity)
 
     width = max(len(name) for name, _, _ in checks)
@@ -582,7 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("couplings", help="finite-difference couplings from runs")
     _add_io_flags(sp, couplings=False)
     sp.add_argument("--field-dir", help="field direction as x,y,z")
-    sp.add_argument("--delta", type=float, help="step size, Angstrom")
 
     sp = sub.add_parser("tensor", help="rate tensor report at one (T, B) point")
     _add_io_flags(sp)
@@ -592,7 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="T1/T2 over a temperature and field grid")
     _add_io_flags(sp)
     _add_physics_flags(sp)
-    sp.add_argument("--jobs", help="worker count (default $SPINLAT_JOBS or 1)")
 
     sp = sub.add_parser("attribute", help="per-mode contribution ranking")
     _add_io_flags(sp)

@@ -15,7 +15,6 @@ Two conventions map a tensor onto scalar times:
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -95,7 +94,6 @@ def lambda_second(c: CouplingTensors, bath: BathSpec, spin: SpinSystem) -> Secon
     n = bose_occupation(omega, bath.temperature_k)
     lam = bath.linewidth_per_mode(c.nmodes)
     big_omega = spin.larmor_cm()
-    nmodes = c.nmodes
 
     thermal = (2.0 * n + 1.0) ** 2
     resonant = thermal * _lorentzian(big_omega - 2.0 * omega, lam)
@@ -109,8 +107,6 @@ def lambda_second(c: CouplingTensors, bath: BathSpec, spin: SpinSystem) -> Secon
         per_gsq = resonant[:, None, None] * np.einsum(
             "aq,bq->qab", diag_g2, diag_g2
         )
-        gsq = per_gsq.sum(axis=0)
-        per_mode = per_quartic + per_gsq
     else:
         width = 0.5 * (lam[:, None] + lam[None, :])
         npl = n + 1.0
@@ -124,13 +120,11 @@ def lambda_second(c: CouplingTensors, bath: BathSpec, spin: SpinSystem) -> Secon
             + _lorentzian(big_omega - omega[:, None] + omega[None, :], width)
             * n[:, None] * npl[None, :]
         )
-        pair = 0.25 * weight[:, :, None, None] * np.einsum(
-            "aqp,bqp->qpab", G2, G2
-        )
-        gsq = pair.sum(axis=(0, 1))
-        # attribute each ordered pair half to q and half to p, which puts
-        # the q == p terms fully on their own mode
-        per_mode = per_quartic + 0.5 * (pair.sum(axis=1) + pair.sum(axis=0))
+        # weight and G2 are symmetric in (q, p), so summing each row gives
+        # every ordered pair half to q and half to p, the q == p terms whole
+        per_gsq = 0.25 * np.einsum("aqp,bqp->qab", G2 * weight, G2)
+    gsq = per_gsq.sum(axis=0)
+    per_mode = per_quartic + per_gsq
 
     elastic = thermal[None, :] * (2.0 / np.pi) * (
         lam / (big_omega * big_omega + lam * lam)
@@ -382,6 +376,21 @@ def _component_shares(per_mode: np.ndarray, total: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rank_modes(key: np.ndarray, top_m: int | None, *traces: np.ndarray):
+    """Modes by descending key (stable), cut to top_m, and each trace's shares.
+
+    A share is the mode's trace over the summed trace, 0 when that sum is
+    0; the shares come back in the ranked order.
+    """
+    order = np.argsort(-key, kind="stable")[:top_m]
+    shares = []
+    for tr in traces:
+        total = tr.sum()
+        share = tr / total if total != 0.0 else np.zeros_like(tr)
+        shares.append(share[order])
+    return order, shares
+
+
 def mode_attribution(
     c: CouplingTensors,
     bath: BathSpec,
@@ -391,24 +400,14 @@ def mode_attribution(
     tensor = build_tensor(c, bath, spin)
     tr1 = np.einsum("qaa->q", tensor.per_mode_lambda1)
     tr2 = np.einsum("qaa->q", tensor.per_mode_lambda2)
-    order = np.argsort(-(tr1 + tr2), kind="stable")
-    if top_m is not None:
-        order = order[:top_m]
-
-    shares1 = _component_shares(tensor.per_mode_lambda1, tensor.lambda1)[order]
-    shares2 = _component_shares(tensor.per_mode_lambda2, tensor.lambda2)[order]
-
-    def trace_share(tr):
-        total = tr.sum()
-        return tr / total if total != 0.0 else np.zeros_like(tr)
-
+    order, (trace_share1, trace_share2) = _rank_modes(tr1 + tr2, top_m, tr1, tr2)
     return ModeAttribution(
         mode_numbers=tensor.source_modes[order].astype(int),
         frequencies_cm=tensor.frequencies[order],
-        shares1=shares1,
-        shares2=shares2,
-        trace_share1=trace_share(tr1)[order],
-        trace_share2=trace_share(tr2)[order],
+        shares1=_component_shares(tensor.per_mode_lambda1, tensor.lambda1)[order],
+        shares2=_component_shares(tensor.per_mode_lambda2, tensor.lambda2)[order],
+        trace_share1=trace_share1,
+        trace_share2=trace_share2,
     )
 
 
@@ -427,25 +426,6 @@ class SweepPoint:
     t2_us: float
 
 
-def _sweep_point(args) -> SweepPoint:
-    c, bath, spin, convention, temperature, field_mt = args
-    bath_t = replace(bath, temperature_k=temperature)
-    spin_b = replace(spin, field_mt=spin.field_direction * field_mt)
-    tensor = build_tensor(c, bath_t, spin_b)
-    times = relaxation_times(tensor, axis=spin.axis, convention=convention)
-    return SweepPoint(
-        temperature_k=temperature,
-        field_mt=field_mt,
-        omega_cm=tensor.omega_cm,
-        lambda1=tensor.lambda1,
-        lambda2=tensor.lambda2,
-        lambda2_quartic=tensor.lambda2_quartic,
-        lambda2_gsq=tensor.lambda2_gsq,
-        t1_us=times.t1_us,
-        t2_us=times.t2_us,
-    )
-
-
 def sweep(
     c: CouplingTensors,
     spin: SpinSystem,
@@ -453,13 +433,12 @@ def sweep(
     fields_mt,
     bath: BathSpec,
     convention: str = "projection",
-    jobs: int | None = None,
 ) -> list[SweepPoint]:
     """Tensor and times over a (T, B) grid, one row per point.
 
-    Rows are ordered with temperature outermost.  Each point is computed
-    independently with fixed-order reductions, so results are bitwise
-    identical for any worker count.
+    Rows are ordered with temperature outermost.  Each row is what
+    `build_tensor` and `relaxation_times` give at that point, with the
+    field along `spin`'s direction.
     """
     temperatures = [float(t) for t in np.atleast_1d(temperatures)]
     fields_mt = [float(b) for b in np.atleast_1d(fields_mt)]
@@ -467,15 +446,25 @@ def sweep(
         raise ValueError("sweep grid must be nonempty")
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}")
-    tasks = [
-        (c, bath, spin, convention, t, b)
-        for t in temperatures
-        for b in fields_mt
-    ]
-    if jobs is None or jobs <= 1 or len(tasks) == 1:
-        return [_sweep_point(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_sweep_point, tasks))
+    points = []
+    for temperature in temperatures:
+        bath_t = replace(bath, temperature_k=temperature)
+        for field_mt in fields_mt:
+            spin_b = replace(spin, field_mt=spin.field_direction * field_mt)
+            tensor = build_tensor(c, bath_t, spin_b)
+            times = relaxation_times(tensor, axis=spin.axis, convention=convention)
+            points.append(SweepPoint(
+                temperature_k=temperature,
+                field_mt=field_mt,
+                omega_cm=tensor.omega_cm,
+                lambda1=tensor.lambda1,
+                lambda2=tensor.lambda2,
+                lambda2_quartic=tensor.lambda2_quartic,
+                lambda2_gsq=tensor.lambda2_gsq,
+                t1_us=times.t1_us,
+                t2_us=times.t2_us,
+            ))
+    return points
 
 
 _CSV_COLUMNS = (
@@ -515,10 +504,7 @@ def tensor_report(tensor: RelaxationTensor, axis=(0.0, 0.0, 1.0), top_m: int | N
     }
     values, vectors = principal_relaxation_axes(tensor.lambda_total)
     tr2 = np.einsum("qaa->q", tensor.per_mode_lambda2)
-    order = np.argsort(-tr2, kind="stable")
-    if top_m is not None:
-        order = order[:top_m]
-    total2 = tr2.sum()
+    order, (share2,) = _rank_modes(tr2, top_m, tr2)
     return {
         "metadata": {
             "temperature_k": tensor.temperature_k,
@@ -542,8 +528,8 @@ def tensor_report(tensor: RelaxationTensor, axis=(0.0, 0.0, 1.0), top_m: int | N
             {
                 "mode": int(tensor.source_modes[q]),
                 "frequency_cm": float(tensor.frequencies[q]),
-                "lambda2_trace_share": float(tr2[q] / total2) if total2 else 0.0,
+                "lambda2_trace_share": float(share),
             }
-            for q in order
+            for q, share in zip(order, share2)
         ],
     }

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 
 from conftest import make_modeset
 import spinlat.cli
+import spinlat.relaxation
 from spinlat.cli import main
 from spinlat.core import larmor_frequency
 from spinlat.couplings import build_couplings, load_couplings
@@ -95,8 +97,16 @@ def test_displace_missing_modes_exits_2(tmp_path, capsys):
 # ------------------------------------------------------------ couplings
 
 def test_couplings_round_trip(dataset, tmp_path):
+    # the config asks for another step than the runs used; the artifact
+    # must embed the manifest's step, which built the couplings
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({
+        "format": "spinlat-config/1",
+        "numerics": {"delta_angstrom": 0.5},
+    }))
     out = tmp_path / "art"
-    code, _, _ = run("couplings", "--modes", dataset["modes"],
+    code, _, _ = run("couplings", "--config", str(cfgfile),
+                     "--modes", dataset["modes"],
                      "--manifest", dataset["manifest"], "--out", str(out))
     assert code == 0
     loaded = load_couplings(out / "couplings.json")
@@ -106,6 +116,7 @@ def test_couplings_round_trip(dataset, tmp_path):
     np.testing.assert_array_equal(loaded.d2, direct.d2)
     doc = json.loads((out / "couplings.json").read_text())
     assert doc["config"]["format"] == "spinlat-config/1"
+    assert doc["config"]["numerics"]["delta_angstrom"] == loaded.delta_angstrom == 0.01
 
 
 # --------------------------------------------------------------- tensor
@@ -176,36 +187,51 @@ def test_sweep_grid_and_monotone_t1(dataset, tmp_path):
     assert float(temp) == 5.0 and float(rate) == pytest.approx(1.0 / t1[0])
 
 
-def test_sweep_parallel_determinism(dataset, tmp_path):
+def test_sweep_repeat_runs_byte_identical(dataset, tmp_path):
     out = tmp_path / "same"
 
-    def digest(jobs):
+    def digest():
         shutil.rmtree(out, ignore_errors=True)
         code, _, _ = run("sweep", "--modes", dataset["modes"],
                          "--manifest", dataset["manifest"],
                          "--temp", "5:100:6", "--field-mt", "1000,1266",
-                         "--jobs", jobs, "--out", str(out))
+                         "--out", str(out))
         assert code == 0
         return {p.name: p.read_bytes() for p in out.iterdir()}
 
-    assert digest("1") == digest("2")
+    assert digest() == digest()
 
 
-def test_sweep_jobs_env_default(dataset, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SPINLAT_JOBS", "2")
+def test_sweep_starts_at_zero_field(dataset, tmp_path):
+    # the sweep takes its field direction from the config, not from the
+    # first grid field, so B = 0 is a valid point with no relaxation
     out = tmp_path / "art"
     code, _, _ = run("sweep", "--modes", dataset["modes"],
                      "--manifest", dataset["manifest"],
-                     "--temp", "5:40:3", "--field-mt", "1266",
-                     "--out", str(out))
+                     "--temp", "20", "--field-mt", "0:2000:3", "--out", str(out))
     assert code == 0
-    monkeypatch.setenv("SPINLAT_JOBS", "zero")
-    code, _, err = run("sweep", "--modes", dataset["modes"],
-                       "--manifest", dataset["manifest"],
-                       "--temp", "5:40:3", "--field-mt", "1266",
-                       "--out", str(out), capsys=capsys)
-    assert code == 2
-    assert "SPINLAT_JOBS" in err
+    lines = (out / "sweep.csv").read_text().strip().split("\n")
+    header = lines[1].split(",")
+    row = dict(zip(header, map(float, lines[2].split(","))))
+    assert row["field_mt"] == 0.0
+    assert row["t1_us"] == row["t2_us"] == np.inf
+    assert all(row[k] == 0.0 for k in header if k == "omega_cm" or k.startswith("l"))
+    dat = (out / "inv_t1_vs_temp_0mT.dat").read_text().strip().split("\n")
+    assert dat[2].split() == ["20.0", "0.0"]
+
+
+def test_sweep_plot_files_distinct_for_close_fields(dataset, tmp_path, capsys):
+    out = tmp_path / "art"
+    code, stdout, _ = run("sweep", "--modes", dataset["modes"],
+                          "--manifest", dataset["manifest"], "--temp", "20",
+                          "--field-mt", "1266.0001,1266.00012,1266.0001",
+                          "--out", str(out), capsys=capsys)
+    assert code == 0
+    assert {p.name for p in out.glob("inv_*.dat")} == {
+        f"inv_{kind}_vs_temp_{field}mT.dat"
+        for kind in ("t1", "t2") for field in ("1266.0001", "1266.00012")
+    }
+    assert "4 plot files" in stdout
 
 
 def test_range_syntax_errors(dataset, capsys):
@@ -238,9 +264,8 @@ def test_attribute_ranked_and_truncated(dataset, tmp_path, capsys):
 # ------------------------------------------------------------- dynamics
 
 def test_dynamics_t1_run(dataset, tmp_path):
-    # this dataset's tensor is far from axial, so the fitted time is a
-    # genuine multi-exponential mixture; the scalar analytic value is
-    # reported next to it rather than matched
+    # the artifacts and their shape; the fitted time's agreement with the
+    # analytic one is checked per frame and field direction below
     out = tmp_path / "art"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -289,16 +314,21 @@ def test_dynamics_axial_system_matches_analytic(dataset, tmp_path):
 
 
 @pytest.mark.parametrize("direction", ["0,0,1", "1,0,0", "1,-2,-2"])
-@pytest.mark.parametrize("kind", ["t1", "t2"])
-def test_dynamics_lab_frame_follows_field_direction(dataset, tmp_path, direction, kind):
-    # the lab-frame run precesses about the field, so on this non-axial
-    # tensor the fit matches the time projected on that axis
+@pytest.mark.parametrize("kind, frame", [
+    ("t1", ("--no-rotating-frame",)), ("t2", ("--no-rotating-frame",)),
+    ("t1", ()), ("t2", ()),
+], ids=["t1", "t2", "t1-rotating", "t2-rotating"])
+def test_dynamics_lab_frame_follows_field_direction(dataset, tmp_path, direction,
+                                                    kind, frame):
+    # the lab-frame run precesses about the field and the rotating-frame run
+    # keeps the secular part of the tensor about it, so on this non-axial
+    # tensor both fits match the time projected on that axis
     out = tmp_path / "lab"
     code, _, _ = run("dynamics", "--modes", dataset["modes"],
                      "--manifest", dataset["manifest"],
                      "--temp", "200", "--field-mt", "1266",
                      "--field-dir", direction, "--kind", kind,
-                     "--no-rotating-frame", "--samples", "801", "--out", str(out))
+                     *frame, "--samples", "801", "--out", str(out))
     assert code == 0
     doc = json.loads((out / "dynamics.json").read_text())
     analytic = doc["analytic_t1_us"] if kind == "t1" else doc["analytic_t2_us"]
@@ -323,14 +353,16 @@ def test_step_control_flag_and_key_are_gone(dataset, tmp_path, capsys):
 
 def test_cli_import_loads_no_scipy():
     # scipy is imported inside the functions that use it; a top-level
-    # import would add about half a second to every command
+    # import would add about half a second to every command.  Nothing
+    # starts worker processes, so the multiprocessing machinery stays out
     src = str(Path(spinlat.cli.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     probe = ("import sys, spinlat.cli; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+             "print(sorted(m for m in sys.modules if m.startswith('scipy') "
+             "or m in ('multiprocessing', 'concurrent.futures.process')))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
@@ -356,6 +388,23 @@ def test_validate_clean_dataset(dataset, capsys):
     lines = [l for l in stdout.strip().split("\n") if l.startswith("CHECK")]
     assert len(lines) == 6
     assert all(line.endswith("PASS") for line in lines)
+
+
+def test_validate_checks_every_grid_point(dataset, monkeypatch, capsys):
+    real = spinlat.relaxation.build_tensor
+
+    def fails_at_second_field(c, bath, spin):
+        if np.linalg.norm(spin.field_mt) == 1266.0:
+            raise ValueError("lambda2 has negative eigenvalue")
+        return real(c, bath, spin)
+
+    monkeypatch.setattr(spinlat.relaxation, "build_tensor", fails_at_second_field)
+    code, stdout, _ = run("validate", "--modes", dataset["modes"],
+                          "--manifest", dataset["manifest"],
+                          "--temp", "20,300", "--field-mt", "1000,1266",
+                          capsys=capsys)
+    assert code == 1
+    assert re.search(r"CHECK tensor-psd +FAIL", stdout)
 
 
 def test_validate_incomplete_runs_fails(dataset, tmp_path, capsys):
@@ -408,9 +457,16 @@ def test_config_bad_format_or_json(dataset, tmp_path, capsys):
     assert code == 2 and "JSON" in err
 
 
-def test_unknown_flag_and_missing_subcommand_exit_2(capsys):
-    code, _, _ = run("tensor", "--bogus", capsys=capsys)
-    assert code == 2
+def test_unknown_flag_and_missing_subcommand_exit_2(dataset, tmp_path, capsys):
+    # sweep has no worker pool to size, and couplings takes its step from
+    # the manifest, so neither accepts a flag for it
+    runs = ("--modes", dataset["modes"], "--manifest", dataset["manifest"],
+            "--out", str(tmp_path))
+    for argv in (("tensor", "--bogus"), ("sweep", *runs, "--jobs", "2"),
+                 ("couplings", *runs, "--delta", "0.5")):
+        code, _, err = run(*argv, capsys=capsys)
+        assert code == 2
+        assert "unrecognized arguments" in err
     code, _, _ = run(capsys=capsys)
     assert code == 2
 

@@ -1,6 +1,8 @@
 """Relaxation tensor assembly, projections, attribution, sweeps."""
 
+import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,6 +195,7 @@ def test_lambda_second_all_pairs_matches_bruteforce():
         return width / (np.pi * (x * x + width * width))
 
     expected = np.zeros((3, 3))
+    expected_per = np.zeros((4, 3, 3))
     for q in range(4):
         for p in range(4):
             wd = 0.5 * (lam[q] + lam[p])
@@ -202,8 +205,15 @@ def test_lambda_second_all_pairs_matches_bruteforce():
                 + lor(omega + w[q] - w[p], wd) * (n[q] + 1) * n[p]
                 + lor(omega - w[q] + w[p], wd) * n[q] * (n[p] + 1)
             )
-            expected += 0.25 * weight * np.outer(G2[:, q, p], G2[:, q, p])
+            term = 0.25 * weight * np.outer(G2[:, q, p], G2[:, q, p])
+            expected += term
+            # each ordered pair is attributed half to q and half to p
+            expected_per[q] += 0.5 * term
+            expected_per[p] += 0.5 * term
     np.testing.assert_allclose(second.gsq, expected, rtol=1e-12)
+    quartic_only = lambda_second(make_couplings(c.d1, None, c.frequencies), bath, spin)
+    np.testing.assert_allclose(second.per_mode - quartic_only.per_mode, expected_per,
+                               rtol=1e-12, atol=1e-12 * np.abs(expected_per).max())
     np.testing.assert_allclose(
         second.per_mode.sum(axis=0), second.quartic + second.gsq, rtol=1e-10
     )
@@ -442,14 +452,23 @@ def test_attribution_diagonal_shares_sum_to_one():
 # ------------------------------------------------------------------ sweeps
 
 def test_sweep_single_point_matches_pipeline():
+    # every row is bitwise what build_tensor and relaxation_times give there
     c, spin, bath = raman_test_system()
-    points = sweep(c, spin, [200.0], [1000.0], bath)
-    assert len(points) == 1
-    tensor = build_tensor(c, bath, spin)
-    times = relaxation_times(tensor, axis=spin.axis)
-    assert points[0].t1_us == times.t1_us
-    np.testing.assert_array_equal(points[0].lambda2, tensor.lambda2)
-    assert points[0].omega_cm == tensor.omega_cm
+    cases = (
+        (c, bath, [200.0], [1000.0]),
+        (random_couplings(13), replace(bath, raman_pairing="all_pairs"),
+         [80.0, 160.0, 240.0], [800.0, 1600.0]),
+    )
+    for c, bath, temps, fields in cases:
+        points = sweep(c, spin, temps, fields, bath)
+        assert len(points) == len(temps) * len(fields)
+        for p, (t, b) in zip(points, itertools.product(temps, fields)):
+            tensor = build_tensor(c, replace(bath, temperature_k=t), make_spin(b))
+            times = relaxation_times(tensor, axis=spin.axis)
+            assert (p.temperature_k, p.field_mt, p.omega_cm) == (t, b, tensor.omega_cm)
+            assert (p.t1_us, p.t2_us) == (times.t1_us, times.t2_us)
+            for name in ("lambda1", "lambda2", "lambda2_quartic", "lambda2_gsq"):
+                np.testing.assert_array_equal(getattr(p, name), getattr(tensor, name))
 
 
 def test_sweep_grid_order_and_omega_recomputed():
@@ -459,15 +478,6 @@ def test_sweep_grid_order_and_omega_recomputed():
         (100.0, 500.0), (100.0, 1000.0), (200.0, 500.0), (200.0, 1000.0),
     ]
     assert points[1].omega_cm == pytest.approx(2.0 * points[0].omega_cm, rel=1e-12)
-
-
-def test_sweep_parallel_bitwise_identical():
-    c, spin, bath = raman_test_system()
-    grid_t = [80.0, 160.0, 240.0]
-    grid_b = [800.0, 1600.0]
-    serial = sweep(c, spin, grid_t, grid_b, bath)
-    parallel = sweep(c, spin, grid_t, grid_b, bath, jobs=2)
-    assert sweep_csv(serial) == sweep_csv(parallel)
 
 
 def test_sweep_rejects_empty_grid():
