@@ -77,7 +77,6 @@ _DEFAULTS: dict = {
         "fit_window_us": None,
         "time_samples": 2001,
     },
-    "seed": 0,
 }
 
 
@@ -111,9 +110,6 @@ def _merge_config(path) -> dict:
             continue
         if section not in cfg:
             raise UsageError(f"unknown config key {section!r}")
-        if section == "seed":
-            cfg["seed"] = int(values)
-            continue
         if not isinstance(values, dict):
             raise UsageError(f"config key {section!r} must be an object")
         for key, value in values.items():
@@ -176,6 +172,8 @@ def _apply_flags(cfg: dict, args: argparse.Namespace) -> None:
         phys["temperatures_k"] = _parse_grid(args.temp, "--temp")
     if getattr(args, "field_mt", None) is not None:
         phys["fields_mt"] = _parse_grid(args.field_mt, "--field-mt")
+    if getattr(args, "top", None) is not None and args.top < 1:
+        raise UsageError(f"--top must be >= 1, got {args.top}")
     if getattr(args, "field_dir", None) is not None:
         phys["field_direction"] = _parse_vector(args.field_dir, "--field-dir")
     if getattr(args, "fit_window", None) is not None:
@@ -193,17 +191,34 @@ def _apply_flags(cfg: dict, args: argparse.Namespace) -> None:
 
 
 def _validate_config(cfg: dict, need: tuple[str, ...]) -> None:
-    phys = cfg["physics"]
-    if not phys["temperatures_k"]:
-        raise UsageError("physics.temperatures_k must be nonempty")
-    if not phys["fields_mt"]:
-        raise UsageError("physics.fields_mt must be nonempty")
+    """Reject bad values, naming the key; drop repeated grid values.
+
+    Repeats are dropped keeping the first occurrence, so the config that
+    artifacts embed holds the grid actually computed.
+    """
+    phys, num = cfg["physics"], cfg["numerics"]
+    for key in ("temperatures_k", "fields_mt"):
+        if not phys[key]:
+            raise UsageError(f"physics.{key} must be nonempty")
+        phys[key] = list(dict.fromkeys(phys[key]))
+    if not all(0.0 <= t < np.inf for t in phys["temperatures_k"]):
+        raise UsageError("physics.temperatures_k must be finite and >= 0")
+    direction = np.asarray(phys["field_direction"], dtype=float)
+    if direction.shape != (3,) or not (
+        np.all(np.isfinite(direction)) and np.any(direction)
+    ):
+        raise UsageError("physics.field_direction must be a finite nonzero 3-vector")
+    for key in ("linewidth_cm", "gamma_cm"):
+        if not 0.0 < phys[key] < np.inf:
+            raise UsageError(f"physics.{key} must be positive and finite")
     if phys["pairing"] not in PAIRING_MODES:
         raise UsageError(f"physics.pairing must be one of {PAIRING_MODES}")
     if phys["convention"] not in CONVENTIONS:
         raise UsageError(f"physics.convention must be one of {CONVENTIONS}")
-    if cfg["numerics"]["delta_angstrom"] <= 0.0:
+    if num["delta_angstrom"] <= 0.0:
         raise UsageError("numerics.delta_angstrom must be positive")
+    if num["time_samples"] < 10:
+        raise UsageError("numerics.time_samples must be >= 10")
     for key in need:
         value = cfg["paths"][key]
         if value is None:
@@ -371,7 +386,7 @@ def _cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     out = _outdir(cfg)
     header = _config_comment(cfg)
     (out / "sweep.csv").write_text(header + "\n" + sweep_csv(points))
-    fields = list(dict.fromkeys(phys["fields_mt"]))
+    fields = phys["fields_mt"]
     for field in fields:
         rows = [p for p in points if p.field_mt == field]
         for name, pick in (("t1", lambda p: p.t1_us), ("t2", lambda p: p.t2_us)):

@@ -45,6 +45,22 @@ def _as_matrix3(values, name: str) -> np.ndarray:
     return m
 
 
+def check_rate_matrix(m: np.ndarray, name: str) -> None:
+    """Raise ValueError unless the 3x3 rate matrix m is symmetric and PSD.
+
+    Asymmetry may reach 1e-10 of max(|m|, 1), eigenvalues -1e-12 of Tr m.
+    """
+    scale = max(np.abs(m).max(), 1.0)
+    if np.abs(m - m.T).max() > 1e-10 * scale:
+        raise ValueError(f"{name} is not symmetric within 1e-10")
+    floor = -1e-12 * max(np.trace(m), 1e-300)
+    w = np.linalg.eigvalsh(m)
+    if w.min() < floor:
+        raise ValueError(
+            f"{name} is not PSD: eigenvalue {w.min():.3e} below {floor:.3e}"
+        )
+
+
 @dataclass(frozen=True)
 class GTensor:
     """Zeeman coupling matrix g, dimensionless, not assumed symmetric."""

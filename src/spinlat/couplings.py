@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import HBAR_AMU_A2_CM, ModeSet
-from .ingest import DisplacedGTensorSet
+from .ingest import DisplacedGTensorSet, read_source
 
 COUPLINGS_FORMAT = "spinlat-couplings/1"
 
@@ -55,7 +55,6 @@ class CouplingTensors:
     field_direction: np.ndarray
     mixed_computed: bool
     source_indices: np.ndarray = None
-    modeset: ModeSet | None = None
 
     def __post_init__(self):
         d1 = np.asarray(self.d1, dtype=float)
@@ -173,7 +172,6 @@ def build_couplings(
         field_direction=b,
         mixed_computed=mixed,
         source_indices=ms.source_indices.copy(),
-        modeset=ms,
     )
 
 
@@ -271,16 +269,8 @@ def export_couplings(c: CouplingTensors, path=None) -> str:
 
 
 def load_couplings(source) -> CouplingTensors:
-    """Couplings from a path, or from JSON text given as a str.
-
-    A str whose first non-blank character is '{' is JSON text; any other
-    str, and every Path, names a file.
-    """
-    if isinstance(source, str) and source.lstrip().startswith("{"):
-        text = source
-    else:
-        text = Path(source).read_text()
-    doc = json.loads(text)
+    """Couplings from a path, or from JSON text given as a str (see read_source)."""
+    doc = json.loads(read_source(source))
     if doc.get("format") != COUPLINGS_FORMAT:
         raise ValueError(
             f"unsupported couplings format {doc.get('format')!r}, "
@@ -294,7 +284,6 @@ def load_couplings(source) -> CouplingTensors:
         field_direction=np.array(doc["field_direction"], dtype=float),
         mixed_computed=bool(doc["mixed_computed"]),
         source_indices=np.array(doc["source_indices"], dtype=int),
-        modeset=None,
     )
 
 

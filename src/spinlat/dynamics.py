@@ -27,7 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RATE_CM_TO_PER_US, BathSpec, MUB_CM_PER_T, SpinSystem, bose_occupation
+from .core import (
+    RATE_CM_TO_PER_US,
+    BathSpec,
+    MUB_CM_PER_T,
+    SpinSystem,
+    bose_occupation,
+    check_rate_matrix,
+)
 from .couplings import CouplingTensors
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -38,7 +45,8 @@ PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 TRACE_TOL = 1e-12
 
-CHANNELS = ("one_phonon", "two_phonon")
+# a fit whose rms residual exceeds this fraction of its amplitude warns
+RESIDUAL_WARN = 0.01
 
 
 def _kron_rm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -57,12 +65,7 @@ class JumpBasisDissipator:
         m = np.asarray(self.lam_cm, dtype=float)
         if m.shape != (3, 3) or not np.all(np.isfinite(m)):
             raise ValueError("lam_cm must be a finite 3x3 matrix")
-        scale = max(np.abs(m).max(), 1.0)
-        if np.abs(m - m.T).max() > 1e-10 * scale:
-            raise ValueError("lam_cm must be symmetric within 1e-10")
-        w = np.linalg.eigvalsh(m)
-        if w.min() < -1e-12 * max(np.trace(m), 1e-300):
-            raise ValueError(f"lam_cm must be PSD, got eigenvalue {w.min():.3e}")
+        check_rate_matrix(m, "lam_cm")
         if not np.isfinite(self.omega_cm) or self.omega_cm < 0.0:
             raise ValueError("omega_cm must be finite and nonnegative")
         m.setflags(write=False)
@@ -214,28 +217,19 @@ def lindblad_evolve(rho0, diss: JumpBasisDissipator, t_grid) -> SpinTrajectory:
 
 # ---------------------------------------------------------------- redfield
 
-def spectral_density(
-    c: CouplingTensors,
-    bath: BathSpec,
-    spin: SpinSystem,
-    channels=CHANNELS,
-    include_elastic: bool = False,
-):
+def spectral_density(c: CouplingTensors, bath: BathSpec, spin: SpinSystem):
     """Per-axis bath spectral density S_alpha(omega) in cm^-1.
 
     One-phonon channel: Lorentzians at +-omega_q weighted n+1 on the
     emission side and n on the absorption side.  Two-phonon channel:
     the same structure at +-2*omega_q with squared occupation factors
     from the diagonal second-order couplings; its zero-frequency
-    (elastic) peak is excluded unless include_elastic is set, and is
-    reported separately by the relaxation module instead.
+    (elastic) peak is left out here and reported by the relaxation
+    module instead.
 
     The couplings' spin index is rotated so that spin.axis becomes z,
     the quantization axis of the Redfield generator.
     """
-    unknown = set(channels) - set(CHANNELS)
-    if unknown:
-        raise ValueError(f"unknown channels {sorted(unknown)}")
     pref = MUB_CM_PER_T * spin.field_magnitude_t
     rot = frame_rotation(spin.axis)
     G = pref * (rot @ c.d1)
@@ -249,16 +243,12 @@ def spectral_density(
 
     def s_of(omega: float) -> np.ndarray:
         out = np.zeros(3)
-        if "one_phonon" in channels:
-            weights = (n + 1.0) * lor(omega - w_q) + n * lor(omega + w_q)
-            out += (2.0 / np.pi) * (G * G) @ weights
-        if "two_phonon" in channels:
-            weights = (n + 1.0) ** 2 * lor(omega - 2.0 * w_q) + n * n * lor(
-                omega + 2.0 * w_q
-            )
-            if include_elastic:
-                weights = weights + 2.0 * n * (n + 1.0) * lor(omega)
-            out += (2.0 / np.pi) * (G2d * G2d) @ weights
+        weights = (n + 1.0) * lor(omega - w_q) + n * lor(omega + w_q)
+        out += (2.0 / np.pi) * (G * G) @ weights
+        weights = (n + 1.0) ** 2 * lor(omega - 2.0 * w_q) + n * n * lor(
+            omega + 2.0 * w_q
+        )
+        out += (2.0 / np.pi) * (G2d * G2d) @ weights
         return out
 
     return s_of
@@ -312,27 +302,11 @@ def redfield_generator(
 
 
 def redfield_evolve(
-    rho0,
-    c: CouplingTensors,
-    bath: BathSpec,
-    spin: SpinSystem,
-    t_grid,
-    secular: bool = True,
-    channels=CHANNELS,
-    include_elastic: bool = False,
-    spectrum_override=None,
+    rho0, c: CouplingTensors, bath: BathSpec, spin: SpinSystem, t_grid
 ) -> SpinTrajectory:
-    """Propagate rho0 under the Bloch-Redfield generator of the bath.
-
-    spectrum_override replaces the built-in spectral densities with a
-    callable omega -> (3,) array; couplings and bath temperature are
-    then ignored.
-    """
+    """Propagate rho0 under the secular Bloch-Redfield generator of the bath."""
     r = _validate_rho0(rho0)
-    s_of = spectrum_override
-    if s_of is None:
-        s_of = spectral_density(c, bath, spin, channels, include_elastic)
-    gen = redfield_generator(s_of, spin.larmor_cm(), secular=secular)
+    gen = redfield_generator(spectral_density(c, bath, spin), spin.larmor_cm())
     return _integrate(gen, r, t_grid)
 
 
@@ -360,27 +334,18 @@ def _observable_series(traj: SpinTrajectory, observable: str) -> np.ndarray:
     raise ValueError(f"observable must be one of {OBSERVABLES}")
 
 
-def fit_decay_rate(
-    traj: SpinTrajectory,
-    observable: str,
-    model: str | None = None,
-    window=None,
-    residual_warn: float = 0.01,
-) -> DecayFit:
+def fit_decay_rate(traj: SpinTrajectory, observable: str, window=None) -> DecayFit:
     """Single-exponential fit of a trajectory observable.
 
-    sz fits include a free equilibrium offset by default since the
-    dissipator need not relax toward sz = 0.  window = (t_lo, t_hi)
-    restricts the samples used, e.g. to skip an initial fast transient.
+    sz fits include a free equilibrium offset since the dissipator need
+    not relax toward sz = 0.  window = (t_lo, t_hi) restricts the samples
+    used, e.g. to skip an initial fast transient.
     """
     from scipy.optimize import curve_fit
 
     y = _observable_series(traj, observable)
     t = traj.times_us
-    if model is None:
-        model = "exp_offset" if observable == "sz_minus_eq" else "exp"
-    if model not in ("exp", "exp_offset"):
-        raise ValueError("model must be 'exp' or 'exp_offset'")
+    model = "exp_offset" if observable == "sz_minus_eq" else "exp"
     if window is not None:
         lo, hi = window
         keep = (t >= lo) & (t <= hi)
@@ -414,10 +379,10 @@ def fit_decay_rate(
     rate = float(popt[1])
     offset = float(popt[2]) if model == "exp_offset" else 0.0
     residual = float(np.sqrt(np.mean((f(ts, *popt) - y) ** 2)))
-    if residual > residual_warn * max(abs(amplitude), 1e-300):
+    if residual > RESIDUAL_WARN * max(abs(amplitude), 1e-300):
         warnings.warn(
             f"decay fit residual {residual:.3e} exceeds "
-            f"{residual_warn:.0%} of the amplitude", stacklevel=2
+            f"{RESIDUAL_WARN:.0%} of the amplitude", stacklevel=2
         )
     return DecayFit(
         rate_per_us=rate,

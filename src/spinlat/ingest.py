@@ -18,6 +18,8 @@ from .core import Geometry, ModeSet
 
 G_MATRIX_MARKER = "ELECTRONIC G-MATRIX"
 MANIFEST_KEYS = {"delta_angstrom", "baseline", "runs", "pairs"}
+RESULT_SUFFIX = ".gout"     # engine result file next to each geometry
+SOFT_CUTOFF_CM = 1.0        # skip_soft drops modes below this frequency
 
 
 class ParseError(ValueError):
@@ -47,6 +49,22 @@ class IncompleteRunSetError(RuntimeError):
         super().__init__("missing displaced-run results: " + ", ".join(parts))
 
 
+def read_source(source) -> str:
+    """The text of a file, or the text itself.
+
+    A str is text when it contains a newline or, after leading
+    whitespace, starts with '{'; any other str, and every Path, names a
+    file.
+    """
+    if isinstance(source, str) and (
+        "\n" in source or source.lstrip().startswith("{")
+    ):
+        return source
+    if isinstance(source, (str, Path)):
+        return Path(source).read_text()
+    raise TypeError(f"cannot read from {type(source)!r}")
+
+
 # ------------------------------------------------------------------ NMODES
 
 def _effective_lines(text: str):
@@ -67,21 +85,16 @@ def _effective_lines(text: str):
             yield i, content
 
 
-def parse_modes(
-    source,
-    *,
-    skip_soft: bool = False,
-    soft_cutoff_cm: float = 1.0,
-) -> ModeSet:
+def parse_modes(source, *, skip_soft: bool = False) -> ModeSet:
     """Parse an NMODES v1 file into a ModeSet.
 
     Frequencies come out sorted ascending with eigenvector columns
     permuted to match; the original 1-based file numbering is kept in
     source_indices.  Nonpositive frequencies are an error unless
-    skip_soft is set, in which case every mode below soft_cutoff_cm
+    skip_soft is set, in which case every mode below SOFT_CUTOFF_CM
     is dropped.
     """
-    text = _read_text(source)
+    text = read_source(source)
     lines = list(_effective_lines(text))
     if not lines:
         raise ParseError("empty file", line=1)
@@ -183,11 +196,11 @@ def parse_modes(
     freqs = np.array(freqs)
     src_idx = np.array(src_idx, dtype=int)
     if skip_soft:
-        keep = freqs >= soft_cutoff_cm
+        keep = freqs >= SOFT_CUTOFF_CM
         freqs, src_idx, vecs = freqs[keep], src_idx[keep], vecs[:, keep]
         if freqs.size == 0:
             raise ParseError(
-                f"all modes fall below the {soft_cutoff_cm} cm^-1 cutoff",
+                f"all modes fall below the {SOFT_CUTOFF_CM} cm^-1 cutoff",
                 line=freq_lines[0],
             )
     else:
@@ -255,8 +268,7 @@ def parse_g_matrix(source) -> np.ndarray:
     Tolerant of prose around the block and of row labels; strict about
     finding nine float fields in a contiguous run of lines.
     """
-    text = _read_text(source)
-    lines = text.splitlines()
+    lines = read_source(source).splitlines()
     start = None
     for i, raw in enumerate(lines):
         if G_MATRIX_MARKER in raw:
@@ -376,7 +388,6 @@ def write_displacement_set(
     modeset: ModeSet,
     outdir,
     delta: float,
-    result_suffix: str = ".gout",
 ) -> Path:
     """Write geometry files plus the run manifest; returns the manifest path.
 
@@ -387,7 +398,7 @@ def write_displacement_set(
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "delta_angstrom": delta,
-        "baseline": "baseline" + result_suffix,
+        "baseline": "baseline" + RESULT_SUFFIX,
         "runs": [],
         "pairs": [],
     }
@@ -400,7 +411,7 @@ def write_displacement_set(
                 {
                     "mode": g.modes[0] + 1,
                     "sign": "+" if g.signs[0] > 0 else "-",
-                    "path": stem + result_suffix,
+                    "path": stem + RESULT_SUFFIX,
                 }
             )
         elif g.kind == "pair":
@@ -408,7 +419,7 @@ def write_displacement_set(
                 {
                     "modes": [k + 1 for k in g.modes],
                     "signs": ["+" if s > 0 else "-" for s in g.signs],
-                    "path": stem + result_suffix,
+                    "path": stem + RESULT_SUFFIX,
                 }
             )
     mpath = outdir / "manifest.json"
@@ -446,10 +457,6 @@ class DisplacedGTensorSet:
                 raise ValueError(f"bad pair key ({k}, {kp}, {s}, {sp})")
             if np.asarray(m).shape != (3, 3) or not np.all(np.isfinite(m)):
                 raise ValueError(f"pair ({k}, {kp}, {s}, {sp}) g matrix invalid")
-
-    @property
-    def has_pairs(self) -> bool:
-        return len(self.pairs) > 0
 
     def complete_singles(self) -> bool:
         n = self.modeset.nmodes
@@ -565,14 +572,3 @@ def sample_g_surface(
         singles=singles,
         pairs=pairs,
     )
-
-
-def _read_text(source) -> str:
-    """Accept a path-like or raw text; multi-line strings are treated as text."""
-    if isinstance(source, Path):
-        return source.read_text()
-    if isinstance(source, str):
-        if "\n" in source:
-            return source
-        return Path(source).read_text()
-    raise TypeError(f"cannot read from {type(source)!r}")

@@ -26,13 +26,11 @@ from .core import (
     BathSpec,
     SpinSystem,
     bose_occupation,
+    check_rate_matrix,
 )
 from .couplings import CouplingTensors
 
 CONVENTIONS = ("projection", "lindblad")
-
-_SYM_TOL = 1e-10
-_PSD_TOL = 1e-12
 
 
 def direct_rate(gamma_cm, omega_cm, occupation):
@@ -134,21 +132,6 @@ def lambda_second(c: CouplingTensors, bath: BathSpec, spin: SpinSystem) -> Secon
 
 # ------------------------------------------------------------------ tensor
 
-def _check_symmetric(m: np.ndarray, name: str) -> None:
-    scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.T).max() > _SYM_TOL * scale:
-        raise ValueError(f"{name} is not symmetric within tolerance")
-
-
-def _check_psd(m: np.ndarray, name: str) -> None:
-    floor = -_PSD_TOL * max(np.trace(m), 1e-300)
-    w = np.linalg.eigvalsh(m)
-    if w.min() < floor:
-        raise ValueError(
-            f"{name} has negative eigenvalue {w.min():.3e} below {floor:.3e}"
-        )
-
-
 @dataclass(frozen=True)
 class RelaxationTensor:
     """First- and second-order rate tensors with their per-mode split."""
@@ -179,10 +162,8 @@ class RelaxationTensor:
                 raise ValueError(f"{name} contains non-finite entries")
             v.setflags(write=False)
             object.__setattr__(self, name, v)
-        _check_symmetric(self.lambda1, "lambda1")
-        _check_symmetric(self.lambda2, "lambda2")
-        _check_psd(self.lambda1, "lambda1")
-        _check_psd(self.lambda2, "lambda2")
+        check_rate_matrix(self.lambda1, "lambda1")
+        check_rate_matrix(self.lambda2, "lambda2")
         if self.lambda2_quartic.min() < 0.0:
             raise ValueError("quartic part must be entrywise nonnegative")
         if np.any(self.elastic_dephasing < 0.0):
@@ -202,15 +183,6 @@ class RelaxationTensor:
     @property
     def lambda_total(self) -> np.ndarray:
         return self.lambda1 + self.lambda2
-
-    @property
-    def gsq_dominance(self) -> np.ndarray:
-        """How much the second-derivative channel exceeds the quartic one."""
-        return self.lambda2_gsq - self.lambda2_quartic
-
-    @property
-    def nmodes(self) -> int:
-        return self.frequencies.size
 
 
 def build_tensor(c: CouplingTensors, bath: BathSpec, spin: SpinSystem) -> RelaxationTensor:
@@ -256,7 +228,7 @@ def _as_tensor_matrix(lam) -> np.ndarray:
     m = np.asarray(lam, dtype=float)
     if m.shape != (3, 3) or not np.all(np.isfinite(m)):
         raise ValueError("expected a finite 3x3 tensor")
-    _check_symmetric(m, "tensor")
+    check_rate_matrix(m, "tensor")
     return m
 
 
@@ -300,11 +272,7 @@ def principal_relaxation_axes(lam):
     so repeated runs and equivalent inputs give identical output.  Every
     axis has its largest-magnitude component made positive.
     """
-    m = _as_tensor_matrix(lam)
-    values, vectors = np.linalg.eigh(m)
-    floor = -_PSD_TOL * max(np.trace(m), 1e-300)
-    if values.min() < floor:
-        raise ValueError(f"tensor is not positive semi-definite ({values.min():.3e})")
+    values, vectors = np.linalg.eigh(_as_tensor_matrix(lam))
     values = np.clip(values, 0.0, None)
 
     scale = max(abs(values[-1]), 1e-300)

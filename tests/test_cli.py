@@ -445,6 +445,70 @@ def test_config_unknown_key_named(dataset, tmp_path, capsys):
     code, _, err = run("tensor", "--config", str(cfgfile), capsys=capsys)
     assert code == 2
     assert "physics.temprature_k" in err
+    # nothing is stochastic, so there is no seed to set
+    cfgfile.write_text(json.dumps({"format": "spinlat-config/1", "seed": 0}))
+    code, _, err = run("tensor", "--config", str(cfgfile), capsys=capsys)
+    assert code == 2
+    assert "unknown config key 'seed'" in err
+
+
+@pytest.mark.parametrize("command, flag, text, key, value", [
+    ("tensor", "--field-dir", "0,0,0", "physics.field_direction", [0.0, 0.0, 0.0]),
+    ("couplings", "--field-dir", "0,0,0", "physics.field_direction", [0, 0, 0]),
+    ("sweep", "--field-dir", "nan,0,1", "physics.field_direction",
+     [float("nan"), 0.0, 1.0]),
+    ("tensor", "--temp", "-5", "physics.temperatures_k", [-5.0]),
+    ("sweep", "--temp", "20,inf", "physics.temperatures_k", [20.0, float("inf")]),
+    ("tensor", "--linewidth", "0", "physics.linewidth_cm", 0.0),
+    ("attribute", "--gamma", "-1", "physics.gamma_cm", -1.0),
+    ("dynamics", "--samples", "5", "numerics.time_samples", 5),
+], ids=["dir-zero", "couplings-dir-zero", "dir-nan", "temp-negative",
+        "temp-inf", "linewidth-zero", "gamma-negative", "samples-five"])
+def test_bad_physics_values_exit_2(dataset, tmp_path, capsys, command, flag,
+                                   text, key, value):
+    # a bad value is a usage error naming its key, from a flag or a file
+    runs = ("--modes", dataset["modes"], "--manifest", dataset["manifest"],
+            "--out", str(tmp_path / "art"))
+    code, _, err = run(command, *runs, flag, text, capsys=capsys)
+    assert code == 2, err
+    assert key in err
+    section, name = key.split(".")
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"format": "spinlat-config/1",
+                                   section: {name: value}}))
+    code, _, err = run(command, "--config", str(cfgfile), *runs, capsys=capsys)
+    assert code == 2, err
+    assert key in err
+    assert not (tmp_path / "art").exists()
+
+
+@pytest.mark.parametrize("command", ["tensor", "attribute"])
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_top_below_one_exits_2(dataset, tmp_path, capsys, command, top):
+    code, _, err = run(command, "--modes", dataset["modes"],
+                       "--manifest", dataset["manifest"], "--temp", "20",
+                       "--field-mt", "1266", "--top", top,
+                       "--out", str(tmp_path / "art"), capsys=capsys)
+    assert code == 2
+    assert "--top" in err
+    assert not (tmp_path / "art").exists()
+
+
+@pytest.mark.parametrize("temp", ["20,20", "20:20:3"])
+def test_sweep_repeated_grid_values_computed_once(dataset, tmp_path, temp):
+    out = tmp_path / "art"
+    code, _, _ = run("sweep", "--modes", dataset["modes"],
+                     "--manifest", dataset["manifest"], "--temp", temp,
+                     "--field-mt", "1266,1266", "--out", str(out))
+    assert code == 0
+    lines = (out / "sweep.csv").read_text().strip().split("\n")
+    config = json.loads(lines[0][len("# config: "):])
+    assert config["physics"]["temperatures_k"] == [20.0]
+    assert config["physics"]["fields_mt"] == [1266.0]
+    assert len(lines) == 2 + 1
+    for kind in ("t1", "t2"):
+        dat = (out / f"inv_{kind}_vs_temp_1266mT.dat").read_text().strip()
+        assert len(dat.split("\n")) == 2 + 1
 
 
 def test_config_bad_format_or_json(dataset, tmp_path, capsys):

@@ -317,7 +317,6 @@ def test_export_load_round_trip(toy_modes, tmp_path):
     assert np.array_equal(loaded.source_indices, c.source_indices)
     assert loaded.delta_angstrom == c.delta_angstrom
     assert loaded.mixed_computed == c.mixed_computed
-    assert loaded.modeset is None
     doc = json.loads(path.read_text())
     assert doc["units"]["frequencies_cm"] == "cm^-1"
 

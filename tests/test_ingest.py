@@ -14,6 +14,7 @@ from spinlat.ingest import (
     parse_g_matrix,
     parse_modes,
     plan_displacements,
+    read_source,
     sample_g_surface,
     write_displacement_set,
     write_g_matrix,
@@ -109,11 +110,9 @@ def test_nonpositive_frequency_errors_with_line():
 
 def test_skip_soft_drops_low_modes():
     text = _golden_text().replace("1 1595.0", "1 0.4")
-    ms = parse_modes(text, skip_soft=True)  # default cutoff 1 cm^-1
+    ms = parse_modes(text, skip_soft=True)  # cutoff 1 cm^-1
     assert ms.nmodes == 2
     np.testing.assert_array_equal(ms.source_indices, [2, 3])
-    ms2 = parse_modes(_golden_text(), skip_soft=True, soft_cutoff_cm=2000.0)
-    assert ms2.nmodes == 2
 
 
 def test_nonorthonormal_columns_rejected():
@@ -312,5 +311,20 @@ def test_manifest_missing_key_rejected(tmp_path, toy_modes):
 def test_sample_g_surface_diagonal_only_has_no_pairs(toy_modes):
     gfun = _linear_g_surface(toy_modes.geometry.positions)
     rs = sample_g_surface(toy_modes, gfun, order=2, pairing="diagonal_only")
-    assert not rs.has_pairs
+    assert not rs.pairs
     assert rs.complete_singles()
+
+
+def test_read_source_one_rule_for_text_and_paths(tmp_path, monkeypatch):
+    # a str is text when it holds a newline or starts with '{' after
+    # whitespace; any other str, and every Path, names a file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.out").write_text("from file\n")
+    assert read_source("line one\nline two") == "line one\nline two"
+    assert read_source('  {"a": 1}') == '  {"a": 1}'
+    assert read_source("g.out") == "from file\n"
+    assert read_source(tmp_path / "g.out") == "from file\n"
+    with pytest.raises(FileNotFoundError):
+        read_source("no such file")
+    with pytest.raises(TypeError):
+        read_source(3)

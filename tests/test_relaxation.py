@@ -16,10 +16,13 @@ from spinlat.core import (
     GTensor,
     SpinSystem,
     bose_occupation,
+    check_rate_matrix,
 )
 from spinlat.couplings import CouplingTensors
+from spinlat.dynamics import JumpBasisDissipator
 from spinlat.relaxation import (
     CONVENTIONS,
+    RelaxationTensor,
     build_tensor,
     direct_rate,
     lambda_first,
@@ -405,6 +408,33 @@ def test_principal_axes_rejects_asymmetric():
     m[0, 1] = 1.0
     with pytest.raises(ValueError, match="symmetric"):
         principal_relaxation_axes(m)
+
+
+def test_rate_matrix_check_is_shared():
+    # the tensor, the dissipator and the principal axes reject a bad rate
+    # matrix with the message of the one check in core
+    zero = np.zeros((3, 3))
+    asymmetric = zero.copy()
+    asymmetric[0, 1] = 1e-3
+    for m, word in ((asymmetric, "symmetric"), (np.diag([1e-3, -1e-3, 0.0]), "PSD")):
+        builders = {
+            "lambda1": lambda: RelaxationTensor(
+                lambda1=m, lambda2_quartic=zero, lambda2_gsq=zero,
+                per_mode_lambda1=m[None], per_mode_lambda2=zero[None],
+                elastic_dephasing=np.zeros(3), temperature_k=10.0,
+                field_mt=1000.0, omega_cm=1.0, gamma_cm=[2.0],
+                linewidth_cm=[2.0], pairing="diagonal_only",
+                frequencies=[20.0], source_modes=[1],
+            ),
+            "lam_cm": lambda: JumpBasisDissipator(m, 0.0),
+            "tensor": lambda: principal_relaxation_axes(m),
+        }
+        for name, build in builders.items():
+            with pytest.raises(ValueError, match=word) as got:
+                build()
+            with pytest.raises(ValueError) as shared:
+                check_rate_matrix(m, name)
+            assert str(got.value) == str(shared.value)
 
 
 # ------------------------------------------------------------ attribution
