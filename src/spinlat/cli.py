@@ -211,6 +211,13 @@ def _validate_config(cfg: dict, need: tuple[str, ...]) -> None:
     for key in ("linewidth_cm", "gamma_cm"):
         if not 0.0 < phys[key] < np.inf:
             raise UsageError(f"physics.{key} must be positive and finite")
+    if not all(0.0 < v < np.inf for v in phys["linewidth_overrides"].values()):
+        raise UsageError(
+            "physics.linewidth_overrides values must be positive and finite"
+        )
+    omega = phys["omega_override_cm"]
+    if omega is not None and not 0.0 <= omega < np.inf:
+        raise UsageError("physics.omega_override_cm must be finite and >= 0")
     if phys["pairing"] not in PAIRING_MODES:
         raise UsageError(f"physics.pairing must be one of {PAIRING_MODES}")
     if phys["convention"] not in CONVENTIONS:

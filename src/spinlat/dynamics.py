@@ -2,22 +2,28 @@
 
 Generators are assembled in cm^-1 and scaled once to rad/us, so
 trajectory times are microseconds throughout.  The generator is a
-constant 4x4 matrix on the row-major vectorized density matrix, so
+constant 4x4 matrix on the row-major vectorized density matrix.  It is
+carried once to the real Bloch basis (1, mx, my, mz), where
 propagation is exact: each distinct grid spacing dt gets one
-propagator expm(L dt) (SciPy's scaling-and-squaring method of Al-Mohy
-and Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009) and each sample
-costs one 4x4 product, whatever the ratio of precession to decay.
+propagator exp(B dt), from scaling and squaring with the [13/13] Pade
+approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005), and
+each sample costs one 4x4 product, whatever the ratio of precession to
+decay.  Every sample is rebuilt as (1 + m.sigma)/2, so it is Hermitian
+with unit trace by construction.
 
-Before propagating, the generator must preserve the trace to rounding;
-nothing is renormalized afterwards, and every trajectory is checked for
-unit trace, Hermiticity and positivity when it is built.
+Before propagating, the generator must preserve the trace and
+Hermiticity to rounding; nothing is renormalized afterwards, and every
+trajectory is checked for unit trace, Hermiticity and positivity when
+it is built.
+
+Decay rates come from a variable-projection least-squares fit (Golub
+and Pereyra, SIAM J. Numer. Anal. 10, 413, 1973): the amplitude and
+offset are solved linearly at each trial rate, leaving a 1-D search
+over the log of the rate.
 
 The dissipator and precession are written with z as the quantization
 axis.  `frame_rotation` gives the rotation that carries any other axis
 to z, for rotating tensors and couplings into that frame.
-
-SciPy is imported inside the functions that use it, so importing this
-module (and the command-line runner) does not load it.
 """
 
 from __future__ import annotations
@@ -43,7 +49,9 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY2 = np.eye(2, dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-TRACE_TOL = 1e-12
+# rounding allowed in a generator's trace leak and, in the Bloch basis,
+# its imaginary part, relative to its largest entry
+GENERATOR_TOL = 1e-12
 
 # a fit whose rms residual exceeds this fraction of its amplitude warns
 RESIDUAL_WARN = 0.01
@@ -180,9 +188,47 @@ def _validate_rho0(rho0) -> np.ndarray:
     return r
 
 
-def _integrate(gen: np.ndarray, rho0: np.ndarray, t_grid) -> SpinTrajectory:
-    from scipy.linalg import expm
+# rows take row-major vec(rho) to (tr rho, mx, my, mz); since
+# tr(sigma_a sigma_b) = 2 delta_ab, half the conjugate transpose inverts it
+_TO_BLOCH = np.array([s.reshape(4).conj() for s in (IDENTITY2, *PAULI)])
+_FROM_BLOCH = 0.5 * _TO_BLOCH.conj().T
 
+# [13/13] Pade coefficients and the 1-norm up to which the approximant
+# is accurate to double precision (Higham 2005, table 2.3)
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+    16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring with the [13/13] Pade approximant."""
+    norm = np.abs(a).sum(axis=0).max()
+    s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    a = a / 2.0**s
+    b = _PADE13
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    ident = np.eye(a.shape[0])
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
+    )
+    v = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    )
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def _integrate(gen: np.ndarray, rho0: np.ndarray, t_grid) -> SpinTrajectory:
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise ValueError("time grid needs at least two points")
@@ -191,22 +237,32 @@ def _integrate(gen: np.ndarray, rho0: np.ndarray, t_grid) -> SpinTrajectory:
     # d tr(rho)/dt is the sum of the rho00 and rho11 rows
     rows = gen[[0, 3]]
     leak = np.abs(rows.sum(axis=0)).max()
-    if leak > TRACE_TOL * np.abs(rows).max():
+    if leak > GENERATOR_TOL * np.abs(rows).max():
         raise ValueError(
             f"generator does not preserve the trace: rows 0 and 3 sum to "
             f"{leak:.3e} rad/us"
         )
+    # a generator that keeps rho Hermitian is real in the Bloch basis
+    bloch = _TO_BLOCH @ gen @ _FROM_BLOCH
+    leak = np.abs(bloch.imag).max()
+    if leak > GENERATOR_TOL * np.abs(bloch).max():
+        raise ValueError(
+            f"generator does not preserve Hermiticity: its Bloch-basis form "
+            f"has imaginary part {leak:.3e} rad/us"
+        )
+    bloch = bloch.real
 
-    samples = np.empty((t.size, 4), dtype=complex)
-    samples[0] = rho0.reshape(4)
+    samples = np.empty((t.size, 4))
+    samples[0] = (_TO_BLOCH @ rho0.reshape(4)).real
     propagators: dict[float, np.ndarray] = {}
     for i in range(1, t.size):
         dt = t[i] - t[i - 1]
         m = propagators.get(dt)
         if m is None:
-            m = propagators[dt] = expm(gen * dt)
+            m = propagators[dt] = _expm(bloch * dt)
         samples[i] = m @ samples[i - 1]
-    return SpinTrajectory(times_us=t, rhos=samples.reshape(t.size, 2, 2))
+    rhos = 0.5 * (IDENTITY2 + np.einsum("ta,aij->tij", samples[:, 1:], PAULI))
+    return SpinTrajectory(times_us=t, rhos=rhos)
 
 
 def lindblad_evolve(rho0, diss: JumpBasisDissipator, t_grid) -> SpinTrajectory:
@@ -318,12 +374,8 @@ OBSERVABLES = ("sz_minus_eq", "coherence_abs")
 @dataclass(frozen=True)
 class DecayFit:
     rate_per_us: float
-    amplitude: float
-    offset: float
     residual_rms: float
     non_decaying: bool
-    observable: str
-    model: str
 
 
 def _observable_series(traj: SpinTrajectory, observable: str) -> np.ndarray:
@@ -334,18 +386,57 @@ def _observable_series(traj: SpinTrajectory, observable: str) -> np.ndarray:
     raise ValueError(f"observable must be one of {OBSERVABLES}")
 
 
+_GOLD = 0.5 * (np.sqrt(5.0) - 1.0)
+# bracket width at which the search over log r stops: 1e-10 relative in r
+_LOG_RATE_TOL = 1e-10
+
+
+def _local_min(f, u0: float) -> float:
+    """A local minimum of f reached downhill from u0.
+
+    The bracket grows by golden-ratio steps until f rises, then golden
+    section narrows it below _LOG_RATE_TOL (Press et al., Numerical
+    Recipes, 3rd ed., 2007, sections 10.1-10.2).  The growth ends once
+    f stops falling, as it does when exp(-r t) saturates at 1 or 0.
+    """
+    a, b = u0, u0 + 1.0
+    fa, fb = f(a), f(b)
+    if fb > fa:
+        a, b, fb = b, a, fa
+    c = b + (b - a) / _GOLD
+    fc = f(c)
+    while fc < fb:
+        a, b, fb = b, c, fc
+        c = b + (b - a) / _GOLD
+        fc = f(c)
+    lo, hi = min(a, c), max(a, c)
+    x1, x2 = hi - _GOLD * (hi - lo), lo + _GOLD * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > _LOG_RATE_TOL:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLD * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLD * (hi - lo)
+            f2 = f(x2)
+    return x1 if f1 <= f2 else x2
+
+
 def fit_decay_rate(traj: SpinTrajectory, observable: str, window=None) -> DecayFit:
-    """Single-exponential fit of a trajectory observable.
+    """Single-exponential least-squares fit of a trajectory observable.
 
     sz fits include a free equilibrium offset since the dissipator need
     not relax toward sz = 0.  window = (t_lo, t_hi) restricts the samples
-    used, e.g. to skip an initial fast transient.
+    used, e.g. to skip an initial fast transient.  The amplitude and
+    offset are linear, so each trial rate r >= 0 solves for them exactly
+    and only log r is searched, from the time the signal takes to fall
+    by 1/e.
     """
-    from scipy.optimize import curve_fit
-
     y = _observable_series(traj, observable)
     t = traj.times_us
-    model = "exp_offset" if observable == "sz_minus_eq" else "exp"
+    with_offset = observable == "sz_minus_eq"
     if window is not None:
         lo, hi = window
         keep = (t >= lo) & (t <= hi)
@@ -356,40 +447,36 @@ def fit_decay_rate(traj: SpinTrajectory, observable: str, window=None) -> DecayF
     ts = t - t[0]
     span = y.max() - y.min()
     if span <= max(1e-12, 1e-9 * np.abs(y).max()):
-        return DecayFit(0.0, 0.0, float(y.mean()), 0.0, True, observable, model)
+        return DecayFit(0.0, 0.0, True)
 
-    offset0 = float(y[-1]) if model == "exp_offset" else 0.0
+    offset0 = float(y[-1]) if with_offset else 0.0
     amp0 = float(y[0] - offset0)
     drop = np.nonzero(np.abs(y - offset0) <= abs(amp0) / np.e)[0]
     rate0 = 1.0 / ts[drop[0]] if drop.size and ts[drop[0]] > 0 else 1.0 / ts[-1]
 
-    if model == "exp_offset":
-        def f(tt, a, r, cc):
-            return a * np.exp(-r * tt) + cc
-        p0 = (amp0, rate0, offset0)
-        bounds = ([-np.inf, 0.0, -np.inf], [np.inf, np.inf, np.inf])
-    else:
-        def f(tt, a, r):
-            return a * np.exp(-r * tt)
-        p0 = (amp0, rate0)
-        bounds = ([-np.inf, 0.0], [np.inf, np.inf])
+    def solve(rate: float) -> tuple[np.ndarray, np.ndarray]:
+        decay = np.exp(-rate * ts)[:, None]
+        x = np.hstack((decay, np.ones_like(decay))) if with_offset else decay
+        coef = np.linalg.lstsq(x, y, rcond=None)[0]
+        return coef, x @ coef - y
 
-    popt, _ = curve_fit(f, ts, y, p0=p0, bounds=bounds, maxfev=20000)
-    amplitude = float(popt[0])
-    rate = float(popt[1])
-    offset = float(popt[2]) if model == "exp_offset" else 0.0
-    residual = float(np.sqrt(np.mean((f(ts, *popt) - y) ** 2)))
+    def cost(log_rate: float) -> float:
+        res = solve(np.exp(log_rate))[1]
+        return res @ res
+
+    rate = float(np.exp(_local_min(cost, np.log(rate0))))
+    coef, res = solve(rate)
+    # r = 0 is allowed: a constant wins when no decay fits better
+    coef0, res0 = solve(0.0)
+    if res0 @ res0 <= res @ res:
+        rate, coef, res = 0.0, coef0, res0
+    amplitude = float(coef[0])
+    residual = float(np.sqrt(np.mean(res**2)))
     if residual > RESIDUAL_WARN * max(abs(amplitude), 1e-300):
         warnings.warn(
             f"decay fit residual {residual:.3e} exceeds "
             f"{RESIDUAL_WARN:.0%} of the amplitude", stacklevel=2
         )
     return DecayFit(
-        rate_per_us=rate,
-        amplitude=amplitude,
-        offset=offset,
-        residual_rms=residual,
-        non_decaying=rate == 0.0,
-        observable=observable,
-        model=model,
+        rate_per_us=rate, residual_rms=residual, non_decaying=rate == 0.0
     )

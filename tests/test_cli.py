@@ -351,21 +351,28 @@ def test_step_control_flag_and_key_are_gone(dataset, tmp_path, capsys):
     assert "unknown config key 'numerics.max_step_us'" in err
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported inside the functions that use it; a top-level
-    # import would add about half a second to every command.  Nothing
+def test_cli_import_loads_no_scipy(dataset, tmp_path):
+    # the runtime needs only NumPy: importing the CLI and running a
+    # lab-frame and a Redfield dynamics command load no SciPy.  Nothing
     # starts worker processes, so the multiprocessing machinery stays out
     src = str(Path(spinlat.cli.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    probe = ("import sys, spinlat.cli; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy') "
-             "or m in ('multiprocessing', 'concurrent.futures.process')))")
+    common = ["dynamics", "--modes", dataset["modes"],
+              "--manifest", dataset["manifest"], "--temp", "200",
+              "--field-mt", "1266", "--kind", "t2", "--samples", "201"]
+    runs = [common + ["--no-rotating-frame", "--out", str(tmp_path / "lab")],
+            common + ["--engine", "redfield", "--out", str(tmp_path / "rf")]]
+    probe = ("import json, sys, spinlat.cli; "
+             f"codes = [spinlat.cli.main(argv) for argv in {runs!r}]; "
+             "print(json.dumps([codes, sorted(m for m in sys.modules "
+             "if m.startswith('scipy') "
+             "or m in ('multiprocessing', 'concurrent.futures.process'))]))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(done.stdout.strip().splitlines()[-1]) == [[0, 0], []]
 
 
 def test_dynamics_bad_fit_window_exits_2(dataset, capsys):
@@ -462,8 +469,11 @@ def test_config_unknown_key_named(dataset, tmp_path, capsys):
     ("tensor", "--linewidth", "0", "physics.linewidth_cm", 0.0),
     ("attribute", "--gamma", "-1", "physics.gamma_cm", -1.0),
     ("dynamics", "--samples", "5", "numerics.time_samples", 5),
+    ("tensor", "--omega", "-1", "physics.omega_override_cm", -1.0),
+    ("dynamics", "--omega", "nan", "physics.omega_override_cm", float("nan")),
 ], ids=["dir-zero", "couplings-dir-zero", "dir-nan", "temp-negative",
-        "temp-inf", "linewidth-zero", "gamma-negative", "samples-five"])
+        "temp-inf", "linewidth-zero", "gamma-negative", "samples-five",
+        "omega-negative", "omega-nan"])
 def test_bad_physics_values_exit_2(dataset, tmp_path, capsys, command, flag,
                                    text, key, value):
     # a bad value is a usage error naming its key, from a flag or a file
@@ -547,3 +557,21 @@ def test_linewidth_override_unknown_mode(dataset, tmp_path, capsys):
                        "--temp", "20", "--field-mt", "1266", capsys=capsys)
     assert code == 2
     assert "unknown mode" in err
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
+def test_linewidth_override_bad_value_exits_2(dataset, tmp_path, capsys, value):
+    mode = int(dataset["modeset"].source_indices[0])
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({
+        "format": "spinlat-config/1",
+        "physics": {"linewidth_overrides": {str(mode): value}},
+    }))
+    code, _, err = run("tensor", "--config", str(cfgfile),
+                       "--modes", dataset["modes"],
+                       "--manifest", dataset["manifest"],
+                       "--temp", "20", "--field-mt", "1266",
+                       "--out", str(tmp_path / "art"), capsys=capsys)
+    assert code == 2, err
+    assert "physics.linewidth_overrides values" in err
+    assert not (tmp_path / "art").exists()

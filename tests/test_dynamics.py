@@ -173,6 +173,25 @@ def test_random_psd_with_precession_matches_bloch_oracle(seed):
     assert np.abs(got - pred).max() < 1e-10
 
 
+@pytest.mark.parametrize("rho0, observable, kind", [
+    (RHO_EXCITED, "sz_minus_eq", "t1"), (RHO_PLUS_X, "coherence_abs", "t2"),
+])
+def test_large_precession_keeps_trajectory_hermitian(rho0, observable, kind):
+    # at Omega/rate ~ 1e5, rounding in a complex vec(rho) propagator
+    # pulled rho01 away from conj(rho10) by more than 1e-12 over 2,000
+    # products; the Bloch-vector samples are Hermitian by construction
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((3, 3)) * 2e-3
+    lam = a @ a.T
+    analytic = relaxation_times(lam, axis=(0.0, 0.0, 1.0), convention="lindblad")
+    span = 4.0 * (analytic.t1_us if kind == "t1" else analytic.t2_us)
+    traj = lindblad_evolve(
+        rho0, JumpBasisDissipator(lam, 3.0), np.linspace(0.0, span, 2001)
+    )
+    fit = fit_decay_rate(traj, observable)
+    assert 1.0 / fit.rate_per_us == pytest.approx(span / 4.0, rel=1e-3)
+
+
 def test_trace_guard_rejects_leaky_generator():
     # the Lindblad construction preserves trace exactly, so feed the
     # integrator a generator with a deliberate trace leak instead
@@ -181,6 +200,40 @@ def test_trace_guard_rejects_leaky_generator():
     gen[0, 0] -= 1e-6
     with pytest.raises(ValueError, match="preserve the trace"):
         dyn._integrate(gen, RHO_EXCITED, np.linspace(0.0, 10.0, 40))
+
+
+def test_hermiticity_guard_rejects_generator():
+    # the samples are rebuilt from a real Bloch vector, so a generator
+    # that would break Hermiticity is refused rather than projected
+    diss = JumpBasisDissipator(np.diag([1e-4, 1e-4, 0.0]), 0.0)
+    gen = diss.superoperator_per_us() + np.diag([0.0, 1.0j, 0.0, 0.0])
+    with pytest.raises(ValueError, match="Hermiticity"):
+        dyn._integrate(gen, RHO_PLUS_X, np.linspace(0.0, 10.0, 40))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 0.5, 5.0, 10.0])
+def test_expm_matches_scipy(scale):
+    # Lindblad and Redfield generators scaled to ||gen dt||_1 = scale,
+    # with and without precession, and the zero matrix
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(8)
+    gens = [np.zeros((4, 4), dtype=complex)]
+    for k in range(12):
+        a = rng.standard_normal((3, 3)) * 1e-4
+        lam = a @ a.T
+        omega = 0.0 if k % 3 == 0 else rng.uniform(0.5, 50.0) * np.trace(lam)
+        gens.append(JumpBasisDissipator(lam, omega).superoperator_per_us())
+        values = rng.uniform(0.0, 1e-4, 3)
+        gens.append(redfield_generator(
+            lambda w, v=values: v * (1.0 + 0.5 * np.tanh(w)), omega,
+            secular=k % 2 == 0,
+        ))
+    for gen in gens:
+        norm = np.abs(gen).sum(axis=0).max()
+        gdt = gen * (scale / norm) if norm else gen
+        ref = expm(gdt)
+        assert np.abs(dyn._expm(gdt) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_unstable_run_never_escapes_silently():
@@ -422,6 +475,16 @@ def test_fit_constant_signal_flagged():
     assert fit.non_decaying
 
 
+def test_fit_growing_signal_flagged():
+    # rates are bounded below by 0: a growing signal fits best as a
+    # constant, which is reported as not decaying
+    traj = synthetic_coherence_traj([-0.01], [0.5])
+    with pytest.warns(UserWarning, match="residual"):
+        fit = fit_decay_rate(traj, "coherence_abs")
+    assert fit.rate_per_us == 0.0
+    assert fit.non_decaying
+
+
 def test_fit_two_exponential_window_recovers_slow_rate():
     r_fast, r_slow = 2.0, 0.2
     traj = synthetic_coherence_traj([r_fast, r_slow], [0.5, 0.5], t_end=40.0,
@@ -439,6 +502,56 @@ def test_fit_warns_on_poor_fit():
     traj = synthetic_coherence_traj([r_fast, r_slow], [0.5, 0.5])
     with pytest.warns(UserWarning, match="residual"):
         fit_decay_rate(traj, "coherence_abs")
+
+
+def curve_fit_rate(traj, observable):
+    """fit_decay_rate's model and start handed to SciPy's curve_fit.
+
+    Converged tightly, so it lands on the least-squares minimum that the
+    variable-projection search finds.
+    """
+    from scipy.optimize import curve_fit
+
+    y = traj.sz if observable == "sz_minus_eq" else traj.coherence_abs
+    ts = traj.times_us - traj.times_us[0]
+    offset0 = y[-1] if observable == "sz_minus_eq" else 0.0
+    amp0 = y[0] - offset0
+    drop = np.nonzero(np.abs(y - offset0) <= abs(amp0) / np.e)[0]
+    rate0 = 1.0 / ts[drop[0]] if drop.size and ts[drop[0]] > 0 else 1.0 / ts[-1]
+    if observable == "sz_minus_eq":
+        def f(tt, a, r, c):
+            return a * np.exp(-r * tt) + c
+        p0, lower = (amp0, rate0, offset0), [-np.inf, 0.0, -np.inf]
+    else:
+        def f(tt, a, r):
+            return a * np.exp(-r * tt)
+        p0, lower = (amp0, rate0), [-np.inf, 0.0]
+    popt, _ = curve_fit(f, ts, y, p0=p0, bounds=(lower, np.inf), maxfev=20000,
+                        ftol=1e-12, xtol=1e-12, gtol=1e-12)
+    return popt[1]
+
+
+def test_fit_matches_curve_fit_reference():
+    # single exponentials (diagonal tensor, and the synthetic signal) and
+    # multi-exponential mixtures (full tensor, two synthetic rates)
+    rng = np.random.default_rng(12)
+    cases = [
+        (synthetic_coherence_traj([0.2], [1.0]), "coherence_abs"),
+        (synthetic_coherence_traj([2.0, 0.2], [0.5, 0.5]), "coherence_abs"),
+    ]
+    for k in range(6):
+        a = rng.standard_normal((3, 3)) * 2e-3
+        lam = np.diag(np.diag(a @ a.T)) if k < 2 else a @ a.T
+        omega = 0.0 if k % 2 == 0 else 20.0 * np.trace(lam)
+        grid = np.linspace(0.0, 4.0 / (np.trace(lam) * RATE_CM_TO_PER_US), 401)
+        diss = JumpBasisDissipator(lam, omega)
+        cases.append((lindblad_evolve(RHO_EXCITED, diss, grid), "sz_minus_eq"))
+        cases.append((lindblad_evolve(RHO_PLUS_X, diss, grid), "coherence_abs"))
+    for traj, observable in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = fit_decay_rate(traj, observable).rate_per_us
+        assert got == pytest.approx(curve_fit_rate(traj, observable), rel=1e-5)
 
 
 def test_fit_requires_enough_samples():
