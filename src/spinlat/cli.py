@@ -174,6 +174,9 @@ def _apply_flags(cfg: dict, args: argparse.Namespace) -> None:
         phys["fields_mt"] = _parse_grid(args.field_mt, "--field-mt")
     if getattr(args, "top", None) is not None and args.top < 1:
         raise UsageError(f"--top must be >= 1, got {args.top}")
+    t_end = getattr(args, "t_end", None)
+    if t_end is not None and not 0.0 < t_end < np.inf:
+        raise UsageError(f"--t-end must be positive and finite, got {t_end}")
     if getattr(args, "field_dir", None) is not None:
         phys["field_direction"] = _parse_vector(args.field_dir, "--field-dir")
     if getattr(args, "fit_window", None) is not None:
@@ -190,44 +193,84 @@ def _apply_flags(cfg: dict, args: argparse.Namespace) -> None:
             ) from None
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_numbers(value, length: int | None = None) -> bool:
+    return (
+        isinstance(value, list)
+        and all(map(_is_number, value))
+        and length in (None, len(value))
+    )
+
+
 def _validate_config(cfg: dict, need: tuple[str, ...]) -> None:
-    """Reject bad values, naming the key; drop repeated grid values.
+    """Reject bad types and values, naming the key; drop repeated grid values.
 
     Repeats are dropped keeping the first occurrence, so the config that
     artifacts embed holds the grid actually computed.
     """
-    phys, num = cfg["physics"], cfg["numerics"]
+    paths, phys, num = cfg["paths"], cfg["physics"], cfg["numerics"]
+    for key, value in paths.items():
+        if not (isinstance(value, str) or (value is None and key != "output_dir")):
+            raise UsageError(f"paths.{key} must be a path string")
     for key in ("temperatures_k", "fields_mt"):
-        if not phys[key]:
-            raise UsageError(f"physics.{key} must be nonempty")
+        if not (_is_numbers(phys[key]) and phys[key]):
+            raise UsageError(f"physics.{key} must be a nonempty list of numbers")
         phys[key] = list(dict.fromkeys(phys[key]))
     if not all(0.0 <= t < np.inf for t in phys["temperatures_k"]):
         raise UsageError("physics.temperatures_k must be finite and >= 0")
-    direction = np.asarray(phys["field_direction"], dtype=float)
-    if direction.shape != (3,) or not (
-        np.all(np.isfinite(direction)) and np.any(direction)
+    if not np.all(np.isfinite(phys["fields_mt"])):
+        raise UsageError("physics.fields_mt must be finite")
+    g0 = phys["g0"]
+    if g0 is not None and not (
+        isinstance(g0, list)
+        and len(g0) == 3
+        and all(_is_numbers(row, 3) for row in g0)
+        and np.all(np.isfinite(g0))
+    ):
+        raise UsageError("physics.g0 must be null or a finite 3x3 matrix")
+    direction = phys["field_direction"]
+    if not (
+        _is_numbers(direction, 3)
+        and np.all(np.isfinite(direction))
+        and np.any(direction)
     ):
         raise UsageError("physics.field_direction must be a finite nonzero 3-vector")
     for key in ("linewidth_cm", "gamma_cm"):
-        if not 0.0 < phys[key] < np.inf:
+        if not (_is_number(phys[key]) and 0.0 < phys[key] < np.inf):
             raise UsageError(f"physics.{key} must be positive and finite")
-    if not all(0.0 < v < np.inf for v in phys["linewidth_overrides"].values()):
+    overrides = phys["linewidth_overrides"]
+    if not (isinstance(overrides, dict) and all(map(str.isdecimal, overrides))):
+        raise UsageError(
+            "physics.linewidth_overrides must be an object keyed by mode number"
+        )
+    if not all(_is_number(v) and 0.0 < v < np.inf for v in overrides.values()):
         raise UsageError(
             "physics.linewidth_overrides values must be positive and finite"
         )
     omega = phys["omega_override_cm"]
-    if omega is not None and not 0.0 <= omega < np.inf:
+    if omega is not None and not (_is_number(omega) and 0.0 <= omega < np.inf):
         raise UsageError("physics.omega_override_cm must be finite and >= 0")
     if phys["pairing"] not in PAIRING_MODES:
         raise UsageError(f"physics.pairing must be one of {PAIRING_MODES}")
     if phys["convention"] not in CONVENTIONS:
         raise UsageError(f"physics.convention must be one of {CONVENTIONS}")
-    if num["delta_angstrom"] <= 0.0:
+    if not (_is_number(num["delta_angstrom"]) and num["delta_angstrom"] > 0.0):
         raise UsageError("numerics.delta_angstrom must be positive")
-    if num["time_samples"] < 10:
-        raise UsageError("numerics.time_samples must be >= 10")
+    samples = num["time_samples"]
+    if not (isinstance(samples, int) and _is_number(samples) and samples >= 10):
+        raise UsageError("numerics.time_samples must be an integer >= 10")
+    window = num["fit_window_us"]
+    if window is not None and not (
+        _is_numbers(window, 2) and -np.inf < window[0] < window[1] < np.inf
+    ):
+        raise UsageError(
+            "numerics.fit_window_us must be null or [lo, hi] with finite lo < hi"
+        )
     for key in need:
-        value = cfg["paths"][key]
+        value = paths[key]
         if value is None:
             raise UsageError(f"paths.{key} is required (flag --{key})")
         if not Path(value).is_file():

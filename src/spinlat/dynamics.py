@@ -1,29 +1,43 @@
-"""Two-level density-matrix propagation and decay-rate extraction.
+"""Two-level master-equation propagation and decay-rate extraction.
 
-Generators are assembled in cm^-1 and scaled once to rad/us, so
-trajectory times are microseconds throughout.  The generator is a
-constant 4x4 matrix on the row-major vectorized density matrix.  It is
-carried once to the real Bloch basis (1, mx, my, mz), where
-propagation is exact: each distinct grid spacing dt gets one
-propagator exp(B dt), from scaling and squaring with the [13/13] Pade
-approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005), and
-each sample costs one 4x4 product, whatever the ratio of precession to
-decay.  Every sample is rebuilt as (1 + m.sigma)/2, so it is Hermitian
-with unit trace by construction.
+The state is the real Bloch vector m = (mx, my, mz) of
+rho = (1 + m.sigma)/2, with z the quantization axis.  Both engines make
+dm/dt = A m + b a constant real flow, held as one 4x4 affine generator
+on (1, mx, my, mz).  It is assembled in cm^-1 and scaled once to rad/us,
+so trajectory times are microseconds throughout.
 
-Before propagating, the generator must preserve the trace and
-Hermiticity to rounding; nothing is renormalized afterwards, and every
-trajectory is checked for unit trace, Hermiticity and positivity when
-it is built.
+Lindblad engine: for jump-basis coefficients L (real symmetric, PSD)
+and precession Omega about z, the generator is
+Omega K_z - 2 (Tr L I - L), where K_z generates rotation about z.  It
+has no affine part, so the spin relaxes toward m = 0.
+
+Redfield engine: the secular Bloch-Redfield generator for S = 1/2 with
+sigma couplings (Slichter, Principles of Magnetic Resonance, ch. 5;
+Breuer and Petruccione, The Theory of Open Quantum Systems, 2002,
+ch. 3).  Level 0 is the upper state, so with
+G_down = S_x(Omega) + S_y(Omega) and G_up = S_x(-Omega) + S_y(-Omega),
+
+    dmz/dt = -(G_down + G_up) mz + (G_up - G_down),
+
+and mx, my precess at Omega while decaying at
+(G_down + G_up)/2 + 2 S_z(0).  At Omega = 0 the levels are degenerate,
+nothing averages out, and the generator is the Lindblad one with
+L = diag S(0).
+
+Propagation is exact: each distinct grid spacing dt gets one propagator
+exp(G dt), from scaling and squaring with the [13/13] Pade approximant
+(Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005), and each sample
+costs one 4x4 product, whatever the ratio of precession to decay.
+Every sample is Hermitian with unit trace by construction; rho is
+positive exactly when |m| <= 1, which every trajectory is checked for.
 
 Decay rates come from a variable-projection least-squares fit (Golub
 and Pereyra, SIAM J. Numer. Anal. 10, 413, 1973): the amplitude and
 offset are solved linearly at each trial rate, leaving a 1-D search
 over the log of the rate.
 
-The dissipator and precession are written with z as the quantization
-axis.  `frame_rotation` gives the rotation that carries any other axis
-to z, for rotating tensors and couplings into that frame.
+`frame_rotation` gives the rotation that carries any field axis to z,
+for rotating tensors and couplings into that frame.
 """
 
 from __future__ import annotations
@@ -43,23 +57,22 @@ from .core import (
 )
 from .couplings import CouplingTensors
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY2 = np.eye(2, dtype=complex)
-PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-
-# rounding allowed in a generator's trace leak and, in the Bloch basis,
-# its imaginary part, relative to its largest entry
-GENERATOR_TOL = 1e-12
-
 # a fit whose rms residual exceeds this fraction of its amplitude warns
 RESIDUAL_WARN = 0.01
 
+# dm/dt = K_z m rotates m about z by +1 rad per unit time
+_K_Z = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
-def _kron_rm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Superoperator matrix of rho -> a @ rho @ b for row-major vec(rho)."""
-    return np.kron(a, b.T)
+
+def _affine(block: np.ndarray, drift: float = 0.0) -> np.ndarray:
+    """Generator (rad/us) on (1, mx, my, mz) of dm/dt = block m + drift z.
+
+    block and drift are in cm^-1.
+    """
+    gen = np.zeros((4, 4))
+    gen[1:, 1:] = block
+    gen[3, 0] = drift
+    return gen * RATE_CM_TO_PER_US
 
 
 @dataclass(frozen=True)
@@ -79,24 +92,12 @@ class JumpBasisDissipator:
         m.setflags(write=False)
         object.__setattr__(self, "lam_cm", m)
 
-    def superoperator_per_us(self) -> np.ndarray:
-        """4x4 generator of vec(rho), row-major ordering, units rad/us."""
-        gen = -0.5j * self.omega_cm * (
-            _kron_rm(SIGMA_Z, IDENTITY2) - _kron_rm(IDENTITY2, SIGMA_Z)
+    def generator_per_us(self) -> np.ndarray:
+        """Affine Bloch generator Omega K_z - 2 (Tr L I - L), rad/us."""
+        lam = self.lam_cm
+        return _affine(
+            self.omega_cm * _K_Z - 2.0 * (np.trace(lam) * np.eye(3) - lam)
         )
-        for a in range(3):
-            for b in range(3):
-                w = self.lam_cm[a, b]
-                if w == 0.0:
-                    continue
-                sa, sb = PAULI[a], PAULI[b]
-                sba = sb @ sa
-                gen = gen + w * (
-                    _kron_rm(sa, sb)
-                    - 0.5 * _kron_rm(sba, IDENTITY2)
-                    - 0.5 * _kron_rm(IDENTITY2, sba)
-                )
-        return gen * RATE_CM_TO_PER_US
 
 
 def frame_rotation(axis) -> np.ndarray:
@@ -118,43 +119,40 @@ def frame_rotation(axis) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpinTrajectory:
-    """Density-matrix samples on a time grid, with derived observables."""
+    """Bloch-vector samples (T, 3) on a time grid, with derived observables."""
 
     times_us: np.ndarray
-    rhos: np.ndarray
+    bloch: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.times_us, dtype=float)
-        r = np.asarray(self.rhos, dtype=complex)
-        if t.ndim != 1 or r.shape != (t.size, 2, 2):
-            raise ValueError("need times (T,) and matrices (T, 2, 2)")
-        traces = np.einsum("tii->t", r)
-        if np.abs(traces - 1.0).max() > 1e-9:
-            raise ValueError("trajectory trace deviates beyond 1e-9")
-        if np.abs(r - np.conj(np.swapaxes(r, 1, 2))).max() > 1e-12:
-            raise ValueError("trajectory is not Hermitian within 1e-12")
-        if np.linalg.eigvalsh(r).min() < -1e-8:
+        m = np.asarray(self.bloch, dtype=float)
+        if t.ndim != 1 or m.shape != (t.size, 3):
+            raise ValueError("need times (T,) and Bloch vectors (T, 3)")
+        # the eigenvalues of rho are (1 -+ |m|)/2
+        if not np.linalg.norm(m, axis=1).max() <= 1.0 + 2e-8:
             raise ValueError("trajectory has eigenvalue below -1e-8")
         t.setflags(write=False)
-        r.setflags(write=False)
+        m.setflags(write=False)
         object.__setattr__(self, "times_us", t)
-        object.__setattr__(self, "rhos", r)
+        object.__setattr__(self, "bloch", m)
 
     @property
     def sx(self) -> np.ndarray:
-        return 2.0 * self.rhos[:, 0, 1].real
+        return self.bloch[:, 0]
 
     @property
     def sy(self) -> np.ndarray:
-        return -2.0 * self.rhos[:, 0, 1].imag
+        return self.bloch[:, 1]
 
     @property
     def sz(self) -> np.ndarray:
-        return (self.rhos[:, 0, 0] - self.rhos[:, 1, 1]).real
+        return self.bloch[:, 2]
 
     @property
     def coherence_abs(self) -> np.ndarray:
-        return np.abs(self.rhos[:, 0, 1])
+        """|rho01| = |mx - i my| / 2."""
+        return 0.5 * np.hypot(self.sx, self.sy)
 
     def to_csv(self) -> str:
         cols = [
@@ -164,18 +162,17 @@ class SpinTrajectory:
             "sx", "sy", "sz", "coherence_abs",
         ]
         lines = [",".join(cols)]
-        sx, sy, sz, coh = self.sx, self.sy, self.sz, self.coherence_abs
-        for i, t in enumerate(self.times_us):
-            r = self.rhos[i]
-            vals = [t]
-            for entry in (r[0, 0], r[0, 1], r[1, 0], r[1, 1]):
-                vals.extend((entry.real, entry.imag))
-            vals.extend((sx[i], sy[i], sz[i], coh[i]))
+        for t, (x, y, z), coh in zip(self.times_us, self.bloch, self.coherence_abs):
+            vals = (
+                t, 0.5 * (1.0 + z), 0.0, 0.5 * x, -0.5 * y,
+                0.5 * x, 0.5 * y, 0.5 * (1.0 - z), 0.0, x, y, z, coh,
+            )
             lines.append(",".join(repr(float(v)) for v in vals))
         return "\n".join(lines) + "\n"
 
 
 def _validate_rho0(rho0) -> np.ndarray:
+    """The Bloch vector of a checked 2x2 density matrix."""
     r = np.asarray(rho0, dtype=complex)
     if r.shape != (2, 2) or not np.all(np.isfinite(r)):
         raise ValueError("rho0 must be a finite 2x2 matrix")
@@ -185,13 +182,8 @@ def _validate_rho0(rho0) -> np.ndarray:
         raise ValueError("rho0 must have unit trace within 1e-12")
     if np.linalg.eigvalsh(r).min() < -1e-10:
         raise ValueError("rho0 must be positive semi-definite")
-    return r
+    return np.real([r[0, 1] + r[1, 0], 1j * (r[0, 1] - r[1, 0]), r[0, 0] - r[1, 1]])
 
-
-# rows take row-major vec(rho) to (tr rho, mx, my, mz); since
-# tr(sigma_a sigma_b) = 2 delta_ab, half the conjugate transpose inverts it
-_TO_BLOCH = np.array([s.reshape(4).conj() for s in (IDENTITY2, *PAULI)])
-_FROM_BLOCH = 0.5 * _TO_BLOCH.conj().T
 
 # [13/13] Pade coefficients and the 1-norm up to which the approximant
 # is accurate to double precision (Higham 2005, table 2.3)
@@ -228,47 +220,28 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _integrate(gen: np.ndarray, rho0: np.ndarray, t_grid) -> SpinTrajectory:
+def _integrate(gen: np.ndarray, m0: np.ndarray, t_grid) -> SpinTrajectory:
+    """Samples of (1, m) propagated under the affine Bloch generator gen."""
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise ValueError("time grid needs at least two points")
     if t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
         raise ValueError("time grid must start at 0 and increase strictly")
-    # d tr(rho)/dt is the sum of the rho00 and rho11 rows
-    rows = gen[[0, 3]]
-    leak = np.abs(rows.sum(axis=0)).max()
-    if leak > GENERATOR_TOL * np.abs(rows).max():
-        raise ValueError(
-            f"generator does not preserve the trace: rows 0 and 3 sum to "
-            f"{leak:.3e} rad/us"
-        )
-    # a generator that keeps rho Hermitian is real in the Bloch basis
-    bloch = _TO_BLOCH @ gen @ _FROM_BLOCH
-    leak = np.abs(bloch.imag).max()
-    if leak > GENERATOR_TOL * np.abs(bloch).max():
-        raise ValueError(
-            f"generator does not preserve Hermiticity: its Bloch-basis form "
-            f"has imaginary part {leak:.3e} rad/us"
-        )
-    bloch = bloch.real
-
     samples = np.empty((t.size, 4))
-    samples[0] = (_TO_BLOCH @ rho0.reshape(4)).real
+    samples[0] = (1.0, *m0)
     propagators: dict[float, np.ndarray] = {}
     for i in range(1, t.size):
         dt = t[i] - t[i - 1]
-        m = propagators.get(dt)
-        if m is None:
-            m = propagators[dt] = _expm(bloch * dt)
-        samples[i] = m @ samples[i - 1]
-    rhos = 0.5 * (IDENTITY2 + np.einsum("ta,aij->tij", samples[:, 1:], PAULI))
-    return SpinTrajectory(times_us=t, rhos=rhos)
+        p = propagators.get(dt)
+        if p is None:
+            p = propagators[dt] = _expm(gen * dt)
+        samples[i] = p @ samples[i - 1]
+    return SpinTrajectory(times_us=t, bloch=samples[:, 1:])
 
 
 def lindblad_evolve(rho0, diss: JumpBasisDissipator, t_grid) -> SpinTrajectory:
     """Propagate rho0 under precession plus the Pauli-basis dissipator."""
-    r = _validate_rho0(rho0)
-    return _integrate(diss.superoperator_per_us(), r, t_grid)
+    return _integrate(diss.generator_per_us(), _validate_rho0(rho0), t_grid)
 
 
 # ---------------------------------------------------------------- redfield
@@ -310,60 +283,28 @@ def spectral_density(c: CouplingTensors, bath: BathSpec, spin: SpinSystem):
     return s_of
 
 
-def redfield_generator(
-    s_of,
-    omega_cm: float,
-    secular: bool = True,
-) -> np.ndarray:
-    """Bloch-Redfield superoperator (rad/us) for S=1/2 with sigma couplings.
+def redfield_generator(s_of, omega_cm: float) -> np.ndarray:
+    """Affine Bloch generator (rad/us) of the secular Bloch-Redfield equation.
 
-    Built in the energy eigenbasis with level 0 the upper state, so the
-    transition frequency from 0 to 1 is +omega_cm and detailed balance
-    in S_alpha pushes population toward level 1.
+    S = 1/2 with sigma couplings and spectral density s_of (cm^-1); the
+    closed form is given in the module docstring.
     """
-    energies = np.array([0.5 * omega_cm, -0.5 * omega_cm])
-    gap = energies[:, None] - energies[None, :]
-    s_at = {}
-    for w in np.unique(gap):
-        s_at[float(w)] = s_of(float(w))
-
-    gen = np.zeros((4, 4), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            row = 2 * a + b
-            gen[row, row] += -1.0j * gap[a, b]
-            for cc in range(2):
-                for d in range(2):
-                    if secular and gap[a, b] != gap[cc, d]:
-                        continue
-                    col = 2 * cc + d
-                    term = 0.0j
-                    for alpha, sig in enumerate(PAULI):
-                        term += 0.5 * sig[a, cc] * sig[d, b] * (
-                            s_at[float(gap[cc, a])][alpha]
-                            + s_at[float(gap[d, b])][alpha]
-                        )
-                        if b == d:
-                            for nn in range(2):
-                                term -= 0.5 * sig[a, nn] * sig[nn, cc] * (
-                                    s_at[float(gap[cc, nn])][alpha]
-                                )
-                        if a == cc:
-                            for nn in range(2):
-                                term -= 0.5 * sig[d, nn] * sig[nn, b] * (
-                                    s_at[float(gap[b, nn])][alpha]
-                                )
-                    gen[row, col] += term
-    return gen * RATE_CM_TO_PER_US
+    s0 = s_of(0.0)
+    if omega_cm == 0.0:
+        return _affine(-2.0 * (s0.sum() * np.eye(3) - np.diag(s0)))
+    down = s_of(omega_cm)[:2].sum()
+    up = s_of(-omega_cm)[:2].sum()
+    transverse = 0.5 * (down + up) + 2.0 * s0[2]
+    block = omega_cm * _K_Z - np.diag([transverse, transverse, down + up])
+    return _affine(block, up - down)
 
 
 def redfield_evolve(
     rho0, c: CouplingTensors, bath: BathSpec, spin: SpinSystem, t_grid
 ) -> SpinTrajectory:
     """Propagate rho0 under the secular Bloch-Redfield generator of the bath."""
-    r = _validate_rho0(rho0)
     gen = redfield_generator(spectral_density(c, bath, spin), spin.larmor_cm())
-    return _integrate(gen, r, t_grid)
+    return _integrate(gen, _validate_rho0(rho0), t_grid)
 
 
 # --------------------------------------------------------------- rate fits

@@ -375,6 +375,45 @@ def test_cli_import_loads_no_scipy(dataset, tmp_path):
     assert json.loads(done.stdout.strip().splitlines()[-1]) == [[0, 0], []]
 
 
+@pytest.mark.parametrize("t_end", ["-1", "0", "nan", "inf"])
+def test_dynamics_bad_t_end_exits_2(dataset, tmp_path, capsys, monkeypatch,
+                                    t_end):
+    # refused with the flag named, before any input is read or tensor built
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before --t-end was checked")
+
+    monkeypatch.setattr(spinlat.cli, "load_run_set", forbidden)
+    monkeypatch.setattr(spinlat.cli, "build_tensor", forbidden)
+    code, _, err = run("dynamics", "--modes", dataset["modes"],
+                       "--manifest", dataset["manifest"],
+                       "--temp", "200", "--field-mt", "1266",
+                       "--t-end", t_end, "--out", str(tmp_path / "art"),
+                       capsys=capsys)
+    assert code == 2, err
+    assert "--t-end" in err
+    assert not (tmp_path / "art").exists()
+
+
+def test_src_imports_only_stdlib_and_numpy():
+    # a lazy import inside a function escapes the import-time probe
+    # above, and the test environment has SciPy, so check the source
+    import ast
+
+    allowed = set(sys.stdlib_module_names) | {"numpy", "spinlat"}
+    found = []
+    for path in sorted(Path(spinlat.cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in allowed]
+    assert found == []
+
+
 def test_dynamics_bad_fit_window_exits_2(dataset, capsys):
     code, _, err = run("dynamics", "--modes", dataset["modes"],
                        "--manifest", dataset["manifest"],
@@ -471,9 +510,14 @@ def test_config_unknown_key_named(dataset, tmp_path, capsys):
     ("dynamics", "--samples", "5", "numerics.time_samples", 5),
     ("tensor", "--omega", "-1", "physics.omega_override_cm", -1.0),
     ("dynamics", "--omega", "nan", "physics.omega_override_cm", float("nan")),
+    ("sweep", "--field-mt", "100,nan", "physics.fields_mt", [100.0, float("nan")]),
+    ("dynamics", "--fit-window", "5,1", "numerics.fit_window_us", [5.0, 1.0]),
+    ("dynamics", "--fit-window", "nan,1", "numerics.fit_window_us",
+     [float("nan"), 1.0]),
 ], ids=["dir-zero", "couplings-dir-zero", "dir-nan", "temp-negative",
         "temp-inf", "linewidth-zero", "gamma-negative", "samples-five",
-        "omega-negative", "omega-nan"])
+        "omega-negative", "omega-nan", "field-nan", "fit-window-reversed",
+        "fit-window-nan"])
 def test_bad_physics_values_exit_2(dataset, tmp_path, capsys, command, flag,
                                    text, key, value):
     # a bad value is a usage error naming its key, from a flag or a file
@@ -487,6 +531,44 @@ def test_bad_physics_values_exit_2(dataset, tmp_path, capsys, command, flag,
     cfgfile.write_text(json.dumps({"format": "spinlat-config/1",
                                    section: {name: value}}))
     code, _, err = run(command, "--config", str(cfgfile), *runs, capsys=capsys)
+    assert code == 2, err
+    assert key in err
+    assert not (tmp_path / "art").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("physics.linewidth_cm", "2"),
+    ("physics.gamma_cm", True),
+    ("physics.linewidth_overrides", [1]),
+    ("physics.linewidth_overrides", {"1": "2"}),
+    ("physics.linewidth_overrides", {"one": 2.0}),
+    ("physics.temperatures_k", 5),
+    ("physics.fields_mt", ["1266"]),
+    ("physics.field_direction", ["0", "0", "1"]),
+    ("physics.omega_override_cm", "0.1"),
+    ("physics.g0", "2"),
+    ("physics.g0", [[2.0, 0.0, 0.0]]),
+    ("numerics.delta_angstrom", "0.01"),
+    ("numerics.time_samples", "20"),
+    ("numerics.time_samples", 20.5),
+    ("numerics.time_samples", True),
+    ("numerics.fit_window_us", 3),
+    ("numerics.fit_window_us", [0, "1"]),
+    ("numerics.fit_window_us", [0.0, 1.0, 2.0]),
+    ("paths.modes", 5),
+    ("paths.output_dir", None),
+])
+def test_config_wrong_type_exits_2(dataset, tmp_path, capsys, key, value):
+    # JSON can hold any type for any key; a wrong one is a usage error
+    # naming the key, raised before any input is read or output written
+    section, name = key.split(".")
+    doc = {"format": "spinlat-config/1",
+           "paths": {"modes": dataset["modes"], "manifest": dataset["manifest"],
+                     "output_dir": str(tmp_path / "art")}}
+    doc.setdefault(section, {})[name] = value
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(doc))
+    code, _, err = run("dynamics", "--config", str(cfgfile), capsys=capsys)
     assert code == 2, err
     assert key in err
     assert not (tmp_path / "art").exists()
