@@ -505,6 +505,10 @@ def _cmd_dynamics(args: argparse.Namespace, cfg: dict) -> int:
             "analytic relaxation time is infinite; pass --t-end explicitly"
         )
     grid = np.linspace(0.0, span, int(num["time_samples"]))
+    window = num["fit_window_us"]
+    if window is not None and np.sum((grid >= window[0]) & (grid <= window[1])) < 10:
+        raise UsageError(f"numerics.fit_window_us {window} holds fewer than 10 "
+                         f"of the {grid.size} time samples")
 
     if args.engine == "lindblad":
         rot = frame_rotation(spin.axis)
@@ -522,7 +526,6 @@ def _cmd_dynamics(args: argparse.Namespace, cfg: dict) -> int:
         traj = lindblad_evolve(rho0, diss, grid)
     else:
         traj = redfield_evolve(rho0, c, bath, spin, grid)
-    window = num["fit_window_us"]
     fit = fit_decay_rate(
         traj, observable, window=None if window is None else tuple(window)
     )
@@ -579,7 +582,8 @@ def _cmd_validate(args: argparse.Namespace, cfg: dict) -> int:
         )
 
     def tensors():
-        # every grid point's RelaxationTensor runs the symmetry and PSD checks
+        # sweep runs RelaxationTensor's checks (finite, symmetric PSD, split
+        # sums) on every grid point's rates as the grid kernel yields them
         state["spin"] = _spin_system(cfg, state["runset"].baseline, 1.0)
         state["points"] = _sweep_grid(cfg, state["c"], state["spin"])
 

@@ -51,12 +51,6 @@ def _lorentzian(x, width):
     return width / (np.pi * (x * x + width * width))
 
 
-def _field_scaled(c: CouplingTensors, spin: SpinSystem):
-    """G (3,N) and G2 (3,N,N) in cm^-1 for the spin system's field."""
-    pref = MUB_CM_PER_T * spin.field_magnitude_t
-    return pref * c.d1, pref * c.d2
-
-
 class FirstOrder(NamedTuple):
     matrix: np.ndarray      # (3, 3)
     per_mode: np.ndarray    # (N, 3, 3)
@@ -69,65 +63,123 @@ class SecondOrder(NamedTuple):
     elastic: np.ndarray     # (3,) zero-frequency dephasing diagnostic
 
 
+def _rate_grid(c: CouplingTensors, bath: BathSpec, temperatures, spins):
+    """Yield (i, j, FirstOrder, SecondOrder) at temperatures[i], spins[j].
+
+    First order is the one-phonon direct rate times G G'.  The quartic
+    part of second order sums single modes with the lumped thermal weight
+    (2n+1)^2 at the two-phonon resonance, and so does the second-derivative
+    part in diagonal_only pairing.  In all_pairs it sums ordered mode pairs
+    over the four emission/absorption processes weighted by their
+    occupations, each delta a Lorentzian of the two modes' mean width.
+
+    Each piece of work is done once at the level it depends on: the d1
+    and diagonal-d2 products once, occupations and direct rates per
+    temperature, the spin frequency and Lorentzians per field (the outer
+    loop, so one field's (N, N) arrays are held at a time).  A point
+    forms its pair weight, contracts it with d2 d2 in reused buffers and
+    applies the field prefactor (muB|B|/hc)^2 as a scalar.  No point's
+    arithmetic depends on the rest of the grid, so each is bitwise what a
+    1x1 grid gives.
+    """
+    omega = c.frequencies
+    gamma = bath.gamma_per_mode(c.nmodes)
+    lam = bath.linewidth_per_mode(c.nmodes)
+    all_pairs = bath.raman_pairing == "all_pairs"
+
+    def outer(x):
+        return np.einsum("aq,bq->qab", x, x)
+
+    d1_sq = outer(c.d1)
+    quartic_sq = outer((c.d1 / omega) ** 2)
+    diag_d2 = np.einsum("aqq->aq", c.d2)
+    diag_sq, diag_d2_sq = outer(diag_d2), diag_d2**2
+    if all_pairs:
+        width = 0.5 * (lam[:, None] + lam[None, :])
+        weight = np.empty_like(width)
+        weighted_d2 = np.empty_like(c.d2)
+
+    thermal = []
+    for temperature in temperatures:
+        n = bose_occupation(omega, temperature)
+        thermal.append((n, direct_rate(gamma, omega, n), (2.0 * n + 1.0) ** 2))
+
+    for j, spin in enumerate(spins):
+        big_omega = spin.larmor_cm()
+        pref2 = (MUB_CM_PER_T * spin.field_magnitude_t) ** 2
+        two_phonon = _lorentzian(big_omega - 2.0 * omega, lam)
+        zero_freq = (2.0 / np.pi) * (lam / (big_omega * big_omega + lam * lam))
+        if all_pairs:
+            # absorb both, emit both, emit q and absorb p, and its transpose;
+            # with n + 1 for each emission the pair weight is
+            # W = lor_nn n_q n_p + lor_q n_q + lor_p n_p + emit
+            emit = _lorentzian((big_omega + omega)[:, None] + omega, width)
+            emit_q = _lorentzian((big_omega + omega)[:, None] - omega, width)
+            lor_nn = _lorentzian((big_omega - omega)[:, None] - omega, width)
+            lor_nn += emit
+            lor_nn += emit_q
+            lor_nn += emit_q.T
+            lor_q = emit + emit_q.T
+            lor_p = emit + emit_q
+        for i, (n, direct, lumped) in enumerate(thermal):
+            per1 = (pref2 * direct)[:, None, None] * d1_sq
+            resonant = lumped * two_phonon
+            per_quartic = (pref2 * pref2 * resonant)[:, None, None] * quartic_sq
+            if all_pairs:
+                np.multiply(lor_nn, n, out=weight)
+                weight += lor_q
+                weight *= n[:, None]
+                weight += lor_p * n
+                weight += emit
+                # W and d2 are symmetric in (q, p), so summing each row of
+                # W d2 d2 gives every ordered pair half to q and half to p,
+                # the q == p terms whole
+                np.multiply(c.d2, weight, out=weighted_d2)
+                per_gsq = (0.25 * pref2) * np.einsum("aqp,bqp->qab", weighted_d2, c.d2)
+            else:
+                per_gsq = (pref2 * resonant)[:, None, None] * diag_sq
+            elastic = pref2 * (lumped * zero_freq * diag_d2_sq).sum(axis=1)
+            yield (
+                i, j,
+                FirstOrder(per1.sum(axis=0), per1),
+                SecondOrder(per_quartic.sum(axis=0), per_gsq.sum(axis=0),
+                            per_quartic + per_gsq, elastic),
+            )
+
+
+def _one_point(c: CouplingTensors, bath: BathSpec, spin: SpinSystem):
+    ((_, _, first, second),) = _rate_grid(c, bath, [bath.temperature_k], [spin])
+    return first, second
+
+
 def lambda_first(c: CouplingTensors, bath: BathSpec, spin: SpinSystem) -> FirstOrder:
-    G, _ = _field_scaled(c, spin)
-    n = bose_occupation(c.frequencies, bath.temperature_k)
-    rates = direct_rate(bath.gamma_per_mode(c.nmodes), c.frequencies, n)
-    per_mode = rates[:, None, None] * np.einsum("aq,bq->qab", G, G)
-    return FirstOrder(per_mode.sum(axis=0), per_mode)
+    return _one_point(c, bath, spin)[0]
 
 
 def lambda_second(c: CouplingTensors, bath: BathSpec, spin: SpinSystem) -> SecondOrder:
-    """Two-phonon tensor, split into its quartic and second-derivative parts.
+    """Two-phonon tensor, split into its quartic and second-derivative parts."""
+    return _one_point(c, bath, spin)[1]
 
-    The quartic part always sums single modes with the lumped thermal
-    weight (2n+1)^2 at the two-phonon resonance.  The second-derivative
-    part does the same in diagonal_only pairing; in all_pairs pairing it
-    sums ordered mode pairs with the four emission/absorption
-    combinations weighted by their occupations, each delta regularized
-    as a Lorentzian whose width is the mean of the two mode widths.
+
+def _check_rates(first: FirstOrder, second: SecondOrder) -> None:
+    """Raise ValueError unless one point's rates are finite and physical.
+
+    lambda1 and lambda2 symmetric PSD, the quartic part and the elastic
+    diagnostic nonnegative, each per-mode split summing to its total.
     """
-    G, G2 = _field_scaled(c, spin)
-    omega = c.frequencies
-    n = bose_occupation(omega, bath.temperature_k)
-    lam = bath.linewidth_per_mode(c.nmodes)
-    big_omega = spin.larmor_cm()
-
-    thermal = (2.0 * n + 1.0) ** 2
-    resonant = thermal * _lorentzian(big_omega - 2.0 * omega, lam)
-
-    a = (G / omega) ** 2
-    per_quartic = resonant[:, None, None] * np.einsum("aq,bq->qab", a, a)
-    quartic = per_quartic.sum(axis=0)
-
-    diag_g2 = np.einsum("aqq->aq", G2)
-    if bath.raman_pairing == "diagonal_only":
-        per_gsq = resonant[:, None, None] * np.einsum(
-            "aq,bq->qab", diag_g2, diag_g2
-        )
-    else:
-        width = 0.5 * (lam[:, None] + lam[None, :])
-        npl = n + 1.0
-        weight = (
-            _lorentzian(big_omega - omega[:, None] - omega[None, :], width)
-            * n[:, None] * n[None, :]
-            + _lorentzian(big_omega + omega[:, None] + omega[None, :], width)
-            * npl[:, None] * npl[None, :]
-            + _lorentzian(big_omega + omega[:, None] - omega[None, :], width)
-            * npl[:, None] * n[None, :]
-            + _lorentzian(big_omega - omega[:, None] + omega[None, :], width)
-            * n[:, None] * npl[None, :]
-        )
-        # weight and G2 are symmetric in (q, p), so summing each row gives
-        # every ordered pair half to q and half to p, the q == p terms whole
-        per_gsq = 0.25 * np.einsum("aqp,bqp->qab", G2 * weight, G2)
-    gsq = per_gsq.sum(axis=0)
-    per_mode = per_quartic + per_gsq
-
-    elastic = thermal[None, :] * (2.0 / np.pi) * (
-        lam / (big_omega * big_omega + lam * lam)
-    )[None, :] * diag_g2 ** 2
-    return SecondOrder(quartic, gsq, per_mode, elastic.sum(axis=1))
+    if not all(np.isfinite(v).all() for v in (*first, *second)):
+        raise ValueError("rates contain non-finite entries")
+    lambda2 = second.quartic + second.gsq
+    check_rate_matrix(first.matrix, "lambda1")
+    check_rate_matrix(lambda2, "lambda2")
+    if second.quartic.min() < 0.0:
+        raise ValueError("quartic part must be entrywise nonnegative")
+    if np.any(second.elastic < 0.0):
+        raise ValueError("elastic diagnostic must be nonnegative")
+    for total, per in ((first.matrix, first.per_mode), (lambda2, second.per_mode)):
+        dev = np.abs(per.sum(axis=0) - total).max()
+        if dev > 1e-10 * max(np.abs(total).max(), 1e-300):
+            raise ValueError(f"per-mode split does not sum to total ({dev:.3e})")
 
 
 # ------------------------------------------------------------------ tensor
@@ -162,19 +214,11 @@ class RelaxationTensor:
                 raise ValueError(f"{name} contains non-finite entries")
             v.setflags(write=False)
             object.__setattr__(self, name, v)
-        check_rate_matrix(self.lambda1, "lambda1")
-        check_rate_matrix(self.lambda2, "lambda2")
-        if self.lambda2_quartic.min() < 0.0:
-            raise ValueError("quartic part must be entrywise nonnegative")
-        if np.any(self.elastic_dephasing < 0.0):
-            raise ValueError("elastic diagnostic must be nonnegative")
-        for total, per in (
-            (self.lambda1, self.per_mode_lambda1),
-            (self.lambda2, self.per_mode_lambda2),
-        ):
-            dev = np.abs(per.sum(axis=0) - total).max()
-            if dev > 1e-10 * max(np.abs(total).max(), 1e-300):
-                raise ValueError(f"per-mode split does not sum to total ({dev:.3e})")
+        _check_rates(
+            FirstOrder(self.lambda1, self.per_mode_lambda1),
+            SecondOrder(self.lambda2_quartic, self.lambda2_gsq,
+                        self.per_mode_lambda2, self.elastic_dephasing),
+        )
 
     @property
     def lambda2(self) -> np.ndarray:
@@ -186,8 +230,7 @@ class RelaxationTensor:
 
 
 def build_tensor(c: CouplingTensors, bath: BathSpec, spin: SpinSystem) -> RelaxationTensor:
-    first = lambda_first(c, bath, spin)
-    second = lambda_second(c, bath, spin)
+    first, second = _one_point(c, bath, spin)
     return RelaxationTensor(
         lambda1=first.matrix,
         lambda2_quartic=second.quartic,
@@ -240,6 +283,11 @@ def relaxation_times(lam, axis=(0.0, 0.0, 1.0), convention: str = "projection") 
         raise ValueError("axis must be a unit 3-vector")
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}")
+    return _project(m, n, convention)
+
+
+def _project(m: np.ndarray, n: np.ndarray, convention: str) -> RelaxationTimes:
+    """relaxation_times for a checked tensor, unit axis and known convention."""
     longitudinal = float(n @ m @ n)
     trace = float(np.trace(m))
     if convention == "projection":
@@ -414,25 +462,26 @@ def sweep(
         raise ValueError("sweep grid must be nonempty")
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}")
-    points = []
-    for temperature in temperatures:
-        bath_t = replace(bath, temperature_k=temperature)
-        for field_mt in fields_mt:
-            spin_b = replace(spin, field_mt=spin.field_direction * field_mt)
-            tensor = build_tensor(c, bath_t, spin_b)
-            times = relaxation_times(tensor, axis=spin.axis, convention=convention)
-            points.append(SweepPoint(
-                temperature_k=temperature,
-                field_mt=field_mt,
-                omega_cm=tensor.omega_cm,
-                lambda1=tensor.lambda1,
-                lambda2=tensor.lambda2,
-                lambda2_quartic=tensor.lambda2_quartic,
-                lambda2_gsq=tensor.lambda2_gsq,
-                t1_us=times.t1_us,
-                t2_us=times.t2_us,
-            ))
-    return points
+    spins = [replace(spin, field_mt=spin.field_direction * b) for b in fields_mt]
+    omegas = [s.larmor_cm() for s in spins]
+    rows = [[None] * len(fields_mt) for _ in temperatures]
+    for i, j, first, second in _rate_grid(c, bath, temperatures, spins):
+        _check_rates(first, second)
+        lambda2 = second.quartic + second.gsq
+        # lambda1 and lambda2 are checked, so their sum needs no check
+        times = _project(first.matrix + lambda2, spin.axis, convention)
+        rows[i][j] = SweepPoint(
+            temperature_k=temperatures[i],
+            field_mt=fields_mt[j],
+            omega_cm=omegas[j],
+            lambda1=first.matrix,
+            lambda2=lambda2,
+            lambda2_quartic=second.quartic,
+            lambda2_gsq=second.gsq,
+            t1_us=times.t1_us,
+            t2_us=times.t2_us,
+        )
+    return [p for row in rows for p in row]
 
 
 _CSV_COLUMNS = (

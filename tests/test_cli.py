@@ -394,6 +394,26 @@ def test_dynamics_bad_t_end_exits_2(dataset, tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "art").exists()
 
 
+@pytest.mark.parametrize("engine", ["lindblad", "redfield"])
+def test_dynamics_sparse_fit_window_exits_2(dataset, tmp_path, capsys, monkeypatch,
+                                            engine):
+    # a valid window holding fewer than 10 grid samples is refused, naming
+    # the key, before any propagation
+    def forbidden(*args, **kwargs):
+        raise AssertionError("propagation started before the window was checked")
+
+    monkeypatch.setattr(spinlat.cli, "lindblad_evolve", forbidden)
+    monkeypatch.setattr(spinlat.cli, "redfield_evolve", forbidden)
+    code, _, err = run("dynamics", "--modes", dataset["modes"],
+                       "--manifest", dataset["manifest"],
+                       "--temp", "200", "--field-mt", "1266", "--engine", engine,
+                       "--fit-window", "0,1e-6", "--out", str(tmp_path / "art"),
+                       capsys=capsys)
+    assert code == 2, err
+    assert "numerics.fit_window_us" in err
+    assert not (tmp_path / "art").exists()
+
+
 def test_src_imports_only_stdlib_and_numpy():
     # a lazy import inside a function escapes the import-time probe
     # above, and the test environment has SciPy, so check the source
@@ -437,14 +457,18 @@ def test_validate_clean_dataset(dataset, capsys):
 
 
 def test_validate_checks_every_grid_point(dataset, monkeypatch, capsys):
-    real = spinlat.relaxation.build_tensor
+    # the sweep checks each point's rates once; fail the last of the four
+    real = spinlat.relaxation.check_rate_matrix
+    lambda2_checks = []
 
-    def fails_at_second_field(c, bath, spin):
-        if np.linalg.norm(spin.field_mt) == 1266.0:
-            raise ValueError("lambda2 has negative eigenvalue")
-        return real(c, bath, spin)
+    def fails_at_last_point(m, name):
+        if name == "lambda2":
+            lambda2_checks.append(m)
+            if len(lambda2_checks) == 4:
+                raise ValueError("lambda2 has negative eigenvalue")
+        return real(m, name)
 
-    monkeypatch.setattr(spinlat.relaxation, "build_tensor", fails_at_second_field)
+    monkeypatch.setattr(spinlat.relaxation, "check_rate_matrix", fails_at_last_point)
     code, stdout, _ = run("validate", "--modes", dataset["modes"],
                           "--manifest", dataset["manifest"],
                           "--temp", "20,300", "--field-mt", "1000,1266",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinlat.relaxation
 from spinlat.core import (
     MUB_CM_PER_T,
     RATE_CM_TO_PER_US,
@@ -182,25 +183,21 @@ def test_lambda_second_quartic_channel():
     assert np.all(second.gsq == 0.0)
 
 
-def test_lambda_second_all_pairs_matches_bruteforce():
-    c = random_couplings(3, n=4)
-    spin = make_spin()
-    bath = BathSpec(temperature_k=120.0, raman_pairing="all_pairs")
-    second = lambda_second(c, bath, spin)
-
+def all_pairs_gsq_loop(c, bath, spin):
+    """gsq and its per-mode split, one ordered mode pair at a time."""
     G2 = MUB_CM_PER_T * spin.field_magnitude_t * c.d2
     w = c.frequencies
-    n = bose_occupation(w, 120.0)
-    lam = bath.linewidth_per_mode(4)
+    n = bose_occupation(w, bath.temperature_k)
+    lam = bath.linewidth_per_mode(c.nmodes)
     omega = spin.larmor_cm()
 
     def lor(x, width):
         return width / (np.pi * (x * x + width * width))
 
     expected = np.zeros((3, 3))
-    expected_per = np.zeros((4, 3, 3))
-    for q in range(4):
-        for p in range(4):
+    expected_per = np.zeros((c.nmodes, 3, 3))
+    for q in range(c.nmodes):
+        for p in range(c.nmodes):
             wd = 0.5 * (lam[q] + lam[p])
             weight = (
                 lor(omega - w[q] - w[p], wd) * n[q] * n[p]
@@ -213,6 +210,15 @@ def test_lambda_second_all_pairs_matches_bruteforce():
             # each ordered pair is attributed half to q and half to p
             expected_per[q] += 0.5 * term
             expected_per[p] += 0.5 * term
+    return expected, expected_per
+
+
+def test_lambda_second_all_pairs_matches_bruteforce():
+    c = random_couplings(3, n=4)
+    spin = make_spin()
+    bath = BathSpec(temperature_k=120.0, raman_pairing="all_pairs")
+    second = lambda_second(c, bath, spin)
+    expected, expected_per = all_pairs_gsq_loop(c, bath, spin)
     np.testing.assert_allclose(second.gsq, expected, rtol=1e-12)
     quartic_only = lambda_second(make_couplings(c.d1, None, c.frequencies), bath, spin)
     np.testing.assert_allclose(second.per_mode - quartic_only.per_mode, expected_per,
@@ -499,6 +505,66 @@ def test_sweep_single_point_matches_pipeline():
             assert (p.t1_us, p.t2_us) == (times.t1_us, times.t2_us)
             for name in ("lambda1", "lambda2", "lambda2_quartic", "lambda2_gsq"):
                 np.testing.assert_array_equal(getattr(p, name), getattr(tensor, name))
+
+
+SWEEP_CASES = {
+    "z-field": {},
+    "tilted-field": {"direction": (1.0, -2.0, -2.0)},
+    "omega-override": {"omega_override_cm": 1.5},
+    "mode-linewidths": {"linewidth_cm": [1.0, 2.5, 0.7, 4.0]},
+    "zero-field-row": {"first_field_mt": 0.0},
+}
+
+
+@pytest.mark.parametrize("case", list(SWEEP_CASES))
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (4, 1), (3, 2)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("pairing", ["diagonal_only", "all_pairs"])
+def test_sweep_rows_bitwise_equal_build_tensor(pairing, shape, case):
+    # the grid kernel shares work across rows; no row may depend on that
+    opts = SWEEP_CASES[case]
+    direction = np.asarray(opts.get("direction", (0.0, 0.0, 1.0)))
+    direction = direction / np.linalg.norm(direction)
+    spin = SpinSystem(
+        g0=GTensor(np.diag([1.9, 2.0, 2.1])), field_mt=direction, axis=direction,
+        omega_override_cm=opts.get("omega_override_cm"),
+    )
+    bath = BathSpec(temperature_k=1.0, linewidth_cm=opts.get("linewidth_cm", 2.0),
+                    raman_pairing=pairing)
+    c = random_couplings(17)
+    temps = [40.0 * (k + 1) for k in range(shape[0])]
+    fields = [opts.get("first_field_mt", 700.0) + 450.0 * k for k in range(shape[1])]
+    points = sweep(c, spin, temps, fields, bath)
+    assert len(points) == len(temps) * len(fields)
+    for p, (t, b) in zip(points, itertools.product(temps, fields)):
+        spin_b = replace(spin, field_mt=spin.field_direction * b)
+        tensor = build_tensor(c, replace(bath, temperature_k=t), spin_b)
+        times = relaxation_times(tensor, axis=spin.axis)
+        assert (p.temperature_k, p.field_mt, p.omega_cm) == (t, b, tensor.omega_cm)
+        assert (p.t1_us, p.t2_us) == (times.t1_us, times.t2_us)
+        for name in ("lambda1", "lambda2", "lambda2_quartic", "lambda2_gsq"):
+            np.testing.assert_array_equal(getattr(p, name), getattr(tensor, name))
+
+
+def test_sweep_computes_occupations_once_per_temperature(monkeypatch):
+    calls = []
+
+    def counting(omega_cm, temperature_k):
+        calls.append(temperature_k)
+        return bose_occupation(omega_cm, temperature_k)
+
+    monkeypatch.setattr(spinlat.relaxation, "bose_occupation", counting)
+    c = random_couplings(29, n=5)
+    bath = BathSpec(temperature_k=1.0, linewidth_cm=[1.0, 3.0, 2.0, 0.5, 2.5],
+                    raman_pairing="all_pairs")
+    temps = [30.0, 90.0, 150.0, 210.0, 270.0]
+    fields = [400.0, 900.0, 1400.0, 1900.0]
+    points = sweep(c, make_spin(), temps, fields, bath)
+    assert calls == temps
+    for p, (t, b) in zip(points, itertools.product(temps, fields)):
+        expected, _ = all_pairs_gsq_loop(c, replace(bath, temperature_k=t), make_spin(b))
+        np.testing.assert_allclose(p.lambda2_gsq, expected, rtol=1e-13,
+                                   atol=1e-13 * np.abs(expected).max())
 
 
 def test_sweep_grid_order_and_omega_recomputed():
