@@ -401,9 +401,7 @@ def _cmd_displace(args: argparse.Namespace, cfg: dict) -> int:
 def _cmd_couplings(args: argparse.Namespace, cfg: dict) -> int:
     c, _ = _assemble_couplings(cfg)
     out = _outdir(cfg)
-    doc = json.loads(export_couplings(c))
-    doc["config"] = cfg
-    _write_json(out / "couplings.json", doc)
+    export_couplings(c, out / "couplings.json", config=cfg)
     kinds = "d1+d2 mixed" if c.mixed_computed else "d1+d2 diagonal"
     print(f"wrote couplings.json ({c.nmodes} modes, {kinds}) to {out}")
     return 0

@@ -95,9 +95,15 @@ class CouplingTensors:
         return self.frequencies.size
 
 
-def _project(matrix: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Spin-space component vector (g . b)_a for a g matrix sample."""
-    return np.asarray(matrix, dtype=float) @ b
+def _singles(runset: DisplacedGTensorSet, b: np.ndarray) -> np.ndarray:
+    """Projected single runs (N, 2, 3): [:, 0] stepped +delta, [:, 1] -delta."""
+    s, n = runset.singles, runset.modeset.nmodes
+    try:
+        return np.array([[s[(k, +1)], s[(k, -1)]] for k in range(n)], dtype=float) @ b
+    except KeyError:
+        missing = [(k + 1, "+" if sign > 0 else "-")
+                   for k in range(n) for sign in (+1, -1) if (k, sign) not in s]
+        raise ValueError(f"run set lacks single displacements: {missing}") from None
 
 
 def first_order_couplings(
@@ -105,15 +111,9 @@ def first_order_couplings(
 ) -> np.ndarray:
     """Central-difference d(g.b)_a/dx_q, shape (3, nmodes)."""
     b = _unit(field_direction)
-    ms = runset.modeset
-    _require_singles(runset)
-    dx = dimensionless_steps(ms, runset.delta_angstrom)
-    d1 = np.empty((3, ms.nmodes))
-    for k in range(ms.nmodes):
-        gp = _project(runset.singles[(k, +1)], b)
-        gm = _project(runset.singles[(k, -1)], b)
-        d1[:, k] = (gp - gm) / (2.0 * dx[k])
-    return d1
+    g = _singles(runset, b)
+    dx = dimensionless_steps(runset.modeset, runset.delta_angstrom)
+    return ((g[:, 0] - g[:, 1]) / (2.0 * dx)[:, None]).T
 
 
 def second_order_couplings(
@@ -126,35 +126,40 @@ def second_order_couplings(
     without pair runs they are left at zero and flagged.
     """
     b = _unit(field_direction)
-    ms = runset.modeset
-    _require_singles(runset)
-    dx = dimensionless_steps(ms, runset.delta_angstrom)
-    n = ms.nmodes
+    g = _singles(runset, b)
+    dx = dimensionless_steps(runset.modeset, runset.delta_angstrom)
+    n = runset.modeset.nmodes
     d2 = np.zeros((3, n, n))
-    g0 = _project(runset.baseline, b)
-    for k in range(n):
-        gp = _project(runset.singles[(k, +1)], b)
-        gm = _project(runset.singles[(k, -1)], b)
-        d2[:, k, k] = (gp - 2.0 * g0 + gm) / dx[k] ** 2
+    g0 = np.asarray(runset.baseline, dtype=float) @ b
+    diag = np.arange(n)
+    d2[:, diag, diag] = ((g[:, 0] - 2.0 * g0 + g[:, 1]) / (dx ** 2)[:, None]).T
 
-    grouped: dict[tuple[int, int], dict[tuple[int, int], np.ndarray]] = {}
-    for (k, kp, s, sp), m in runset.pairs.items():
-        grouped.setdefault((k, kp), {})[(s, sp)] = m
-    for (k, kp), quad in grouped.items():
-        needed = {(1, 1), (1, -1), (-1, 1), (-1, -1)}
-        if set(quad) != needed:
-            raise ValueError(
-                f"pair ({k + 1}, {kp + 1}) needs all four sign combinations, "
-                f"got {sorted(quad)}"
-            )
-        gpp = _project(quad[(1, 1)], b)
-        gpm = _project(quad[(1, -1)], b)
-        gmp = _project(quad[(-1, 1)], b)
-        gmm = _project(quad[(-1, -1)], b)
-        mixed = (gpp - gpm - gmp + gmm) / (4.0 * dx[k] * dx[kp])
+    if runset.pairs:
+        k, kp, q = _pair_quads(runset.pairs, n, b)
+        mixed = ((q[:, 0] - q[:, 1] - q[:, 2] + q[:, 3])
+                 / (4.0 * dx[k] * dx[kp])[:, None]).T
         d2[:, k, kp] = mixed
         d2[:, kp, k] = mixed
-    return d2, bool(grouped)
+    return d2, bool(runset.pairs)
+
+
+def _pair_quads(pairs: dict, n: int, b: np.ndarray):
+    """Mode indices k < kp, each (P,), and projected runs (P, 4, 3) per pair.
+
+    The four runs of a pair come in sign order ++, +-, -+, --; a pair
+    missing any of them is an error.
+    """
+    keys = np.array(list(pairs))
+    ids, first, counts = np.unique(keys[:, 0] * n + keys[:, 1], return_index=True,
+                                   return_counts=True)
+    if (counts != 4).any():
+        k, kp = keys[first[counts != 4].min(), :2]
+        signs = sorted((s, sp) for kk, kkp, s, sp in pairs if (kk, kkp) == (k, kp))
+        raise ValueError(f"pair ({k + 1}, {kp + 1}) needs all four sign combinations, "
+                         f"got {signs}")
+    order = np.lexsort((-keys[:, 3], -keys[:, 2], keys[:, 1], keys[:, 0]))
+    projected = np.array(list(pairs.values()), dtype=float) @ b
+    return ids // n, ids % n, projected[order].reshape(-1, 4, 3)
 
 
 def build_couplings(
@@ -245,7 +250,8 @@ def convergence_check(
 
 # ------------------------------------------------------------------- export
 
-def export_couplings(c: CouplingTensors, path=None) -> str:
+def export_couplings(c: CouplingTensors, path=None, config=None) -> str:
+    """The couplings JSON document; a given config is embedded under "config"."""
     doc = {
         "format": COUPLINGS_FORMAT,
         "delta_angstrom": c.delta_angstrom,
@@ -262,6 +268,8 @@ def export_couplings(c: CouplingTensors, path=None) -> str:
             "delta_angstrom": "Angstrom",
         },
     }
+    if config is not None:
+        doc["config"] = config
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if path is not None:
         Path(path).write_text(text)
@@ -295,15 +303,3 @@ def _unit(v) -> np.ndarray:
     if norm == 0.0 or not np.all(np.isfinite(b)):
         raise ValueError("field direction must be finite and nonzero")
     return b / norm
-
-
-def _require_singles(runset: DisplacedGTensorSet) -> None:
-    if not runset.complete_singles():
-        n = runset.modeset.nmodes
-        missing = [
-            (k + 1, "+" if s > 0 else "-")
-            for k in range(n)
-            for s in (+1, -1)
-            if (k, s) not in runset.singles
-        ]
-        raise ValueError(f"run set lacks single displacements: {missing}")

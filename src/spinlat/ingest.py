@@ -8,6 +8,7 @@ JSON run manifest that ties displaced runs back to their mode labels.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -250,16 +251,42 @@ def write_modes(modeset: ModeSet, path=None) -> str:
 
 # --------------------------------------------------------------- g matrices
 
-_FLOATISH = re.compile(r"^[-+]?(\d+\.\d*|\.\d+|\d+[eE][-+]?\d+|\d+\.\d*[eE][-+]?\d+)$")
+# A matrix entry is a whole whitespace- or comma-delimited field with a
+# decimal point or an exponent; bare integers are row/column labels.
+_G_FIELD = re.compile(
+    r"(?<![^\s,])[-+]?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+|\d+[eE][-+]?\d+)(?![^\s,])"
+)
 
 
-def _float_tokens(line: str) -> list[float]:
-    # bare integers are treated as row/column labels, not matrix entries
-    vals = []
-    for tok in line.replace(",", " ").split():
-        if _FLOATISH.match(tok):
-            vals.append(float(tok))
-    return vals
+def _g_fields(text: str) -> list[float]:
+    """The nine entries of the first g block in text, row by row.
+
+    Fields start on the line after the first ELECTRONIC G-MATRIX marker;
+    lines without fields are skipped until the block starts, and end it
+    after.  Finiteness is left to the caller.
+    """
+    pos = text.find(G_MATRIX_MARKER)
+    if pos < 0:
+        raise ParseError(f"no '{G_MATRIX_MARKER}' marker found")
+    values: list[str] = []
+    for raw in text[pos:].splitlines()[1:]:
+        row = _G_FIELD.findall(raw)
+        if row:
+            values += row
+            if len(values) >= 9:
+                return [float(v) for v in values[:9]]
+        elif values:
+            break  # numeric block ended before 9 entries
+    raise ParseError(
+        f"found {len(values)} of 9 numeric fields after the "
+        f"'{G_MATRIX_MARKER}' marker",
+        line=_marker_line(text),
+    )
+
+
+def _marker_line(text: str) -> int:
+    """1-based number of the line holding the first g-block marker."""
+    return len((text[:text.find(G_MATRIX_MARKER)] + "x").splitlines())
 
 
 def parse_g_matrix(source) -> np.ndarray:
@@ -268,33 +295,11 @@ def parse_g_matrix(source) -> np.ndarray:
     Tolerant of prose around the block and of row labels; strict about
     finding nine float fields in a contiguous run of lines.
     """
-    lines = read_source(source).splitlines()
-    start = None
-    for i, raw in enumerate(lines):
-        if G_MATRIX_MARKER in raw:
-            start = i
-            break
-    if start is None:
-        raise ParseError(f"no '{G_MATRIX_MARKER}' marker found")
-    values: list[float] = []
-    for raw in lines[start + 1:]:
-        row = _float_tokens(raw)
-        if not row:
-            if values:
-                break  # numeric block ended before 9 entries
-            continue
-        values.extend(row)
-        if len(values) >= 9:
-            break
-    if len(values) < 9:
-        raise ParseError(
-            f"found {len(values)} of 9 numeric fields after the "
-            f"'{G_MATRIX_MARKER}' marker",
-            line=start + 1,
-        )
-    m = np.array(values[:9]).reshape(3, 3)
+    text = read_source(source)
+    m = np.array(_g_fields(text)).reshape(3, 3)
     if not np.all(np.isfinite(m)):
-        raise ParseError("g matrix block contains non-finite values", line=start + 1)
+        raise ParseError("g matrix block contains non-finite values",
+                         line=_marker_line(text))
     return m
 
 
@@ -447,20 +452,36 @@ class DisplacedGTensorSet:
             raise ValueError("baseline g must be a finite 3x3 matrix")
         object.__setattr__(self, "baseline", b)
         n = self.modeset.nmodes
-        for (k, s), m in self.singles.items():
+        for k, s in self.singles:
             if not (0 <= k < n) or s not in (+1, -1):
                 raise ValueError(f"bad single key ({k}, {s})")
-            if np.asarray(m).shape != (3, 3) or not np.all(np.isfinite(m)):
-                raise ValueError(f"single ({k}, {s}) g matrix invalid")
-        for (k, kp, s, sp), m in self.pairs.items():
+        for k, kp, s, sp in self.pairs:
             if not (0 <= k < kp < n) or s not in (+1, -1) or sp not in (+1, -1):
                 raise ValueError(f"bad pair key ({k}, {kp}, {s}, {sp})")
-            if np.asarray(m).shape != (3, 3) or not np.all(np.isfinite(m)):
-                raise ValueError(f"pair ({k}, {kp}, {s}, {sp}) g matrix invalid")
+        _check_matrices("single", self.singles)
+        _check_matrices("pair", self.pairs)
 
     def complete_singles(self) -> bool:
         n = self.modeset.nmodes
         return all((k, s) in self.singles for k in range(n) for s in (+1, -1))
+
+
+def _check_matrices(kind: str, entries: dict) -> None:
+    """Raise naming the first entry that is not a finite 3x3 g matrix."""
+    mats = list(entries.values())
+    try:
+        stack = np.array(mats, dtype=float)
+    except (TypeError, ValueError):  # ragged or not numeric
+        stack = np.empty(0)
+    if stack.shape[1:] == (3, 3):
+        bad = ~np.isfinite(stack).all(axis=(1, 2))
+    else:  # find the culprit entry by entry
+        bad = [np.shape(m) != (3, 3) or not np.all(np.isfinite(np.asarray(m, float)))
+               for m in mats]
+    hit = np.nonzero(bad)[0]
+    if hit.size:
+        key = ", ".join(map(str, list(entries)[hit[0]]))
+        raise ValueError(f"{kind} ({key}) g matrix invalid")
 
 
 def load_manifest(path) -> dict:
@@ -469,6 +490,8 @@ def load_manifest(path) -> dict:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as e:
         raise ParseError(f"manifest is not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ParseError("manifest must be a JSON object")
     missing = MANIFEST_KEYS - doc.keys()
     if missing:
         raise ParseError(f"manifest missing keys: {sorted(missing)}")
@@ -477,68 +500,121 @@ def load_manifest(path) -> dict:
     return doc
 
 
-def _sign_of(s) -> int:
-    if s in (1, +1, "+", "plus"):
-        return +1
-    if s in (-1, "-", "minus"):
-        return -1
-    raise ParseError(f"bad sign {s!r} in manifest")
+_SIGNS = {1: +1, "+": +1, "plus": +1, -1: -1, "-": -1, "minus": -1}
+
+
+def _fields(entry, where: str, names: tuple[str, ...]) -> list:
+    """The named fields of one manifest entry; the last names a result file."""
+    try:
+        values = [entry[name] for name in names]
+    except (KeyError, TypeError):
+        if not isinstance(entry, dict):
+            raise ParseError(f"{where} is not an object: {entry!r}") from None
+        absent = ", ".join(repr(name) for name in names if name not in entry)
+        raise ParseError(f"{where} has no {absent}") from None
+    if not isinstance(values[-1], str) or not values[-1]:
+        raise ParseError(f"{where}: {names[-1]} {values[-1]!r} is not a file name")
+    return values
+
+
+def _mode_sign(mode, sign, n: int, where: str) -> tuple[int, int]:
+    """0-based index and +1 / -1 of a manifest's 1-based mode and its sign."""
+    if type(mode) is not int or not 1 <= mode <= n:
+        raise ParseError(f"{where}: mode {mode!r} is not an integer in 1..{n}")
+    try:
+        return mode - 1, _SIGNS[sign]
+    except (KeyError, TypeError):
+        raise ParseError(f"{where}: bad sign {sign!r}") from None
+
+
+def _planned_runs(doc: dict, n: int) -> tuple[list, list]:
+    """DisplacedGTensorSet keys of the single and of the pair runs.
+
+    Keys come in manifest order, pairs in canonical k < kp order.  Every
+    entry is checked, and a displacement listed twice is refused, before
+    any result file is read.
+    """
+    singles, pairs = [], []
+    for i, run in enumerate(doc["runs"]):
+        where = f"manifest runs[{i}]"
+        mode, sign, _ = _fields(run, where, ("mode", "sign", "path"))
+        singles.append(_mode_sign(mode, sign, n, where))
+    for i, run in enumerate(doc["pairs"]):
+        where = f"manifest pairs[{i}]"
+        modes, signs, _ = _fields(run, where, ("modes", "signs", "path"))
+        if not (type(modes) is type(signs) is list and len(modes) == len(signs) == 2):
+            raise ParseError(f"{where}: modes {modes!r} and signs {signs!r} "
+                             "must list two each")
+        ka, sa = _mode_sign(modes[0], signs[0], n, where)
+        kb, sb = _mode_sign(modes[1], signs[1], n, where)
+        if ka == kb:
+            raise ParseError(f"{where}: pair repeats mode {ka + 1}")
+        pairs.append((ka, kb, sa, sb) if ka < kb else (kb, ka, sb, sa))
+    for section, keys in (("runs", singles), ("pairs", pairs)):
+        if len(set(keys)) < len(keys):
+            first: dict = {}
+            for i, key in enumerate(keys):
+                if first.setdefault(key, i) != i:
+                    raise ParseError(f"manifest {section}[{first[key]}] and "
+                                     f"{section}[{i}] list the same displacement")
+    return singles, pairs
+
+
+def _label(key: tuple) -> tuple:
+    """A run key as the missing-runs report gives it: 1-based, signs as +/-."""
+    half = len(key) // 2
+    return (*(k + 1 for k in key[:half]), *("+" if s > 0 else "-" for s in key[half:]))
 
 
 def load_run_set(manifest_path, modeset: ModeSet) -> DisplacedGTensorSet:
     """Assemble a DisplacedGTensorSet from a run manifest.
 
     Result paths are resolved relative to the manifest location.  A
-    missing baseline or missing single runs abort with the full list of
-    gaps; mode numbers in the report are 1-based as in the manifest.
+    missing baseline or missing runs abort with the full list of gaps;
+    mode numbers in the report are 1-based.  A result that cannot be
+    parsed aborts naming its path as the manifest gives it.
     """
-    mpath = Path(manifest_path)
-    doc = load_manifest(mpath)
-    root = mpath.parent
-    delta = float(doc["delta_angstrom"])
+    doc = load_manifest(manifest_path)
+    root = os.path.dirname(manifest_path)
+    delta = doc["delta_angstrom"]
+    if type(delta) not in (int, float) or not 0.0 < delta < np.inf:
+        raise ParseError(f"manifest delta_angstrom {delta!r} is not a positive number")
+    (baseline_path,) = _fields(doc, "manifest", ("baseline",))
+    singles, pairs = _planned_runs(doc, modeset.nmodes)
+    paths = [baseline_path] + [run["path"] for run in doc["runs"] + doc["pairs"]]
+    del doc  # every entry is checked; free it before the results are read
+    stack = np.empty((len(paths), 9))  # one parsed result per row
 
-    def read(relpath):
-        p = root / relpath
-        if not p.is_file():
-            return None
-        return parse_g_matrix(p)
+    def read(i: int) -> bool:
+        try:
+            with open(os.path.join(root, paths[i])) as f:
+                text = f.read()
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            return False
+        try:
+            stack[i] = _g_fields(text)
+        except ParseError as e:
+            raise ParseError(f"{paths[i]}: {e}") from None
+        return True
 
-    baseline = read(doc["baseline"])
-    singles, pairs = {}, {}
-    missing_singles, missing_pairs = [], []
-    n = modeset.nmodes
-    for run in doc["runs"]:
-        k, s = int(run["mode"]), _sign_of(run["sign"])
-        if not (1 <= k <= n):
-            raise ParseError(f"manifest run mode {k} outside 1..{n}")
-        m = read(run["path"])
-        if m is None:
-            missing_singles.append((k, "+" if s > 0 else "-"))
-        else:
-            singles[(k - 1, s)] = m
-    for run in doc["pairs"]:
-        (ka, kb) = (int(run["modes"][0]), int(run["modes"][1]))
-        (sa, sb) = (_sign_of(run["signs"][0]), _sign_of(run["signs"][1]))
-        if not (1 <= ka <= n and 1 <= kb <= n) or ka == kb:
-            raise ParseError(f"manifest pair modes ({ka}, {kb}) invalid")
-        m = read(run["path"])
-        if m is None:
-            missing_pairs.append((ka, kb, "+" if sa > 0 else "-",
-                                  "+" if sb > 0 else "-"))
-            continue
-        if ka > kb:  # store canonically with ka < kb
-            ka, kb, sa, sb = kb, ka, sb, sa
-        pairs[(ka - 1, kb - 1, sa, sb)] = m
-    if baseline is None or missing_singles or missing_pairs:
+    found = [read(i) for i in range(len(paths))]
+    if not all(found):
         raise IncompleteRunSetError(
-            missing_singles, missing_pairs, missing_baseline=baseline is None
+            [_label(key) for key, ok in zip(singles, found[1:]) if not ok],
+            [_label(key) for key, ok in zip(pairs, found[1 + len(singles):]) if not ok],
+            missing_baseline=not found[0],
         )
+    bad = np.nonzero(~np.isfinite(stack).all(axis=1))[0]
+    if bad.size:
+        raise ParseError(f"{paths[bad[0]]}: g matrix block contains non-finite values")
+    del paths  # needed for messages only; free it before the views are made
+    stack = stack.reshape(-1, 3, 3)
     return DisplacedGTensorSet(
         modeset=modeset,
-        delta_angstrom=delta,
-        baseline=baseline,
-        singles=singles,
-        pairs=pairs,
+        delta_angstrom=float(delta),
+        baseline=stack[0],
+        singles=dict(zip(singles, stack[1:])),
+        pairs=dict(zip(pairs, stack[1 + len(singles):])),
     )
 
 

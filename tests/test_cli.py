@@ -488,6 +488,41 @@ def test_validate_incomplete_runs_fails(dataset, tmp_path, capsys):
     assert "manifest-complete FAIL" in stdout.replace("  ", " ")
 
 
+@pytest.mark.parametrize("command", ["couplings", "validate"])
+def test_unparsable_result_names_its_file(dataset, tmp_path, capsys, command):
+    broken = tmp_path / "broken"
+    shutil.copytree(Path(dataset["manifest"]).parent, broken)
+    (broken / "single0002_m.gout").write_text("ELECTRONIC G-MATRIX\n1.98 0.001\n")
+    code, stdout, err = run(command, "--modes", dataset["modes"],
+                            "--manifest", str(broken / "manifest.json"),
+                            "--out", str(tmp_path / "art"), capsys=capsys)
+    assert code == 1
+    reported = stdout if command == "validate" else err
+    assert ("single0002_m.gout: line 1: found 2 of 9 numeric fields"
+            in reported.replace("  ", " ")), reported
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda m: m["runs"][0].pop("mode"), "runs[0]"),
+    (lambda m: m["runs"][0].update(path=None), "runs[0]"),
+    (lambda m: m["pairs"].append({"modes": [1], "signs": ["+", "+"],
+                                  "path": "p.gout"}), "pairs[0]"),
+    (lambda m: m["runs"][0].update(mode="x"), "runs[0]"),
+    (lambda m: m["runs"].append(m["runs"][0]), "runs[0] and runs[6]"),
+], ids=["no-mode", "null-path", "one-pair-mode", "text-mode", "repeated-run"])
+def test_malformed_manifest_entry_exits_1(dataset, tmp_path, capsys, edit, named):
+    broken = tmp_path / "broken"
+    shutil.copytree(Path(dataset["manifest"]).parent, broken)
+    doc = json.loads((broken / "manifest.json").read_text())
+    edit(doc)
+    (broken / "manifest.json").write_text(json.dumps(doc))
+    code, _, err = run("couplings", "--modes", dataset["modes"],
+                       "--manifest", str(broken / "manifest.json"),
+                       "--out", str(tmp_path / "art"), capsys=capsys)
+    assert code == 1
+    assert f"error: manifest {named}" in err
+
+
 # --------------------------------------------------------------- config
 
 def test_config_file_and_flag_override(dataset, tmp_path):

@@ -211,6 +211,37 @@ def test_sign_gauge_flip_relabels_consistently(toy_modes):
     np.testing.assert_allclose(c_flip.d2, expected_d2, atol=1e-15)
 
 
+def _loop_stencils(runset, b):
+    """The per-mode and per-pair stencil loops the array code replaced."""
+    dx = dimensionless_steps(runset.modeset, runset.delta_angstrom)
+    n = runset.modeset.nmodes
+    d1, d2 = np.empty((3, n)), np.zeros((3, n, n))
+    g0 = runset.baseline @ b
+    for k in range(n):
+        gp, gm = runset.singles[(k, 1)] @ b, runset.singles[(k, -1)] @ b
+        d1[:, k] = (gp - gm) / (2.0 * dx[k])
+        d2[:, k, k] = (gp - 2.0 * g0 + gm) / dx[k] ** 2
+    for (k, kp, s, sp) in runset.pairs:
+        if (s, sp) == (1, 1):
+            q = {key: runset.pairs[(k, kp, *key)] @ b
+                 for key in ((1, 1), (1, -1), (-1, 1), (-1, -1))}
+            mixed = (q[(1, 1)] - q[(1, -1)] - q[(-1, 1)] + q[(-1, -1)]) / (
+                4.0 * dx[k] * dx[kp])
+            d2[:, k, kp] = d2[:, kp, k] = mixed
+    return d1, d2
+
+
+@pytest.mark.parametrize("direction", [(0, 0, 1), (1, -2, -2), (0.3, 0.1, -0.7)])
+def test_array_stencils_equal_loop_stencils(direction):
+    ms = make_modeset(natoms=4, nmodes=7, frequencies=np.linspace(15.0, 300.0, 7))
+    gfun, _, _ = quadratic_surface(ms, seed=11)
+    runset = sample_g_surface(ms, gfun, pairing="all_pairs")
+    b = np.asarray(direction, dtype=float) / np.linalg.norm(direction)
+    d1, d2 = _loop_stencils(runset, b)
+    assert np.array_equal(first_order_couplings(runset, direction), d1)
+    assert np.array_equal(second_order_couplings(runset, direction)[0], d2)
+
+
 # ---------------------------------------------------------------- errors
 
 def test_missing_single_names_mode(toy_modes):

@@ -1,12 +1,17 @@
 """Parsers, writers, displacement planning, and run-set assembly."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinlat.core import Geometry, ModeSet
 from spinlat.ingest import (
+    G_MATRIX_MARKER,
+    _G_FIELD,
     DisplacedGTensorSet,
     IncompleteRunSetError,
     ParseError,
@@ -328,3 +333,188 @@ def test_read_source_one_rule_for_text_and_paths(tmp_path, monkeypatch):
         read_source("no such file")
     with pytest.raises(TypeError):
         read_source(3)
+
+
+# ------------------------------------------------------- g-block tokenizer
+
+# The tokenizer before the regex scan, kept as the oracle: split on
+# whitespace and commas, keep the fields that fully match a float with a
+# decimal point or an exponent.
+_OLD_FLOATISH = re.compile(
+    r"^[-+]?(\d+\.\d*|\.\d+|\d+[eE][-+]?\d+|\d+\.\d*[eE][-+]?\d+)$"
+)
+
+
+def _old_fields(line):
+    return [float(t) for t in line.replace(",", " ").split() if _OLD_FLOATISH.match(t)]
+
+
+def _old_parse(text):
+    """The old block rules over the old tokenizer: values or the error text."""
+    lines = text.splitlines()
+    start = next((i for i, raw in enumerate(lines) if G_MATRIX_MARKER in raw), None)
+    if start is None:
+        return f"no '{G_MATRIX_MARKER}' marker found"
+    values = []
+    for raw in lines[start + 1:]:
+        row = _old_fields(raw)
+        if not row:
+            if values:
+                break
+            continue
+        values.extend(row)
+        if len(values) >= 9:
+            break
+    if len(values) < 9:
+        return (f"line {start + 1}: found {len(values)} of 9 numeric fields "
+                f"after the '{G_MATRIX_MARKER}' marker")
+    if not np.all(np.isfinite(values[:9])):
+        return f"line {start + 1}: g matrix block contains non-finite values"
+    return values[:9]
+
+
+_PIECES = st.sampled_from([
+    "1", "12", "1.", ".5", "1.5", "+1e-3", "-2.5E+07", "1e5", "1.e2", ".5e3",
+    "+.5", "-0.0", "1.5abc", "nan", "inf", "-inf", "NaN", "1e999", "--1.0",
+    "1.0.0", "e5", "x", "g:", "(1)", "\u0663.\u0665", "2.0\u00b2",
+])
+# Unicode spaces, separators that also break lines, and a zero-width
+# space, which is not whitespace
+_SEPARATORS = st.sampled_from([
+    "", " ", "  ", "\t", ",", ", ", "\u00a0", "\u2003", "\u3000", "\x1c",
+    "\x85", "\u2028", "\u200b",
+])
+_LINES = st.one_of(
+    st.lists(st.tuples(_PIECES, _SEPARATORS), max_size=8).map(
+        lambda parts: "".join(p + s for p, s in parts)
+    ),
+    st.text(alphabet="0123456789.eE+-, \t abn", max_size=30),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_LINES)
+def test_g_tokenizer_matches_split_oracle(line):
+    assert [float(v) for v in _G_FIELD.findall(line)] == _old_fields(line)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LINES, max_size=8), st.lists(_LINES, max_size=8), _LINES,
+       st.booleans())
+def test_g_block_matches_old_rules(before, after, head, has_marker):
+    marker = head + G_MATRIX_MARKER if has_marker else head
+    text = "\n".join(before + [marker] + after) + "\n"
+    try:
+        got = parse_g_matrix(text).ravel().tolist()
+    except ParseError as e:
+        got = str(e)
+    assert got == _old_parse(text)
+
+
+def test_g_block_nine_fields_over_rows_with_commas():
+    text = "ELECTRONIC G-MATRIX\n x: 2.0, 0.0,\t0.0\n y: 0., 2.0 0.0\n z: .0 0e0 2.\n"
+    np.testing.assert_array_equal(parse_g_matrix(text), 2.0 * np.eye(3))
+
+
+# ---------------------------------------------------- stacked run-set check
+
+@pytest.mark.parametrize("bad", ["non-finite", "shape"])
+@pytest.mark.parametrize("kind, key", [
+    ("single", (1, -1)),
+    ("pair", (0, 2, 1, -1)),
+])
+def test_run_set_names_invalid_matrix(toy_modes, kind, key, bad):
+    rs = sample_g_surface(toy_modes, _linear_g_surface(toy_modes.geometry.positions),
+                          pairing="all_pairs")
+    entries = {"single": dict(rs.singles), "pair": dict(rs.pairs)}
+    entries[kind][key] = np.eye(3)[:2] if bad == "shape" else np.full((3, 3), np.inf)
+    label = ", ".join(map(str, key))
+    with pytest.raises(ValueError, match=rf"^{kind} \({label}\) g matrix invalid$"):
+        DisplacedGTensorSet(toy_modes, rs.delta_angstrom, rs.baseline,
+                            singles=entries["single"], pairs=entries["pair"])
+
+
+# ---------------------------------------------------------- manifest entries
+
+@pytest.fixture
+def pair_runs(tmp_path, toy_modes):
+    """An all_pairs run directory with every result present."""
+    plan = plan_displacements(toy_modes, delta=0.02, order=2, pairing="all_pairs")
+    mpath = write_displacement_set(plan, toy_modes, tmp_path, delta=0.02)
+    gfun = _linear_g_surface(toy_modes.geometry.positions)
+    for g in plan:
+        write_g_matrix(gfun(g.positions), tmp_path / f"{g.label()}.gout")
+    return mpath
+
+
+def _no_mode(m):
+    del m["runs"][0]["mode"]
+
+
+def _null_path(m):
+    m["runs"][0]["path"] = None
+
+
+def _one_pair_mode(m):
+    m["pairs"][0]["modes"] = [1]
+
+
+def _text_mode(m):
+    m["runs"][0]["mode"] = "x"
+
+
+def _repeated_single(m):
+    m["runs"].append(dict(m["runs"][0], path=m["runs"][1]["path"]))
+
+
+def _repeated_pair_reordered(m):
+    first = m["pairs"][1]
+    m["pairs"].append({"modes": first["modes"][::-1], "signs": first["signs"][::-1],
+                       "path": first["path"]})
+
+
+def _text_delta(m):
+    m["delta_angstrom"] = "0.01"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_no_mode, r"manifest runs\[0\] has no 'mode'"),
+    (_null_path, r"manifest runs\[0\]: path None is not a file name"),
+    (_one_pair_mode, r"manifest pairs\[0\]: modes \[1\] and signs .* list two each"),
+    (_text_mode, r"manifest runs\[0\]: mode 'x' is not an integer in 1..3"),
+    (_repeated_single, r"manifest runs\[0\] and runs\[6\] list the same displacement"),
+    (_text_delta, r"manifest delta_angstrom '0.01' is not a positive number"),
+    (_repeated_pair_reordered,
+     r"manifest pairs\[1\] and pairs\[12\] list the same displacement"),
+], ids=["no-mode", "null-path", "one-pair-mode", "text-mode", "repeated-run", "text-delta",
+        "repeated-pair-reordered"])
+def test_malformed_manifest_entry_named(pair_runs, toy_modes, edit, message):
+    doc = json.loads(pair_runs.read_text())
+    edit(doc)
+    pair_runs.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=message):
+        load_run_set(pair_runs, toy_modes)
+
+
+def test_manifest_must_be_an_object(tmp_path, toy_modes):
+    (tmp_path / "manifest.json").write_text("[]")
+    with pytest.raises(ParseError, match="manifest must be a JSON object"):
+        load_run_set(tmp_path / "manifest.json", toy_modes)
+
+
+def test_unparsable_result_named_by_manifest_path(pair_runs, toy_modes):
+    result = pair_runs.parent / "pair0001_0003_pm.gout"
+    result.write_text("ELECTRONIC G-MATRIX\n1.0 2.0\n")
+    with pytest.raises(ParseError, match=r"^pair0001_0003_pm\.gout: line 1: found 2 of"):
+        load_run_set(pair_runs, toy_modes)
+    result.write_text("ELECTRONIC G-MATRIX\n" + "1e999 " * 9 + "\n")
+    with pytest.raises(ParseError, match=r"^pair0001_0003_pm\.gout: .*non-finite"):
+        load_run_set(pair_runs, toy_modes)
+
+
+def test_result_that_is_a_directory_counts_as_missing(pair_runs, toy_modes):
+    (pair_runs.parent / "single0002_p.gout").unlink()
+    (pair_runs.parent / "single0002_p.gout").mkdir()
+    with pytest.raises(IncompleteRunSetError) as err:
+        load_run_set(pair_runs, toy_modes)
+    assert err.value.missing_singles == [(2, "+")]
