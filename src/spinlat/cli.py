@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PAIRING_MODES, BathSpec, GTensor, SpinSystem
+from .core import PAIRING_MODES, BathSpec, GTensor, SpinSystem, raise_first_failure
 from .couplings import (
     CouplingTensors,
     build_couplings,
@@ -581,23 +581,22 @@ def _cmd_validate(args: argparse.Namespace, cfg: dict) -> int:
 
     def tensors():
         # sweep runs RelaxationTensor's checks (finite, symmetric PSD, split
-        # sums) on every grid point's rates as the grid kernel yields them
+        # sums) on each field's grid points at once, naming a failing point
         state["spin"] = _spin_system(cfg, state["runset"].baseline, 1.0)
         state["points"] = _sweep_grid(cfg, state["c"], state["spin"])
 
     def identity():
-        for p in state["points"]:
-            lam = p.lambda1 + p.lambda2
-            times = relaxation_times(
-                lam, axis=state["spin"].axis, convention="projection"
-            )
-            lhs = times.rate2_cm
-            rhs = float(np.trace(lam)) - 0.5 * times.rate1_cm
-            if abs(lhs - rhs) > 1e-12 * max(abs(rhs), 1e-300):
-                raise ValueError(
-                    f"T2 identity violated by {abs(lhs - rhs):.3e} at "
-                    f"{p.temperature_k!r} K, {p.field_mt!r} mT"
-                )
+        # criterion 08 on the sweep's checked tensors, stacked: no eigen-solve
+        points, axis = state["points"], state["spin"].axis
+        lam = np.array([p.lambda1 + p.lambda2 for p in points])
+        trace, longitudinal = np.trace(lam, axis1=1, axis2=2), lam @ axis @ axis
+        rate1, rate2 = 2.0 * longitudinal, trace - longitudinal
+        rhs = trace - 0.5 * rate1
+        dev = np.abs(rate2 - rhs)
+        raise_first_failure(
+            ~(dev <= 1e-12 * np.maximum(np.abs(rhs), 1e-300)), "T2 identity",
+            lambda i: f"violated by {dev[i]:.3e}",
+            [f"{p.temperature_k!r} K, {p.field_mt!r} mT" for p in points])
 
     run("modes-parse", parse)
     if state.get("modeset") is not None:

@@ -45,20 +45,37 @@ def _as_matrix3(values, name: str) -> np.ndarray:
     return m
 
 
-def check_rate_matrix(m: np.ndarray, name: str) -> None:
-    """Raise ValueError unless the 3x3 rate matrix m is symmetric and PSD.
+def raise_first_failure(bad, subject: str, problem, labels=None) -> None:
+    """Raise ValueError(f"{subject} {problem}") at the first set entry of bad.
 
-    Asymmetry may reach 1e-10 of max(|m|, 1), eigenvalues -1e-12 of Tr m.
+    A 0-d mask is one item.  In a stack the subject gains " at " and the
+    entry's label (flat order) or index; a callable problem gets the
+    entry's flat index.
     """
-    scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.T).max() > 1e-10 * scale:
-        raise ValueError(f"{name} is not symmetric within 1e-10")
-    floor = -1e-12 * max(np.trace(m), 1e-300)
-    w = np.linalg.eigvalsh(m)
-    if w.min() < floor:
-        raise ValueError(
-            f"{name} is not PSD: eigenvalue {w.min():.3e} below {floor:.3e}"
-        )
+    bad = np.asarray(bad)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if bad.ndim:
+            where = labels[i] if labels else "index " + ", ".join(
+                map(str, np.unravel_index(i, bad.shape)))
+            subject = f"{subject} at {where}"
+        raise ValueError(f"{subject} {problem(i) if callable(problem) else problem}")
+
+
+def check_rate_matrix(m: np.ndarray, name: str, labels=None) -> None:
+    """Raise ValueError unless each 3x3 rate matrix in m (..., 3, 3) is symmetric and PSD.
+
+    Per matrix, asymmetry may reach 1e-10 of max(|m|, 1), eigenvalues -1e-12
+    of Tr m.  A stack takes one eigen-solve; see raise_first_failure.
+    """
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    asym = np.ravel(np.abs(m - np.swapaxes(m, -2, -1)).max(axis=(-2, -1)) > 1e-10 * scale)
+    floor = np.ravel(-1e-12 * np.maximum(np.trace(m, axis1=-2, axis2=-1), 1e-300))
+    low = np.ravel(np.linalg.eigvalsh(m)[..., 0])
+    raise_first_failure(
+        (asym | (low < floor)).reshape(np.shape(m)[:-2]), name,
+        lambda i: "is not symmetric within 1e-10" if asym[i]
+        else f"is not PSD: eigenvalue {low[i]:.3e} below {floor[i]:.3e}", labels)
 
 
 @dataclass(frozen=True)

@@ -110,8 +110,10 @@ def first_order_couplings(
     runset: DisplacedGTensorSet, field_direction=(0.0, 0.0, 1.0)
 ) -> np.ndarray:
     """Central-difference d(g.b)_a/dx_q, shape (3, nmodes)."""
-    b = _unit(field_direction)
-    g = _singles(runset, b)
+    return _first_order(runset, _singles(runset, _unit(field_direction)))
+
+
+def _first_order(runset: DisplacedGTensorSet, g: np.ndarray) -> np.ndarray:
     dx = dimensionless_steps(runset.modeset, runset.delta_angstrom)
     return ((g[:, 0] - g[:, 1]) / (2.0 * dx)[:, None]).T
 
@@ -126,7 +128,11 @@ def second_order_couplings(
     without pair runs they are left at zero and flagged.
     """
     b = _unit(field_direction)
-    g = _singles(runset, b)
+    return _second_order(runset, b, _singles(runset, b))
+
+
+def _second_order(runset: DisplacedGTensorSet, b: np.ndarray, g: np.ndarray):
+    """second_order_couplings for unit b and the singles g projected on it."""
     dx = dimensionless_steps(runset.modeset, runset.delta_angstrom)
     n = runset.modeset.nmodes
     d2 = np.zeros((3, n, n))
@@ -165,9 +171,11 @@ def _pair_quads(pairs: dict, n: int, b: np.ndarray):
 def build_couplings(
     runset: DisplacedGTensorSet, field_direction=(0.0, 0.0, 1.0)
 ) -> CouplingTensors:
+    # project the singles once, on exactly the direction the tensors store
     b = _unit(field_direction)
-    d1 = first_order_couplings(runset, b)
-    d2, mixed = second_order_couplings(runset, b)
+    g = _singles(runset, b)
+    d1 = _first_order(runset, g)
+    d2, mixed = _second_order(runset, b, g)
     ms = runset.modeset
     return CouplingTensors(
         d1=d1,

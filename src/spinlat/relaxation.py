@@ -27,6 +27,7 @@ from .core import (
     SpinSystem,
     bose_occupation,
     check_rate_matrix,
+    raise_first_failure,
 )
 from .couplings import CouplingTensors
 
@@ -44,6 +45,10 @@ def direct_rate(gamma_cm, omega_cm, occupation):
         raise ValueError("occupation must be nonnegative")
     out = 4.0 * g / (g * g + 4.0 * w * w) * (n + 0.5)
     return float(out) if out.ndim == 0 else out
+
+
+# component index of (a, b) among the upper-triangle entries a <= b
+_SYM = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 def _lorentzian(x, width):
@@ -73,18 +78,19 @@ def _rate_grid(c: CouplingTensors, bath: BathSpec, temperatures, spins):
     over the four emission/absorption processes weighted by their
     occupations, each delta a Lorentzian of the two modes' mean width.
 
-    Each piece of work is done once at the level it depends on: the d1
-    and diagonal-d2 products once, occupations and direct rates per
-    temperature, the spin frequency and Lorentzians per field (the outer
-    loop, so one field's (N, N) arrays are held at a time).  A point
-    forms its pair weight, contracts it with d2 d2 in reused buffers and
+    Each piece of work is done once at the level it depends on: the
+    coupling products once, occupations and direct rates per temperature,
+    the spin frequency, Lorentzians and the all_pairs pair sums per field
+    (the outer loop, so one field's arrays are held at a time).  A point
+    is one fixed-shape matrix-vector product with n(T) plus O(N) work, and
     applies the field prefactor (muB|B|/hc)^2 as a scalar.  No point's
     arithmetic depends on the rest of the grid, so each is bitwise what a
     1x1 grid gives.
     """
     omega = c.frequencies
-    gamma = bath.gamma_per_mode(c.nmodes)
-    lam = bath.linewidth_per_mode(c.nmodes)
+    n_modes = c.nmodes
+    gamma = bath.gamma_per_mode(n_modes)
+    lam = bath.linewidth_per_mode(n_modes)
     all_pairs = bath.raman_pairing == "all_pairs"
 
     def outer(x):
@@ -95,9 +101,13 @@ def _rate_grid(c: CouplingTensors, bath: BathSpec, temperatures, spins):
     diag_d2 = np.einsum("aqq->aq", c.d2)
     diag_sq, diag_d2_sq = outer(diag_d2), diag_d2**2
     if all_pairs:
+        # d2_aqp d2_bqp for the six components a <= b, shape (6, N, N);
+        # _SYM expands them back to 3x3, so every tensor is exactly symmetric
+        pair_sq = np.empty((6, n_modes, n_modes))
+        for k, (a, b) in enumerate(zip(*np.triu_indices(3))):
+            np.multiply(c.d2[a], c.d2[b], out=pair_sq[k])
         width = 0.5 * (lam[:, None] + lam[None, :])
-        weight = np.empty_like(width)
-        weighted_d2 = np.empty_like(c.d2)
+        by_n = np.empty((2,) + pair_sq.shape)
 
     thermal = []
     for temperature in temperatures:
@@ -112,30 +122,31 @@ def _rate_grid(c: CouplingTensors, bath: BathSpec, temperatures, spins):
         if all_pairs:
             # absorb both, emit both, emit q and absorb p, and its transpose;
             # with n + 1 for each emission the pair weight is
-            # W = lor_nn n_q n_p + lor_q n_q + lor_p n_p + emit
+            # W = lor_nn n_q n_p + lor_q n_q + lor_p n_p + emit, so
+            # sum_p W d2 d2 = n_q (by_n[0] n + sum_p lor_q d2 d2)
+            #                 + by_n[1] n + sum_p emit d2 d2
             emit = _lorentzian((big_omega + omega)[:, None] + omega, width)
             emit_q = _lorentzian((big_omega + omega)[:, None] - omega, width)
             lor_nn = _lorentzian((big_omega - omega)[:, None] - omega, width)
             lor_nn += emit
             lor_nn += emit_q
             lor_nn += emit_q.T
-            lor_q = emit + emit_q.T
-            lor_p = emit + emit_q
+            by_q = np.einsum("kqp,qp->kq", pair_sq, emit + emit_q.T)
+            fixed = np.einsum("kqp,qp->kq", pair_sq, emit)
+            np.multiply(pair_sq, lor_nn, out=by_n[0])
+            np.multiply(pair_sq, emit + emit_q, out=by_n[1])
         for i, (n, direct, lumped) in enumerate(thermal):
             per1 = (pref2 * direct)[:, None, None] * d1_sq
             resonant = lumped * two_phonon
             per_quartic = (pref2 * pref2 * resonant)[:, None, None] * quartic_sq
             if all_pairs:
-                np.multiply(lor_nn, n, out=weight)
-                weight += lor_q
-                weight *= n[:, None]
-                weight += lor_p * n
-                weight += emit
-                # W and d2 are symmetric in (q, p), so summing each row of
-                # W d2 d2 gives every ordered pair half to q and half to p,
-                # the q == p terms whole
-                np.multiply(c.d2, weight, out=weighted_d2)
-                per_gsq = (0.25 * pref2) * np.einsum("aqp,bqp->qab", weighted_d2, c.d2)
+                # a per-point product keeps its shape on any grid, so its
+                # bits do not depend on how many temperatures are swept; W
+                # and d2 are symmetric in (q, p), so summing each row gives
+                # every ordered pair half to q and half to p, q == p whole
+                nn, by_p = (by_n.reshape(-1, n_modes) @ n).reshape(2, 6, n_modes)
+                per6 = (0.25 * pref2) * ((nn + by_q) * n + by_p + fixed)
+                per_gsq = per6.T[:, _SYM]
             else:
                 per_gsq = (pref2 * resonant)[:, None, None] * diag_sq
             elastic = pref2 * (lumped * zero_freq * diag_d2_sq).sum(axis=1)
@@ -161,25 +172,36 @@ def lambda_second(c: CouplingTensors, bath: BathSpec, spin: SpinSystem) -> Secon
     return _one_point(c, bath, spin)[1]
 
 
-def _check_rates(first: FirstOrder, second: SecondOrder) -> None:
-    """Raise ValueError unless one point's rates are finite and physical.
+def _check_rates(lambda1, quartic, gsq, elastic, split1, split2, labels=None) -> None:
+    """Raise ValueError unless the rates of a point, or of a stack, are physical.
 
-    lambda1 and lambda2 symmetric PSD, the quartic part and the elastic
-    diagnostic nonnegative, each per-mode split summing to its total.
+    Finite; lambda1 and lambda2 = quartic + gsq symmetric PSD; the quartic
+    part and the elastic diagnostic nonnegative; the per-mode splits,
+    summed over modes, equal to their totals.  Arrays carry the stack's
+    axes first; a stack takes one eigen-solve per order, and a message
+    names its first failing point (see raise_first_failure).
     """
-    if not all(np.isfinite(v).all() for v in (*first, *second)):
-        raise ValueError("rates contain non-finite entries")
-    lambda2 = second.quartic + second.gsq
-    check_rate_matrix(first.matrix, "lambda1")
-    check_rate_matrix(lambda2, "lambda2")
-    if second.quartic.min() < 0.0:
-        raise ValueError("quartic part must be entrywise nonnegative")
-    if np.any(second.elastic < 0.0):
-        raise ValueError("elastic diagnostic must be nonnegative")
-    for total, per in ((first.matrix, first.per_mode), (lambda2, second.per_mode)):
-        dev = np.abs(per.sum(axis=0) - total).max()
-        if dev > 1e-10 * max(np.abs(total).max(), 1e-300):
-            raise ValueError(f"per-mode split does not sum to total ({dev:.3e})")
+    def per_point(v):
+        return np.reshape(v, np.shape(lambda1)[:-2] + (-1,))
+
+    def require(ok, subject, problem):
+        raise_first_failure(~ok, subject, problem, labels)
+
+    arrays = (lambda1, quartic, gsq, elastic, split1, split2)
+    require(np.logical_and.reduce([np.isfinite(per_point(v)).all(axis=-1) for v in arrays]),
+            "rates", "contain non-finite entries")
+    lambda2 = quartic + gsq
+    check_rate_matrix(lambda1, "lambda1", labels)
+    check_rate_matrix(lambda2, "lambda2", labels)
+    require(per_point(quartic).min(axis=-1) >= 0.0, "quartic part",
+            "must be entrywise nonnegative")
+    require(per_point(elastic).min(axis=-1) >= 0.0, "elastic diagnostic",
+            "must be nonnegative")
+    for total, split in ((lambda1, split1), (lambda2, split2)):
+        dev = np.abs(per_point(split - total)).max(axis=-1)
+        scale = np.maximum(np.abs(per_point(total)).max(axis=-1), 1e-300)
+        require(dev <= 1e-10 * scale, "per-mode split",
+                lambda i: f"does not sum to total ({np.ravel(dev)[i]:.3e})")
 
 
 # ------------------------------------------------------------------ tensor
@@ -214,11 +236,9 @@ class RelaxationTensor:
                 raise ValueError(f"{name} contains non-finite entries")
             v.setflags(write=False)
             object.__setattr__(self, name, v)
-        _check_rates(
-            FirstOrder(self.lambda1, self.per_mode_lambda1),
-            SecondOrder(self.lambda2_quartic, self.lambda2_gsq,
-                        self.per_mode_lambda2, self.elastic_dephasing),
-        )
+        _check_rates(self.lambda1, self.lambda2_quartic, self.lambda2_gsq,
+                     self.elastic_dephasing, self.per_mode_lambda1.sum(axis=0),
+                     self.per_mode_lambda2.sum(axis=0))
 
     @property
     def lambda2(self) -> np.ndarray:
@@ -465,22 +485,33 @@ def sweep(
     spins = [replace(spin, field_mt=spin.field_direction * b) for b in fields_mt]
     omegas = [s.larmor_cm() for s in spins]
     rows = [[None] * len(fields_mt) for _ in temperatures]
+    field = []
     for i, j, first, second in _rate_grid(c, bath, temperatures, spins):
-        _check_rates(first, second)
-        lambda2 = second.quartic + second.gsq
-        # lambda1 and lambda2 are checked, so their sum needs no check
-        times = _project(first.matrix + lambda2, spin.axis, convention)
-        rows[i][j] = SweepPoint(
-            temperature_k=temperatures[i],
-            field_mt=fields_mt[j],
-            omega_cm=omegas[j],
-            lambda1=first.matrix,
-            lambda2=lambda2,
-            lambda2_quartic=second.quartic,
-            lambda2_gsq=second.gsq,
-            t1_us=times.t1_us,
-            t2_us=times.t2_us,
-        )
+        # keep each point's totals, not its per-mode arrays, and check a
+        # field's points together once its last temperature is in
+        field.append((first.matrix, second.quartic, second.gsq, second.elastic,
+                      first.per_mode.sum(axis=0), second.per_mode.sum(axis=0)))
+        if i < len(temperatures) - 1:
+            continue
+        stacks = [np.array(v) for v in zip(*field)]
+        field = []
+        _check_rates(*stacks, [f"{t!r} K, {fields_mt[j]!r} mT" for t in temperatures])
+        lambda1, quartic, gsq = stacks[:3]
+        lambda2 = quartic + gsq
+        for k, temperature in enumerate(temperatures):
+            # lambda1 and lambda2 are checked, so their sum needs no check
+            times = _project(lambda1[k] + lambda2[k], spin.axis, convention)
+            rows[k][j] = SweepPoint(
+                temperature_k=temperature,
+                field_mt=fields_mt[j],
+                omega_cm=omegas[j],
+                lambda1=lambda1[k],
+                lambda2=lambda2[k],
+                lambda2_quartic=quartic[k],
+                lambda2_gsq=gsq[k],
+                t1_us=times.t1_us,
+                t2_us=times.t2_us,
+            )
     return [p for row in rows for p in row]
 
 

@@ -457,16 +457,18 @@ def test_validate_clean_dataset(dataset, capsys):
 
 
 def test_validate_checks_every_grid_point(dataset, monkeypatch, capsys):
-    # the sweep checks each point's rates once; fail the last of the four
+    # the sweep checks each field's points as one stack; make the last of
+    # the four points non-PSD and it is caught and named
     real = spinlat.relaxation.check_rate_matrix
-    lambda2_checks = []
+    lambda2_stacks = []
 
-    def fails_at_last_point(m, name):
+    def fails_at_last_point(m, name, labels=None):
         if name == "lambda2":
-            lambda2_checks.append(m)
-            if len(lambda2_checks) == 4:
-                raise ValueError("lambda2 has negative eigenvalue")
-        return real(m, name)
+            lambda2_stacks.append(m)
+            if len(lambda2_stacks) == 2:
+                m = m.copy()
+                m[-1] = np.diag([1e-3, -1e-3, 0.0])
+        return real(m, name, labels)
 
     monkeypatch.setattr(spinlat.relaxation, "check_rate_matrix", fails_at_last_point)
     code, stdout, _ = run("validate", "--modes", dataset["modes"],
@@ -475,6 +477,45 @@ def test_validate_checks_every_grid_point(dataset, monkeypatch, capsys):
                           capsys=capsys)
     assert code == 1
     assert re.search(r"CHECK tensor-psd +FAIL", stdout)
+    assert "(lambda2 at 300.0 K, 1266.0 mT is not PSD: eigenvalue" in stdout
+    assert [m.shape for m in lambda2_stacks] == [(2, 3, 3), (2, 3, 3)]
+
+
+def test_validate_solves_one_eigen_stack_per_field_and_order(dataset, monkeypatch,
+                                                              capsys):
+    # tensor-psd checks each field's lambda1 and lambda2 as stacks, and
+    # time-identity reuses the checked tensors without another solve
+    real = np.linalg.eigvalsh
+    shapes = []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    code, stdout, _ = run("validate", "--modes", dataset["modes"],
+                          "--manifest", dataset["manifest"],
+                          "--temp", "20,150,300", "--field-mt", "1000,1266",
+                          capsys=capsys)
+    assert code == 0
+    assert re.search(r"CHECK time-identity +PASS", stdout)
+    assert shapes == [(3, 3, 3)] * 4
+
+
+def test_sweep_failure_names_grid_point(dataset, monkeypatch, tmp_path, capsys):
+    real = spinlat.relaxation.bose_occupation
+
+    def occupation(omega_cm, temperature_k):
+        n = real(omega_cm, temperature_k)
+        return n * np.nan if temperature_k == 300.0 else n
+
+    monkeypatch.setattr(spinlat.relaxation, "bose_occupation", occupation)
+    code, _, err = run("sweep", "--modes", dataset["modes"],
+                       "--manifest", dataset["manifest"],
+                       "--temp", "20,300", "--field-mt", "1000,1266",
+                       "--out", str(tmp_path / "art"), capsys=capsys)
+    assert code == 1
+    assert "error: rates at 300.0 K, 1000.0 mT contain non-finite entries" in err
 
 
 def test_validate_incomplete_runs_fails(dataset, tmp_path, capsys):

@@ -240,6 +240,11 @@ def test_array_stencils_equal_loop_stencils(direction):
     d1, d2 = _loop_stencils(runset, b)
     assert np.array_equal(first_order_couplings(runset, direction), d1)
     assert np.array_equal(second_order_couplings(runset, direction)[0], d2)
+    # build_couplings projects on exactly the direction it stores
+    c = build_couplings(runset, direction)
+    d1, d2 = _loop_stencils(runset, c.field_direction)
+    assert np.array_equal(c.d1, d1)
+    assert np.array_equal(c.d2, d2)
 
 
 # ---------------------------------------------------------------- errors

@@ -443,6 +443,59 @@ def test_rate_matrix_check_is_shared():
             assert str(got.value) == str(shared.value)
 
 
+def _rate_matrix(kind, rng):
+    a = rng.standard_normal((3, 3)) * 10.0 ** rng.integers(-6, 3)
+    m = np.outer(a[0], a[0]) if kind == "rank1" else a @ a.T
+    if kind == "not_psd":
+        m = m - (np.linalg.eigvalsh(m)[0] + 1e-3 * np.trace(m)) * np.eye(3)
+    if kind == "asymmetric":
+        m[0, 1] += 1e-6 * max(np.abs(m).max(), 1.0)
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(["psd", "rank1", "not_psd", "asymmetric"]),
+                   min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    two_axes=st.booleans(),
+)
+def test_stacked_rate_check_matches_per_matrix_loop(kinds, seed, two_axes):
+    # one batched check gives the verdict and message of checking each
+    # matrix in flat order, the first failure named by its index
+    rng = np.random.default_rng(seed)
+    stack = np.array([_rate_matrix(kind, rng) for kind in kinds])
+    if two_axes and len(kinds) % 2 == 0:
+        stack = stack.reshape(2, -1, 3, 3)
+    expected = None
+    for idx in np.ndindex(stack.shape[:-2]):
+        try:
+            check_rate_matrix(stack[idx], f"lam at index {', '.join(map(str, idx))}")
+        except ValueError as e:
+            expected = str(e)
+            break
+    if expected is None:
+        check_rate_matrix(stack, "lam")
+    else:
+        with pytest.raises(ValueError) as got:
+            check_rate_matrix(stack, "lam")
+        assert str(got.value) == expected
+
+
+def test_failing_sweep_point_names_itself(monkeypatch):
+    # a non-finite occupation at 80 K fails that row; the message names
+    # its first point, in the field-by-field order of the checks
+    def occupation(omega_cm, temperature_k):
+        n = bose_occupation(omega_cm, temperature_k)
+        return n * np.nan if temperature_k == 80.0 else n
+
+    monkeypatch.setattr(spinlat.relaxation, "bose_occupation", occupation)
+    bath = BathSpec(temperature_k=1.0, raman_pairing="all_pairs")
+    with pytest.raises(ValueError) as got:
+        sweep(random_couplings(3), make_spin(), [40.0, 80.0], [1000.0, 2000.0], bath)
+    assert str(got.value) == "rates at 80.0 K, 1000.0 mT contain non-finite entries"
+
+
 # ------------------------------------------------------------ attribution
 
 def test_attribution_single_mode_full_share():
@@ -494,6 +547,10 @@ def test_sweep_single_point_matches_pipeline():
         (c, bath, [200.0], [1000.0]),
         (random_couplings(13), replace(bath, raman_pairing="all_pairs"),
          [80.0, 160.0, 240.0], [800.0, 1600.0]),
+        # N=40 on 60 x 2, so the per-point BLAS product runs at a size
+        # where a temperature-batched product would change its bits
+        (random_couplings(41, n=40), replace(bath, raman_pairing="all_pairs"),
+         list(np.linspace(5.0, 300.0, 60)), [500.0, 2000.0]),
     )
     for c, bath, temps, fields in cases:
         points = sweep(c, spin, temps, fields, bath)
