@@ -20,12 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PAIRING_MODES, BathSpec, GTensor, SpinSystem, raise_first_failure
+from .core import (PAIRING_MODES, RATE_CM_TO_PER_US, BathSpec, GTensor, SpinSystem,
+                   raise_first_failure)
 from .couplings import (
     CouplingTensors,
     build_couplings,
     export_couplings,
     load_couplings,
+    same_direction,
 )
 from .dynamics import (
     JumpBasisDissipator,
@@ -298,23 +300,31 @@ def _assemble_couplings(cfg: dict) -> tuple[CouplingTensors, np.ndarray | None]:
     """Couplings plus the baseline g matrix when runs are available.
 
     Records the finite-difference step the couplings were built with in
-    the config, so every artifact embeds the step actually used.
+    the config, so every artifact embeds the step actually used.  A
+    couplings file built along another field direction is refused.
     """
-    paths = cfg["paths"]
+    paths, direction = cfg["paths"], cfg["physics"]["field_direction"]
     if paths["couplings"] is not None:
         _validate_config(cfg, need=("couplings",))
         c, baseline = load_couplings(paths["couplings"]), None
+        if not same_direction(c.field_direction, direction):
+            raise UsageError(
+                f"physics.field_direction {direction} differs from "
+                f"{c.field_direction.tolist()}, the direction couplings file "
+                f"{paths['couplings']} was built along"
+            )
     else:
         _validate_config(cfg, need=("modes", "manifest"))
         modeset = parse_modes(paths["modes"])
         runset = load_run_set(paths["manifest"], modeset)
-        c = build_couplings(runset, field_direction=cfg["physics"]["field_direction"])
+        c = build_couplings(runset, field_direction=direction)
         baseline = runset.baseline
     cfg["numerics"]["delta_angstrom"] = c.delta_angstrom
     return c, baseline
 
 
-def _spin_system(cfg: dict, baseline_g, field_mt: float) -> SpinSystem:
+def _spin_system(cfg: dict, c: CouplingTensors, baseline_g, field_mt: float) -> SpinSystem:
+    """The spin in a field of field_mt along the couplings' direction."""
     phys = cfg["physics"]
     if baseline_g is None:
         if phys["g0"] is None:
@@ -322,12 +332,10 @@ def _spin_system(cfg: dict, baseline_g, field_mt: float) -> SpinSystem:
                 "physics.g0 is required when starting from a couplings file"
             )
         baseline_g = np.asarray(phys["g0"], dtype=float)
-    direction = np.asarray(phys["field_direction"], dtype=float)
-    direction = direction / np.linalg.norm(direction)
     return SpinSystem(
         g0=GTensor(baseline_g),
-        field_mt=direction * field_mt,
-        axis=direction,
+        field_mt=c.field_direction * field_mt,
+        axis=c.field_direction,
         omega_override_cm=phys["omega_override_cm"],
     )
 
@@ -412,7 +420,7 @@ def _cmd_tensor(args: argparse.Namespace, cfg: dict) -> int:
     phys = cfg["physics"]
     temperature = _single(phys["temperatures_k"], "tensor --temp")
     field = _single(phys["fields_mt"], "tensor --field-mt")
-    spin = _spin_system(cfg, baseline, field)
+    spin = _spin_system(cfg, c, baseline, field)
     tensor = build_tensor(c, _bath(cfg, c, temperature), spin)
     report = tensor_report(tensor, axis=spin.axis, top_m=args.top)
     report["config"] = cfg
@@ -430,7 +438,7 @@ def _cmd_tensor(args: argparse.Namespace, cfg: dict) -> int:
 def _cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     c, baseline = _assemble_couplings(cfg)
     phys = cfg["physics"]
-    points = _sweep_grid(cfg, c, _spin_system(cfg, baseline, 1.0))
+    points = _sweep_grid(cfg, c, _spin_system(cfg, c, baseline, 1.0))
     out = _outdir(cfg)
     header = _config_comment(cfg)
     (out / "sweep.csv").write_text(header + "\n" + sweep_csv(points))
@@ -457,7 +465,7 @@ def _cmd_attribute(args: argparse.Namespace, cfg: dict) -> int:
     phys = cfg["physics"]
     temperature = _single(phys["temperatures_k"], "attribute --temp")
     field = _single(phys["fields_mt"], "attribute --field-mt")
-    spin = _spin_system(cfg, baseline, field)
+    spin = _spin_system(cfg, c, baseline, field)
     att = mode_attribution(c, _bath(cfg, c, temperature), spin, top_m=args.top)
     rows = [
         {
@@ -483,7 +491,7 @@ def _cmd_dynamics(args: argparse.Namespace, cfg: dict) -> int:
     phys, num = cfg["physics"], cfg["numerics"]
     temperature = _single(phys["temperatures_k"], "dynamics --temp")
     field = _single(phys["fields_mt"], "dynamics --field-mt")
-    spin = _spin_system(cfg, baseline, field)
+    spin = _spin_system(cfg, c, baseline, field)
     bath = _bath(cfg, c, temperature)
     tensor = build_tensor(c, bath, spin)
     analytic = relaxation_times(tensor, axis=spin.axis, convention="lindblad")
@@ -582,19 +590,21 @@ def _cmd_validate(args: argparse.Namespace, cfg: dict) -> int:
     def tensors():
         # sweep runs RelaxationTensor's checks (finite, symmetric PSD, split
         # sums) on each field's grid points at once, naming a failing point
-        state["spin"] = _spin_system(cfg, state["runset"].baseline, 1.0)
+        state["spin"] = _spin_system(cfg, state["c"], state["runset"].baseline, 1.0)
         state["points"] = _sweep_grid(cfg, state["c"], state["spin"])
 
     def identity():
-        # criterion 08 on the sweep's checked tensors, stacked: no eigen-solve
-        points, axis = state["points"], state["spin"].axis
-        lam = np.array([p.lambda1 + p.lambda2 for p in points])
-        trace, longitudinal = np.trace(lam, axis1=1, axis2=2), lam @ axis @ axis
-        rate1, rate2 = 2.0 * longitudinal, trace - longitudinal
-        rhs = trace - 0.5 * rate1
-        dev = np.abs(rate2 - rhs)
+        # criterion 08 on the rows' reported times, stacked, no eigen-solve:
+        # 1/T2 + 1/(2 T1) is Tr L (projection) or 2 Tr L (lindblad)
+        points = state["points"]
+        rate1, rate2 = (1.0 / np.array([(p.t1_us, p.t2_us) for p in points])
+                        / RATE_CM_TO_PER_US).T
+        trace = np.trace(np.array([p.lambda1 + p.lambda2 for p in points]),
+                         axis1=1, axis2=2)
+        scale = 1.0 if phys["convention"] == "projection" else 2.0
+        dev = np.abs(rate2 + 0.5 * rate1 - scale * trace)
         raise_first_failure(
-            ~(dev <= 1e-12 * np.maximum(np.abs(rhs), 1e-300)), "T2 identity",
+            ~(dev <= 1e-12 * trace), "T2 identity",
             lambda i: f"violated by {dev[i]:.3e}",
             [f"{p.temperature_k!r} K, {p.field_mt!r} mT" for p in points])
 

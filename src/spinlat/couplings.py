@@ -95,60 +95,6 @@ class CouplingTensors:
         return self.frequencies.size
 
 
-def _singles(runset: DisplacedGTensorSet, b: np.ndarray) -> np.ndarray:
-    """Projected single runs (N, 2, 3): [:, 0] stepped +delta, [:, 1] -delta."""
-    s, n = runset.singles, runset.modeset.nmodes
-    try:
-        return np.array([[s[(k, +1)], s[(k, -1)]] for k in range(n)], dtype=float) @ b
-    except KeyError:
-        missing = [(k + 1, "+" if sign > 0 else "-")
-                   for k in range(n) for sign in (+1, -1) if (k, sign) not in s]
-        raise ValueError(f"run set lacks single displacements: {missing}") from None
-
-
-def first_order_couplings(
-    runset: DisplacedGTensorSet, field_direction=(0.0, 0.0, 1.0)
-) -> np.ndarray:
-    """Central-difference d(g.b)_a/dx_q, shape (3, nmodes)."""
-    return _first_order(runset, _singles(runset, _unit(field_direction)))
-
-
-def _first_order(runset: DisplacedGTensorSet, g: np.ndarray) -> np.ndarray:
-    dx = dimensionless_steps(runset.modeset, runset.delta_angstrom)
-    return ((g[:, 0] - g[:, 1]) / (2.0 * dx)[:, None]).T
-
-
-def second_order_couplings(
-    runset: DisplacedGTensorSet, field_direction=(0.0, 0.0, 1.0)
-) -> tuple[np.ndarray, bool]:
-    """Second derivatives d2 (3, N, N) and whether mixed entries were computed.
-
-    Diagonal entries use the three-point stencil through the baseline.
-    Mixed entries need the four sign combinations of a displaced pair;
-    without pair runs they are left at zero and flagged.
-    """
-    b = _unit(field_direction)
-    return _second_order(runset, b, _singles(runset, b))
-
-
-def _second_order(runset: DisplacedGTensorSet, b: np.ndarray, g: np.ndarray):
-    """second_order_couplings for unit b and the singles g projected on it."""
-    dx = dimensionless_steps(runset.modeset, runset.delta_angstrom)
-    n = runset.modeset.nmodes
-    d2 = np.zeros((3, n, n))
-    g0 = np.asarray(runset.baseline, dtype=float) @ b
-    diag = np.arange(n)
-    d2[:, diag, diag] = ((g[:, 0] - 2.0 * g0 + g[:, 1]) / (dx ** 2)[:, None]).T
-
-    if runset.pairs:
-        k, kp, q = _pair_quads(runset.pairs, n, b)
-        mixed = ((q[:, 0] - q[:, 1] - q[:, 2] + q[:, 3])
-                 / (4.0 * dx[k] * dx[kp])[:, None]).T
-        d2[:, k, kp] = mixed
-        d2[:, kp, k] = mixed
-    return d2, bool(runset.pairs)
-
-
 def _pair_quads(pairs: dict, n: int, b: np.ndarray):
     """Mode indices k < kp, each (P,), and projected runs (P, 4, 3) per pair.
 
@@ -171,19 +117,38 @@ def _pair_quads(pairs: dict, n: int, b: np.ndarray):
 def build_couplings(
     runset: DisplacedGTensorSet, field_direction=(0.0, 0.0, 1.0)
 ) -> CouplingTensors:
-    # project the singles once, on exactly the direction the tensors store
+    """Central-difference derivatives of g . b, b the unit field direction.
+
+    Diagonal d2 entries use the three-point stencil through the baseline.
+    Mixed entries need the four sign combinations of a displaced pair;
+    without pair runs they are left at zero and flagged.  Every run is
+    projected on exactly the b the tensors store.
+    """
     b = _unit(field_direction)
-    g = _singles(runset, b)
-    d1 = _first_order(runset, g)
-    d2, mixed = _second_order(runset, b, g)
-    ms = runset.modeset
+    ms, s = runset.modeset, runset.singles
+    n = ms.nmodes
+    missing = [(k + 1, "+" if sign > 0 else "-")
+               for k in range(n) for sign in (+1, -1) if (k, sign) not in s]
+    if missing:
+        raise ValueError(f"run set lacks single displacements: {missing}")
+    g = np.array([[s[(k, +1)], s[(k, -1)]] for k in range(n)], dtype=float) @ b
+    dx = dimensionless_steps(ms, runset.delta_angstrom)
+    d1 = ((g[:, 0] - g[:, 1]) / (2.0 * dx)[:, None]).T
+    d2 = np.zeros((3, n, n))
+    diag = np.arange(n)
+    d2[:, diag, diag] = ((g[:, 0] - 2.0 * (runset.baseline @ b) + g[:, 1])
+                         / (dx ** 2)[:, None]).T
+    if runset.pairs:
+        k, kp, q = _pair_quads(runset.pairs, n, b)
+        d2[:, k, kp] = d2[:, kp, k] = ((q[:, 0] - q[:, 1] - q[:, 2] + q[:, 3])
+                                       / (4.0 * dx[k] * dx[kp])[:, None]).T
     return CouplingTensors(
         d1=d1,
         d2=d2,
         delta_angstrom=runset.delta_angstrom,
         frequencies=ms.frequencies.copy(),
         field_direction=b,
-        mixed_computed=mixed,
+        mixed_computed=bool(runset.pairs),
         source_indices=ms.source_indices.copy(),
     )
 
@@ -212,20 +177,11 @@ class ConvergenceReport:
 
 
 def convergence_check(
-    full,
-    half,
-    threshold: float = 0.05,
-    field_direction=(0.0, 0.0, 1.0),
+    full: CouplingTensors, half: CouplingTensors, threshold: float = 0.05
 ) -> ConvergenceReport:
-    """Compare builds at delta and delta/2; accepts run sets or tensors."""
-    if isinstance(full, DisplacedGTensorSet):
-        full = build_couplings(full, field_direction)
-    if isinstance(half, DisplacedGTensorSet):
-        half = build_couplings(half, field_direction)
+    """Compare couplings built at delta and delta/2 along one field direction."""
     if full.nmodes != half.nmodes:
-        raise ValueError(
-            f"mode count mismatch: {full.nmodes} vs {half.nmodes}"
-        )
+        raise ValueError(f"mode count mismatch: {full.nmodes} vs {half.nmodes}")
     if not np.allclose(full.frequencies, half.frequencies, rtol=1e-12):
         raise ValueError("frequency grids differ between coupling sets")
     if abs(half.delta_angstrom - 0.5 * full.delta_angstrom) > 1e-12 * full.delta_angstrom:
@@ -233,6 +189,9 @@ def convergence_check(
             f"half set must use delta/2: {half.delta_angstrom} vs "
             f"{full.delta_angstrom}"
         )
+    if not same_direction(full.field_direction, half.field_direction):
+        raise ValueError(f"coupling sets built along different field directions: "
+                         f"{full.field_direction.tolist()} vs {half.field_direction.tolist()}")
 
     def compare(a_full, a_half):
         rich = (4.0 * a_half - a_full) / 3.0
@@ -242,17 +201,14 @@ def convergence_check(
 
     r1, dev1 = compare(full.d1, half.d1)
     r2, dev2 = compare(full.d2, half.d2)
-    flagged = [("d1", *idx) for idx in zip(*np.nonzero(dev1 > threshold))]
-    flagged += [("d2", *idx) for idx in zip(*np.nonzero(dev2 > threshold))]
     return ConvergenceReport(
         d1_richardson=r1,
         d2_richardson=r2,
         d1_deviation=dev1,
         d2_deviation=dev2,
         threshold=threshold,
-        flagged=tuple(
-            (name, *(int(i) for i in idx)) for name, *idx in flagged
-        ),
+        flagged=tuple((name, *map(int, idx)) for name, dev in (("d1", dev1), ("d2", dev2))
+                      for idx in zip(*np.nonzero(dev > threshold))),
     )
 
 
@@ -285,22 +241,55 @@ def export_couplings(c: CouplingTensors, path=None, config=None) -> str:
 
 
 def load_couplings(source) -> CouplingTensors:
-    """Couplings from a path, or from JSON text given as a str (see read_source)."""
-    doc = json.loads(read_source(source))
+    """Couplings from a path, or from JSON text given as a str (see read_source).
+
+    A malformed document raises ValueError naming the file and the key.
+    """
+    text = read_source(source)
+    where = "couplings text" if text is source else f"couplings file {source}"
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{where} is not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
     if doc.get("format") != COUPLINGS_FORMAT:
-        raise ValueError(
-            f"unsupported couplings format {doc.get('format')!r}, "
-            f"expected {COUPLINGS_FORMAT!r}"
-        )
-    return CouplingTensors(
-        d1=np.array(doc["d1"], dtype=float),
-        d2=np.array(doc["d2"], dtype=float),
-        delta_angstrom=float(doc["delta_angstrom"]),
-        frequencies=np.array(doc["frequencies_cm"], dtype=float),
-        field_direction=np.array(doc["field_direction"], dtype=float),
-        mixed_computed=bool(doc["mixed_computed"]),
-        source_indices=np.array(doc["source_indices"], dtype=int),
-    )
+        raise ValueError(f"{where}: unsupported couplings format {doc.get('format')!r}, "
+                         f"expected {COUPLINGS_FORMAT!r}")
+
+    def get(key: str):
+        if key not in doc:
+            raise ValueError(f"{where} has no {key!r}")
+        return doc[key]
+
+    def array(key: str, kinds: str = "if") -> np.ndarray:
+        value = get(key)
+        try:
+            arr = np.array(value)
+        except ValueError:  # ragged nesting
+            arr = np.array(None)
+        if arr.dtype.kind not in kinds:  # ragged, or text, null or bool leaves
+            raise ValueError(f"{where}: {key!r} must be an array of "
+                             f"{'integers' if kinds == 'i' else 'numbers'}")
+        return arr
+
+    delta, mixed = get("delta_angstrom"), get("mixed_computed")
+    if not (type(delta) in (int, float) and 0.0 < delta < np.inf):
+        raise ValueError(f"{where}: 'delta_angstrom' must be a positive number")
+    if type(mixed) is not bool:
+        raise ValueError(f"{where}: 'mixed_computed' must be true or false")
+    values = dict(d1=array("d1"), d2=array("d2"), delta_angstrom=float(delta),
+                  frequencies=array("frequencies_cm"), field_direction=array("field_direction"),
+                  mixed_computed=mixed, source_indices=array("source_indices", "i"))
+    try:
+        return CouplingTensors(**values)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
+
+
+def same_direction(a, b) -> bool:
+    """Whether two field directions agree, once made unit, within 1e-10."""
+    return bool(np.abs(_unit(a) - _unit(b)).max() <= 1e-10)
 
 
 def _unit(v) -> np.ndarray:

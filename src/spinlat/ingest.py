@@ -461,10 +461,6 @@ class DisplacedGTensorSet:
         _check_matrices("single", self.singles)
         _check_matrices("pair", self.pairs)
 
-    def complete_singles(self) -> bool:
-        n = self.modeset.nmodes
-        return all((k, s) in self.singles for k in range(n) for s in (+1, -1))
-
 
 def _check_matrices(kind: str, entries: dict) -> None:
     """Raise naming the first entry that is not a finite 3x3 g matrix."""

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,81 @@ def test_tensor_from_couplings_file_needs_g0(dataset, tmp_path, capsys):
                      "--couplings", str(out / "couplings.json"),
                      "--temp", "20", "--field-mt", "1266", "--out", str(out))
     assert code == 0
+
+
+def _g0_config(tmp_path, dataset) -> str:
+    """A config file holding the dataset's baseline g matrix as physics.g0."""
+    baseline = load_run_set(dataset["manifest"], dataset["modeset"]).baseline
+    cfgfile = tmp_path / "g0.json"
+    cfgfile.write_text(json.dumps({"format": "spinlat-config/1",
+                                   "physics": {"g0": baseline.tolist()}}))
+    return str(cfgfile)
+
+
+@pytest.mark.parametrize("command", ["tensor", "sweep", "attribute", "dynamics"])
+def test_couplings_file_from_other_direction_exits_2(dataset, tmp_path, capsys,
+                                                      command):
+    # the couplings hold g projected on the field direction they were built
+    # along; run along another direction, they would give wrong times
+    built = tmp_path / "built"
+    assert run("couplings", "--modes", dataset["modes"],
+               "--manifest", dataset["manifest"], "--out", str(built))[0] == 0
+    out = tmp_path / "art"
+    code, _, err = run(command, "--config", _g0_config(tmp_path, dataset),
+                       "--couplings", str(built / "couplings.json"),
+                       "--temp", "20", "--field-mt", "1266", "--field-dir", "1,0,0",
+                       "--out", str(out), capsys=capsys)
+    assert code == 2, err
+    assert "physics.field_direction" in err and "couplings.json" in err
+    assert not out.exists()
+
+
+def test_couplings_file_matches_runs_along_any_direction(dataset, tmp_path):
+    built = tmp_path / "built"
+    assert run("couplings", "--modes", dataset["modes"],
+               "--manifest", dataset["manifest"], "--field-dir", "1,-2,-2",
+               "--out", str(built))[0] == 0
+    flags = ("--temp", "20", "--field-mt", "1266", "--field-dir", "1,-2,-2")
+    assert run("tensor", "--config", _g0_config(tmp_path, dataset),
+               "--couplings", str(built / "couplings.json"), *flags,
+               "--out", str(tmp_path / "file"))[0] == 0
+    assert run("tensor", "--modes", dataset["modes"],
+               "--manifest", dataset["manifest"], *flags,
+               "--out", str(tmp_path / "runs"))[0] == 0
+    from_file, from_runs = (json.loads((tmp_path / d / "tensor.json").read_text())
+                            for d in ("file", "runs"))
+    for key in ("lambda1", "lambda2", "times_us"):
+        assert from_file[key] == from_runs[key], key
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda doc: {k: v for k, v in doc.items() if k != "d2"}, "has no 'd2'"),
+    (lambda doc: {**doc, "mixed_computed": "no"}, "'mixed_computed' must be"),
+    (lambda doc: {**doc, "source_indices": [1.5, 2.7, 3.1]},
+     "'source_indices' must be an array of integers"),
+    (lambda doc: {**doc, "delta_angstrom": "0.01"}, "'delta_angstrom' must be"),
+    (lambda doc: {**doc, "d1": [[0.0, "x", 0.0]] * 3}, "'d1' must be an array"),
+    (lambda doc: {**doc, "d1": [[0.0] * 3, [0.0] * 2, [0.0] * 3]},
+     "'d1' must be an array"),
+    (lambda doc: {**doc, "frequencies_cm": [12.6, 45.0]}, "d1 must be (3, 2)"),
+    (lambda doc: [doc], "must be a JSON object"),
+    (lambda doc: "{not json", "is not valid JSON"),
+], ids=["no-d2", "text-mixed", "float-indices", "text-delta", "text-entry",
+        "ragged-d1", "short-frequencies", "top-level-array", "not-json"])
+def test_malformed_couplings_file_exits_1(dataset, tmp_path, capsys, edit, named):
+    built = tmp_path / "built"
+    assert run("couplings", "--modes", dataset["modes"],
+               "--manifest", dataset["manifest"], "--out", str(built))[0] == 0
+    doc = edit(json.loads((built / "couplings.json").read_text()))
+    broken = tmp_path / "broken.json"
+    broken.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    code, _, err = run("tensor", "--config", _g0_config(tmp_path, dataset),
+                       "--couplings", str(broken), "--temp", "20",
+                       "--field-mt", "1266", "--out", str(tmp_path / "art"),
+                       capsys=capsys)
+    assert code == 1, err
+    assert f"error: couplings file {broken}" in err
+    assert named in err
 
 
 # ---------------------------------------------------------------- sweep
@@ -454,6 +530,33 @@ def test_validate_clean_dataset(dataset, capsys):
     lines = [l for l in stdout.strip().split("\n") if l.startswith("CHECK")]
     assert len(lines) == 6
     assert all(line.endswith("PASS") for line in lines)
+
+
+@pytest.mark.parametrize("convention", ["projection", "lindblad"])
+def test_validate_time_identity_checks_reported_times(dataset, monkeypatch, capsys,
+                                                      convention):
+    # the identity is checked on the times the sweep rows report, so a T2
+    # that does not follow from the row's own tensor fails it
+    def clean():
+        return run("validate", "--modes", dataset["modes"],
+                   "--manifest", dataset["manifest"], "--temp", "20,300",
+                   "--field-mt", "1000,1266", "--convention", convention,
+                   capsys=capsys)
+
+    code, stdout, _ = clean()
+    assert code == 0 and re.search(r"CHECK time-identity +PASS", stdout)
+    real = spinlat.cli.sweep
+
+    def corrupt_t2(*args, **kwargs):
+        points = real(*args, **kwargs)
+        points[-1] = replace(points[-1], t2_us=points[-1].t2_us * (1.0 + 1e-9))
+        return points
+
+    monkeypatch.setattr(spinlat.cli, "sweep", corrupt_t2)
+    code, stdout, _ = clean()
+    assert code == 1
+    assert re.search(r"CHECK time-identity +FAIL  \(T2 identity at 300.0 K, "
+                     r"1266.0 mT violated by", stdout), stdout
 
 
 def test_validate_checks_every_grid_point(dataset, monkeypatch, capsys):

@@ -13,9 +13,7 @@ from spinlat.couplings import (
     convergence_check,
     dimensionless_steps,
     export_couplings,
-    first_order_couplings,
     load_couplings,
-    second_order_couplings,
 )
 from spinlat.ingest import DisplacedGTensorSet, sample_g_surface
 
@@ -159,9 +157,9 @@ def test_single_mode_quadratic_recovers_coefficients(toy_modes):
         return g
 
     runset = sample_g_surface(toy_modes, gfun, pairing="all_pairs")
-    d1 = first_order_couplings(runset)
-    d2, mixed = second_order_couplings(runset)
-    assert mixed
+    c = build_couplings(runset)
+    d1, d2 = c.d1, c.d2
+    assert c.mixed_computed
     assert d1[2, 0] == pytest.approx(bcoef, rel=1e-12)
     assert d2[2, 0, 0] == pytest.approx(2.0 * ccoef, rel=1e-12)
     # other modes see a constant surface through their own stencils
@@ -212,7 +210,8 @@ def test_sign_gauge_flip_relabels_consistently(toy_modes):
 
 
 def _loop_stencils(runset, b):
-    """The per-mode and per-pair stencil loops the array code replaced."""
+    """Per-mode and per-pair stencil loops: the bitwise reference for the
+    array stencils of build_couplings."""
     dx = dimensionless_steps(runset.modeset, runset.delta_angstrom)
     n = runset.modeset.nmodes
     d1, d2 = np.empty((3, n)), np.zeros((3, n, n))
@@ -236,13 +235,11 @@ def test_array_stencils_equal_loop_stencils(direction):
     ms = make_modeset(natoms=4, nmodes=7, frequencies=np.linspace(15.0, 300.0, 7))
     gfun, _, _ = quadratic_surface(ms, seed=11)
     runset = sample_g_surface(ms, gfun, pairing="all_pairs")
-    b = np.asarray(direction, dtype=float) / np.linalg.norm(direction)
-    d1, d2 = _loop_stencils(runset, b)
-    assert np.array_equal(first_order_couplings(runset, direction), d1)
-    assert np.array_equal(second_order_couplings(runset, direction)[0], d2)
-    # build_couplings projects on exactly the direction it stores
     c = build_couplings(runset, direction)
-    d1, d2 = _loop_stencils(runset, c.field_direction)
+    # the runs are projected on exactly the unit direction the tensors store
+    b = np.asarray(direction, dtype=float) / np.linalg.norm(direction)
+    assert np.array_equal(c.field_direction, b)
+    d1, d2 = _loop_stencils(runset, b)
     assert np.array_equal(c.d1, d1)
     assert np.array_equal(c.d2, d2)
 
@@ -262,7 +259,7 @@ def test_missing_single_names_mode(toy_modes):
         pairs={},
     )
     with pytest.raises(ValueError, match=r"\(2, '-'\)"):
-        first_order_couplings(broken)
+        build_couplings(broken)
 
 
 def test_incomplete_pair_names_pair(toy_modes):
@@ -278,7 +275,7 @@ def test_incomplete_pair_names_pair(toy_modes):
         pairs=pairs,
     )
     with pytest.raises(ValueError, match=r"pair \(1, 3\)"):
-        second_order_couplings(broken)
+        build_couplings(broken)
 
 
 def test_diagonal_only_flags_mixed_not_computed(toy_modes):
@@ -295,8 +292,10 @@ def test_diagonal_only_flags_mixed_not_computed(toy_modes):
 
 def test_convergence_exact_polynomial_all_clean(toy_modes):
     gfun, _, _ = quadratic_surface(toy_modes)
-    full = sample_g_surface(toy_modes, gfun, delta=0.02, pairing="all_pairs")
-    half = sample_g_surface(toy_modes, gfun, delta=0.01, pairing="all_pairs")
+    full = build_couplings(sample_g_surface(toy_modes, gfun, delta=0.02,
+                                            pairing="all_pairs"))
+    half = build_couplings(sample_g_surface(toy_modes, gfun, delta=0.01,
+                                            pairing="all_pairs"))
     report = convergence_check(full, half)
     assert isinstance(report, ConvergenceReport)
     assert report.ok
@@ -311,8 +310,10 @@ def test_convergence_flags_noise_amplification(toy_modes):
     def noisy(positions):
         return gfun(positions) + 1e-6 * rng.standard_normal((3, 3))
 
-    full = sample_g_surface(toy_modes, noisy, delta=0.02, pairing="all_pairs")
-    half = sample_g_surface(toy_modes, noisy, delta=0.01, pairing="all_pairs")
+    full = build_couplings(sample_g_surface(toy_modes, noisy, delta=0.02,
+                                            pairing="all_pairs"))
+    half = build_couplings(sample_g_surface(toy_modes, noisy, delta=0.01,
+                                            pairing="all_pairs"))
     report = convergence_check(full, half, threshold=0.05)
     assert not report.ok
     assert any(name == "d2" for name, *_ in report.flagged)
@@ -320,8 +321,8 @@ def test_convergence_flags_noise_amplification(toy_modes):
 
 def test_convergence_rejects_wrong_half_delta(toy_modes):
     gfun, _, _ = quadratic_surface(toy_modes)
-    full = sample_g_surface(toy_modes, gfun, delta=0.02)
-    bad_half = sample_g_surface(toy_modes, gfun, delta=0.015)
+    full = build_couplings(sample_g_surface(toy_modes, gfun, delta=0.02))
+    bad_half = build_couplings(sample_g_surface(toy_modes, gfun, delta=0.015))
     with pytest.raises(ValueError, match="delta/2"):
         convergence_check(full, bad_half)
 
@@ -332,6 +333,15 @@ def test_convergence_rejects_mode_count_mismatch(toy_modes):
     full = build_couplings(sample_g_surface(toy_modes, gfun, delta=0.02))
     half = build_couplings(sample_g_surface(other, gfun, delta=0.01))
     with pytest.raises(ValueError, match="mode count"):
+        convergence_check(full, half)
+
+
+def test_convergence_rejects_other_field_direction(toy_modes):
+    gfun, _, _ = quadratic_surface(toy_modes)
+    full = build_couplings(sample_g_surface(toy_modes, gfun, delta=0.02))
+    half = build_couplings(sample_g_surface(toy_modes, gfun, delta=0.01),
+                           field_direction=(1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="different field directions"):
         convergence_check(full, half)
 
 

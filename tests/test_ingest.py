@@ -266,7 +266,7 @@ def test_write_and_load_run_set(tmp_path, toy_modes):
     rs = load_run_set(mpath, toy_modes)
     assert isinstance(rs, DisplacedGTensorSet)
     assert rs.delta_angstrom == 0.02
-    assert rs.complete_singles()
+    assert set(rs.singles) == {(k, s) for k in range(3) for s in (+1, -1)}
     assert len(rs.pairs) == 12
     np.testing.assert_allclose(rs.baseline, REFERENCE_G, rtol=1e-12)
 
@@ -317,7 +317,7 @@ def test_sample_g_surface_diagonal_only_has_no_pairs(toy_modes):
     gfun = _linear_g_surface(toy_modes.geometry.positions)
     rs = sample_g_surface(toy_modes, gfun, order=2, pairing="diagonal_only")
     assert not rs.pairs
-    assert rs.complete_singles()
+    assert set(rs.singles) == {(k, s) for k in range(toy_modes.nmodes) for s in (+1, -1)}
 
 
 def test_read_source_one_rule_for_text_and_paths(tmp_path, monkeypatch):
