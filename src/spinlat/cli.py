@@ -487,6 +487,11 @@ def _cmd_attribute(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def _cmd_dynamics(args: argparse.Namespace, cfg: dict) -> int:
+    if args.engine == "redfield" and cfg["physics"]["pairing"] == "all_pairs":
+        # the Redfield bath has no two-phonon pair channel, so it would
+        # silently run the diagonal_only bath
+        raise UsageError("physics.pairing 'all_pairs' is not supported by "
+                         "--engine redfield; use 'diagonal_only'")
     c, baseline = _assemble_couplings(cfg)
     phys, num = cfg["physics"], cfg["numerics"]
     temperature = _single(phys["temperatures_k"], "dynamics --temp")

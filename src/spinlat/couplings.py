@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -268,7 +269,8 @@ def load_couplings(source) -> CouplingTensors:
             arr = np.array(value)
         except ValueError:  # ragged nesting
             arr = np.array(None)
-        if arr.dtype.kind not in kinds:  # ragged, or text, null or bool leaves
+        # ragged, or text, null or bool leaves
+        if arr.dtype.kind not in kinds or _holds_bool(value, arr):
             raise ValueError(f"{where}: {key!r} must be an array of "
                              f"{'integers' if kinds == 'i' else 'numbers'}")
         return arr
@@ -285,6 +287,19 @@ def load_couplings(source) -> CouplingTensors:
         return CouplingTensors(**values)
     except ValueError as e:
         raise ValueError(f"{where}: {e}") from None
+
+
+def _holds_bool(value, arr: np.ndarray) -> bool:
+    """Whether the nested list that NumPy read as the numbers arr holds a bool.
+
+    NumPy reads true and false among numbers as 1 and 0, so only an
+    array holding a 0 or a 1 has its leaves scanned.
+    """
+    if arr.ndim == 0 or not ((arr == 0) | (arr == 1)).any():
+        return False
+    for _ in range(arr.ndim - 1):
+        value = chain.from_iterable(value)
+    return bool in map(type, value)
 
 
 def same_direction(a, b) -> bool:

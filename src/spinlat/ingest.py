@@ -523,21 +523,21 @@ def _mode_sign(mode, sign, n: int, where: str) -> tuple[int, int]:
         raise ParseError(f"{where}: bad sign {sign!r}") from None
 
 
-def _planned_runs(doc: dict, n: int) -> tuple[list, list]:
-    """DisplacedGTensorSet keys of the single and of the pair runs.
+def _planned_runs(doc: dict, n: int) -> tuple[dict, dict]:
+    """DisplacedGTensorSet key -> result path, of the single and of the pair runs.
 
     Keys come in manifest order, pairs in canonical k < kp order.  Every
     entry is checked, and a displacement listed twice is refused, before
     any result file is read.
     """
-    singles, pairs = [], []
+    singles, pairs = {}, {}
     for i, run in enumerate(doc["runs"]):
         where = f"manifest runs[{i}]"
-        mode, sign, _ = _fields(run, where, ("mode", "sign", "path"))
-        singles.append(_mode_sign(mode, sign, n, where))
+        mode, sign, path = _fields(run, where, ("mode", "sign", "path"))
+        _add_run(singles, _mode_sign(mode, sign, n, where), path, "runs", i)
     for i, run in enumerate(doc["pairs"]):
         where = f"manifest pairs[{i}]"
-        modes, signs, _ = _fields(run, where, ("modes", "signs", "path"))
+        modes, signs, path = _fields(run, where, ("modes", "signs", "path"))
         if not (type(modes) is type(signs) is list and len(modes) == len(signs) == 2):
             raise ParseError(f"{where}: modes {modes!r} and signs {signs!r} "
                              "must list two each")
@@ -545,15 +545,17 @@ def _planned_runs(doc: dict, n: int) -> tuple[list, list]:
         kb, sb = _mode_sign(modes[1], signs[1], n, where)
         if ka == kb:
             raise ParseError(f"{where}: pair repeats mode {ka + 1}")
-        pairs.append((ka, kb, sa, sb) if ka < kb else (kb, ka, sb, sa))
-    for section, keys in (("runs", singles), ("pairs", pairs)):
-        if len(set(keys)) < len(keys):
-            first: dict = {}
-            for i, key in enumerate(keys):
-                if first.setdefault(key, i) != i:
-                    raise ParseError(f"manifest {section}[{first[key]}] and "
-                                     f"{section}[{i}] list the same displacement")
+        key = (ka, kb, sa, sb) if ka < kb else (kb, ka, sb, sa)
+        _add_run(pairs, key, path, "pairs", i)
     return singles, pairs
+
+
+def _add_run(runs: dict, key: tuple, path: str, section: str, i: int) -> None:
+    """Add manifest entry section[i] to runs, refusing a repeated displacement."""
+    if key in runs:
+        raise ParseError(f"manifest {section}[{list(runs).index(key)}] and "
+                         f"{section}[{i}] list the same displacement")
+    runs[key] = path
 
 
 def _label(key: tuple) -> tuple:
@@ -565,10 +567,11 @@ def _label(key: tuple) -> tuple:
 def load_run_set(manifest_path, modeset: ModeSet) -> DisplacedGTensorSet:
     """Assemble a DisplacedGTensorSet from a run manifest.
 
-    Result paths are resolved relative to the manifest location.  A
+    Result paths are resolved relative to the manifest location.  Each
+    result is read to its end as UTF-8 text, with any line ending.  A
     missing baseline or missing runs abort with the full list of gaps;
     mode numbers in the report are 1-based.  A result that cannot be
-    parsed aborts naming its path as the manifest gives it.
+    decoded or parsed aborts naming its path as the manifest gives it.
     """
     doc = load_manifest(manifest_path)
     root = os.path.dirname(manifest_path)
@@ -577,19 +580,28 @@ def load_run_set(manifest_path, modeset: ModeSet) -> DisplacedGTensorSet:
         raise ParseError(f"manifest delta_angstrom {delta!r} is not a positive number")
     (baseline_path,) = _fields(doc, "manifest", ("baseline",))
     singles, pairs = _planned_runs(doc, modeset.nmodes)
-    paths = [baseline_path] + [run["path"] for run in doc["runs"] + doc["pairs"]]
     del doc  # every entry is checked; free it before the results are read
+    paths = [baseline_path, *singles.values(), *pairs.values()]
     stack = np.empty((len(paths), 9))  # one parsed result per row
 
     def read(i: int) -> bool:
+        # a raw descriptor skips the buffered text-file layers, which cost
+        # more than the system calls for results of a few hundred bytes
         try:
-            with open(os.path.join(root, paths[i])) as f:
-                text = f.read()
-        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            fd = os.open(os.path.join(root, paths[i]), os.O_RDONLY)
+        except (FileNotFoundError, NotADirectoryError):
             return False
+        chunks = []
         try:
-            stack[i] = _g_fields(text)
-        except ParseError as e:
+            while chunk := os.read(fd, 65536):
+                chunks.append(chunk)
+        except IsADirectoryError:  # os.open succeeds on a directory on Linux
+            return False
+        finally:
+            os.close(fd)
+        try:
+            stack[i] = _g_fields(b"".join(chunks).decode())
+        except (ParseError, UnicodeDecodeError) as e:
             raise ParseError(f"{paths[i]}: {e}") from None
         return True
 

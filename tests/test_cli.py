@@ -212,6 +212,20 @@ def test_couplings_file_matches_runs_along_any_direction(dataset, tmp_path):
         assert from_file[key] == from_runs[key], key
 
 
+def _bool_at(key, *index_and_value):
+    """An edit setting one leaf of doc[key], at the given index, to a bool."""
+    *index, value = index_and_value
+
+    def edit(doc):
+        leaf = doc[key]
+        for i in index[:-1]:
+            leaf = leaf[i]
+        leaf[index[-1]] = value
+        return doc
+
+    return edit
+
+
 @pytest.mark.parametrize("edit, named", [
     (lambda doc: {k: v for k, v in doc.items() if k != "d2"}, "has no 'd2'"),
     (lambda doc: {**doc, "mixed_computed": "no"}, "'mixed_computed' must be"),
@@ -224,8 +238,16 @@ def test_couplings_file_matches_runs_along_any_direction(dataset, tmp_path):
     (lambda doc: {**doc, "frequencies_cm": [12.6, 45.0]}, "d1 must be (3, 2)"),
     (lambda doc: [doc], "must be a JSON object"),
     (lambda doc: "{not json", "is not valid JSON"),
+    (_bool_at("d1", 0, 0, True), "'d1' must be an array of numbers"),
+    (_bool_at("d2", 1, 2, 0, False), "'d2' must be an array of numbers"),
+    (_bool_at("frequencies_cm", 0, True), "'frequencies_cm' must be an array"),
+    (_bool_at("field_direction", 2, True), "'field_direction' must be an array"),
+    (_bool_at("source_indices", 0, True),
+     "'source_indices' must be an array of integers"),
 ], ids=["no-d2", "text-mixed", "float-indices", "text-delta", "text-entry",
-        "ragged-d1", "short-frequencies", "top-level-array", "not-json"])
+        "ragged-d1", "short-frequencies", "top-level-array", "not-json",
+        "bool-in-d1", "bool-in-d2", "bool-in-frequencies", "bool-in-direction",
+        "bool-in-indices"])
 def test_malformed_couplings_file_exits_1(dataset, tmp_path, capsys, edit, named):
     built = tmp_path / "built"
     assert run("couplings", "--modes", dataset["modes"],
@@ -470,6 +492,29 @@ def test_dynamics_bad_t_end_exits_2(dataset, tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "art").exists()
 
 
+def test_redfield_with_all_pairs_exits_2(dataset, tmp_path, capsys, monkeypatch):
+    # the Redfield bath has no pair channel, so an all_pairs run would
+    # silently use the diagonal_only bath; refused before any input is read
+    def forbidden(*args, **kwargs):
+        raise AssertionError("input read before physics.pairing was checked")
+
+    monkeypatch.setattr(spinlat.cli, "parse_modes", forbidden)
+    monkeypatch.setattr(spinlat.cli, "load_couplings", forbidden)
+    runs = ("dynamics", "--modes", dataset["modes"], "--manifest", dataset["manifest"],
+            "--temp", "200", "--field-mt", "1266", "--engine", "redfield",
+            "--out", str(tmp_path / "art"))
+    code, _, err = run(*runs, "--pairing", "all_pairs", capsys=capsys)
+    assert code == 2, err
+    assert "physics.pairing" in err
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"format": "spinlat-config/1",
+                                   "physics": {"pairing": "all_pairs"}}))
+    code, _, err = run(*runs, "--config", str(cfgfile), capsys=capsys)
+    assert code == 2, err
+    assert "physics.pairing" in err
+    assert not (tmp_path / "art").exists()
+
+
 @pytest.mark.parametrize("engine", ["lindblad", "redfield"])
 def test_dynamics_sparse_fit_window_exits_2(dataset, tmp_path, capsys, monkeypatch,
                                             engine):
@@ -644,6 +689,20 @@ def test_unparsable_result_names_its_file(dataset, tmp_path, capsys, command):
     reported = stdout if command == "validate" else err
     assert ("single0002_m.gout: line 1: found 2 of 9 numeric fields"
             in reported.replace("  ", " ")), reported
+
+
+@pytest.mark.parametrize("command", ["couplings", "validate"])
+def test_result_that_is_not_utf8_names_its_file(dataset, tmp_path, capsys, command):
+    broken = tmp_path / "broken"
+    shutil.copytree(Path(dataset["manifest"]).parent, broken)
+    baseline = broken / "baseline.gout"
+    baseline.write_bytes(b"caf\xe9 engine\n" + baseline.read_bytes())
+    code, stdout, err = run(command, "--modes", dataset["modes"],
+                            "--manifest", str(broken / "manifest.json"),
+                            "--out", str(tmp_path / "art"), capsys=capsys)
+    assert code == 1
+    reported = stdout if command == "validate" else err
+    assert "baseline.gout: 'utf-8' codec can't decode byte 0xe9" in reported, reported
 
 
 @pytest.mark.parametrize("edit, named", [

@@ -1,6 +1,7 @@
 """Parsers, writers, displacement planning, and run-set assembly."""
 
 import json
+import os
 import re
 
 import numpy as np
@@ -518,3 +519,72 @@ def test_result_that_is_a_directory_counts_as_missing(pair_runs, toy_modes):
     with pytest.raises(IncompleteRunSetError) as err:
         load_run_set(pair_runs, toy_modes)
     assert err.value.missing_singles == [(2, "+")]
+
+
+# ------------------------------------------------------------ result reads
+
+def _run_set_arrays(rs):
+    return [rs.baseline, *rs.singles.values(), *rs.pairs.values()]
+
+
+@pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
+def test_line_endings_give_the_same_run_set(pair_runs, toy_modes, newline):
+    lf = load_run_set(pair_runs, toy_modes)
+    for result in pair_runs.parent.glob("*.gout"):
+        text = "engine log\nconverged\n" + result.read_text()
+        result.write_bytes(text.replace("\n", newline).encode())
+    other = load_run_set(pair_runs, toy_modes)
+    assert list(other.singles) == list(lf.singles)
+    assert list(other.pairs) == list(lf.pairs)
+    for a, b in zip(_run_set_arrays(lf), _run_set_arrays(other)):
+        assert np.array_equal(a, b)
+
+
+def test_result_read_to_its_end(pair_runs, toy_modes):
+    # the g block starts past the first 64 KiB of the file
+    baseline = pair_runs.parent / "baseline.gout"
+    expected = load_run_set(pair_runs, toy_modes).baseline
+    prose = "SCF iteration converged\n" * 4000
+    assert len(prose) > 65536
+    baseline.write_text(prose + baseline.read_text())
+    assert np.array_equal(load_run_set(pair_runs, toy_modes).baseline, expected)
+
+
+def test_result_that_is_not_utf8_named(pair_runs, toy_modes):
+    baseline = pair_runs.parent / "baseline.gout"
+    baseline.write_bytes(b"caf\xe9 engine\n" + baseline.read_bytes())
+    with pytest.raises(ParseError, match=r"^baseline\.gout: 'utf-8' codec can't decode"):
+        load_run_set(pair_runs, toy_modes)
+
+
+def test_result_under_a_regular_file_counts_as_missing(pair_runs, toy_modes):
+    doc = json.loads(pair_runs.read_text())
+    first = doc["runs"][0]
+    first["path"] += "/result.gout"
+    pair_runs.write_text(json.dumps(doc))
+    with pytest.raises(IncompleteRunSetError) as err:
+        load_run_set(pair_runs, toy_modes)
+    assert err.value.missing_singles == [(first["mode"], first["sign"])]
+    assert not err.value.missing_pairs and not err.value.missing_baseline
+
+
+def test_unreadable_result_is_not_missing(pair_runs, toy_modes, monkeypatch):
+    # tests may run as root, who can read any file, so the refusal is faked
+    real_open = os.open
+
+    def refuse_baseline(path, *args, **kwargs):
+        if os.path.basename(path) == "baseline.gout":
+            raise PermissionError(13, "Permission denied", path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", refuse_baseline)
+    with pytest.raises(PermissionError):
+        load_run_set(pair_runs, toy_modes)
+
+
+def test_manifest_named_by_bare_file_name(pair_runs, toy_modes, monkeypatch):
+    expected = load_run_set(pair_runs, toy_modes)
+    monkeypatch.chdir(pair_runs.parent)
+    loaded = load_run_set("manifest.json", toy_modes)
+    for a, b in zip(_run_set_arrays(expected), _run_set_arrays(loaded)):
+        assert np.array_equal(a, b)
