@@ -37,9 +37,16 @@ from .dynamics import (
     redfield_evolve,
 )
 from .ingest import (
+    ParseError,
+    integer,
+    json_object,
     load_run_set,
+    numbers,
+    one_of,
     parse_modes,
     plan_displacements,
+    positive,
+    refusal,
     write_displacement_set,
 )
 from .relaxation import (
@@ -54,39 +61,66 @@ from .relaxation import (
 
 CONFIG_FORMAT = "spinlat-config/1"
 
-_DEFAULTS: dict = {
-    "format": CONFIG_FORMAT,
-    "paths": {
-        "modes": None,
-        "manifest": None,
-        "couplings": None,
-        "output_dir": ".",
-    },
-    "physics": {
-        "temperatures_k": [20.0],
-        "fields_mt": [1266.0],
-        "field_direction": [0.0, 0.0, 1.0],
-        "g0": None,
-        "linewidth_cm": 2.0,
-        "linewidth_overrides": {},
-        "gamma_cm": 2.0,
-        "pairing": "diagonal_only",
-        "convention": "projection",
-        "omega_override_cm": None,
-    },
-    "numerics": {
-        "delta_angstrom": 0.01,
-        "fit_window_us": None,
-        "time_samples": 2001,
-    },
-}
-
 
 class UsageError(Exception):
     """Bad flags, bad config, or missing input files."""
 
 
 # ------------------------------------------------------------ config
+
+
+def _grid(value, lo: float = -np.inf) -> bool:
+    """value is a nonempty list of finite numbers >= lo."""
+    arr = numbers(value, finite=True)
+    return arr is not None and arr.ndim == 1 and arr.size > 0 and bool((arr >= lo).all())
+
+
+_PATH = (lambda v: v is None or type(v) is str, "a path string or null")
+_POSITIVE = (positive, "positive and finite")
+
+# every config key: its default, the test a value must pass, and what the
+# test asks for
+_CONFIG_KEYS = {
+    "paths": {
+        "modes": (None, *_PATH),
+        "manifest": (None, *_PATH),
+        "couplings": (None, *_PATH),
+        "output_dir": (".", lambda v: type(v) is str, "a path string"),
+    },
+    "physics": {
+        "temperatures_k": ([20.0], lambda v: _grid(v, 0.0),
+                           "a nonempty list of finite numbers >= 0"),
+        "fields_mt": ([1266.0], _grid, "a nonempty list of finite numbers"),
+        "field_direction": (
+            [0.0, 0.0, 1.0], lambda v: numbers(v, (3,), finite=True) is not None and any(v),
+            "a finite nonzero 3-vector"),
+        "g0": (None, lambda v: v is None or numbers(v, (3, 3), finite=True) is not None,
+               "null or a finite 3x3 matrix"),
+        "linewidth_cm": (2.0, *_POSITIVE),
+        "linewidth_overrides": (
+            {}, lambda v: (type(v) is dict and all(map(str.isdecimal, v))
+                           and all(map(positive, v.values()))),
+            "an object mapping mode numbers to positive finite numbers"),
+        "gamma_cm": (2.0, *_POSITIVE),
+        "pairing": ("diagonal_only", lambda v: one_of(v, PAIRING_MODES),
+                    f"one of {PAIRING_MODES}"),
+        "convention": ("projection", lambda v: one_of(v, CONVENTIONS),
+                       f"one of {CONVENTIONS}"),
+        "omega_override_cm": (
+            None, lambda v: v is None or numbers(v, (), finite=True) is not None and v >= 0,
+            "null or a finite number >= 0"),
+    },
+    "numerics": {
+        "delta_angstrom": (0.01, *_POSITIVE),
+        "fit_window_us": (
+            None, lambda v: v is None or numbers(v, (2,), finite=True) is not None
+            and v[0] < v[1], "null or [lo, hi] with finite lo < hi"),
+        "time_samples": (2001, lambda v: integer(v, 10, np.inf), "an integer >= 10"),
+    },
+}
+_DEFAULTS = {"format": CONFIG_FORMAT, **{
+    section: {key: rule[0] for key, rule in keys.items()}
+    for section, keys in _CONFIG_KEYS.items()}}
 
 
 def _merge_config(path) -> dict:
@@ -97,23 +131,19 @@ def _merge_config(path) -> dict:
     if not p.is_file():
         raise UsageError(f"config file not found: {path}")
     try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
-        raise UsageError(f"config is not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise UsageError("config must be a JSON object")
+        doc = json_object(p.read_text(), "config")
+    except ParseError as e:
+        raise UsageError(str(e)) from None
     if doc.get("format") != CONFIG_FORMAT:
-        raise UsageError(
-            f"config key 'format' must be {CONFIG_FORMAT!r}, "
-            f"got {doc.get('format')!r}"
-        )
+        raise UsageError(refusal("config", "format", repr(CONFIG_FORMAT),
+                                 doc.get("format")))
     for section, values in doc.items():
         if section == "format":
             continue
         if section not in cfg:
             raise UsageError(f"unknown config key {section!r}")
         if not isinstance(values, dict):
-            raise UsageError(f"config key {section!r} must be an object")
+            raise UsageError(refusal("config", section, "an object", values))
         for key, value in values.items():
             if key not in cfg[section]:
                 raise UsageError(f"unknown config key '{section}.{key}'")
@@ -141,13 +171,14 @@ def _parse_grid(text: str, flag: str) -> list[float]:
         raise UsageError(f"{flag} must be a number, list, or range, got {text!r}") from None
 
 
-def _parse_vector(text: str, flag: str) -> list[float]:
+def _parse_vector(text: str, flag: str, names=("x", "y", "z")) -> list[float]:
+    """The comma-separated numbers of a flag, one for each of names."""
     try:
         vec = [float(tok) for tok in text.split(",")]
     except ValueError:
-        raise UsageError(f"{flag} must be three comma-separated numbers") from None
-    if len(vec) != 3:
-        raise UsageError(f"{flag} must be three comma-separated numbers")
+        vec = []
+    if len(vec) != len(names):
+        raise UsageError(f"{flag} must be {','.join(names)}, got {text!r}")
     return vec
 
 
@@ -177,100 +208,29 @@ def _apply_flags(cfg: dict, args: argparse.Namespace) -> None:
     if getattr(args, "top", None) is not None and args.top < 1:
         raise UsageError(f"--top must be >= 1, got {args.top}")
     t_end = getattr(args, "t_end", None)
-    if t_end is not None and not 0.0 < t_end < np.inf:
+    if t_end is not None and not positive(t_end):
         raise UsageError(f"--t-end must be positive and finite, got {t_end}")
     if getattr(args, "field_dir", None) is not None:
         phys["field_direction"] = _parse_vector(args.field_dir, "--field-dir")
     if getattr(args, "fit_window", None) is not None:
-        parts = args.fit_window.split(",")
-        if len(parts) != 2:
-            raise UsageError(
-                f"--fit-window must be lo,hi in microseconds, got {args.fit_window!r}"
-            )
-        try:
-            num["fit_window_us"] = [float(parts[0]), float(parts[1])]
-        except ValueError:
-            raise UsageError(
-                f"--fit-window must be lo,hi in microseconds, got {args.fit_window!r}"
-            ) from None
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_numbers(value, length: int | None = None) -> bool:
-    return (
-        isinstance(value, list)
-        and all(map(_is_number, value))
-        and length in (None, len(value))
-    )
+        num["fit_window_us"] = _parse_vector(args.fit_window, "--fit-window", ("lo", "hi"))
 
 
 def _validate_config(cfg: dict, need: tuple[str, ...]) -> None:
-    """Reject bad types and values, naming the key; drop repeated grid values.
+    """Refuse a value that fails its key's rule, naming the key; drop repeated
+    grid values.
 
     Repeats are dropped keeping the first occurrence, so the config that
     artifacts embed holds the grid actually computed.
     """
-    paths, phys, num = cfg["paths"], cfg["physics"], cfg["numerics"]
-    for key, value in paths.items():
-        if not (isinstance(value, str) or (value is None and key != "output_dir")):
-            raise UsageError(f"paths.{key} must be a path string")
+    for section, keys in _CONFIG_KEYS.items():
+        for key, (_, test, what) in keys.items():
+            if not test(cfg[section][key]):
+                raise UsageError(refusal("config", f"{section}.{key}", what,
+                                         cfg[section][key]))
+    paths, phys = cfg["paths"], cfg["physics"]
     for key in ("temperatures_k", "fields_mt"):
-        if not (_is_numbers(phys[key]) and phys[key]):
-            raise UsageError(f"physics.{key} must be a nonempty list of numbers")
         phys[key] = list(dict.fromkeys(phys[key]))
-    if not all(0.0 <= t < np.inf for t in phys["temperatures_k"]):
-        raise UsageError("physics.temperatures_k must be finite and >= 0")
-    if not np.all(np.isfinite(phys["fields_mt"])):
-        raise UsageError("physics.fields_mt must be finite")
-    g0 = phys["g0"]
-    if g0 is not None and not (
-        isinstance(g0, list)
-        and len(g0) == 3
-        and all(_is_numbers(row, 3) for row in g0)
-        and np.all(np.isfinite(g0))
-    ):
-        raise UsageError("physics.g0 must be null or a finite 3x3 matrix")
-    direction = phys["field_direction"]
-    if not (
-        _is_numbers(direction, 3)
-        and np.all(np.isfinite(direction))
-        and np.any(direction)
-    ):
-        raise UsageError("physics.field_direction must be a finite nonzero 3-vector")
-    for key in ("linewidth_cm", "gamma_cm"):
-        if not (_is_number(phys[key]) and 0.0 < phys[key] < np.inf):
-            raise UsageError(f"physics.{key} must be positive and finite")
-    overrides = phys["linewidth_overrides"]
-    if not (isinstance(overrides, dict) and all(map(str.isdecimal, overrides))):
-        raise UsageError(
-            "physics.linewidth_overrides must be an object keyed by mode number"
-        )
-    if not all(_is_number(v) and 0.0 < v < np.inf for v in overrides.values()):
-        raise UsageError(
-            "physics.linewidth_overrides values must be positive and finite"
-        )
-    omega = phys["omega_override_cm"]
-    if omega is not None and not (_is_number(omega) and 0.0 <= omega < np.inf):
-        raise UsageError("physics.omega_override_cm must be finite and >= 0")
-    if phys["pairing"] not in PAIRING_MODES:
-        raise UsageError(f"physics.pairing must be one of {PAIRING_MODES}")
-    if phys["convention"] not in CONVENTIONS:
-        raise UsageError(f"physics.convention must be one of {CONVENTIONS}")
-    if not (_is_number(num["delta_angstrom"]) and num["delta_angstrom"] > 0.0):
-        raise UsageError("numerics.delta_angstrom must be positive")
-    samples = num["time_samples"]
-    if not (isinstance(samples, int) and _is_number(samples) and samples >= 10):
-        raise UsageError("numerics.time_samples must be an integer >= 10")
-    window = num["fit_window_us"]
-    if window is not None and not (
-        _is_numbers(window, 2) and -np.inf < window[0] < window[1] < np.inf
-    ):
-        raise UsageError(
-            "numerics.fit_window_us must be null or [lo, hi] with finite lo < hi"
-        )
     for key in need:
         value = paths[key]
         if value is None:

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .core import HBAR_AMU_A2_CM, ModeSet
-from .ingest import DisplacedGTensorSet, read_source
+from .ingest import (DisplacedGTensorSet, ParseError, json_object, numbers, positive,
+                     read_source, refusal, require)
 
 COUPLINGS_FORMAT = "spinlat-couplings/1"
 
@@ -248,58 +248,33 @@ def load_couplings(source) -> CouplingTensors:
     """
     text = read_source(source)
     where = "couplings text" if text is source else f"couplings file {source}"
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{where} is not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object")
+    doc = json_object(text, where)
     if doc.get("format") != COUPLINGS_FORMAT:
-        raise ValueError(f"{where}: unsupported couplings format {doc.get('format')!r}, "
-                         f"expected {COUPLINGS_FORMAT!r}")
+        raise ParseError(refusal(where, "format", repr(COUPLINGS_FORMAT),
+                                 doc.get("format")))
+    delta, mixed, d1, d2, freqs, direction, src = require(
+        doc, where, "delta_angstrom", "mixed_computed", "d1", "d2", "frequencies_cm",
+        "field_direction", "source_indices")
+    if not positive(delta):
+        raise ParseError(refusal(where, "delta_angstrom", "positive and finite", delta))
+    if type(mixed) is not bool:
+        raise ParseError(refusal(where, "mixed_computed", "true or false", mixed))
 
-    def get(key: str):
-        if key not in doc:
-            raise ValueError(f"{where} has no {key!r}")
-        return doc[key]
-
-    def array(key: str, kinds: str = "if") -> np.ndarray:
-        value = get(key)
-        try:
-            arr = np.array(value)
-        except ValueError:  # ragged nesting
-            arr = np.array(None)
-        # ragged, or text, null or bool leaves
-        if arr.dtype.kind not in kinds or _holds_bool(value, arr):
-            raise ValueError(f"{where}: {key!r} must be an array of "
-                             f"{'integers' if kinds == 'i' else 'numbers'}")
+    def array(key: str, value, kinds: str = "if") -> np.ndarray:
+        arr = numbers(value, kinds=kinds)
+        if arr is None:
+            what = "an array of " + ("integers" if kinds == "i" else "numbers")
+            raise ParseError(refusal(where, key, what, value))
         return arr
 
-    delta, mixed = get("delta_angstrom"), get("mixed_computed")
-    if not (type(delta) in (int, float) and 0.0 < delta < np.inf):
-        raise ValueError(f"{where}: 'delta_angstrom' must be a positive number")
-    if type(mixed) is not bool:
-        raise ValueError(f"{where}: 'mixed_computed' must be true or false")
-    values = dict(d1=array("d1"), d2=array("d2"), delta_angstrom=float(delta),
-                  frequencies=array("frequencies_cm"), field_direction=array("field_direction"),
-                  mixed_computed=mixed, source_indices=array("source_indices", "i"))
+    values = dict(d1=array("d1", d1), d2=array("d2", d2), delta_angstrom=float(delta),
+                  frequencies=array("frequencies_cm", freqs),
+                  field_direction=array("field_direction", direction),
+                  mixed_computed=mixed, source_indices=array("source_indices", src, "i"))
     try:
         return CouplingTensors(**values)
     except ValueError as e:
         raise ValueError(f"{where}: {e}") from None
-
-
-def _holds_bool(value, arr: np.ndarray) -> bool:
-    """Whether the nested list that NumPy read as the numbers arr holds a bool.
-
-    NumPy reads true and false among numbers as 1 and 0, so only an
-    array holding a 0 or a 1 has its leaves scanned.
-    """
-    if arr.ndim == 0 or not ((arr == 0) | (arr == 1)).any():
-        return False
-    for _ in range(arr.ndim - 1):
-        value = chain.from_iterable(value)
-    return bool in map(type, value)
 
 
 def same_direction(a, b) -> bool:

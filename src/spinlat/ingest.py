@@ -1,8 +1,9 @@
 """File ingestion and displacement bookkeeping.
 
 Covers the plain-text normal-mode format (NMODES v1), g-matrix extraction
-from electronic-structure output, displaced-geometry generation, and the
-JSON run manifest that ties displaced runs back to their mode labels.
+from electronic-structure output, displaced-geometry generation, the
+JSON run manifest that ties displaced runs back to their mode labels, and
+the leaf rules that every JSON document spinlat reads is checked with.
 """
 
 from __future__ import annotations
@@ -10,7 +11,9 @@ from __future__ import annotations
 import json
 import os
 import re
+import reprlib
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,6 @@ import numpy as np
 from .core import Geometry, ModeSet
 
 G_MATRIX_MARKER = "ELECTRONIC G-MATRIX"
-MANIFEST_KEYS = {"delta_angstrom", "baseline", "runs", "pairs"}
 RESULT_SUFFIX = ".gout"     # engine result file next to each geometry
 SOFT_CUTOFF_CM = 1.0        # skip_soft drops modes below this frequency
 
@@ -64,6 +66,79 @@ def read_source(source) -> str:
     if isinstance(source, (str, Path)):
         return Path(source).read_text()
     raise TypeError(f"cannot read from {type(source)!r}")
+
+
+# -------------------------------------------------------------- JSON leaves
+# The config, the run manifest and the couplings file share these rules.
+# A refusal names the document and the key, and is built only on failure.
+
+def json_object(text: str, where: str) -> dict:
+    """text parsed as a JSON object."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{where} is not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where} must be a JSON object")
+    return doc
+
+
+def require(doc, where: str, *keys: str) -> list:
+    """The values of keys in the JSON object doc; an absent key is named."""
+    try:
+        return [doc[key] for key in keys]
+    except (KeyError, TypeError):
+        if not isinstance(doc, dict):
+            raise ParseError(f"{where} must be a JSON object") from None
+        absent = ", ".join(repr(key) for key in keys if key not in doc)
+        raise ParseError(f"{where} has no {absent}") from None
+
+
+_SHORT = reprlib.Repr()  # a refused value as shown: six items a level, two levels
+_SHORT.maxlevel = 2
+
+
+def refusal(where: str, key: str, what: str, value) -> str:
+    """The message refusing where's key, which must be what but is value."""
+    return f"{where}: {key!r} must be {what}, got {_SHORT.repr(value)}"
+
+
+def positive(value) -> bool:
+    """A positive, finite JSON number."""
+    return numbers(value, ()) is not None and 0.0 < value < np.inf
+
+
+def integer(value, lo, hi) -> bool:
+    """A JSON integer in lo..hi; neither true nor 1.0 is the integer 1."""
+    return type(value) is int and lo <= value <= hi
+
+
+def one_of(value, choices) -> bool:
+    """A JSON string or integer among choices; neither true nor 1.0 is 1."""
+    return (type(value) is str or type(value) is int) and value in choices
+
+
+def numbers(value, shape=None, kinds: str = "if", finite: bool = False):
+    """value as an array of JSON numbers, or None when it is not one.
+
+    Text, null, bools and ragged nesting are not numbers.  The array must
+    have shape, when given, and be finite, when asked.  NumPy reads a bool
+    among numbers as 0 or 1, so only an array holding a 0 or a 1 has its
+    leaves scanned in Python.
+    """
+    try:
+        arr = np.array(value)
+    except ValueError:  # ragged nesting
+        return None
+    if arr.dtype.kind not in kinds or shape not in (None, arr.shape) or (
+            finite and not np.isfinite(arr).all()):
+        return None
+    if arr.ndim and ((arr == 0) | (arr == 1)).any():
+        for _ in range(arr.ndim - 1):
+            value = chain.from_iterable(value)
+        if bool in map(type, value):
+            return None
+    return arr
 
 
 # ------------------------------------------------------------------ NMODES
@@ -258,18 +333,23 @@ _G_FIELD = re.compile(
 )
 
 
-def _g_fields(text: str) -> list[float]:
+def _g_fields(text: str, size: int = 4096) -> list[float]:
     """The nine entries of the first g block in text, row by row.
 
     Fields start on the line after the first ELECTRONIC G-MATRIX marker;
     lines without fields are skipped until the block starts, and end it
-    after.  Finiteness is left to the caller.
+    after.  Only the size characters from the marker are split into lines,
+    four times as many again while the block runs past them, so the work
+    is bounded by the block, not by the text after it.  Finiteness is left
+    to the caller.
     """
     pos = text.find(G_MATRIX_MARKER)
     if pos < 0:
         raise ParseError(f"no '{G_MATRIX_MARKER}' marker found")
+    lines = text[pos:pos + size].splitlines()
+    cut = pos + size < len(text)  # the last line may go on past the window
     values: list[str] = []
-    for raw in text[pos:].splitlines()[1:]:
+    for raw in lines[1:len(lines) - cut]:
         row = _G_FIELD.findall(raw)
         if row:
             values += row
@@ -277,6 +357,9 @@ def _g_fields(text: str) -> list[float]:
                 return [float(v) for v in values[:9]]
         elif values:
             break  # numeric block ended before 9 entries
+    else:
+        if cut:  # the block may go on past the window
+            return _g_fields(text, 4 * size)
     raise ParseError(
         f"found {len(values)} of 9 numeric fields after the "
         f"'{G_MATRIX_MARKER}' marker",
@@ -350,8 +433,8 @@ def plan_displacements(
     the four sign combinations of every mode pair, so they are planned
     only for order=2 with pairing='all_pairs'.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < np.inf:
+        raise ValueError("delta must be positive and finite")
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     if pairing not in ("diagonal_only", "all_pairs"):
@@ -480,78 +563,53 @@ def _check_matrices(kind: str, entries: dict) -> None:
         raise ValueError(f"{kind} ({key}) g matrix invalid")
 
 
-def load_manifest(path) -> dict:
-    p = Path(path)
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
-        raise ParseError(f"manifest is not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise ParseError("manifest must be a JSON object")
-    missing = MANIFEST_KEYS - doc.keys()
-    if missing:
-        raise ParseError(f"manifest missing keys: {sorted(missing)}")
-    if not isinstance(doc["runs"], list) or not isinstance(doc["pairs"], list):
-        raise ParseError("manifest 'runs' and 'pairs' must be arrays")
-    return doc
+_SIGNS = {"+": +1, "plus": +1, 1: +1, "-": -1, "minus": -1, -1: -1}
 
 
-_SIGNS = {1: +1, "+": +1, "plus": +1, -1: -1, "-": -1, "minus": -1}
-
-
-def _fields(entry, where: str, names: tuple[str, ...]) -> list:
-    """The named fields of one manifest entry; the last names a result file."""
-    try:
-        values = [entry[name] for name in names]
-    except (KeyError, TypeError):
-        if not isinstance(entry, dict):
-            raise ParseError(f"{where} is not an object: {entry!r}") from None
-        absent = ", ".join(repr(name) for name in names if name not in entry)
-        raise ParseError(f"{where} has no {absent}") from None
-    if not isinstance(values[-1], str) or not values[-1]:
-        raise ParseError(f"{where}: {names[-1]} {values[-1]!r} is not a file name")
-    return values
-
-
-def _mode_sign(mode, sign, n: int, where: str) -> tuple[int, int]:
-    """0-based index and +1 / -1 of a manifest's 1-based mode and its sign."""
-    if type(mode) is not int or not 1 <= mode <= n:
-        raise ParseError(f"{where}: mode {mode!r} is not an integer in 1..{n}")
-    try:
-        return mode - 1, _SIGNS[sign]
-    except (KeyError, TypeError):
-        raise ParseError(f"{where}: bad sign {sign!r}") from None
-
-
-def _planned_runs(doc: dict, n: int) -> tuple[dict, dict]:
+def _planned_runs(run_entries: list, pair_entries: list, n: int) -> tuple[dict, dict]:
     """DisplacedGTensorSet key -> result path, of the single and of the pair runs.
 
     Keys come in manifest order, pairs in canonical k < kp order.  Every
     entry is checked, and a displacement listed twice is refused, before
-    any result file is read.
+    any result file is read.  An entry's name is formatted only when it
+    is refused, since a manifest can list tens of thousands.
     """
     singles, pairs = {}, {}
-    for i, run in enumerate(doc["runs"]):
-        where = f"manifest runs[{i}]"
-        mode, sign, path = _fields(run, where, ("mode", "sign", "path"))
-        _add_run(singles, _mode_sign(mode, sign, n, where), path, "runs", i)
-    for i, run in enumerate(doc["pairs"]):
-        where = f"manifest pairs[{i}]"
-        modes, signs, path = _fields(run, where, ("modes", "signs", "path"))
-        if not (type(modes) is type(signs) is list and len(modes) == len(signs) == 2):
-            raise ParseError(f"{where}: modes {modes!r} and signs {signs!r} "
-                             "must list two each")
-        ka, sa = _mode_sign(modes[0], signs[0], n, where)
-        kb, sb = _mode_sign(modes[1], signs[1], n, where)
-        if ka == kb:
-            raise ParseError(f"{where}: pair repeats mode {ka + 1}")
-        key = (ka, kb, sa, sb) if ka < kb else (kb, ka, sb, sa)
+    where = "manifest runs[%d]"
+    for i, run in enumerate(run_entries):
+        try:
+            mode, sign, path = run["mode"], run["sign"], run["path"]
+        except (KeyError, TypeError):
+            require(run, where % i, "mode", "sign", "path")
+        if not integer(mode, 1, n):
+            raise ParseError(refusal(where % i, "mode", f"an integer in 1..{n}", mode))
+        if not one_of(sign, _SIGNS):
+            raise ParseError(refusal(where % i, "sign", f"one of {[*_SIGNS]}", sign))
+        _add_run(singles, (mode - 1, _SIGNS[sign]), path, "runs", i)
+    where = "manifest pairs[%d]"
+    for i, run in enumerate(pair_entries):
+        try:
+            modes, signs, path = run["modes"], run["signs"], run["path"]
+        except (KeyError, TypeError):
+            require(run, where % i, "modes", "signs", "path")
+        if not (type(modes) is list and len(modes) == 2 and modes[0] != modes[1]
+                and integer(modes[0], 1, n) and integer(modes[1], 1, n)):
+            raise ParseError(refusal(where % i, "modes",
+                                     f"two different integers in 1..{n}", modes))
+        if not (type(signs) is list and len(signs) == 2
+                and one_of(signs[0], _SIGNS) and one_of(signs[1], _SIGNS)):
+            raise ParseError(refusal(where % i, "signs", f"two of {[*_SIGNS]}", signs))
+        (ka, kb), sa, sb = modes, _SIGNS[signs[0]], _SIGNS[signs[1]]
+        key = (ka - 1, kb - 1, sa, sb) if ka < kb else (kb - 1, ka - 1, sb, sa)
         _add_run(pairs, key, path, "pairs", i)
     return singles, pairs
 
 
-def _add_run(runs: dict, key: tuple, path: str, section: str, i: int) -> None:
-    """Add manifest entry section[i] to runs, refusing a repeated displacement."""
+def _add_run(runs: dict, key: tuple, path, section: str, i: int) -> None:
+    """Add manifest entry section[i] to runs, refusing a path that is not a
+    file name and a repeated displacement."""
+    if not (type(path) is str and path):
+        raise ParseError(refusal(f"manifest {section}[{i}]", "path", "a file name", path))
     if key in runs:
         raise ParseError(f"manifest {section}[{list(runs).index(key)}] and "
                          f"{section}[{i}] list the same displacement")
@@ -573,14 +631,20 @@ def load_run_set(manifest_path, modeset: ModeSet) -> DisplacedGTensorSet:
     mode numbers in the report are 1-based.  A result that cannot be
     decoded or parsed aborts naming its path as the manifest gives it.
     """
-    doc = load_manifest(manifest_path)
+    doc = json_object(Path(manifest_path).read_text(), "manifest")
     root = os.path.dirname(manifest_path)
-    delta = doc["delta_angstrom"]
-    if type(delta) not in (int, float) or not 0.0 < delta < np.inf:
-        raise ParseError(f"manifest delta_angstrom {delta!r} is not a positive number")
-    (baseline_path,) = _fields(doc, "manifest", ("baseline",))
-    singles, pairs = _planned_runs(doc, modeset.nmodes)
-    del doc  # every entry is checked; free it before the results are read
+    delta, baseline_path, *entries = require(doc, "manifest", "delta_angstrom",
+                                             "baseline", "runs", "pairs")
+    if not positive(delta):
+        raise ParseError(refusal("manifest", "delta_angstrom", "positive and finite",
+                                 delta))
+    if not (type(baseline_path) is str and baseline_path):
+        raise ParseError(refusal("manifest", "baseline", "a file name", baseline_path))
+    for key, value in zip(("runs", "pairs"), entries):
+        if type(value) is not list:
+            raise ParseError(refusal("manifest", key, "an array", value))
+    singles, pairs = _planned_runs(*entries, modeset.nmodes)
+    del doc, entries  # every entry is checked; free them before the results are read
     paths = [baseline_path, *singles.values(), *pairs.values()]
     stack = np.empty((len(paths), 9))  # one parsed result per row
 

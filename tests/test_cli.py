@@ -18,7 +18,8 @@ import spinlat.cli
 import spinlat.relaxation
 from spinlat.cli import main
 from spinlat.core import larmor_frequency
-from spinlat.couplings import build_couplings, load_couplings
+from spinlat.couplings import (CouplingTensors, build_couplings, export_couplings,
+                               load_couplings)
 from spinlat.ingest import (
     load_run_set,
     plan_displacements,
@@ -712,7 +713,9 @@ def test_result_that_is_not_utf8_names_its_file(dataset, tmp_path, capsys, comma
                                   "path": "p.gout"}), "pairs[0]"),
     (lambda m: m["runs"][0].update(mode="x"), "runs[0]"),
     (lambda m: m["runs"].append(m["runs"][0]), "runs[0] and runs[6]"),
-], ids=["no-mode", "null-path", "one-pair-mode", "text-mode", "repeated-run"])
+    (lambda m: m["runs"][0].update(sign=True), "runs[0]: 'sign' must be"),
+], ids=["no-mode", "null-path", "one-pair-mode", "text-mode", "repeated-run",
+        "true-sign"])
 def test_malformed_manifest_entry_exits_1(dataset, tmp_path, capsys, edit, named):
     broken = tmp_path / "broken"
     shutil.copytree(Path(dataset["manifest"]).parent, broken)
@@ -776,10 +779,12 @@ def test_config_unknown_key_named(dataset, tmp_path, capsys):
     ("dynamics", "--fit-window", "5,1", "numerics.fit_window_us", [5.0, 1.0]),
     ("dynamics", "--fit-window", "nan,1", "numerics.fit_window_us",
      [float("nan"), 1.0]),
+    ("displace", "--delta", "inf", "numerics.delta_angstrom", float("inf")),
+    ("displace", "--delta", "nan", "numerics.delta_angstrom", float("nan")),
 ], ids=["dir-zero", "couplings-dir-zero", "dir-nan", "temp-negative",
         "temp-inf", "linewidth-zero", "gamma-negative", "samples-five",
         "omega-negative", "omega-nan", "field-nan", "fit-window-reversed",
-        "fit-window-nan"])
+        "fit-window-nan", "displace-delta-inf", "displace-delta-nan"])
 def test_bad_physics_values_exit_2(dataset, tmp_path, capsys, command, flag,
                                    text, key, value):
     # a bad value is a usage error naming its key, from a flag or a file
@@ -917,5 +922,102 @@ def test_linewidth_override_bad_value_exits_2(dataset, tmp_path, capsys, value):
                        "--temp", "20", "--field-mt", "1266",
                        "--out", str(tmp_path / "art"), capsys=capsys)
     assert code == 2, err
-    assert "physics.linewidth_overrides values" in err
+    assert "'physics.linewidth_overrides' must be" in err
     assert not (tmp_path / "art").exists()
+
+
+# ------------------------------------------- every leaf of the three documents
+
+def _numeric_leaves(doc, path=()):
+    """Paths to the JSON numbers in doc, bools excluded."""
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _numeric_leaves(value, path + (key,))
+    elif type(doc) in (int, float):
+        yield path
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _refusals(write, argv, code, named, tmp_path, capsys, doc, nullable=()):
+    """Each numeric leaf of doc replaced by true, "1" and null (unless its
+    path is nullable) in turn: the command must exit with code and a
+    message holding named(path), and write nothing."""
+    leaves = list(_numeric_leaves(doc))
+    assert leaves
+    for path in leaves:
+        for value in (True, "1") if path in nullable else (True, "1", None):
+            write(_replaced(doc, path, value))
+            got, _, err = run(*argv, capsys=capsys)
+            assert got == code and named(path) in err, (path, value, err)
+            assert not (tmp_path / "art").exists()
+
+
+def test_every_config_leaf_refused(dataset, tmp_path, capsys):
+    doc = json.loads(json.dumps(spinlat.cli._DEFAULTS))
+    # numbers for the keys that are null or empty by default
+    doc["physics"].update(g0=BASE_G.tolist(), omega_override_cm=0.5,
+                          linewidth_overrides={"1": 1.5})
+    doc["numerics"]["fit_window_us"] = [0.0, 1.0]
+    cfgfile = tmp_path / "cfg.json"
+    argv = ("tensor", "--config", str(cfgfile), "--modes", dataset["modes"],
+            "--manifest", dataset["manifest"], "--out", str(tmp_path / "art"))
+
+    def write(d):
+        cfgfile.write_text(json.dumps(d))
+
+    _refusals(write, argv, 2, lambda path: f"config: '{path[0]}.{path[1]}'", tmp_path,
+              capsys, doc, nullable={("physics", "omega_override_cm")})
+    write({k: v for k, v in doc.items() if k != "format"})
+    code, _, err = run(*argv, capsys=capsys)
+    assert code == 2 and "config: 'format' must be 'spinlat-config/1', got None" in err
+
+
+def test_every_manifest_leaf_refused(dataset, tmp_path, capsys):
+    ms = dataset["modeset"]
+    runs = tmp_path / "runs"
+    mpath = write_displacement_set(plan_displacements(ms, pairing="all_pairs"), ms,
+                                   runs, 0.01)
+    doc = json.loads(mpath.read_text())
+    argv = ("couplings", "--modes", dataset["modes"], "--manifest", str(mpath),
+            "--out", str(tmp_path / "art"))
+
+    def named(path):
+        return "manifest: 'delta_angstrom'" if len(path) == 1 else \
+            f"manifest {path[0]}[{path[1]}]: '{path[2]}'"
+
+    _refusals(lambda d: mpath.write_text(json.dumps(d)), argv, 1, named, tmp_path,
+              capsys, doc)
+    del doc["baseline"]
+    mpath.write_text(json.dumps(doc))
+    code, _, err = run(*argv, capsys=capsys)
+    assert code == 1 and "manifest has no 'baseline'" in err
+
+
+def test_every_couplings_leaf_refused(dataset, tmp_path, capsys):
+    # two modes keep the walk short: 26 numeric leaves
+    ms = make_modeset(natoms=2, nmodes=2, frequencies=[30.0, 80.0])
+    rng = np.random.default_rng(3)
+    d2 = rng.normal(size=(3, 2, 2))
+    text = export_couplings(CouplingTensors(
+        d1=rng.normal(size=(3, 2)), d2=d2 + d2.transpose(0, 2, 1), delta_angstrom=0.01,
+        frequencies=ms.frequencies, field_direction=np.array([0.0, 0.0, 1.0]),
+        mixed_computed=True))
+    doc = json.loads(text)
+    broken = tmp_path / "couplings.json"
+    argv = ("tensor", "--config", _g0_config(tmp_path, dataset), "--couplings",
+            str(broken), "--out", str(tmp_path / "art"))
+    _refusals(lambda d: broken.write_text(json.dumps(d)), argv, 1,
+              lambda path: f"couplings file {broken}: '{path[0]}'", tmp_path, capsys,
+              doc)
+    del doc["d1"]
+    broken.write_text(json.dumps(doc))
+    code, _, err = run(*argv, capsys=capsys)
+    assert code == 1 and f"couplings file {broken} has no 'd1'" in err

@@ -13,6 +13,7 @@ from spinlat.core import Geometry, ModeSet
 from spinlat.ingest import (
     G_MATRIX_MARKER,
     _G_FIELD,
+    _g_fields,
     DisplacedGTensorSet,
     IncompleteRunSetError,
     ParseError,
@@ -228,8 +229,9 @@ def test_displacement_recovers_mode_direction(toy_modes):
 
 
 def test_plan_rejects_bad_arguments(toy_modes):
-    with pytest.raises(ValueError):
-        plan_displacements(toy_modes, delta=0.0)
+    for delta in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            plan_displacements(toy_modes, delta=delta)
     with pytest.raises(ValueError):
         plan_displacements(toy_modes, order=3)
     with pytest.raises(ValueError):
@@ -417,6 +419,24 @@ def test_g_block_nine_fields_over_rows_with_commas():
     np.testing.assert_array_equal(parse_g_matrix(text), 2.0 * np.eye(3))
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+def test_g_block_before_a_long_log(newline):
+    # the log after the block holds numbers and a second marker; only the
+    # first block is read, and the fieldless line after the marker and the
+    # line number of a short block behave as without the log
+    log = "".join(f"iter {i} energy -{i}.125 grad 1.5e-3\n" for i in range(60000))
+    log += G_MATRIX_MARKER + "\n9.0 0.0 0.0\n0.0 9.0 0.0\n0.0 0.0 9.0\n"
+    head = "engine banner\n" + G_MATRIX_MARKER + "\n\n"
+    text = head + "2.0 0.0 0.0\n0.0 2.0 0.0\n0.0 0.0 2.0\n\n" + log
+    assert _g_fields(text.replace("\n", newline)) == (2.0 * np.eye(3)).ravel().tolist()
+    short = (head + "2.0 0.0 0.0\n0.0 2.0\n\n" + log).replace("\n", newline)
+    with pytest.raises(ParseError, match="^line 2: found 5 of 9 numeric fields"):
+        _g_fields(short)
+    # a block that starts past the first window
+    long_head = head + "prose\n" * 3000
+    assert _g_fields(long_head + text[len(head):]) == (2.0 * np.eye(3)).ravel().tolist()
+
+
 # ---------------------------------------------------- stacked run-set check
 
 @pytest.mark.parametrize("bad", ["non-finite", "shape"])
@@ -478,23 +498,58 @@ def _text_delta(m):
     m["delta_angstrom"] = "0.01"
 
 
+def _sign_at(section, i, sign):
+    def edit(m):
+        m[section][i]["sign" if section == "runs" else "signs"] = sign
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (_no_mode, r"manifest runs\[0\] has no 'mode'"),
-    (_null_path, r"manifest runs\[0\]: path None is not a file name"),
-    (_one_pair_mode, r"manifest pairs\[0\]: modes \[1\] and signs .* list two each"),
-    (_text_mode, r"manifest runs\[0\]: mode 'x' is not an integer in 1..3"),
+    (_null_path, r"manifest runs\[0\]: 'path' must be a file name, got None"),
+    (_one_pair_mode,
+     r"manifest pairs\[0\]: 'modes' must be two different integers in 1..3, got \[1\]"),
+    (_text_mode, r"manifest runs\[0\]: 'mode' must be an integer in 1..3, got 'x'"),
     (_repeated_single, r"manifest runs\[0\] and runs\[6\] list the same displacement"),
-    (_text_delta, r"manifest delta_angstrom '0.01' is not a positive number"),
+    (_text_delta, r"manifest: 'delta_angstrom' must be positive and finite, got '0.01'"),
     (_repeated_pair_reordered,
      r"manifest pairs\[1\] and pairs\[12\] list the same displacement"),
+    # a bool or a float is not a sign, though True == 1.0 == 1
+    (_sign_at("runs", 0, True), r"manifest runs\[0\]: 'sign' must be .*, got True$"),
+    (_sign_at("runs", 3, -1.0), r"manifest runs\[3\]: 'sign' must be .*, got -1.0$"),
+    (_sign_at("pairs", 0, [1.0, "-"]),
+     r"manifest pairs\[0\]: 'signs' must be two of .*, got \[1.0, '-'\]$"),
+    (_sign_at("pairs", 5, ["+", False]),
+     r"manifest pairs\[5\]: 'signs' must be two of .*, got \['\+', False\]$"),
+    (lambda m: m["pairs"][2].update(modes=[2, 2]),
+     r"manifest pairs\[2\]: 'modes' must be two different integers in 1..3"),
+    (lambda m: m["runs"][1].update(mode=True), r"manifest runs\[1\]: 'mode' must be"),
+    (lambda m: m.update(runs={}), r"manifest: 'runs' must be an array"),
 ], ids=["no-mode", "null-path", "one-pair-mode", "text-mode", "repeated-run", "text-delta",
-        "repeated-pair-reordered"])
+        "repeated-pair-reordered", "true-sign", "float-sign", "float-in-signs",
+        "false-in-signs", "pair-repeats-mode", "true-mode", "runs-not-array"])
 def test_malformed_manifest_entry_named(pair_runs, toy_modes, edit, message):
     doc = json.loads(pair_runs.read_text())
     edit(doc)
     pair_runs.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match=message):
         load_run_set(pair_runs, toy_modes)
+
+
+@pytest.mark.parametrize("plus, minus", [("plus", "minus"), (1, -1)])
+def test_manifest_sign_spellings_give_the_same_run_set(pair_runs, toy_modes, plus,
+                                                       minus):
+    expected = load_run_set(pair_runs, toy_modes)
+    doc = json.loads(pair_runs.read_text())
+    spell = {"+": plus, "-": minus}
+    for run in doc["runs"]:
+        run["sign"] = spell[run["sign"]]
+    for run in doc["pairs"]:
+        run["signs"] = [spell[s] for s in run["signs"]]
+    pair_runs.write_text(json.dumps(doc))
+    loaded = load_run_set(pair_runs, toy_modes)
+    assert list(loaded.singles) == list(expected.singles)
+    assert list(loaded.pairs) == list(expected.pairs)
 
 
 def test_manifest_must_be_an_object(tmp_path, toy_modes):
