@@ -69,10 +69,20 @@ class UsageError(Exception):
 # ------------------------------------------------------------ config
 
 
-def _grid(value, lo: float = -np.inf) -> bool:
-    """value is a nonempty list of finite numbers >= lo."""
-    arr = numbers(value, finite=True)
-    return arr is not None and arr.ndim == 1 and arr.size > 0 and bool((arr >= lo).all())
+def _finite(shape=None, test=lambda arr: True, null=False):
+    """The rule for finite JSON numbers of shape (any shape when None) whose
+    array passes test, and for null when null is set."""
+    def rule(value) -> bool:
+        if value is None:
+            return null
+        arr = numbers(value, shape, finite=True)
+        return arr is not None and bool(test(arr))
+    return rule
+
+
+def _grid(lo: float = -np.inf):
+    """The rule for a nonempty list of finite numbers >= lo."""
+    return _finite(test=lambda arr: arr.ndim == 1 and arr.size > 0 and (arr >= lo).all())
 
 
 _PATH = (lambda v: v is None or type(v) is str, "a path string or null")
@@ -88,14 +98,11 @@ _CONFIG_KEYS = {
         "output_dir": (".", lambda v: type(v) is str, "a path string"),
     },
     "physics": {
-        "temperatures_k": ([20.0], lambda v: _grid(v, 0.0),
-                           "a nonempty list of finite numbers >= 0"),
-        "fields_mt": ([1266.0], _grid, "a nonempty list of finite numbers"),
-        "field_direction": (
-            [0.0, 0.0, 1.0], lambda v: numbers(v, (3,), finite=True) is not None and any(v),
-            "a finite nonzero 3-vector"),
-        "g0": (None, lambda v: v is None or numbers(v, (3, 3), finite=True) is not None,
-               "null or a finite 3x3 matrix"),
+        "temperatures_k": ([20.0], _grid(0.0), "a nonempty list of finite numbers >= 0"),
+        "fields_mt": ([1266.0], _grid(), "a nonempty list of finite numbers"),
+        "field_direction": ([0.0, 0.0, 1.0], _finite((3,), np.any),
+                            "a finite nonzero 3-vector"),
+        "g0": (None, _finite((3, 3), null=True), "null or a finite 3x3 matrix"),
         "linewidth_cm": (2.0, *_POSITIVE),
         "linewidth_overrides": (
             {}, lambda v: (type(v) is dict and all(map(str.isdecimal, v))
@@ -106,15 +113,13 @@ _CONFIG_KEYS = {
                     f"one of {PAIRING_MODES}"),
         "convention": ("projection", lambda v: one_of(v, CONVENTIONS),
                        f"one of {CONVENTIONS}"),
-        "omega_override_cm": (
-            None, lambda v: v is None or numbers(v, (), finite=True) is not None and v >= 0,
-            "null or a finite number >= 0"),
+        "omega_override_cm": (None, _finite((), lambda arr: arr >= 0, null=True),
+                              "null or a finite number >= 0"),
     },
     "numerics": {
         "delta_angstrom": (0.01, *_POSITIVE),
-        "fit_window_us": (
-            None, lambda v: v is None or numbers(v, (2,), finite=True) is not None
-            and v[0] < v[1], "null or [lo, hi] with finite lo < hi"),
+        "fit_window_us": (None, _finite((2,), lambda arr: arr[0] < arr[1], null=True),
+                          "null or [lo, hi] with finite lo < hi"),
         "time_samples": (2001, lambda v: integer(v, 10, np.inf), "an integer >= 10"),
     },
 }
@@ -131,12 +136,9 @@ def _merge_config(path) -> dict:
     if not p.is_file():
         raise UsageError(f"config file not found: {path}")
     try:
-        doc = json_object(p.read_text(), "config")
+        doc = json_object(p.read_text(), "config", CONFIG_FORMAT)
     except ParseError as e:
         raise UsageError(str(e)) from None
-    if doc.get("format") != CONFIG_FORMAT:
-        raise UsageError(refusal("config", "format", repr(CONFIG_FORMAT),
-                                 doc.get("format")))
     for section, values in doc.items():
         if section == "format":
             continue
@@ -196,24 +198,21 @@ def _apply_flags(cfg: dict, args: argparse.Namespace) -> None:
         ("omega", phys, "omega_override_cm", float),
         ("delta", num, "delta_angstrom", float),
         ("samples", num, "time_samples", int),
+        ("temp", phys, "temperatures_k", lambda v: _parse_grid(v, "--temp")),
+        ("field_mt", phys, "fields_mt", lambda v: _parse_grid(v, "--field-mt")),
+        ("field_dir", phys, "field_direction", lambda v: _parse_vector(v, "--field-dir")),
+        ("fit_window", num, "fit_window_us",
+         lambda v: _parse_vector(v, "--fit-window", ("lo", "hi"))),
     ]
     for attr, section, key, cast in flag_map:
         value = getattr(args, attr, None)
         if value is not None:
             section[key] = cast(value)
-    if getattr(args, "temp", None) is not None:
-        phys["temperatures_k"] = _parse_grid(args.temp, "--temp")
-    if getattr(args, "field_mt", None) is not None:
-        phys["fields_mt"] = _parse_grid(args.field_mt, "--field-mt")
     if getattr(args, "top", None) is not None and args.top < 1:
         raise UsageError(f"--top must be >= 1, got {args.top}")
     t_end = getattr(args, "t_end", None)
     if t_end is not None and not positive(t_end):
         raise UsageError(f"--t-end must be positive and finite, got {t_end}")
-    if getattr(args, "field_dir", None) is not None:
-        phys["field_direction"] = _parse_vector(args.field_dir, "--field-dir")
-    if getattr(args, "fit_window", None) is not None:
-        num["fit_window_us"] = _parse_vector(args.fit_window, "--fit-window", ("lo", "hi"))
 
 
 def _validate_config(cfg: dict, need: tuple[str, ...]) -> None:
@@ -335,10 +334,17 @@ def _sweep_grid(cfg: dict, c: CouplingTensors, spin: SpinSystem) -> list:
     )
 
 
-def _single(values: list[float], what: str) -> float:
-    if len(values) != 1:
-        raise UsageError(f"{what} needs exactly one value, got {len(values)}")
-    return float(values[0])
+def _one_point(cfg: dict, command: str) -> tuple[CouplingTensors, BathSpec, SpinSystem]:
+    """Couplings, bath and spin at the one (T, B) point command runs at."""
+    c, baseline = _assemble_couplings(cfg)
+    point = []
+    for key, flag in (("temperatures_k", "--temp"), ("fields_mt", "--field-mt")):
+        values = cfg["physics"][key]
+        if len(values) != 1:
+            raise UsageError(f"{command} {flag} needs exactly one value, got {len(values)}")
+        point.append(float(values[0]))
+    spin = _spin_system(cfg, c, baseline, point[1])
+    return c, _bath(cfg, c, point[0]), spin
 
 
 # --------------------------------------------------------- subcommands
@@ -376,12 +382,9 @@ def _cmd_couplings(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def _cmd_tensor(args: argparse.Namespace, cfg: dict) -> int:
-    c, baseline = _assemble_couplings(cfg)
+    c, bath, spin = _one_point(cfg, "tensor")
     phys = cfg["physics"]
-    temperature = _single(phys["temperatures_k"], "tensor --temp")
-    field = _single(phys["fields_mt"], "tensor --field-mt")
-    spin = _spin_system(cfg, c, baseline, field)
-    tensor = build_tensor(c, _bath(cfg, c, temperature), spin)
+    tensor = build_tensor(c, bath, spin)
     report = tensor_report(tensor, axis=spin.axis, top_m=args.top)
     report["config"] = cfg
     out = _outdir(cfg)
@@ -421,12 +424,8 @@ def _cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def _cmd_attribute(args: argparse.Namespace, cfg: dict) -> int:
-    c, baseline = _assemble_couplings(cfg)
-    phys = cfg["physics"]
-    temperature = _single(phys["temperatures_k"], "attribute --temp")
-    field = _single(phys["fields_mt"], "attribute --field-mt")
-    spin = _spin_system(cfg, c, baseline, field)
-    att = mode_attribution(c, _bath(cfg, c, temperature), spin, top_m=args.top)
+    c, bath, spin = _one_point(cfg, "attribute")
+    att = mode_attribution(c, bath, spin, top_m=args.top)
     rows = [
         {
             "mode": int(att.mode_numbers[i]),
@@ -452,12 +451,8 @@ def _cmd_dynamics(args: argparse.Namespace, cfg: dict) -> int:
         # silently run the diagonal_only bath
         raise UsageError("physics.pairing 'all_pairs' is not supported by "
                          "--engine redfield; use 'diagonal_only'")
-    c, baseline = _assemble_couplings(cfg)
-    phys, num = cfg["physics"], cfg["numerics"]
-    temperature = _single(phys["temperatures_k"], "dynamics --temp")
-    field = _single(phys["fields_mt"], "dynamics --field-mt")
-    spin = _spin_system(cfg, c, baseline, field)
-    bath = _bath(cfg, c, temperature)
+    c, bath, spin = _one_point(cfg, "dynamics")
+    num = cfg["numerics"]
     tensor = build_tensor(c, bath, spin)
     analytic = relaxation_times(tensor, axis=spin.axis, convention="lindblad")
 

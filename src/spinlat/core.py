@@ -45,6 +45,13 @@ def _as_matrix3(values, name: str) -> np.ndarray:
     return m
 
 
+def freeze(obj, **arrays: np.ndarray) -> None:
+    """Set fields of the frozen dataclass obj to the arrays, made read-only."""
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
 def raise_first_failure(bad, subject: str, problem, labels=None) -> None:
     """Raise ValueError(f"{subject} {problem}") at the first set entry of bad.
 
@@ -115,11 +122,8 @@ class Geometry:
             raise ValueError("masses must be positive and finite")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions contain non-finite entries")
-        masses.setflags(write=False)
-        pos.setflags(write=False)
         object.__setattr__(self, "symbols", tuple(self.symbols))
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "positions", pos)
+        freeze(self, masses=masses, positions=pos)
 
     @property
     def natoms(self) -> int:
@@ -165,12 +169,7 @@ class ModeSet:
             src = np.asarray(self.source_indices, dtype=int)
             if src.shape != freqs.shape:
                 raise ValueError("source_indices shape mismatch")
-        freqs.setflags(write=False)
-        vecs.setflags(write=False)
-        src.setflags(write=False)
-        object.__setattr__(self, "frequencies", freqs)
-        object.__setattr__(self, "eigenvectors", vecs)
-        object.__setattr__(self, "source_indices", src)
+        freeze(self, frequencies=freqs, eigenvectors=vecs, source_indices=src)
 
     @property
     def nmodes(self) -> int:
@@ -208,10 +207,7 @@ class SpinSystem:
             raise ValueError("axis must be a unit 3-vector")
         if self.omega_override_cm is not None and self.omega_override_cm < 0.0:
             raise ValueError("omega_override_cm must be nonnegative")
-        b.setflags(write=False)
-        ax.setflags(write=False)
-        object.__setattr__(self, "field_mt", b)
-        object.__setattr__(self, "axis", ax)
+        freeze(self, field_mt=b, axis=ax)
 
     @property
     def field_magnitude_t(self) -> float:

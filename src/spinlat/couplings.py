@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import HBAR_AMU_A2_CM, ModeSet
+from .core import HBAR_AMU_A2_CM, ModeSet, freeze
 from .ingest import (DisplacedGTensorSet, ParseError, json_object, numbers, positive,
                      read_source, refusal, require)
 
@@ -83,13 +83,8 @@ class CouplingTensors:
             src = np.asarray(self.source_indices, dtype=int)
             if src.shape != (n,):
                 raise ValueError("source_indices shape mismatch")
-        for arr in (d1, d2, freqs, b, src):
-            arr.setflags(write=False)
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2)
-        object.__setattr__(self, "frequencies", freqs)
-        object.__setattr__(self, "field_direction", b)
-        object.__setattr__(self, "source_indices", src)
+        freeze(self, d1=d1, d2=d2, frequencies=freqs, field_direction=b,
+               source_indices=src)
 
     @property
     def nmodes(self) -> int:
@@ -248,10 +243,7 @@ def load_couplings(source) -> CouplingTensors:
     """
     text = read_source(source)
     where = "couplings text" if text is source else f"couplings file {source}"
-    doc = json_object(text, where)
-    if doc.get("format") != COUPLINGS_FORMAT:
-        raise ParseError(refusal(where, "format", repr(COUPLINGS_FORMAT),
-                                 doc.get("format")))
+    doc = json_object(text, where, COUPLINGS_FORMAT)
     delta, mixed, d1, d2, freqs, direction, src = require(
         doc, where, "delta_angstrom", "mixed_computed", "d1", "d2", "frequencies_cm",
         "field_direction", "source_indices")

@@ -54,6 +54,7 @@ from .core import (
     SpinSystem,
     bose_occupation,
     check_rate_matrix,
+    freeze,
 )
 from .couplings import CouplingTensors
 
@@ -89,8 +90,7 @@ class JumpBasisDissipator:
         check_rate_matrix(m, "lam_cm")
         if not np.isfinite(self.omega_cm) or self.omega_cm < 0.0:
             raise ValueError("omega_cm must be finite and nonnegative")
-        m.setflags(write=False)
-        object.__setattr__(self, "lam_cm", m)
+        freeze(self, lam_cm=m)
 
     def generator_per_us(self) -> np.ndarray:
         """Affine Bloch generator Omega K_z - 2 (Tr L I - L), rad/us."""
@@ -132,10 +132,7 @@ class SpinTrajectory:
         # the eigenvalues of rho are (1 -+ |m|)/2
         if not np.linalg.norm(m, axis=1).max() <= 1.0 + 2e-8:
             raise ValueError("trajectory has eigenvalue below -1e-8")
-        t.setflags(write=False)
-        m.setflags(write=False)
-        object.__setattr__(self, "times_us", t)
-        object.__setattr__(self, "bloch", m)
+        freeze(self, times_us=t, bloch=m)
 
     @property
     def sx(self) -> np.ndarray:

@@ -72,26 +72,33 @@ def read_source(source) -> str:
 # The config, the run manifest and the couplings file share these rules.
 # A refusal names the document and the key, and is built only on failure.
 
-def json_object(text: str, where: str) -> dict:
-    """text parsed as a JSON object."""
+def json_object(text: str, where: str, form: str | None = None) -> dict:
+    """text parsed as a JSON object, whose "format" is form when form is given."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{where} is not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise ParseError(f"{where} must be a JSON object")
+    require(doc, where)
+    if form is not None and doc.get("format") != form:
+        raise ParseError(refusal(where, "format", repr(form), doc.get("format")))
     return doc
 
 
-def require(doc, where: str, *keys: str) -> list:
-    """The values of keys in the JSON object doc; an absent key is named."""
+def require(doc, where: str, *keys: str, at: int | None = None) -> list:
+    """The values of keys in the JSON object doc; an absent key is named.
+
+    doc is named by where, or by where % at when at is given.
+    """
     try:
-        return [doc[key] for key in keys]
-    except (KeyError, TypeError):
-        if not isinstance(doc, dict):
-            raise ParseError(f"{where} must be a JSON object") from None
-        absent = ", ".join(repr(key) for key in keys if key not in doc)
-        raise ParseError(f"{where} has no {absent}") from None
+        if type(doc) is dict:
+            return [doc[key] for key in keys]
+    except KeyError:
+        pass
+    where = where if at is None else where % at
+    if type(doc) is not dict:
+        raise ParseError(f"{where} must be a JSON object")
+    absent = ", ".join(repr(key) for key in keys if key not in doc)
+    raise ParseError(f"{where} has no {absent}")
 
 
 _SHORT = reprlib.Repr()  # a refused value as shown: six items a level, two levels
@@ -116,6 +123,11 @@ def integer(value, lo, hi) -> bool:
 def one_of(value, choices) -> bool:
     """A JSON string or integer among choices; neither true nor 1.0 is 1."""
     return (type(value) is str or type(value) is int) and value in choices
+
+
+def file_name(value) -> bool:
+    """A nonempty JSON string."""
+    return type(value) is str and value != ""
 
 
 def numbers(value, shape=None, kinds: str = "if", finite: bool = False):
@@ -333,23 +345,18 @@ _G_FIELD = re.compile(
 )
 
 
-def _g_fields(text: str, size: int = 4096) -> list[float]:
+def _g_fields(text: str) -> list[float]:
     """The nine entries of the first g block in text, row by row.
 
     Fields start on the line after the first ELECTRONIC G-MATRIX marker;
     lines without fields are skipped until the block starts, and end it
-    after.  Only the size characters from the marker are split into lines,
-    four times as many again while the block runs past them, so the work
-    is bounded by the block, not by the text after it.  Finiteness is left
-    to the caller.
+    after.  Finiteness is left to the caller.
     """
     pos = text.find(G_MATRIX_MARKER)
     if pos < 0:
         raise ParseError(f"no '{G_MATRIX_MARKER}' marker found")
-    lines = text[pos:pos + size].splitlines()
-    cut = pos + size < len(text)  # the last line may go on past the window
     values: list[str] = []
-    for raw in lines[1:len(lines) - cut]:
+    for raw in text[pos:].splitlines()[1:]:
         row = _G_FIELD.findall(raw)
         if row:
             values += row
@@ -357,9 +364,6 @@ def _g_fields(text: str, size: int = 4096) -> list[float]:
                 return [float(v) for v in values[:9]]
         elif values:
             break  # numeric block ended before 9 entries
-    else:
-        if cut:  # the block may go on past the window
-            return _g_fields(text, 4 * size)
     raise ParseError(
         f"found {len(values)} of 9 numeric fields after the "
         f"'{G_MATRIX_MARKER}' marker",
@@ -577,10 +581,7 @@ def _planned_runs(run_entries: list, pair_entries: list, n: int) -> tuple[dict, 
     singles, pairs = {}, {}
     where = "manifest runs[%d]"
     for i, run in enumerate(run_entries):
-        try:
-            mode, sign, path = run["mode"], run["sign"], run["path"]
-        except (KeyError, TypeError):
-            require(run, where % i, "mode", "sign", "path")
+        mode, sign, path = require(run, where, "mode", "sign", "path", at=i)
         if not integer(mode, 1, n):
             raise ParseError(refusal(where % i, "mode", f"an integer in 1..{n}", mode))
         if not one_of(sign, _SIGNS):
@@ -588,10 +589,7 @@ def _planned_runs(run_entries: list, pair_entries: list, n: int) -> tuple[dict, 
         _add_run(singles, (mode - 1, _SIGNS[sign]), path, "runs", i)
     where = "manifest pairs[%d]"
     for i, run in enumerate(pair_entries):
-        try:
-            modes, signs, path = run["modes"], run["signs"], run["path"]
-        except (KeyError, TypeError):
-            require(run, where % i, "modes", "signs", "path")
+        modes, signs, path = require(run, where, "modes", "signs", "path", at=i)
         if not (type(modes) is list and len(modes) == 2 and modes[0] != modes[1]
                 and integer(modes[0], 1, n) and integer(modes[1], 1, n)):
             raise ParseError(refusal(where % i, "modes",
@@ -608,7 +606,7 @@ def _planned_runs(run_entries: list, pair_entries: list, n: int) -> tuple[dict, 
 def _add_run(runs: dict, key: tuple, path, section: str, i: int) -> None:
     """Add manifest entry section[i] to runs, refusing a path that is not a
     file name and a repeated displacement."""
-    if not (type(path) is str and path):
+    if not file_name(path):
         raise ParseError(refusal(f"manifest {section}[{i}]", "path", "a file name", path))
     if key in runs:
         raise ParseError(f"manifest {section}[{list(runs).index(key)}] and "
@@ -638,7 +636,7 @@ def load_run_set(manifest_path, modeset: ModeSet) -> DisplacedGTensorSet:
     if not positive(delta):
         raise ParseError(refusal("manifest", "delta_angstrom", "positive and finite",
                                  delta))
-    if not (type(baseline_path) is str and baseline_path):
+    if not file_name(baseline_path):
         raise ParseError(refusal("manifest", "baseline", "a file name", baseline_path))
     for key, value in zip(("runs", "pairs"), entries):
         if type(value) is not list:

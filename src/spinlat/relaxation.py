@@ -27,6 +27,7 @@ from .core import (
     SpinSystem,
     bose_occupation,
     check_rate_matrix,
+    freeze,
     raise_first_failure,
 )
 from .couplings import CouplingTensors
@@ -234,8 +235,7 @@ class RelaxationTensor:
             v = np.asarray(getattr(self, name), dtype=float)
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"{name} contains non-finite entries")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
+            freeze(self, **{name: v})
         _check_rates(self.lambda1, self.lambda2_quartic, self.lambda2_gsq,
                      self.elastic_dephasing, self.per_mode_lambda1.sum(axis=0),
                      self.per_mode_lambda2.sum(axis=0))

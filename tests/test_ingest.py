@@ -432,7 +432,7 @@ def test_g_block_before_a_long_log(newline):
     short = (head + "2.0 0.0 0.0\n0.0 2.0\n\n" + log).replace("\n", newline)
     with pytest.raises(ParseError, match="^line 2: found 5 of 9 numeric fields"):
         _g_fields(short)
-    # a block that starts past the first window
+    # a block that starts thousands of fieldless lines after its marker
     long_head = head + "prose\n" * 3000
     assert _g_fields(long_head + text[len(head):]) == (2.0 * np.eye(3)).ravel().tolist()
 
