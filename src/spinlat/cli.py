@@ -106,8 +106,9 @@ _CONFIG_KEYS = {
         "linewidth_cm": (2.0, *_POSITIVE),
         "linewidth_overrides": (
             {}, lambda v: (type(v) is dict and all(map(str.isdecimal, v))
+                           and len(set(map(int, v))) == len(v)
                            and all(map(positive, v.values()))),
-            "an object mapping mode numbers to positive finite numbers"),
+            "an object mapping distinct mode numbers to positive finite numbers"),
         "gamma_cm": (2.0, *_POSITIVE),
         "pairing": ("diagonal_only", lambda v: one_of(v, PAIRING_MODES),
                     f"one of {PAIRING_MODES}"),
@@ -265,7 +266,7 @@ def _assemble_couplings(cfg: dict) -> tuple[CouplingTensors, np.ndarray | None]:
     paths, direction = cfg["paths"], cfg["physics"]["field_direction"]
     if paths["couplings"] is not None:
         _validate_config(cfg, need=("couplings",))
-        c, baseline = load_couplings(paths["couplings"]), None
+        c, baseline = load_couplings(Path(paths["couplings"])), None
         if not same_direction(c.field_direction, direction):
             raise UsageError(
                 f"physics.field_direction {direction} differs from "
@@ -274,7 +275,7 @@ def _assemble_couplings(cfg: dict) -> tuple[CouplingTensors, np.ndarray | None]:
             )
     else:
         _validate_config(cfg, need=("modes", "manifest"))
-        modeset = parse_modes(paths["modes"])
+        modeset = parse_modes(Path(paths["modes"]))
         runset = load_run_set(paths["manifest"], modeset)
         c = build_couplings(runset, field_direction=direction)
         baseline = runset.baseline
@@ -352,7 +353,7 @@ def _one_point(cfg: dict, command: str) -> tuple[CouplingTensors, BathSpec, Spin
 
 def _cmd_displace(args: argparse.Namespace, cfg: dict) -> int:
     _validate_config(cfg, need=("modes",))
-    modeset = parse_modes(cfg["paths"]["modes"], skip_soft=args.skip_soft)
+    modeset = parse_modes(Path(cfg["paths"]["modes"]), skip_soft=args.skip_soft)
     plan = plan_displacements(
         modeset,
         delta=cfg["numerics"]["delta_angstrom"],
@@ -534,7 +535,7 @@ def _cmd_validate(args: argparse.Namespace, cfg: dict) -> int:
             checks.append((name, False, str(e)))
 
     def parse():
-        state["modeset"] = parse_modes(paths["modes"])
+        state["modeset"] = parse_modes(Path(paths["modes"]))
 
     def manifest():
         state["runset"] = load_run_set(paths["manifest"], state["modeset"])

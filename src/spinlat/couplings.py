@@ -32,8 +32,8 @@ COUPLINGS_FORMAT = "spinlat-couplings/1"
 
 def dimensionless_steps(modeset: ModeSet, delta: float) -> np.ndarray:
     """Per-mode dimensionless coordinate step for a geometric step of delta."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not positive(delta):
+        raise ValueError("delta must be positive and finite")
     norms = np.array([modeset.mass_weighted_norm(k) for k in range(modeset.nmodes)])
     lengths = np.sqrt(HBAR_AMU_A2_CM / modeset.frequencies)
     return delta / (norms * lengths)
@@ -70,6 +70,8 @@ class CouplingTensors:
             raise ValueError("coupling tensors contain non-finite entries")
         if np.any(freqs <= 0.0):
             raise ValueError("mode frequencies must be positive")
+        if not positive(self.delta_angstrom):
+            raise ValueError("delta_angstrom must be positive and finite")
         sym_dev = np.abs(d2 - np.swapaxes(d2, 1, 2)).max()
         scale = max(np.abs(d2).max(), 1.0)
         if sym_dev > 1e-10 * scale:
@@ -91,25 +93,6 @@ class CouplingTensors:
         return self.frequencies.size
 
 
-def _pair_quads(pairs: dict, n: int, b: np.ndarray):
-    """Mode indices k < kp, each (P,), and projected runs (P, 4, 3) per pair.
-
-    The four runs of a pair come in sign order ++, +-, -+, --; a pair
-    missing any of them is an error.
-    """
-    keys = np.array(list(pairs))
-    ids, first, counts = np.unique(keys[:, 0] * n + keys[:, 1], return_index=True,
-                                   return_counts=True)
-    if (counts != 4).any():
-        k, kp = keys[first[counts != 4].min(), :2]
-        signs = sorted((s, sp) for kk, kkp, s, sp in pairs if (kk, kkp) == (k, kp))
-        raise ValueError(f"pair ({k + 1}, {kp + 1}) needs all four sign combinations, "
-                         f"got {signs}")
-    order = np.lexsort((-keys[:, 3], -keys[:, 2], keys[:, 1], keys[:, 0]))
-    projected = np.array(list(pairs.values()), dtype=float) @ b
-    return ids // n, ids % n, projected[order].reshape(-1, 4, 3)
-
-
 def build_couplings(
     runset: DisplacedGTensorSet, field_direction=(0.0, 0.0, 1.0)
 ) -> CouplingTensors:
@@ -121,21 +104,19 @@ def build_couplings(
     projected on exactly the b the tensors store.
     """
     b = _unit(field_direction)
-    ms, s = runset.modeset, runset.singles
+    ms = runset.modeset
     n = ms.nmodes
-    missing = [(k + 1, "+" if sign > 0 else "-")
-               for k in range(n) for sign in (+1, -1) if (k, sign) not in s]
-    if missing:
-        raise ValueError(f"run set lacks single displacements: {missing}")
-    g = np.array([[s[(k, +1)], s[(k, -1)]] for k in range(n)], dtype=float) @ b
+    g = (runset.singles @ b).reshape(n, 2, 3)  # mode k's + and - runs
     dx = dimensionless_steps(ms, runset.delta_angstrom)
     d1 = ((g[:, 0] - g[:, 1]) / (2.0 * dx)[:, None]).T
     d2 = np.zeros((3, n, n))
     diag = np.arange(n)
     d2[:, diag, diag] = ((g[:, 0] - 2.0 * (runset.baseline @ b) + g[:, 1])
                          / (dx ** 2)[:, None]).T
-    if runset.pairs:
-        k, kp, q = _pair_quads(runset.pairs, n, b)
+    mixed = len(runset.pairs) > 0
+    if mixed:
+        k, kp = np.triu_indices(n, 1)
+        q = (runset.pairs @ b).reshape(-1, 4, 3)  # signs ++, +-, -+, --
         d2[:, k, kp] = d2[:, kp, k] = ((q[:, 0] - q[:, 1] - q[:, 2] + q[:, 3])
                                        / (4.0 * dx[k] * dx[kp])[:, None]).T
     return CouplingTensors(
@@ -144,7 +125,7 @@ def build_couplings(
         delta_angstrom=runset.delta_angstrom,
         frequencies=ms.frequencies.copy(),
         field_direction=b,
-        mixed_computed=bool(runset.pairs),
+        mixed_computed=mixed,
         source_indices=ms.source_indices.copy(),
     )
 

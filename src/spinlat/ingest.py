@@ -12,7 +12,7 @@ import json
 import os
 import re
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -38,17 +38,12 @@ class ParseError(ValueError):
 class IncompleteRunSetError(RuntimeError):
     """Manifest references result files that are missing or unreadable."""
 
-    def __init__(self, missing_singles, missing_pairs, missing_baseline=False):
-        self.missing_singles = list(missing_singles)
-        self.missing_pairs = list(missing_pairs)
+    def __init__(self, missing_runs, missing_baseline=False):
+        runs = list(missing_runs)
+        self.missing_singles = [run for run in runs if len(run) == 2]
+        self.missing_pairs = [run for run in runs if len(run) == 4]
         self.missing_baseline = missing_baseline
-        parts = []
-        if missing_baseline:
-            parts.append("baseline")
-        parts += [f"(mode {k}, {s})" for k, s in self.missing_singles]
-        parts += [
-            f"(modes {k} {kp}, {s}{sp})" for k, kp, s, sp in self.missing_pairs
-        ]
+        parts = ["baseline"] * missing_baseline + [*map(_name, runs)]
         super().__init__("missing displaced-run results: " + ", ".join(parts))
 
 
@@ -523,62 +518,68 @@ def write_displacement_set(
 
 @dataclass(frozen=True)
 class DisplacedGTensorSet:
-    """g matrices sampled on the displacement grid of one ModeSet."""
+    """g matrices sampled on the displacement grid of one ModeSet.
+
+    The runs are stacked in the order plan_displacements lists them.
+    Row 2k of singles is mode k's + run and row 2k + 1 its - run.  pairs
+    is empty, or holds every mode pair k < kp in np.triu_indices(N, 1)
+    order, four rows each with signs ++, +-, -+, --.
+    """
 
     modeset: ModeSet
     delta_angstrom: float
-    baseline: np.ndarray                                # (3, 3)
-    singles: dict = field(default_factory=dict)         # (k, s) -> (3, 3)
-    pairs: dict = field(default_factory=dict)           # (k, kp, s, sp) -> (3, 3)
+    baseline: np.ndarray    # (3, 3)
+    singles: np.ndarray     # (2N, 3, 3)
+    pairs: np.ndarray       # (0, 3, 3) or (2N(N - 1), 3, 3)
 
     def __post_init__(self):
-        if self.delta_angstrom <= 0.0:
-            raise ValueError("delta_angstrom must be positive")
-        b = np.asarray(self.baseline, dtype=float)
-        if b.shape != (3, 3) or not np.all(np.isfinite(b)):
-            raise ValueError("baseline g must be a finite 3x3 matrix")
-        object.__setattr__(self, "baseline", b)
+        if not positive(self.delta_angstrom):
+            raise ValueError("delta_angstrom must be positive and finite")
         n = self.modeset.nmodes
-        for k, s in self.singles:
-            if not (0 <= k < n) or s not in (+1, -1):
-                raise ValueError(f"bad single key ({k}, {s})")
-        for k, kp, s, sp in self.pairs:
-            if not (0 <= k < kp < n) or s not in (+1, -1) or sp not in (+1, -1):
-                raise ValueError(f"bad pair key ({k}, {kp}, {s}, {sp})")
-        _check_matrices("single", self.singles)
-        _check_matrices("pair", self.pairs)
+        # each field, its allowed shapes and the _run row of its first run
+        for name, shapes, first in (("baseline", [(3, 3)], None),
+                                    ("singles", [(2 * n, 3, 3)], 0),
+                                    ("pairs", [(0, 3, 3), (2 * n * (n - 1), 3, 3)], 2 * n)):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.shape not in shapes:
+                raise ValueError(f"{name} must have shape "
+                                 f"{' or '.join(map(str, shapes))}, got {arr.shape}")
+            bad = ~np.isfinite(arr).all(axis=(-2, -1))
+            if bad.any():
+                run = "" if first is None else " " + _name(_run(first + np.argmax(bad), n))
+                raise ValueError(f"{name}{run} g matrix is not finite")
+            object.__setattr__(self, name, arr)
 
 
-def _check_matrices(kind: str, entries: dict) -> None:
-    """Raise naming the first entry that is not a finite 3x3 g matrix."""
-    mats = list(entries.values())
-    try:
-        stack = np.array(mats, dtype=float)
-    except (TypeError, ValueError):  # ragged or not numeric
-        stack = np.empty(0)
-    if stack.shape[1:] == (3, 3):
-        bad = ~np.isfinite(stack).all(axis=(1, 2))
-    else:  # find the culprit entry by entry
-        bad = [np.shape(m) != (3, 3) or not np.all(np.isfinite(np.asarray(m, float)))
-               for m in mats]
-    hit = np.nonzero(bad)[0]
-    if hit.size:
-        key = ", ".join(map(str, list(entries)[hit[0]]))
-        raise ValueError(f"{kind} ({key}) g matrix invalid")
+def _run(row: int, n: int) -> tuple:
+    """The run in a row of singles then pairs: 1-based modes, signs as +/-."""
+    if row < 2 * n:
+        return row // 2 + 1, "+-"[row % 2]
+    pair, signs = divmod(row - 2 * n, 4)
+    k = 0
+    while pair >= n - 1 - k:  # mode k pairs with the n - 1 - k modes after it
+        pair, k = pair - (n - 1 - k), k + 1
+    return k + 1, k + pair + 2, "+-"[signs // 2], "+-"[signs % 2]
 
 
-_SIGNS = {"+": +1, "plus": +1, 1: +1, "-": -1, "minus": -1, -1: -1}
+def _name(run: tuple) -> str:
+    """A run as messages name it: (mode 2, -) or (modes 1 3, +-)."""
+    return "(mode %d, %s)" % run if len(run) == 2 else "(modes %d %d, %s%s)" % run
 
 
-def _planned_runs(run_entries: list, pair_entries: list, n: int) -> tuple[dict, dict]:
-    """DisplacedGTensorSet key -> result path, of the single and of the pair runs.
+_SIGNS = {"+": 0, "plus": 0, 1: 0, "-": 1, "minus": 1, -1: 1}  # the sign's row offset
 
-    Keys come in manifest order, pairs in canonical k < kp order.  Every
-    entry is checked, and a displacement listed twice is refused, before
-    any result file is read.  An entry's name is formatted only when it
-    is refused, since a manifest can list tens of thousands.
+
+def _planned_paths(run_entries: list, pair_entries: list, n: int) -> list:
+    """The result paths of the single runs, then of the pair runs, in row order.
+
+    Every entry is checked, and a run listed twice or not at all is
+    refused, before any result file is read; pair runs are listed for
+    every mode pair or for none.  An entry's name is formatted only when
+    it is refused, since a manifest can list tens of thousands.
     """
-    singles, pairs = {}, {}
+    paths = [None] * (2 * n + (2 * n * (n - 1) if pair_entries else 0))
+    listed_at = paths.copy()  # the index of the entry that fills each row
     where = "manifest runs[%d]"
     for i, run in enumerate(run_entries):
         mode, sign, path = require(run, where, "mode", "sign", "path", at=i)
@@ -586,7 +587,7 @@ def _planned_runs(run_entries: list, pair_entries: list, n: int) -> tuple[dict, 
             raise ParseError(refusal(where % i, "mode", f"an integer in 1..{n}", mode))
         if not one_of(sign, _SIGNS):
             raise ParseError(refusal(where % i, "sign", f"one of {[*_SIGNS]}", sign))
-        _add_run(singles, (mode - 1, _SIGNS[sign]), path, "runs", i)
+        _place(paths, listed_at, 2 * mode - 2 + _SIGNS[sign], path, "runs", i)
     where = "manifest pairs[%d]"
     for i, run in enumerate(pair_entries):
         modes, signs, path = require(run, where, "modes", "signs", "path", at=i)
@@ -598,34 +599,33 @@ def _planned_runs(run_entries: list, pair_entries: list, n: int) -> tuple[dict, 
                 and one_of(signs[0], _SIGNS) and one_of(signs[1], _SIGNS)):
             raise ParseError(refusal(where % i, "signs", f"two of {[*_SIGNS]}", signs))
         (ka, kb), sa, sb = modes, _SIGNS[signs[0]], _SIGNS[signs[1]]
-        key = (ka - 1, kb - 1, sa, sb) if ka < kb else (kb - 1, ka - 1, sb, sa)
-        _add_run(pairs, key, path, "pairs", i)
-    return singles, pairs
+        if ka > kb:
+            ka, kb, sa, sb = kb, ka, sb, sa
+        pair = (ka - 1) * (2 * n - ka) // 2 + kb - ka - 1  # in np.triu_indices order
+        _place(paths, listed_at, 2 * n + 4 * pair + 2 * sa + sb, path, "pairs", i)
+    if None in paths:
+        raise ParseError(f"manifest lists no run for {_name(_run(paths.index(None), n))}")
+    return paths
 
 
-def _add_run(runs: dict, key: tuple, path, section: str, i: int) -> None:
-    """Add manifest entry section[i] to runs, refusing a path that is not a
-    file name and a repeated displacement."""
+def _place(paths: list, listed_at: list, row: int, path, section: str, i: int) -> None:
+    """Put the path of manifest entry section[i] at row, refusing a path that
+    is not a file name and a row already filled."""
     if not file_name(path):
         raise ParseError(refusal(f"manifest {section}[{i}]", "path", "a file name", path))
-    if key in runs:
-        raise ParseError(f"manifest {section}[{list(runs).index(key)}] and "
+    if paths[row] is not None:
+        raise ParseError(f"manifest {section}[{listed_at[row]}] and "
                          f"{section}[{i}] list the same displacement")
-    runs[key] = path
-
-
-def _label(key: tuple) -> tuple:
-    """A run key as the missing-runs report gives it: 1-based, signs as +/-."""
-    half = len(key) // 2
-    return (*(k + 1 for k in key[:half]), *("+" if s > 0 else "-" for s in key[half:]))
+    paths[row], listed_at[row] = path, i
 
 
 def load_run_set(manifest_path, modeset: ModeSet) -> DisplacedGTensorSet:
     """Assemble a DisplacedGTensorSet from a run manifest.
 
+    The manifest must list every single run, and every pair run or none.
     Result paths are resolved relative to the manifest location.  Each
     result is read to its end as UTF-8 text, with any line ending.  A
-    missing baseline or missing runs abort with the full list of gaps;
+    missing baseline or missing results abort with the full list of gaps;
     mode numbers in the report are 1-based.  A result that cannot be
     decoded or parsed aborts naming its path as the manifest gives it.
     """
@@ -641,9 +641,9 @@ def load_run_set(manifest_path, modeset: ModeSet) -> DisplacedGTensorSet:
     for key, value in zip(("runs", "pairs"), entries):
         if type(value) is not list:
             raise ParseError(refusal("manifest", key, "an array", value))
-    singles, pairs = _planned_runs(*entries, modeset.nmodes)
+    n = modeset.nmodes
+    paths = [baseline_path, *_planned_paths(*entries, n)]
     del doc, entries  # every entry is checked; free them before the results are read
-    paths = [baseline_path, *singles.values(), *pairs.values()]
     stack = np.empty((len(paths), 9))  # one parsed result per row
 
     def read(i: int) -> bool:
@@ -670,22 +670,15 @@ def load_run_set(manifest_path, modeset: ModeSet) -> DisplacedGTensorSet:
     found = [read(i) for i in range(len(paths))]
     if not all(found):
         raise IncompleteRunSetError(
-            [_label(key) for key, ok in zip(singles, found[1:]) if not ok],
-            [_label(key) for key, ok in zip(pairs, found[1 + len(singles):]) if not ok],
-            missing_baseline=not found[0],
-        )
+            [_run(i - 1, n) for i in range(1, len(paths)) if not found[i]],
+            missing_baseline=not found[0])
     bad = np.nonzero(~np.isfinite(stack).all(axis=1))[0]
     if bad.size:
         raise ParseError(f"{paths[bad[0]]}: g matrix block contains non-finite values")
     del paths  # needed for messages only; free it before the views are made
     stack = stack.reshape(-1, 3, 3)
-    return DisplacedGTensorSet(
-        modeset=modeset,
-        delta_angstrom=float(delta),
-        baseline=stack[0],
-        singles=dict(zip(singles, stack[1:])),
-        pairs=dict(zip(pairs, stack[1 + len(singles):])),
-    )
+    return DisplacedGTensorSet(modeset, float(delta), stack[0], stack[1:1 + 2 * n],
+                               stack[1 + 2 * n:])
 
 
 def sample_g_surface(
@@ -701,20 +694,6 @@ def sample_g_surface(
     from plan_displacements; used for synthetic surfaces and testing.
     """
     plan = plan_displacements(modeset, delta=delta, order=order, pairing=pairing)
-    baseline = None
-    singles, pairs = {}, {}
-    for g in plan:
-        m = np.asarray(g_func(g.positions), dtype=float)
-        if g.kind == "baseline":
-            baseline = m
-        elif g.kind == "single":
-            singles[(g.modes[0], g.signs[0])] = m
-        else:
-            pairs[(g.modes[0], g.modes[1], g.signs[0], g.signs[1])] = m
-    return DisplacedGTensorSet(
-        modeset=modeset,
-        delta_angstrom=delta,
-        baseline=baseline,
-        singles=singles,
-        pairs=pairs,
-    )
+    stack = np.array([g_func(g.positions) for g in plan], dtype=float)
+    end = 1 + 2 * modeset.nmodes
+    return DisplacedGTensorSet(modeset, delta, stack[0], stack[1:end], stack[end:])

@@ -89,6 +89,26 @@ def test_displace_all_pairs_counts(dataset, tmp_path):
     assert len(list(out.glob("*.xyz"))) == 1 + 6 + 4 * 3
 
 
+def test_paths_that_start_with_a_brace_name_files(dataset, tmp_path, monkeypatch,
+                                                 capsys):
+    # a str starting with '{' is read as JSON text by the library readers;
+    # a command-line path always names a file
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(dataset["modes"], "{m}.txt")
+    code, _, err = run("displace", "--modes", "{m}.txt", "--out", "plan", capsys=capsys)
+    assert code == 0, err
+    assert run("couplings", "--modes", "{m}.txt", "--manifest", dataset["manifest"],
+               "--out", "built")[0] == 0
+    assert run("validate", "--modes", "{m}.txt", "--manifest", dataset["manifest"])[0] == 0
+    shutil.copy("built/couplings.json", "{c}.json")
+    code, _, err = run("tensor", "--couplings", "{c}.json",
+                       "--config", _g0_config(tmp_path, dataset),
+                       "--temp", "20", "--field-mt", "1266", "--out", "art",
+                       capsys=capsys)
+    assert code == 0, err
+    assert Path("art/tensor.json").is_file()
+
+
 def test_displace_missing_modes_exits_2(tmp_path, capsys):
     code, _, err = run("displace", "--modes", str(tmp_path / "nope.txt"),
                        capsys=capsys)
@@ -729,6 +749,35 @@ def test_malformed_manifest_entry_exits_1(dataset, tmp_path, capsys, edit, named
     assert f"error: manifest {named}" in err
 
 
+def _drop_runs(section, keep):
+    def edit(m):
+        m[section] = [run for run in m[section] if keep(run)]
+    return edit
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_drop_runs("runs", lambda r: (r["mode"], r["sign"]) != (2, "-")), "(mode 2, -)"),
+    (_drop_runs("pairs", lambda r: (r["modes"], r["signs"]) != ([1, 3], ["-", "-"])),
+     "(modes 1 3, --)"),
+    (_drop_runs("pairs", lambda r: r["modes"] == [1, 2]), "(modes 1 3, ++)"),
+], ids=["missing-single", "incomplete-pair", "some-pairs"])
+def test_manifest_without_a_run_exits_1(dataset, tmp_path, capsys, edit, named):
+    # no result file exists, so the run must be named from the manifest
+    # alone, before any result is looked for
+    ms = dataset["modeset"]
+    mpath = write_displacement_set(plan_displacements(ms, pairing="all_pairs"), ms,
+                                   tmp_path / "runs", 0.01)
+    assert not list(mpath.parent.glob("*.gout"))
+    doc = json.loads(mpath.read_text())
+    edit(doc)
+    mpath.write_text(json.dumps(doc))
+    code, _, err = run("couplings", "--modes", dataset["modes"], "--manifest", str(mpath),
+                       "--out", str(tmp_path / "art"), capsys=capsys)
+    assert code == 1
+    assert err == f"error: manifest lists no run for {named}\n"
+    assert not (tmp_path / "art").exists()
+
+
 # --------------------------------------------------------------- config
 
 def test_config_file_and_flag_override(dataset, tmp_path):
@@ -906,6 +955,28 @@ def test_linewidth_override_unknown_mode(dataset, tmp_path, capsys):
                        "--temp", "20", "--field-mt", "1266", capsys=capsys)
     assert code == 2
     assert "unknown mode" in err
+
+
+def test_linewidth_overrides_naming_one_mode_twice_exit_2(dataset, tmp_path, capsys,
+                                                         monkeypatch):
+    # "2" and "02" are both mode 2; neither value may silently win
+    def forbidden(*args, **kwargs):
+        raise AssertionError("input read before the config was checked")
+
+    monkeypatch.setattr(spinlat.cli, "parse_modes", forbidden)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({
+        "format": "spinlat-config/1",
+        "physics": {"linewidth_overrides": {"2": 1.5, "02": 3.0}},
+    }))
+    code, _, err = run("tensor", "--config", str(cfgfile),
+                       "--modes", dataset["modes"],
+                       "--manifest", dataset["manifest"],
+                       "--temp", "20", "--field-mt", "1266",
+                       "--out", str(tmp_path / "art"), capsys=capsys)
+    assert code == 2, err
+    assert "'physics.linewidth_overrides' must be" in err
+    assert not (tmp_path / "art").exists()
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])

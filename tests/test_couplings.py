@@ -15,7 +15,7 @@ from spinlat.couplings import (
     export_couplings,
     load_couplings,
 )
-from spinlat.ingest import DisplacedGTensorSet, sample_g_surface
+from spinlat.ingest import sample_g_surface
 
 from conftest import make_modeset
 
@@ -102,6 +102,12 @@ def test_dimensionless_steps_oracle(toy_modes):
 def test_dimensionless_steps_rejects_nonpositive_delta(toy_modes):
     with pytest.raises(ValueError, match="delta"):
         dimensionless_steps(toy_modes, 0.0)
+
+
+@pytest.mark.parametrize("delta", [np.inf, np.nan])
+def test_dimensionless_steps_rejects_nonfinite_delta(toy_modes, delta):
+    with pytest.raises(ValueError, match="^delta must be positive and finite$"):
+        dimensionless_steps(toy_modes, delta)
 
 
 # ------------------------------------------------------------ FD exactness
@@ -217,16 +223,14 @@ def _loop_stencils(runset, b):
     d1, d2 = np.empty((3, n)), np.zeros((3, n, n))
     g0 = runset.baseline @ b
     for k in range(n):
-        gp, gm = runset.singles[(k, 1)] @ b, runset.singles[(k, -1)] @ b
+        gp, gm = runset.singles[2 * k] @ b, runset.singles[2 * k + 1] @ b
         d1[:, k] = (gp - gm) / (2.0 * dx[k])
         d2[:, k, k] = (gp - 2.0 * g0 + gm) / dx[k] ** 2
-    for (k, kp, s, sp) in runset.pairs:
-        if (s, sp) == (1, 1):
-            q = {key: runset.pairs[(k, kp, *key)] @ b
-                 for key in ((1, 1), (1, -1), (-1, 1), (-1, -1))}
-            mixed = (q[(1, 1)] - q[(1, -1)] - q[(-1, 1)] + q[(-1, -1)]) / (
-                4.0 * dx[k] * dx[kp])
-            d2[:, k, kp] = d2[:, kp, k] = mixed
+    runs = iter(runset.pairs)  # pairs k < kp in order, signs ++, +-, -+, --
+    for k in range(n):
+        for kp in range(k + 1, n):
+            pp, pm, mp, mm = (next(runs) @ b for _ in range(4))
+            d2[:, k, kp] = d2[:, kp, k] = (pp - pm - mp + mm) / (4.0 * dx[k] * dx[kp])
     return d1, d2
 
 
@@ -245,38 +249,6 @@ def test_array_stencils_equal_loop_stencils(direction):
 
 
 # ---------------------------------------------------------------- errors
-
-def test_missing_single_names_mode(toy_modes):
-    gfun, _, _ = quadratic_surface(toy_modes)
-    runset = sample_g_surface(toy_modes, gfun)
-    singles = dict(runset.singles)
-    del singles[(1, -1)]
-    broken = DisplacedGTensorSet(
-        modeset=toy_modes,
-        delta_angstrom=runset.delta_angstrom,
-        baseline=runset.baseline,
-        singles=singles,
-        pairs={},
-    )
-    with pytest.raises(ValueError, match=r"\(2, '-'\)"):
-        build_couplings(broken)
-
-
-def test_incomplete_pair_names_pair(toy_modes):
-    gfun, _, _ = quadratic_surface(toy_modes)
-    runset = sample_g_surface(toy_modes, gfun, pairing="all_pairs")
-    pairs = dict(runset.pairs)
-    del pairs[(0, 2, -1, -1)]
-    broken = DisplacedGTensorSet(
-        modeset=toy_modes,
-        delta_angstrom=runset.delta_angstrom,
-        baseline=runset.baseline,
-        singles=dict(runset.singles),
-        pairs=pairs,
-    )
-    with pytest.raises(ValueError, match=r"pair \(1, 3\)"):
-        build_couplings(broken)
-
 
 def test_diagonal_only_flags_mixed_not_computed(toy_modes):
     gfun, _, _ = quadratic_surface(toy_modes)
@@ -398,3 +370,14 @@ def test_tensor_validation_rejects_asymmetric_d2(toy_modes):
             field_direction=(0.0, 0.0, 1.0),
             mixed_computed=True,
         )
+
+
+@pytest.mark.parametrize("delta", [np.nan, np.inf, 0.0])
+def test_tensor_validation_rejects_a_step_that_is_not_positive_and_finite(toy_modes,
+                                                                         delta):
+    # a NaN step would be exported as a NaN that load_couplings refuses
+    n = toy_modes.nmodes
+    with pytest.raises(ValueError, match="^delta_angstrom must be positive and finite$"):
+        CouplingTensors(d1=np.zeros((3, n)), d2=np.zeros((3, n, n)), delta_angstrom=delta,
+                        frequencies=toy_modes.frequencies,
+                        field_direction=(0.0, 0.0, 1.0), mixed_computed=False)

@@ -269,17 +269,15 @@ def test_write_and_load_run_set(tmp_path, toy_modes):
     rs = load_run_set(mpath, toy_modes)
     assert isinstance(rs, DisplacedGTensorSet)
     assert rs.delta_angstrom == 0.02
-    assert set(rs.singles) == {(k, s) for k in range(3) for s in (+1, -1)}
-    assert len(rs.pairs) == 12
+    assert rs.singles.shape == (6, 3, 3)
+    assert rs.pairs.shape == (12, 3, 3)
     np.testing.assert_allclose(rs.baseline, REFERENCE_G, rtol=1e-12)
 
-    # matches direct evaluation
+    # matches direct evaluation, run for run
     direct = sample_g_surface(toy_modes, gfun, delta=0.02, order=2,
                               pairing="all_pairs")
-    for key, m in rs.singles.items():
-        np.testing.assert_allclose(m, direct.singles[key], atol=1e-14)
-    for key, m in rs.pairs.items():
-        np.testing.assert_allclose(m, direct.pairs[key], atol=1e-14)
+    np.testing.assert_allclose(rs.singles, direct.singles, atol=1e-14)
+    np.testing.assert_allclose(rs.pairs, direct.pairs, atol=1e-14)
 
 
 def test_load_run_set_reports_missing_runs(tmp_path, toy_modes):
@@ -319,8 +317,8 @@ def test_manifest_missing_key_rejected(tmp_path, toy_modes):
 def test_sample_g_surface_diagonal_only_has_no_pairs(toy_modes):
     gfun = _linear_g_surface(toy_modes.geometry.positions)
     rs = sample_g_surface(toy_modes, gfun, order=2, pairing="diagonal_only")
-    assert not rs.pairs
-    assert set(rs.singles) == {(k, s) for k in range(toy_modes.nmodes) for s in (+1, -1)}
+    assert rs.pairs.shape == (0, 3, 3)
+    assert rs.singles.shape == (2 * toy_modes.nmodes, 3, 3)
 
 
 def test_read_source_one_rule_for_text_and_paths(tmp_path, monkeypatch):
@@ -441,18 +439,30 @@ def test_g_block_before_a_long_log(newline):
 
 @pytest.mark.parametrize("bad", ["non-finite", "shape"])
 @pytest.mark.parametrize("kind, key", [
-    ("single", (1, -1)),
-    ("pair", (0, 2, 1, -1)),
+    ("single", (3, "(mode 2, -)")),
+    ("pair", (5, "(modes 1 3, +-)")),
 ])
 def test_run_set_names_invalid_matrix(toy_modes, kind, key, bad):
     rs = sample_g_surface(toy_modes, _linear_g_surface(toy_modes.geometry.positions),
                           pairing="all_pairs")
-    entries = {"single": dict(rs.singles), "pair": dict(rs.pairs)}
-    entries[kind][key] = np.eye(3)[:2] if bad == "shape" else np.full((3, 3), np.inf)
-    label = ", ".join(map(str, key))
-    with pytest.raises(ValueError, match=rf"^{kind} \({label}\) g matrix invalid$"):
-        DisplacedGTensorSet(toy_modes, rs.delta_angstrom, rs.baseline,
-                            singles=entries["single"], pairs=entries["pair"])
+    (row, run), field = key, kind + "s"
+    runs = {"singles": rs.singles.copy(), "pairs": rs.pairs.copy()}
+    if bad == "shape":  # a stack one run short
+        rows = len(runs[field])
+        runs[field] = np.delete(runs[field], row, axis=0)
+        message = rf"{field} must have shape .*\({rows}, 3, 3\), got \({rows - 1}, 3, 3\)"
+    else:
+        runs[field][row, 1, 2] = np.inf
+        message = re.escape(f"{field} {run} g matrix is not finite")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DisplacedGTensorSet(toy_modes, rs.delta_angstrom, rs.baseline, **runs)
+
+
+@pytest.mark.parametrize("delta", [np.inf, np.nan, 0.0])
+def test_run_set_refuses_a_step_that_is_not_positive_and_finite(toy_modes, delta):
+    rs = sample_g_surface(toy_modes, _linear_g_surface(toy_modes.geometry.positions))
+    with pytest.raises(ValueError, match="^delta_angstrom must be positive and finite$"):
+        DisplacedGTensorSet(toy_modes, delta, rs.baseline, rs.singles, rs.pairs)
 
 
 # ---------------------------------------------------------- manifest entries
@@ -548,8 +558,8 @@ def test_manifest_sign_spellings_give_the_same_run_set(pair_runs, toy_modes, plu
         run["signs"] = [spell[s] for s in run["signs"]]
     pair_runs.write_text(json.dumps(doc))
     loaded = load_run_set(pair_runs, toy_modes)
-    assert list(loaded.singles) == list(expected.singles)
-    assert list(loaded.pairs) == list(expected.pairs)
+    for a, b in zip(_run_set_arrays(expected), _run_set_arrays(loaded)):
+        assert np.array_equal(a, b)
 
 
 def test_manifest_must_be_an_object(tmp_path, toy_modes):
@@ -579,7 +589,7 @@ def test_result_that_is_a_directory_counts_as_missing(pair_runs, toy_modes):
 # ------------------------------------------------------------ result reads
 
 def _run_set_arrays(rs):
-    return [rs.baseline, *rs.singles.values(), *rs.pairs.values()]
+    return [rs.baseline, rs.singles, rs.pairs]
 
 
 @pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
@@ -589,8 +599,6 @@ def test_line_endings_give_the_same_run_set(pair_runs, toy_modes, newline):
         text = "engine log\nconverged\n" + result.read_text()
         result.write_bytes(text.replace("\n", newline).encode())
     other = load_run_set(pair_runs, toy_modes)
-    assert list(other.singles) == list(lf.singles)
-    assert list(other.pairs) == list(lf.pairs)
     for a, b in zip(_run_set_arrays(lf), _run_set_arrays(other)):
         assert np.array_equal(a, b)
 
