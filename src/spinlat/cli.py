@@ -87,6 +87,8 @@ def _grid(lo: float = -np.inf):
 
 _PATH = (lambda v: v is None or type(v) is str, "a path string or null")
 _POSITIVE = (positive, "positive and finite")
+_BOOL = (lambda v: type(v) is bool, "true or false")
+_KINDS, _ENGINES = ("t1", "t2"), ("lindblad", "redfield")
 
 # every config key: its default, the test a value must pass, and what the
 # test asks for
@@ -119,9 +121,22 @@ _CONFIG_KEYS = {
     },
     "numerics": {
         "delta_angstrom": (0.01, *_POSITIVE),
+        "order": (2, lambda v: one_of(v, (1, 2)), "1 or 2"),
+        "skip_soft": (False, *_BOOL),
         "fit_window_us": (None, _finite((2,), lambda arr: arr[0] < arr[1], null=True),
                           "null or [lo, hi] with finite lo < hi"),
         "time_samples": (2001, lambda v: integer(v, 10, np.inf), "an integer >= 10"),
+        "t_end_us": (None, lambda v: v is None or positive(v),
+                     "null or positive and finite"),
+    },
+    "dynamics": {
+        "kind": ("t1", lambda v: one_of(v, _KINDS), f"one of {_KINDS}"),
+        "engine": ("lindblad", lambda v: one_of(v, _ENGINES), f"one of {_ENGINES}"),
+        "rotating_frame": (True, *_BOOL),
+    },
+    "report": {
+        "top_modes": (None, lambda v: v is None or integer(v, 1, np.inf),
+                      "null or an integer >= 1"),
     },
 }
 _DEFAULTS = {"format": CONFIG_FORMAT, **{
@@ -129,114 +144,126 @@ _DEFAULTS = {"format": CONFIG_FORMAT, **{
     for section, keys in _CONFIG_KEYS.items()}}
 
 
-def _merge_config(path) -> dict:
-    cfg = copy.deepcopy(_DEFAULTS)
-    if path is None:
-        return cfg
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"config file not found: {path}")
-    try:
-        doc = json_object(p.read_text(), "config", CONFIG_FORMAT)
-    except ParseError as e:
-        raise UsageError(str(e)) from None
-    for section, values in doc.items():
-        if section == "format":
-            continue
-        if section not in cfg:
-            raise UsageError(f"unknown config key {section!r}")
-        if not isinstance(values, dict):
-            raise UsageError(refusal("config", section, "an object", values))
-        for key, value in values.items():
-            if key not in cfg[section]:
-                raise UsageError(f"unknown config key '{section}.{key}'")
-            cfg[section][key] = value
-    return cfg
-
-
-def _parse_grid(text: str, flag: str) -> list[float]:
+def _parse_grid(text: str) -> list[float]:
     """'20' -> [20.0]; '10,20' -> list; '5:300:60' -> inclusive grid."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise UsageError(f"{flag} range must be start:stop:count, got {text!r}")
+            raise argparse.ArgumentTypeError(f"range must be start:stop:count, got {text!r}")
         try:
             start, stop = float(parts[0]), float(parts[1])
             count = int(parts[2])
         except ValueError:
-            raise UsageError(f"{flag} range must be numeric, got {text!r}") from None
+            raise argparse.ArgumentTypeError(f"range must be numeric, got {text!r}") from None
         if count < 1:
-            raise UsageError(f"{flag} range count must be >= 1")
+            raise argparse.ArgumentTypeError("range count must be >= 1")
         return [float(v) for v in np.linspace(start, stop, count)]
     try:
         return [float(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
-        raise UsageError(f"{flag} must be a number, list, or range, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"must be a number, list, or range, got {text!r}") from None
 
 
-def _parse_vector(text: str, flag: str, names=("x", "y", "z")) -> list[float]:
-    """The comma-separated numbers of a flag, one for each of names."""
-    try:
-        vec = [float(tok) for tok in text.split(",")]
-    except ValueError:
-        vec = []
-    if len(vec) != len(names):
-        raise UsageError(f"{flag} must be {','.join(names)}, got {text!r}")
-    return vec
+def _vector_reader(*names: str):
+    """The reader of comma-separated numbers, one for each of names."""
+    def read(text: str) -> list[float]:
+        try:
+            vec = [float(tok) for tok in text.split(",")]
+        except ValueError:
+            vec = []
+        if len(vec) != len(names):
+            raise argparse.ArgumentTypeError(f"must be {','.join(names)}, got {text!r}")
+        return vec
+    return read
 
 
-def _apply_flags(cfg: dict, args: argparse.Namespace) -> None:
-    paths, phys, num = cfg["paths"], cfg["physics"], cfg["numerics"]
-    flag_map = [
-        ("modes", paths, "modes", str),
-        ("manifest", paths, "manifest", str),
-        ("couplings", paths, "couplings", str),
-        ("out", paths, "output_dir", str),
-        ("linewidth", phys, "linewidth_cm", float),
-        ("gamma", phys, "gamma_cm", float),
-        ("pairing", phys, "pairing", str),
-        ("convention", phys, "convention", str),
-        ("omega", phys, "omega_override_cm", float),
-        ("delta", num, "delta_angstrom", float),
-        ("samples", num, "time_samples", int),
-        ("temp", phys, "temperatures_k", lambda v: _parse_grid(v, "--temp")),
-        ("field_mt", phys, "fields_mt", lambda v: _parse_grid(v, "--field-mt")),
-        ("field_dir", phys, "field_direction", lambda v: _parse_vector(v, "--field-dir")),
-        ("fit_window", num, "fit_window_us",
-         lambda v: _parse_vector(v, "--fit-window", ("lo", "hi"))),
-    ]
-    for attr, section, key, cast in flag_map:
-        value = getattr(args, attr, None)
-        if value is not None:
-            section[key] = cast(value)
-    if getattr(args, "top", None) is not None and args.top < 1:
-        raise UsageError(f"--top must be >= 1, got {args.top}")
-    t_end = getattr(args, "t_end", None)
-    if t_end is not None and not positive(t_end):
-        raise UsageError(f"--t-end must be positive and finite, got {t_end}")
+# every flag: the config key it sets, how its text is read (for a switch,
+# the value it sets) and its help; a flag is only a way to set its key
+_FLAGS = {
+    "--modes": ("paths.modes", str, "NMODES file"),
+    "--manifest": ("paths.manifest", str, "displacement run manifest"),
+    "--couplings": ("paths.couplings", str, "precomputed couplings JSON"),
+    "--out": ("paths.output_dir", str, "output directory (default '.')"),
+    "--temp": ("physics.temperatures_k", _parse_grid,
+               "temperature K: value, list, or start:stop:count"),
+    "--field-mt": ("physics.fields_mt", _parse_grid,
+                   "field mT: value, list, or start:stop:count"),
+    "--field-dir": ("physics.field_direction", _vector_reader("x", "y", "z"),
+                    "field direction as x,y,z"),
+    "--linewidth": ("physics.linewidth_cm", float, "Lorentzian half-width, cm^-1"),
+    "--gamma": ("physics.gamma_cm", float, "one-phonon damping rate, cm^-1"),
+    "--pairing": ("physics.pairing", str, " or ".join(PAIRING_MODES)),
+    "--convention": ("physics.convention", str, " or ".join(CONVENTIONS)),
+    "--omega": ("physics.omega_override_cm", float, "pin the spin frequency, cm^-1"),
+    "--delta": ("numerics.delta_angstrom", float, "step size, Angstrom"),
+    "--order": ("numerics.order", int, "finite-difference order, 1 or 2"),
+    "--skip-soft": ("numerics.skip_soft", True,
+                    "drop modes below 1 cm^-1 instead of failing"),
+    "--samples": ("numerics.time_samples", int, "trajectory sample count"),
+    "--t-end": ("numerics.t_end_us", float, "trajectory span, us"),
+    "--fit-window": ("numerics.fit_window_us", _vector_reader("lo", "hi"),
+                     "fit window lo,hi in us"),
+    "--kind": ("dynamics.kind", str, " or ".join(_KINDS)),
+    "--engine": ("dynamics.engine", str, " or ".join(_ENGINES)),
+    "--no-rotating-frame": ("dynamics.rotating_frame", False,
+                            "keep coherent precession in the lindblad engine"),
+    "--top": ("report.top_modes", int, "modes listed in the report"),
+}
+_FLAG_OF = {key: flag for flag, (key, _, _) in _FLAGS.items()}
 
 
-def _validate_config(cfg: dict, need: tuple[str, ...]) -> None:
-    """Refuse a value that fails its key's rule, naming the key; drop repeated
-    grid values.
+def _config(path, flags: dict) -> dict:
+    """The defaults, then the config file at path (when given), then the keys
+    flags gives values for.
 
-    Repeats are dropped keeping the first occurrence, so the config that
-    artifacts embed holds the grid actually computed.
+    A value that fails its key's rule is refused, naming the key and, when
+    a flag gave it, the flag.  Repeated grid values are dropped keeping
+    the first, so the config that artifacts embed holds the grid actually
+    computed.
     """
+    cfg = copy.deepcopy(_DEFAULTS)
+    if path is not None:
+        if not Path(path).is_file():
+            raise UsageError(f"config file not found: {path}")
+        try:
+            doc = json_object(Path(path).read_text(), "config", CONFIG_FORMAT)
+        except ParseError as e:
+            raise UsageError(str(e)) from None
+        for section, values in doc.items():
+            if section == "format":
+                continue
+            if section not in cfg:
+                raise UsageError(f"unknown config key {section!r}")
+            if not isinstance(values, dict):
+                raise UsageError(refusal("config", section, "an object", values))
+            for key, value in values.items():
+                if key not in cfg[section]:
+                    raise UsageError(f"unknown config key '{section}.{key}'")
+                cfg[section][key] = value
+    for key, value in flags.items():
+        section, name = key.split(".")
+        cfg[section][name] = value
     for section, keys in _CONFIG_KEYS.items():
-        for key, (_, test, what) in keys.items():
-            if not test(cfg[section][key]):
-                raise UsageError(refusal("config", f"{section}.{key}", what,
-                                         cfg[section][key]))
-    paths, phys = cfg["paths"], cfg["physics"]
+        for name, (_, test, what) in keys.items():
+            key, value = f"{section}.{name}", cfg[section][name]
+            if not test(value):
+                given = f" (flag {_FLAG_OF[key]})" if key in flags else ""
+                raise UsageError(refusal("config", key, what, value) + given)
+    phys = cfg["physics"]
     for key in ("temperatures_k", "fields_mt"):
         phys[key] = list(dict.fromkeys(phys[key]))
-    for key in need:
-        value = paths[key]
+    return cfg
+
+
+def _need_files(cfg: dict, *names: str) -> None:
+    """Refuse a paths key among names that is unset or names no file."""
+    for name in names:
+        value = cfg["paths"][name]
         if value is None:
-            raise UsageError(f"paths.{key} is required (flag --{key})")
+            raise UsageError(f"paths.{name} is required (flag {_FLAG_OF['paths.' + name]})")
         if not Path(value).is_file():
-            raise UsageError(f"paths.{key} file not found: {value}")
+            raise UsageError(f"paths.{name} file not found: {value}")
 
 
 # ---------------------------------------------------- shared assembly
@@ -246,8 +273,23 @@ def _config_comment(cfg: dict) -> str:
     return "# config: " + json.dumps(cfg, sort_keys=True, separators=(",", ":"))
 
 
+def _strict(doc):
+    """doc with each infinite float, a time whose rate is zero, as None.
+
+    Rates, tensors and the config are checked finite before they are
+    written, so only a time can be infinite.
+    """
+    if isinstance(doc, dict):
+        return {key: _strict(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_strict(value) for value in doc]
+    return None if isinstance(doc, float) and np.isinf(doc) else doc
+
+
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """doc as strict JSON: an infinite time is written as null."""
+    path.write_text(json.dumps(_strict(doc), indent=2, sort_keys=True,
+                               allow_nan=False) + "\n")
 
 
 def _outdir(cfg: dict) -> Path:
@@ -265,7 +307,7 @@ def _assemble_couplings(cfg: dict) -> tuple[CouplingTensors, np.ndarray | None]:
     """
     paths, direction = cfg["paths"], cfg["physics"]["field_direction"]
     if paths["couplings"] is not None:
-        _validate_config(cfg, need=("couplings",))
+        _need_files(cfg, "couplings")
         c, baseline = load_couplings(Path(paths["couplings"])), None
         if not same_direction(c.field_direction, direction):
             raise UsageError(
@@ -274,8 +316,8 @@ def _assemble_couplings(cfg: dict) -> tuple[CouplingTensors, np.ndarray | None]:
                 f"{paths['couplings']} was built along"
             )
     else:
-        _validate_config(cfg, need=("modes", "manifest"))
-        modeset = parse_modes(Path(paths["modes"]))
+        _need_files(cfg, "modes", "manifest")
+        modeset = parse_modes(Path(paths["modes"]), skip_soft=cfg["numerics"]["skip_soft"])
         runset = load_run_set(paths["manifest"], modeset)
         c = build_couplings(runset, field_direction=direction)
         baseline = runset.baseline
@@ -339,8 +381,8 @@ def _one_point(cfg: dict, command: str) -> tuple[CouplingTensors, BathSpec, Spin
     """Couplings, bath and spin at the one (T, B) point command runs at."""
     c, baseline = _assemble_couplings(cfg)
     point = []
-    for key, flag in (("temperatures_k", "--temp"), ("fields_mt", "--field-mt")):
-        values = cfg["physics"][key]
+    for key in ("temperatures_k", "fields_mt"):
+        values, flag = cfg["physics"][key], _FLAG_OF["physics." + key]
         if len(values) != 1:
             raise UsageError(f"{command} {flag} needs exactly one value, got {len(values)}")
         point.append(float(values[0]))
@@ -351,19 +393,18 @@ def _one_point(cfg: dict, command: str) -> tuple[CouplingTensors, BathSpec, Spin
 # --------------------------------------------------------- subcommands
 
 
-def _cmd_displace(args: argparse.Namespace, cfg: dict) -> int:
-    _validate_config(cfg, need=("modes",))
-    modeset = parse_modes(Path(cfg["paths"]["modes"]), skip_soft=args.skip_soft)
+def _cmd_displace(cfg: dict) -> int:
+    _need_files(cfg, "modes")
+    num = cfg["numerics"]
+    modeset = parse_modes(Path(cfg["paths"]["modes"]), skip_soft=num["skip_soft"])
     plan = plan_displacements(
         modeset,
-        delta=cfg["numerics"]["delta_angstrom"],
-        order=args.order,
+        delta=num["delta_angstrom"],
+        order=num["order"],
         pairing=cfg["physics"]["pairing"],
     )
     out = _outdir(cfg)
-    manifest = write_displacement_set(
-        plan, modeset, out, cfg["numerics"]["delta_angstrom"]
-    )
+    manifest = write_displacement_set(plan, modeset, out, num["delta_angstrom"])
     _write_json(out / "displace.config.json", {
         "config": cfg,
         "geometries": len(plan),
@@ -373,7 +414,7 @@ def _cmd_displace(args: argparse.Namespace, cfg: dict) -> int:
     return 0
 
 
-def _cmd_couplings(args: argparse.Namespace, cfg: dict) -> int:
+def _cmd_couplings(cfg: dict) -> int:
     c, _ = _assemble_couplings(cfg)
     out = _outdir(cfg)
     export_couplings(c, out / "couplings.json", config=cfg)
@@ -382,11 +423,11 @@ def _cmd_couplings(args: argparse.Namespace, cfg: dict) -> int:
     return 0
 
 
-def _cmd_tensor(args: argparse.Namespace, cfg: dict) -> int:
+def _cmd_tensor(cfg: dict) -> int:
     c, bath, spin = _one_point(cfg, "tensor")
     phys = cfg["physics"]
     tensor = build_tensor(c, bath, spin)
-    report = tensor_report(tensor, axis=spin.axis, top_m=args.top)
+    report = tensor_report(tensor, axis=spin.axis, top_m=cfg["report"]["top_modes"])
     report["config"] = cfg
     out = _outdir(cfg)
     _write_json(out / "tensor.json", report)
@@ -399,7 +440,7 @@ def _cmd_tensor(args: argparse.Namespace, cfg: dict) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
+def _cmd_sweep(cfg: dict) -> int:
     c, baseline = _assemble_couplings(cfg)
     phys = cfg["physics"]
     points = _sweep_grid(cfg, c, _spin_system(cfg, c, baseline, 1.0))
@@ -424,9 +465,9 @@ def _cmd_sweep(args: argparse.Namespace, cfg: dict) -> int:
     return 0
 
 
-def _cmd_attribute(args: argparse.Namespace, cfg: dict) -> int:
+def _cmd_attribute(cfg: dict) -> int:
     c, bath, spin = _one_point(cfg, "attribute")
-    att = mode_attribution(c, bath, spin, top_m=args.top)
+    att = mode_attribution(c, bath, spin, top_m=cfg["report"]["top_modes"])
     rows = [
         {
             "mode": int(att.mode_numbers[i]),
@@ -446,42 +487,40 @@ def _cmd_attribute(args: argparse.Namespace, cfg: dict) -> int:
     return 0
 
 
-def _cmd_dynamics(args: argparse.Namespace, cfg: dict) -> int:
-    if args.engine == "redfield" and cfg["physics"]["pairing"] == "all_pairs":
+def _cmd_dynamics(cfg: dict) -> int:
+    num, dyn = cfg["numerics"], cfg["dynamics"]
+    kind, engine = dyn["kind"], dyn["engine"]
+    if engine == "redfield" and cfg["physics"]["pairing"] == "all_pairs":
         # the Redfield bath has no two-phonon pair channel, so it would
         # silently run the diagonal_only bath
         raise UsageError("physics.pairing 'all_pairs' is not supported by "
-                         "--engine redfield; use 'diagonal_only'")
+                         "dynamics.engine 'redfield'; use 'diagonal_only'")
     c, bath, spin = _one_point(cfg, "dynamics")
-    num = cfg["numerics"]
     tensor = build_tensor(c, bath, spin)
     analytic = relaxation_times(tensor, axis=spin.axis, convention="lindblad")
+    analytic_time = analytic.t1_us if kind == "t1" else analytic.t2_us
 
-    if args.kind == "t1":
+    if kind == "t1":
         rho0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         observable = "sz_minus_eq"
-        span = 4.0 * analytic.t1_us
     else:
         rho0 = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
         observable = "coherence_abs"
-        span = 4.0 * analytic.t2_us
-    if args.t_end is not None:
-        span = float(args.t_end)
+    span = num["t_end_us"] or 4.0 * analytic_time  # a set t_end_us is positive
     if not np.isfinite(span):
-        raise UsageError(
-            "analytic relaxation time is infinite; pass --t-end explicitly"
-        )
+        raise UsageError("analytic relaxation time is infinite; set numerics.t_end_us "
+                         f"(flag {_FLAG_OF['numerics.t_end_us']})")
     grid = np.linspace(0.0, span, int(num["time_samples"]))
     window = num["fit_window_us"]
     if window is not None and np.sum((grid >= window[0]) & (grid <= window[1])) < 10:
         raise UsageError(f"numerics.fit_window_us {window} holds fewer than 10 "
                          f"of the {grid.size} time samples")
 
-    if args.engine == "lindblad":
+    if engine == "lindblad":
         rot = frame_rotation(spin.axis)
         lam = rot @ tensor.lambda_total @ rot.T
         omega = spin.larmor_cm()
-        if args.rotating_frame:
+        if dyn["rotating_frame"]:
             # secular approximation (Breuer & Petruccione, The Theory of Open
             # Quantum Systems, 2002, ch. 3): the xz and yz terms rotate at
             # Omega and the xy anisotropy at 2 Omega, so they average out;
@@ -503,8 +542,8 @@ def _cmd_dynamics(args: argparse.Namespace, cfg: dict) -> int:
     fitted_time = float("inf") if fit.rate_per_us == 0.0 else 1.0 / fit.rate_per_us
     _write_json(out / "dynamics.json", {
         "config": cfg,
-        "engine": args.engine,
-        "kind": args.kind,
+        "engine": engine,
+        "kind": kind,
         "observable": observable,
         "fitted_rate_per_us": fit.rate_per_us,
         "fitted_time_us": fitted_time,
@@ -514,15 +553,15 @@ def _cmd_dynamics(args: argparse.Namespace, cfg: dict) -> int:
         "analytic_t2_us": analytic.t2_us,
     })
     print(
-        f"{args.kind} fit: {fitted_time:.6g} us "
-        f"(analytic {analytic.t1_us if args.kind == 't1' else analytic.t2_us:.6g} us) "
+        f"{kind} fit: {fitted_time:.6g} us "
+        f"(analytic {analytic_time:.6g} us) "
         f"-> trajectory.csv, dynamics.json"
     )
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace, cfg: dict) -> int:
-    _validate_config(cfg, need=("modes", "manifest"))
+def _cmd_validate(cfg: dict) -> int:
+    _need_files(cfg, "modes", "manifest")
     paths, phys = cfg["paths"], cfg["physics"]
     checks: list[tuple[str, bool, str]] = []
     state: dict = {}
@@ -535,7 +574,8 @@ def _cmd_validate(args: argparse.Namespace, cfg: dict) -> int:
             checks.append((name, False, str(e)))
 
     def parse():
-        state["modeset"] = parse_modes(Path(paths["modes"]))
+        state["modeset"] = parse_modes(Path(paths["modes"]),
+                                       skip_soft=cfg["numerics"]["skip_soft"])
 
     def manifest():
         state["runset"] = load_run_set(paths["manifest"], state["modeset"])
@@ -594,99 +634,58 @@ def _cmd_validate(args: argparse.Namespace, cfg: dict) -> int:
 # -------------------------------------------------------------- parser
 
 
-def _add_io_flags(sp: argparse.ArgumentParser, couplings: bool = True) -> None:
-    sp.add_argument("--config", help="JSON config file (spinlat-config/1)")
-    sp.add_argument("--modes", help="NMODES file")
-    sp.add_argument("--manifest", help="displacement run manifest")
-    if couplings:
-        sp.add_argument("--couplings", help="precomputed couplings JSON")
-    sp.add_argument("--out", help="output directory (default '.')")
-
-
-def _add_physics_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--temp", help="temperature K: value, list, or start:stop:count")
-    sp.add_argument("--field-mt", help="field mT: value, list, or start:stop:count")
-    sp.add_argument("--field-dir", help="field direction as x,y,z")
-    sp.add_argument("--linewidth", type=float, help="Lorentzian half-width, cm^-1")
-    sp.add_argument("--gamma", type=float, help="one-phonon damping rate, cm^-1")
-    sp.add_argument("--pairing", choices=PAIRING_MODES)
-    sp.add_argument("--convention", choices=CONVENTIONS)
-    sp.add_argument("--omega", type=float, help="pin the spin frequency, cm^-1")
+_IO = ("--modes", "--skip-soft", "--manifest", "--couplings", "--out")
+_PHYSICS = ("--temp", "--field-mt", "--field-dir", "--linewidth", "--gamma",
+            "--pairing", "--convention", "--omega")
+# each command: its handler, its help and its flags
+_COMMANDS = {
+    "displace": (_cmd_displace, "write displaced geometries + manifest",
+                 ("--modes", "--out", "--delta", "--order", "--pairing", "--skip-soft")),
+    "couplings": (_cmd_couplings, "finite-difference couplings from runs",
+                  ("--modes", "--skip-soft", "--manifest", "--out", "--field-dir")),
+    "tensor": (_cmd_tensor, "rate tensor report at one (T, B) point",
+               (*_IO, *_PHYSICS, "--top")),
+    "sweep": (_cmd_sweep, "T1/T2 over a temperature and field grid", (*_IO, *_PHYSICS)),
+    "attribute": (_cmd_attribute, "per-mode contribution ranking",
+                  (*_IO, *_PHYSICS, "--top")),
+    "dynamics": (_cmd_dynamics, "integrate the master equation and fit",
+                 (*_IO, *_PHYSICS, "--kind", "--engine", "--t-end", "--samples",
+                  "--fit-window", "--no-rotating-frame")),
+    "validate": (_cmd_validate, "run invariant checks on a dataset",
+                 ("--modes", "--skip-soft", "--manifest", *_PHYSICS)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per _COMMANDS entry; a given flag is stored under its
+    config key, and a flag not given is left out of the namespace."""
     parser = argparse.ArgumentParser(
         prog="spinlat",
         description="Mode-resolved spin-lattice relaxation batch runs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("displace", help="write displaced geometries + manifest")
-    _add_io_flags(sp, couplings=False)
-    sp.add_argument("--delta", type=float, help="step size, Angstrom")
-    sp.add_argument("--order", type=int, choices=(1, 2), default=2)
-    sp.add_argument("--pairing", choices=PAIRING_MODES)
-    sp.add_argument("--skip-soft", action="store_true",
-                    help="drop modes below 1 cm^-1 instead of failing")
-
-    sp = sub.add_parser("couplings", help="finite-difference couplings from runs")
-    _add_io_flags(sp, couplings=False)
-    sp.add_argument("--field-dir", help="field direction as x,y,z")
-
-    sp = sub.add_parser("tensor", help="rate tensor report at one (T, B) point")
-    _add_io_flags(sp)
-    _add_physics_flags(sp)
-    sp.add_argument("--top", type=int, help="modes listed in the report")
-
-    sp = sub.add_parser("sweep", help="T1/T2 over a temperature and field grid")
-    _add_io_flags(sp)
-    _add_physics_flags(sp)
-
-    sp = sub.add_parser("attribute", help="per-mode contribution ranking")
-    _add_io_flags(sp)
-    _add_physics_flags(sp)
-    sp.add_argument("--top", type=int, help="keep the top M modes")
-
-    sp = sub.add_parser("dynamics", help="integrate the master equation and fit")
-    _add_io_flags(sp)
-    _add_physics_flags(sp)
-    sp.add_argument("--kind", choices=("t1", "t2"), default="t1")
-    sp.add_argument("--engine", choices=("lindblad", "redfield"), default="lindblad")
-    sp.add_argument("--t-end", type=float, help="trajectory span, us")
-    sp.add_argument("--samples", type=int, help="trajectory sample count")
-    sp.add_argument("--fit-window", help="fit window lo,hi in us")
-    sp.add_argument("--no-rotating-frame", dest="rotating_frame",
-                    action="store_false",
-                    help="keep coherent precession in the lindblad engine")
-
-    sp = sub.add_parser("validate", help="run invariant checks on a dataset")
-    _add_io_flags(sp, couplings=False)
-    _add_physics_flags(sp)
-
+    for command, (_, text, flags) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=text, argument_default=argparse.SUPPRESS)
+        sp.add_argument("--config", help="JSON config file (spinlat-config/1)")
+        for flag in flags:
+            key, read, text = _FLAGS[flag]
+            if type(read) is bool:
+                sp.add_argument(flag, dest=key, action="store_const", const=read,
+                                help=f"{text}; sets {key} to {json.dumps(read)}")
+            else:
+                sp.add_argument(flag, dest=key, type=read, help=text)
     return parser
 
 
-_HANDLERS = {
-    "displace": _cmd_displace,
-    "couplings": _cmd_couplings,
-    "tensor": _cmd_tensor,
-    "sweep": _cmd_sweep,
-    "attribute": _cmd_attribute,
-    "dynamics": _cmd_dynamics,
-    "validate": _cmd_validate,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        flags = vars(build_parser().parse_args(argv))
     except SystemExit as e:
         return int(e.code or 0)
+    command, config = flags.pop("command"), flags.pop("config", None)
     try:
-        cfg = _merge_config(args.config)
-        _apply_flags(cfg, args)
-        return _HANDLERS[args.command](args, cfg)
+        cfg = _config(config, flags)
+        return _COMMANDS[command][0](cfg)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -36,15 +36,22 @@ class ParseError(ValueError):
 
 
 class IncompleteRunSetError(RuntimeError):
-    """Manifest references result files that are missing or unreadable."""
+    """Manifest references result files that are missing.
+
+    The attributes list every missing run; the message gives their count
+    and names the first five, since a plan no engine has run yet misses
+    thousands.
+    """
 
     def __init__(self, missing_runs, missing_baseline=False):
         runs = list(missing_runs)
         self.missing_singles = [run for run in runs if len(run) == 2]
         self.missing_pairs = [run for run in runs if len(run) == 4]
         self.missing_baseline = missing_baseline
-        parts = ["baseline"] * missing_baseline + [*map(_name, runs)]
-        super().__init__("missing displaced-run results: " + ", ".join(parts))
+        count = missing_baseline + len(runs)
+        names = ["baseline"] * missing_baseline + [*map(_name, runs[:5])]
+        super().__init__(f"{count} missing displaced-run results: " + ", ".join(names[:5])
+                         + (f" and {count - 5} more" if count > 5 else ""))
 
 
 def read_source(source) -> str:
@@ -479,8 +486,15 @@ def write_displacement_set(
     """Write geometry files plus the run manifest; returns the manifest path.
 
     Manifest paths point at the result files an electronic-structure
-    engine is expected to produce next to each geometry.
+    engine is expected to produce next to each geometry.  delta must be
+    the step the plan moved each single run by, since the couplings are
+    built with the manifest's step; another one is refused before any
+    file is written.
     """
+    base = next(g.positions for g in plan if g.kind == "baseline")
+    steps = np.array([np.linalg.norm(g.positions - base) for g in plan if g.kind == "single"])
+    if not np.allclose(steps, delta, rtol=1e-9, atol=0.0):
+        raise ValueError(f"delta {delta} is not the plan's step {steps[0]:.6g}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -625,9 +639,11 @@ def load_run_set(manifest_path, modeset: ModeSet) -> DisplacedGTensorSet:
     The manifest must list every single run, and every pair run or none.
     Result paths are resolved relative to the manifest location.  Each
     result is read to its end as UTF-8 text, with any line ending.  A
-    missing baseline or missing results abort with the full list of gaps;
-    mode numbers in the report are 1-based.  A result that cannot be
-    decoded or parsed aborts naming its path as the manifest gives it.
+    missing baseline or missing results abort with IncompleteRunSetError,
+    which lists every gap; mode numbers in it are 1-based.  A result that
+    cannot be opened for another reason (PermissionError) is not a gap:
+    its error is raised as is.  A result that cannot be decoded or parsed
+    aborts naming its path as the manifest gives it.
     """
     doc = json_object(Path(manifest_path).read_text(), "manifest")
     root = os.path.dirname(manifest_path)

@@ -77,7 +77,8 @@ def _rate_grid(c: CouplingTensors, bath: BathSpec, temperatures, spins):
     (2n+1)^2 at the two-phonon resonance, and so does the second-derivative
     part in diagonal_only pairing.  In all_pairs it sums ordered mode pairs
     over the four emission/absorption processes weighted by their
-    occupations, each delta a Lorentzian of the two modes' mean width.
+    occupations, each delta a Lorentzian of the two modes' mean width, so
+    it refuses couplings of more than one mode without mixed derivatives.
 
     Each piece of work is done once at the level it depends on: the
     coupling products once, occupations and direct rates per temperature,
@@ -93,6 +94,10 @@ def _rate_grid(c: CouplingTensors, bath: BathSpec, temperatures, spins):
     gamma = bath.gamma_per_mode(n_modes)
     lam = bath.linewidth_per_mode(n_modes)
     all_pairs = bath.raman_pairing == "all_pairs"
+    if all_pairs and not c.mixed_computed and n_modes > 1:
+        raise ValueError("pairing 'all_pairs' needs the mixed second derivatives, but "
+                         "the couplings have mixed_computed false; build them from "
+                         "pair runs or use 'diagonal_only'")
 
     def outer(x):
         return np.einsum("aq,bq->qab", x, x)

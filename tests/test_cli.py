@@ -89,6 +89,23 @@ def test_displace_all_pairs_counts(dataset, tmp_path):
     assert len(list(out.glob("*.xyz"))) == 1 + 6 + 4 * 3
 
 
+def test_skip_soft_plan_gives_couplings(tmp_path, monkeypatch):
+    # the manifest numbers the modes skip_soft keeps, so every command that
+    # reads the modes must drop the same soft modes
+    monkeypatch.chdir(tmp_path)
+    write_modes(make_modeset(natoms=3, nmodes=3, frequencies=[0.5, 45.0, 210.0]),
+                "modes.txt")
+    assert run("displace", "--modes", "modes.txt", "--skip-soft", "--out", "runs")[0] == 0
+    for result in Path("runs").glob("*.xyz"):
+        write_g_matrix(BASE_G, result.with_suffix(".gout"))
+    runs = ("--modes", "modes.txt", "--manifest", "runs/manifest.json", "--skip-soft")
+    assert run("couplings", *runs, "--out", "art")[0] == 0
+    c = load_couplings(Path("art/couplings.json"))
+    assert c.source_indices.tolist() == [2, 3]
+    assert run("validate", *runs)[0] == 0
+    assert run("tensor", *runs[:-1], "--out", "art")[0] == 1
+
+
 def test_paths_that_start_with_a_brace_name_files(dataset, tmp_path, monkeypatch,
                                                  capsys):
     # a str starting with '{' is read as JSON text by the library readers;
@@ -454,6 +471,85 @@ def test_dynamics_lab_frame_follows_field_direction(dataset, tmp_path, direction
     assert doc["fitted_time_us"] == pytest.approx(analytic, rel=1e-3)
 
 
+def test_every_dynamics_setting_is_recorded(dataset, tmp_path, monkeypatch):
+    # the frame, the engine and the span change the trajectory, so each
+    # must change the config that both artifacts embed
+    monkeypatch.chdir(tmp_path)
+    common = ("dynamics", "--modes", dataset["modes"], "--manifest", dataset["manifest"],
+              "--temp", "200", "--field-mt", "1266", "--samples", "201", "--out", "art")
+    configs = []
+    for flags in ((), ("--no-rotating-frame",), ("--engine", "redfield"),
+                  ("--t-end", "50")):
+        assert run(*common, *flags)[0] == 0
+        line = Path("art/trajectory.csv").read_text().split("\n")[0]
+        doc = json.loads(Path("art/dynamics.json").read_text())
+        assert json.loads(line[len("# config: "):]) == doc["config"]
+        configs.append(line)
+    assert len(set(configs)) == len(configs)
+
+
+@pytest.mark.parametrize("command, flag, key, file_value, flag_value", [
+    ("displace", ("--order", "1"), "numerics.order", 2, 1),
+    ("displace", ("--skip-soft",), "numerics.skip_soft", False, True),
+    ("tensor", ("--top", "1"), "report.top_modes", 3, 1),
+    ("attribute", ("--top", "1"), "report.top_modes", 3, 1),
+    ("dynamics", ("--t-end", "50"), "numerics.t_end_us", 70.0, 50.0),
+    ("dynamics", ("--kind", "t2"), "dynamics.kind", "t1", "t2"),
+    ("dynamics", ("--engine", "redfield"), "dynamics.engine", "lindblad", "redfield"),
+    ("dynamics", ("--no-rotating-frame",), "dynamics.rotating_frame", True, False),
+], ids=["order", "skip-soft", "tensor-top", "attribute-top", "t-end", "kind", "engine",
+        "rotating-frame"])
+def test_every_flag_setting_can_come_from_the_config_file(
+        dataset, tmp_path, monkeypatch, capsys, command, flag, key, file_value,
+        flag_value):
+    # a flag is only a way to set its key: the key set in the file gives the
+    # flag's artifacts and stdout byte for byte, and the flag wins over the file
+    monkeypatch.chdir(tmp_path)
+    inputs = ("--modes", dataset["modes"], "--out", "art")
+    inputs += {"displace": ("--pairing", "all_pairs"),
+               "dynamics": ("--manifest", dataset["manifest"], "--temp", "200",
+                            "--samples", "201")}.get(
+        command, ("--manifest", dataset["manifest"], "--temp", "20"))
+    section, name = key.split(".")
+
+    def artifacts(*argv, value=None):
+        shutil.rmtree("art", ignore_errors=True)
+        if value is not None:
+            Path("cfg.json").write_text(json.dumps(
+                {"format": "spinlat-config/1", section: {name: value}}))
+            argv += ("--config", "cfg.json")
+        code, out, err = run(command, *inputs, *argv, capsys=capsys)
+        assert code == 0, err
+        return out, {p.name: p.read_bytes() for p in Path("art").iterdir()}
+
+    expected = artifacts(*flag)
+    assert artifacts(value=flag_value) == expected
+    assert artifacts(*flag, value=file_value) == expected
+    assert artifacts(value=file_value) != expected
+    sidecar = {"displace": "displace.config.json", "tensor": "tensor.json",
+               "attribute": "attribution.json"}.get(command, "dynamics.json")
+    assert json.loads(expected[1][sidecar])["config"][section][name] == flag_value
+
+
+def test_artifacts_are_strict_json(dataset, tmp_path):
+    # at zero field nothing relaxes: every time is infinite, written as null
+    def strict(path):
+        def refuse(name):
+            raise AssertionError(f"{path.name} holds {name}")
+        return json.loads(path.read_text(), parse_constant=refuse)
+
+    runs = ("--modes", dataset["modes"], "--manifest", dataset["manifest"],
+            "--temp", "20", "--field-mt", "0", "--out", str(tmp_path))
+    assert run("tensor", *runs)[0] == 0
+    report = strict(tmp_path / "tensor.json")
+    assert report["times_us"] == {name: {"t1": None, "t2": None}
+                                  for name in ("lindblad", "projection")}
+    assert run("dynamics", *runs, "--t-end", "5", "--samples", "101")[0] == 0
+    doc = strict(tmp_path / "dynamics.json")
+    assert doc["non_decaying"] and doc["fitted_rate_per_us"] == 0.0
+    assert doc["fitted_time_us"] is doc["analytic_t1_us"] is doc["analytic_t2_us"] is None
+
+
 def test_step_control_flag_and_key_are_gone(dataset, tmp_path, capsys):
     # propagation is exact, so there is no integrator step to cap
     code, _, _ = run("dynamics", "--modes", dataset["modes"],
@@ -687,6 +783,42 @@ def test_sweep_failure_names_grid_point(dataset, monkeypatch, tmp_path, capsys):
     assert "error: rates at 300.0 K, 1000.0 mT contain non-finite entries" in err
 
 
+def test_all_pairs_on_couplings_without_mixed_exits_1(dataset, tmp_path, capsys):
+    # the dataset has no pair runs, so its couplings have no mixed second
+    # derivatives, and an all_pairs rate would leave every one of them out
+    runs = ("--modes", dataset["modes"], "--manifest", dataset["manifest"],
+            "--temp", "20", "--field-mt", "1266", "--pairing", "all_pairs")
+    for command in ("tensor", "sweep", "attribute", "dynamics"):
+        code, _, err = run(command, *runs, "--out", str(tmp_path / "art"), capsys=capsys)
+        assert code == 1, (command, err)
+        assert "mixed_computed false" in err
+        assert not (tmp_path / "art").exists()
+    code, stdout, _ = run("validate", *runs, capsys=capsys)
+    assert code == 1
+    assert re.search(r"CHECK tensor-psd +FAIL  \(pairing 'all_pairs' needs the mixed",
+                     stdout), stdout
+
+
+def test_unreadable_result_exits_1_naming_it(dataset, tmp_path, capsys, monkeypatch):
+    # a result that exists but cannot be read is not a missing run; tests
+    # may run as root, who can read any file, so the refusal is faked
+    real_open = os.open
+
+    def refuse(path, *args, **kwargs):
+        if os.path.basename(path) == "single0002_m.gout":
+            raise PermissionError(13, "Permission denied", path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", refuse)
+    code, _, err = run("couplings", "--modes", dataset["modes"],
+                       "--manifest", dataset["manifest"], "--out", str(tmp_path / "art"),
+                       capsys=capsys)
+    assert code == 1
+    assert "Permission denied" in err and "single0002_m.gout" in err
+    assert "missing" not in err
+    assert not (tmp_path / "art").exists()
+
+
 def test_validate_incomplete_runs_fails(dataset, tmp_path, capsys):
     broken = tmp_path / "broken"
     shutil.copytree(Path(dataset["manifest"]).parent, broken)
@@ -703,9 +835,10 @@ def test_unparsable_result_names_its_file(dataset, tmp_path, capsys, command):
     broken = tmp_path / "broken"
     shutil.copytree(Path(dataset["manifest"]).parent, broken)
     (broken / "single0002_m.gout").write_text("ELECTRONIC G-MATRIX\n1.98 0.001\n")
+    out = () if command == "validate" else ("--out", str(tmp_path / "art"))
     code, stdout, err = run(command, "--modes", dataset["modes"],
-                            "--manifest", str(broken / "manifest.json"),
-                            "--out", str(tmp_path / "art"), capsys=capsys)
+                            "--manifest", str(broken / "manifest.json"), *out,
+                            capsys=capsys)
     assert code == 1
     reported = stdout if command == "validate" else err
     assert ("single0002_m.gout: line 1: found 2 of 9 numeric fields"
@@ -718,9 +851,10 @@ def test_result_that_is_not_utf8_names_its_file(dataset, tmp_path, capsys, comma
     shutil.copytree(Path(dataset["manifest"]).parent, broken)
     baseline = broken / "baseline.gout"
     baseline.write_bytes(b"caf\xe9 engine\n" + baseline.read_bytes())
+    out = () if command == "validate" else ("--out", str(tmp_path / "art"))
     code, stdout, err = run(command, "--modes", dataset["modes"],
-                            "--manifest", str(broken / "manifest.json"),
-                            "--out", str(tmp_path / "art"), capsys=capsys)
+                            "--manifest", str(broken / "manifest.json"), *out,
+                            capsys=capsys)
     assert code == 1
     reported = stdout if command == "validate" else err
     assert "baseline.gout: 'utf-8' codec can't decode byte 0xe9" in reported, reported
@@ -830,18 +964,24 @@ def test_config_unknown_key_named(dataset, tmp_path, capsys):
      [float("nan"), 1.0]),
     ("displace", "--delta", "inf", "numerics.delta_angstrom", float("inf")),
     ("displace", "--delta", "nan", "numerics.delta_angstrom", float("nan")),
+    ("displace", "--order", "3", "numerics.order", 3),
+    ("dynamics", "--kind", "t3", "dynamics.kind", "t3"),
+    ("dynamics", "--engine", "euler", "dynamics.engine", "euler"),
+    ("dynamics", "--pairing", "some", "physics.pairing", "some"),
 ], ids=["dir-zero", "couplings-dir-zero", "dir-nan", "temp-negative",
         "temp-inf", "linewidth-zero", "gamma-negative", "samples-five",
         "omega-negative", "omega-nan", "field-nan", "fit-window-reversed",
-        "fit-window-nan", "displace-delta-inf", "displace-delta-nan"])
+        "fit-window-nan", "displace-delta-inf", "displace-delta-nan", "order-three",
+        "kind-t3", "engine-euler", "pairing-some"])
 def test_bad_physics_values_exit_2(dataset, tmp_path, capsys, command, flag,
                                    text, key, value):
-    # a bad value is a usage error naming its key, from a flag or a file
-    runs = ("--modes", dataset["modes"], "--manifest", dataset["manifest"],
-            "--out", str(tmp_path / "art"))
+    # a bad value is a usage error naming its key, from a flag or a file,
+    # and the flag when a flag gave it
+    manifest = () if command == "displace" else ("--manifest", dataset["manifest"])
+    runs = ("--modes", dataset["modes"], *manifest, "--out", str(tmp_path / "art"))
     code, _, err = run(command, *runs, flag, text, capsys=capsys)
     assert code == 2, err
-    assert key in err
+    assert key in err and f"(flag {flag})" in err
     section, name = key.split(".")
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"format": "spinlat-config/1",
@@ -873,6 +1013,16 @@ def test_bad_physics_values_exit_2(dataset, tmp_path, capsys, command, flag,
     ("numerics.fit_window_us", [0.0, 1.0, 2.0]),
     ("paths.modes", 5),
     ("paths.output_dir", None),
+    ("numerics.order", True),
+    ("numerics.order", 2.0),
+    ("numerics.skip_soft", 1),
+    ("numerics.t_end_us", 0),
+    ("numerics.t_end_us", "5"),
+    ("dynamics.kind", "T1"),
+    ("dynamics.engine", None),
+    ("dynamics.rotating_frame", "false"),
+    ("report.top_modes", 0),
+    ("report.top_modes", 1.0),
 ])
 def test_config_wrong_type_exits_2(dataset, tmp_path, capsys, key, value):
     # JSON can hold any type for any key; a wrong one is a usage error
@@ -886,7 +1036,19 @@ def test_config_wrong_type_exits_2(dataset, tmp_path, capsys, key, value):
     cfgfile.write_text(json.dumps(doc))
     code, _, err = run("dynamics", "--config", str(cfgfile), capsys=capsys)
     assert code == 2, err
-    assert key in err
+    assert key in err and "flag" not in err
+    assert not (tmp_path / "art").exists()
+
+
+@pytest.mark.parametrize("argv", [("displace", "--order", "x"), ("tensor", "--top", "1.5"),
+                                  ("dynamics", "--t-end", "soon"),
+                                  ("sweep", "--temp", "5:300:x")])
+def test_unreadable_flag_text_exits_2(dataset, tmp_path, capsys, argv):
+    command, flag, text = argv
+    code, _, err = run(command, "--modes", dataset["modes"], flag, text,
+                       "--out", str(tmp_path / "art"), capsys=capsys)
+    assert code == 2
+    assert f"argument {flag}:" in err
     assert not (tmp_path / "art").exists()
 
 
@@ -934,8 +1096,11 @@ def test_unknown_flag_and_missing_subcommand_exit_2(dataset, tmp_path, capsys):
     # the manifest, so neither accepts a flag for it
     runs = ("--modes", dataset["modes"], "--manifest", dataset["manifest"],
             "--out", str(tmp_path))
+    # displace takes no manifest and validate writes no file, so neither
+    # accepts a flag nothing would read
     for argv in (("tensor", "--bogus"), ("sweep", *runs, "--jobs", "2"),
-                 ("couplings", *runs, "--delta", "0.5")):
+                 ("couplings", *runs, "--delta", "0.5"), ("displace", *runs),
+                 ("validate", *runs)):
         code, _, err = run(*argv, capsys=capsys)
         assert code == 2
         assert "unrecognized arguments" in err

@@ -238,6 +238,16 @@ def test_plan_rejects_bad_arguments(toy_modes):
         plan_displacements(toy_modes, pairing="nearest")
 
 
+@pytest.mark.parametrize("delta", [0.02, 0.0100001, float("inf")])
+def test_write_displacement_set_refuses_another_step(tmp_path, toy_modes, delta):
+    # the manifest's step builds the couplings, so it must be the step the
+    # geometries moved by; a doubled step would halve d1 and quarter d2
+    plan = plan_displacements(toy_modes, delta=0.01, order=2, pairing="all_pairs")
+    with pytest.raises(ValueError, match="is not the plan's step 0.01"):
+        write_displacement_set(plan, toy_modes, tmp_path / "runs", delta)
+    assert not (tmp_path / "runs").exists()
+
+
 # ------------------------------------------------------------------ run sets
 
 def _linear_g_surface(base_positions):
@@ -294,6 +304,21 @@ def test_load_run_set_reports_missing_runs(tmp_path, toy_modes):
         load_run_set(mpath, ms)
     assert err.value.missing_singles == [(7, "-")]
     assert "(mode 7, -)" in str(err.value)
+
+
+def test_missing_results_counted_and_first_few_named(tmp_path):
+    # a plan no engine has run yet misses every result; the message counts
+    # them and names the first few, the attributes list them all
+    ms = make_modeset(natoms=4, nmodes=8, frequencies=np.linspace(10, 400, 8))
+    plan = plan_displacements(ms, delta=0.01, order=2, pairing="all_pairs")
+    mpath = write_displacement_set(plan, ms, tmp_path, delta=0.01)
+    with pytest.raises(IncompleteRunSetError) as err:
+        load_run_set(mpath, ms)
+    assert str(err.value) == ("129 missing displaced-run results: baseline, (mode 1, +), "
+                              "(mode 1, -), (mode 2, +), (mode 2, -) and 124 more")
+    assert err.value.missing_baseline
+    assert len(err.value.missing_singles) == 16 and len(err.value.missing_pairs) == 112
+    assert err.value.missing_pairs[-1] == (7, 8, "-", "-")
 
 
 def test_load_run_set_missing_baseline(tmp_path, toy_modes):

@@ -496,6 +496,28 @@ def test_failing_sweep_point_names_itself(monkeypatch):
     assert str(got.value) == "rates at 80.0 K, 1000.0 mT contain non-finite entries"
 
 
+def test_all_pairs_refused_without_mixed_couplings():
+    # couplings built without pair runs hold zero mixed second derivatives,
+    # so an all_pairs rate would leave every mixed channel out; every
+    # caller of the rate kernel refuses, naming mixed_computed
+    c = replace(random_couplings(5), mixed_computed=False)
+    bath = BathSpec(temperature_k=50.0, raman_pairing="all_pairs")
+    spin = make_spin()
+    calls = [lambda: build_tensor(c, bath, spin), lambda: lambda_first(c, bath, spin),
+             lambda: lambda_second(c, bath, spin), lambda: mode_attribution(c, bath, spin),
+             lambda: sweep(c, spin, [20.0, 50.0], [1000.0], bath)]
+    for call in calls:
+        with pytest.raises(ValueError, match="mixed_computed false"):
+            call()
+    diagonal = replace(bath, raman_pairing="diagonal_only")
+    assert np.array_equal(build_tensor(c, diagonal, spin).lambda2,
+                          build_tensor(replace(c, mixed_computed=True), diagonal,
+                                       spin).lambda2)
+    # one mode has no mixed derivative to leave out
+    one = make_couplings(d2=np.full((3, 1, 1), 1e-3), freqs=[20.0])
+    build_tensor(replace(one, mixed_computed=False), bath, spin)
+
+
 # ------------------------------------------------------------ attribution
 
 def test_attribution_single_mode_full_share():
