@@ -212,15 +212,24 @@ _FLAGS = {
 }
 _FLAG_OF = {key: flag for flag, (key, _, _) in _FLAGS.items()}
 
+# the settings (section, key, value) a command refuses together, and why
+_CONFLICTS = {
+    "displace": ((("numerics", "order", 1), ("physics", "pairing", "all_pairs")),
+                 "order 1 plans no pair runs, and all_pairs needs them"),
+    "dynamics": ((("dynamics", "engine", "redfield"), ("physics", "pairing", "all_pairs")),
+                 "the Redfield bath has no two-phonon pair channel, so it would "
+                 "run the diagonal_only bath"),
+}
 
-def _config(path, flags: dict) -> dict:
+
+def _config(path, flags: dict, command: str) -> dict:
     """The defaults, then the config file at path (when given), then the keys
     flags gives values for.
 
-    A value that fails its key's rule is refused, naming the key and, when
-    a flag gave it, the flag.  Repeated grid values are dropped keeping
-    the first, so the config that artifacts embed holds the grid actually
-    computed.
+    A value that fails its key's rule, or settings that command refuses
+    together, are refused naming each key and, when a flag gave it, the
+    flag.  Repeated grid values are dropped keeping the first, so the
+    config that artifacts embed holds the grid actually computed.
     """
     cfg = copy.deepcopy(_DEFAULTS)
     if path is not None:
@@ -244,12 +253,20 @@ def _config(path, flags: dict) -> dict:
     for key, value in flags.items():
         section, name = key.split(".")
         cfg[section][name] = value
+
+    def given(key: str) -> str:
+        return f" (flag {_FLAG_OF[key]})" if key in flags else ""
+
     for section, keys in _CONFIG_KEYS.items():
         for name, (_, test, what) in keys.items():
             key, value = f"{section}.{name}", cfg[section][name]
             if not test(value):
-                given = f" (flag {_FLAG_OF[key]})" if key in flags else ""
-                raise UsageError(refusal("config", key, what, value) + given)
+                raise UsageError(refusal("config", key, what, value) + given(key))
+    refused, why = _CONFLICTS.get(command, ((), ""))
+    if refused and all(cfg[section][name] == value for section, name, value in refused):
+        raise UsageError(" with ".join(f"{section}.{name} {value!r}" + given(f"{section}.{name}")
+                                       for section, name, value in refused)
+                         + f" is refused: {why}")
     phys = cfg["physics"]
     for key in ("temperatures_k", "fields_mt"):
         phys[key] = list(dict.fromkeys(phys[key]))
@@ -298,17 +315,18 @@ def _outdir(cfg: dict) -> Path:
     return out
 
 
-def _assemble_couplings(cfg: dict) -> tuple[CouplingTensors, np.ndarray | None]:
-    """Couplings plus the baseline g matrix when runs are available.
+def _assemble_couplings(cfg: dict) -> CouplingTensors:
+    """The couplings from a couplings file or from runs.
 
-    Records the finite-difference step the couplings were built with in
-    the config, so every artifact embeds the step actually used.  A
-    couplings file built along another field direction is refused.
+    Records in the config the finite-difference step the couplings were
+    built with and, from runs, the baseline g matrix as physics.g0, so
+    every artifact embeds the values actually used.  A couplings file
+    built along another field direction is refused.
     """
     paths, direction = cfg["paths"], cfg["physics"]["field_direction"]
     if paths["couplings"] is not None:
         _need_files(cfg, "couplings")
-        c, baseline = load_couplings(Path(paths["couplings"])), None
+        c = load_couplings(paths["couplings"])
         if not same_direction(c.field_direction, direction):
             raise UsageError(
                 f"physics.field_direction {direction} differs from "
@@ -317,27 +335,23 @@ def _assemble_couplings(cfg: dict) -> tuple[CouplingTensors, np.ndarray | None]:
             )
     else:
         _need_files(cfg, "modes", "manifest")
-        modeset = parse_modes(Path(paths["modes"]), skip_soft=cfg["numerics"]["skip_soft"])
+        modeset = parse_modes(paths["modes"], skip_soft=cfg["numerics"]["skip_soft"])
         runset = load_run_set(paths["manifest"], modeset)
         c = build_couplings(runset, field_direction=direction)
-        baseline = runset.baseline
+        cfg["physics"]["g0"] = runset.baseline.tolist()
     cfg["numerics"]["delta_angstrom"] = c.delta_angstrom
-    return c, baseline
+    return c
 
 
-def _spin_system(cfg: dict, c: CouplingTensors, baseline_g, field_mt: float) -> SpinSystem:
-    """The spin in a field of field_mt along the couplings' direction."""
+def _spin_system(cfg: dict, c: CouplingTensors, field_mt: float) -> SpinSystem:
+    """The spin of g matrix physics.g0 in a field of field_mt along the
+    couplings' direction."""
     phys = cfg["physics"]
-    if baseline_g is None:
-        if phys["g0"] is None:
-            raise UsageError(
-                "physics.g0 is required when starting from a couplings file"
-            )
-        baseline_g = np.asarray(phys["g0"], dtype=float)
+    if phys["g0"] is None:
+        raise UsageError("physics.g0 is required when starting from a couplings file")
     return SpinSystem(
-        g0=GTensor(baseline_g),
+        g0=GTensor(np.asarray(phys["g0"], dtype=float)),
         field_mt=c.field_direction * field_mt,
-        axis=c.field_direction,
         omega_override_cm=phys["omega_override_cm"],
     )
 
@@ -379,14 +393,14 @@ def _sweep_grid(cfg: dict, c: CouplingTensors, spin: SpinSystem) -> list:
 
 def _one_point(cfg: dict, command: str) -> tuple[CouplingTensors, BathSpec, SpinSystem]:
     """Couplings, bath and spin at the one (T, B) point command runs at."""
-    c, baseline = _assemble_couplings(cfg)
+    c = _assemble_couplings(cfg)
     point = []
     for key in ("temperatures_k", "fields_mt"):
         values, flag = cfg["physics"][key], _FLAG_OF["physics." + key]
         if len(values) != 1:
             raise UsageError(f"{command} {flag} needs exactly one value, got {len(values)}")
         point.append(float(values[0]))
-    spin = _spin_system(cfg, c, baseline, point[1])
+    spin = _spin_system(cfg, c, point[1])
     return c, _bath(cfg, c, point[0]), spin
 
 
@@ -396,7 +410,7 @@ def _one_point(cfg: dict, command: str) -> tuple[CouplingTensors, BathSpec, Spin
 def _cmd_displace(cfg: dict) -> int:
     _need_files(cfg, "modes")
     num = cfg["numerics"]
-    modeset = parse_modes(Path(cfg["paths"]["modes"]), skip_soft=num["skip_soft"])
+    modeset = parse_modes(cfg["paths"]["modes"], skip_soft=num["skip_soft"])
     plan = plan_displacements(
         modeset,
         delta=num["delta_angstrom"],
@@ -415,7 +429,7 @@ def _cmd_displace(cfg: dict) -> int:
 
 
 def _cmd_couplings(cfg: dict) -> int:
-    c, _ = _assemble_couplings(cfg)
+    c = _assemble_couplings(cfg)
     out = _outdir(cfg)
     export_couplings(c, out / "couplings.json", config=cfg)
     kinds = "d1+d2 mixed" if c.mixed_computed else "d1+d2 diagonal"
@@ -441,9 +455,9 @@ def _cmd_tensor(cfg: dict) -> int:
 
 
 def _cmd_sweep(cfg: dict) -> int:
-    c, baseline = _assemble_couplings(cfg)
+    c = _assemble_couplings(cfg)
     phys = cfg["physics"]
-    points = _sweep_grid(cfg, c, _spin_system(cfg, c, baseline, 1.0))
+    points = _sweep_grid(cfg, c, _spin_system(cfg, c, 1.0))
     out = _outdir(cfg)
     header = _config_comment(cfg)
     (out / "sweep.csv").write_text(header + "\n" + sweep_csv(points))
@@ -490,11 +504,6 @@ def _cmd_attribute(cfg: dict) -> int:
 def _cmd_dynamics(cfg: dict) -> int:
     num, dyn = cfg["numerics"], cfg["dynamics"]
     kind, engine = dyn["kind"], dyn["engine"]
-    if engine == "redfield" and cfg["physics"]["pairing"] == "all_pairs":
-        # the Redfield bath has no two-phonon pair channel, so it would
-        # silently run the diagonal_only bath
-        raise UsageError("physics.pairing 'all_pairs' is not supported by "
-                         "dynamics.engine 'redfield'; use 'diagonal_only'")
     c, bath, spin = _one_point(cfg, "dynamics")
     tensor = build_tensor(c, bath, spin)
     analytic = relaxation_times(tensor, axis=spin.axis, convention="lindblad")
@@ -574,14 +583,14 @@ def _cmd_validate(cfg: dict) -> int:
             checks.append((name, False, str(e)))
 
     def parse():
-        state["modeset"] = parse_modes(Path(paths["modes"]),
-                                       skip_soft=cfg["numerics"]["skip_soft"])
+        state["modeset"] = parse_modes(paths["modes"], skip_soft=cfg["numerics"]["skip_soft"])
 
     def manifest():
         state["runset"] = load_run_set(paths["manifest"], state["modeset"])
 
     def baseline_g():
-        state["g0"] = GTensor(state["runset"].baseline)
+        phys["g0"] = state["runset"].baseline.tolist()
+        GTensor(state["runset"].baseline)
 
     def couplings():
         state["c"] = build_couplings(
@@ -591,8 +600,7 @@ def _cmd_validate(cfg: dict) -> int:
     def tensors():
         # sweep runs RelaxationTensor's checks (finite, symmetric PSD, split
         # sums) on each field's grid points at once, naming a failing point
-        state["spin"] = _spin_system(cfg, state["c"], state["runset"].baseline, 1.0)
-        state["points"] = _sweep_grid(cfg, state["c"], state["spin"])
+        state["points"] = _sweep_grid(cfg, state["c"], _spin_system(cfg, state["c"], 1.0))
 
     def identity():
         # criterion 08 on the rows' reported times, stacked, no eigen-solve:
@@ -684,7 +692,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     command, config = flags.pop("command"), flags.pop("config", None)
     try:
-        cfg = _config(config, flags)
+        cfg = _config(config, flags, command)
         return _COMMANDS[command][0](cfg)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -189,11 +189,10 @@ class ModeSet:
 
 @dataclass(frozen=True)
 class SpinSystem:
-    """Effective S=1/2 center: g matrix, static field in mT, quantization axis."""
+    """Effective S=1/2 center: g matrix and static field in mT."""
 
     g0: GTensor
     field_mt: np.ndarray                    # (3,)
-    axis: np.ndarray = (0.0, 0.0, 1.0)      # unit vector
     omega_override_cm: float | None = None  # pins the spin frequency if set
 
     def __post_init__(self):
@@ -202,12 +201,9 @@ class SpinSystem:
             raise ValueError(f"field_mt must be a 3-vector, got shape {b.shape}")
         if not np.all(np.isfinite(b)):
             raise ValueError("field_mt contains non-finite entries")
-        ax = np.asarray(self.axis, dtype=float)
-        if ax.shape != (3,) or abs(np.linalg.norm(ax) - 1.0) > 1e-10:
-            raise ValueError("axis must be a unit 3-vector")
         if self.omega_override_cm is not None and self.omega_override_cm < 0.0:
             raise ValueError("omega_override_cm must be nonnegative")
-        freeze(self, field_mt=b, axis=ax)
+        freeze(self, field_mt=b)
 
     @property
     def field_magnitude_t(self) -> float:
@@ -215,10 +211,16 @@ class SpinSystem:
 
     @property
     def field_direction(self) -> np.ndarray:
-        b = np.linalg.norm(self.field_mt)
-        if b == 0.0:
+        if not self.field_mt.any():
             raise ValueError("field direction undefined at zero field")
-        return self.field_mt / b
+        return self.axis
+
+    @property
+    def axis(self) -> np.ndarray:
+        """The quantization axis: the field's unit direction, or z at zero
+        field, where every rate is zero."""
+        b = np.linalg.norm(self.field_mt)
+        return self.field_mt / b if b else np.array([0.0, 0.0, 1.0])
 
     def larmor_cm(self) -> float:
         if self.omega_override_cm is not None:

@@ -23,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import HBAR_AMU_A2_CM, ModeSet, freeze
+from .core import HBAR_AMU_A2_CM, MUB_CM_PER_T, ModeSet, SpinSystem, freeze
 from .ingest import (DisplacedGTensorSet, ParseError, json_object, numbers, positive,
-                     read_source, refusal, require)
+                     refusal, require)
 
 COUPLINGS_FORMAT = "spinlat-couplings/1"
 
@@ -217,14 +217,13 @@ def export_couplings(c: CouplingTensors, path=None, config=None) -> str:
     return text
 
 
-def load_couplings(source) -> CouplingTensors:
-    """Couplings from a path, or from JSON text given as a str (see read_source).
+def load_couplings(path) -> CouplingTensors:
+    """Couplings from the file at path.
 
     A malformed document raises ValueError naming the file and the key.
     """
-    text = read_source(source)
-    where = "couplings text" if text is source else f"couplings file {source}"
-    doc = json_object(text, where, COUPLINGS_FORMAT)
+    where = f"couplings file {path}"
+    doc = json_object(Path(path).read_text(), where, COUPLINGS_FORMAT)
     delta, mixed, d1, d2, freqs, direction, src = require(
         doc, where, "delta_angstrom", "mixed_computed", "d1", "d2", "frequencies_cm",
         "field_direction", "source_indices")
@@ -248,6 +247,16 @@ def load_couplings(source) -> CouplingTensors:
         return CouplingTensors(**values)
     except ValueError as e:
         raise ValueError(f"{where}: {e}") from None
+
+
+def field_prefactor(c: CouplingTensors, spin: SpinSystem) -> float:
+    """The Zeeman prefactor muB|B|/hc in cm^-1 of spin, whose field must lie
+    along the b that c holds the derivatives of g . b for (in either sense)."""
+    pref = MUB_CM_PER_T * spin.field_magnitude_t
+    if pref and not any(same_direction(s * spin.field_mt, c.field_direction) for s in (1, -1)):
+        raise ValueError(f"field {spin.field_mt.tolist()} mT is not along "
+                         f"{c.field_direction.tolist()}, the couplings' direction")
+    return pref
 
 
 def same_direction(a, b) -> bool:

@@ -50,13 +50,12 @@ import numpy as np
 from .core import (
     RATE_CM_TO_PER_US,
     BathSpec,
-    MUB_CM_PER_T,
     SpinSystem,
     bose_occupation,
     check_rate_matrix,
     freeze,
 )
-from .couplings import CouplingTensors
+from .couplings import CouplingTensors, field_prefactor
 
 # a fit whose rms residual exceeds this fraction of its amplitude warns
 RESIDUAL_WARN = 0.01
@@ -256,7 +255,7 @@ def spectral_density(c: CouplingTensors, bath: BathSpec, spin: SpinSystem):
     The couplings' spin index is rotated so that spin.axis becomes z,
     the quantization axis of the Redfield generator.
     """
-    pref = MUB_CM_PER_T * spin.field_magnitude_t
+    pref = field_prefactor(c, spin)
     rot = frame_rotation(spin.axis)
     G = pref * (rot @ c.d1)
     G2d = pref * (rot @ np.einsum("aqq->aq", c.d2))

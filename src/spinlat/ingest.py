@@ -54,22 +54,6 @@ class IncompleteRunSetError(RuntimeError):
                          + (f" and {count - 5} more" if count > 5 else ""))
 
 
-def read_source(source) -> str:
-    """The text of a file, or the text itself.
-
-    A str is text when it contains a newline or, after leading
-    whitespace, starts with '{'; any other str, and every Path, names a
-    file.
-    """
-    if isinstance(source, str) and (
-        "\n" in source or source.lstrip().startswith("{")
-    ):
-        return source
-    if isinstance(source, (str, Path)):
-        return Path(source).read_text()
-    raise TypeError(f"cannot read from {type(source)!r}")
-
-
 # -------------------------------------------------------------- JSON leaves
 # The config, the run manifest and the couplings file share these rules.
 # A refusal names the document and the key, and is built only on failure.
@@ -175,8 +159,8 @@ def _effective_lines(text: str):
             yield i, content
 
 
-def parse_modes(source, *, skip_soft: bool = False) -> ModeSet:
-    """Parse an NMODES v1 file into a ModeSet.
+def parse_modes(path, *, skip_soft: bool = False) -> ModeSet:
+    """Parse the NMODES v1 file at path into a ModeSet.
 
     Frequencies come out sorted ascending with eigenvector columns
     permuted to match; the original 1-based file numbering is kept in
@@ -184,132 +168,89 @@ def parse_modes(source, *, skip_soft: bool = False) -> ModeSet:
     skip_soft is set, in which case every mode below SOFT_CUTOFF_CM
     is dropped.
     """
-    text = read_source(source)
-    lines = list(_effective_lines(text))
+    lines = list(_effective_lines(Path(path).read_text()))
     if not lines:
         raise ParseError("empty file", line=1)
-    pos = 0
+    rest = iter(lines[1:])
 
-    def expect(what: str):
-        nonlocal pos
-        if pos >= len(lines):
-            raise ParseError(f"unexpected end of file, expected {what}",
-                             line=lines[-1][0])
-        return lines[pos]
+    def take(what: str) -> tuple[int, str]:
+        if (line := next(rest, None)) is None:
+            raise ParseError(f"unexpected end of file, expected {what}", line=lines[-1][0])
+        return line
 
-    lineno, magic = expect("#NMODES header")
+    def section(name: str) -> int:
+        """The line number of section name's header, which must come next."""
+        lineno, content = take(f"'{name}' section")
+        if content != name:
+            raise ParseError(f"expected '{name}' section header, got {content!r}", line=lineno)
+        return lineno
+
+    def rows(count: int, what: str, form: str, *kinds) -> tuple[list, list]:
+        """The line numbers and the fields of the next count lines, each
+        holding the fields of form, read by kinds."""
+        linenos, fields = [], []
+        for _ in range(count):
+            lineno, content = take(f"{what} line")
+            tok = content.split()
+            if len(tok) != len(kinds):
+                raise ParseError(f"{what} line needs '{form}', got {content!r}", line=lineno)
+            try:
+                fields.append([kind(t) for kind, t in zip(kinds, tok)])
+            except ValueError:
+                raise ParseError(f"bad number in {what} line {content!r}", line=lineno) from None
+            linenos.append(lineno)
+        return linenos, fields
+
+    lineno, magic = lines[0]
     if magic.split() != ["#NMODES", "1"]:
         raise ParseError(f"expected '#NMODES 1' magic, got {magic!r}", line=lineno)
-    pos += 1
-
-    counts = {}
+    counts = []
     for key in ("natoms", "modes"):
-        lineno, content = expect(f"'{key} <int>'")
+        lineno, content = take(f"'{key} <int>'")
         tok = content.split()
         if len(tok) != 2 or tok[0] != key:
             raise ParseError(f"expected '{key} <int>', got {content!r}", line=lineno)
         try:
-            counts[key] = int(tok[1])
+            counts.append(int(tok[1]))
         except ValueError:
-            raise ParseError(f"bad integer in '{key}' line: {tok[1]!r}", line=lineno)
-        if counts[key] <= 0:
-            raise ParseError(f"{key} must be positive, got {counts[key]}", line=lineno)
-        pos += 1
-    natoms, nmodes = counts["natoms"], counts["modes"]
+            raise ParseError(f"bad integer in '{key}' line: {tok[1]!r}", line=lineno) from None
+        if counts[-1] <= 0:
+            raise ParseError(f"{key} must be positive, got {counts[-1]}", line=lineno)
+    natoms, nmodes = counts
 
-    lineno, content = expect("'atoms' section")
-    if content != "atoms":
-        raise ParseError(f"expected 'atoms' section header, got {content!r}",
-                         line=lineno)
-    pos += 1
-    symbols, masses, positions = [], [], []
-    for _ in range(natoms):
-        lineno, content = expect("atom line")
-        tok = content.split()
-        if len(tok) != 5:
-            raise ParseError(
-                f"atom line needs 'element mass x y z', got {content!r}", line=lineno
-            )
-        try:
-            masses.append(float(tok[1]))
-            positions.append([float(v) for v in tok[2:5]])
-        except ValueError:
-            raise ParseError(f"bad number in atom line {content!r}", line=lineno)
-        symbols.append(tok[0])
-        pos += 1
-
-    lineno, content = expect("'frequencies_cm' section")
-    if content != "frequencies_cm":
-        raise ParseError(
-            f"expected 'frequencies_cm' section header, got {content!r}", line=lineno
-        )
-    pos += 1
-    freqs, src_idx, freq_lines = [], [], []
-    for _ in range(nmodes):
-        lineno, content = expect("frequency line")
-        tok = content.split()
-        if len(tok) != 2:
-            raise ParseError(
-                f"frequency line needs 'index value', got {content!r}", line=lineno
-            )
-        try:
-            src_idx.append(int(tok[0]))
-            freqs.append(float(tok[1]))
-        except ValueError:
-            raise ParseError(f"bad number in frequency line {content!r}", line=lineno)
-        freq_lines.append(lineno)
-        pos += 1
-
-    header_lineno, content = expect("'normal_modes' section")
-    if content != "normal_modes":
-        raise ParseError(
-            f"expected 'normal_modes' section header, got {content!r}",
-            line=header_lineno,
-        )
-    pos += 1
+    section("atoms")
+    _, atoms = rows(natoms, "atom", "element mass x y z", str, float, float, float, float)
+    section("frequencies_cm")
+    freq_lines, modes = rows(nmodes, "frequency", "index value", int, float)
+    header_lineno = section("normal_modes")
     values = []
-    for lineno, content in lines[pos:]:
+    for lineno, content in rest:
         for tok in content.split():
             try:
                 values.append(float(tok))
             except ValueError:
-                raise ParseError(f"bad float {tok!r} in normal_modes", line=lineno)
-    need = 3 * natoms * nmodes
-    if len(values) != need:
-        raise ParseError(
-            f"normal_modes needs {need} floats for modes={nmodes}, "
-            f"found {len(values)}",
-            line=header_lineno,
-        )
+                raise ParseError(f"bad float {tok!r} in normal_modes", line=lineno) from None
+    if len(values) != 3 * natoms * nmodes:
+        raise ParseError(f"normal_modes needs {3 * natoms * nmodes} floats for "
+                         f"modes={nmodes}, found {len(values)}", line=header_lineno)
     vecs = np.array(values).reshape(3 * natoms, nmodes)
 
-    freqs = np.array(freqs)
-    src_idx = np.array(src_idx, dtype=int)
+    src_idx, freqs = map(np.array, zip(*modes))
     if skip_soft:
         keep = freqs >= SOFT_CUTOFF_CM
         freqs, src_idx, vecs = freqs[keep], src_idx[keep], vecs[:, keep]
         if freqs.size == 0:
-            raise ParseError(
-                f"all modes fall below the {SOFT_CUTOFF_CM} cm^-1 cutoff",
-                line=freq_lines[0],
-            )
-    else:
-        bad = np.nonzero(freqs <= 0.0)[0]
-        if bad.size:
-            raise ParseError(
-                f"nonpositive frequency {freqs[bad[0]]} (pass skip_soft to drop)",
-                line=freq_lines[bad[0]],
-            )
+            raise ParseError(f"all modes fall below the {SOFT_CUTOFF_CM} cm^-1 cutoff",
+                             line=freq_lines[0])
+    elif (bad := np.nonzero(freqs <= 0.0)[0]).size:
+        raise ParseError(f"nonpositive frequency {freqs[bad[0]]} (pass skip_soft to drop)",
+                         line=freq_lines[bad[0]])
 
     order = np.argsort(freqs, kind="stable")
-    geometry = Geometry(tuple(symbols), np.array(masses), np.array(positions))
+    symbols, masses, *xyz = zip(*atoms)
+    geometry = Geometry(symbols, np.array(masses), np.column_stack(xyz))
     try:
-        return ModeSet(
-            geometry=geometry,
-            frequencies=freqs[order],
-            eigenvectors=vecs[:, order],
-            source_indices=src_idx[order],
-        )
+        return ModeSet(geometry, freqs[order], vecs[:, order], src_idx[order])
     except ValueError as e:
         raise ParseError(str(e), line=header_lineno)
 
@@ -378,13 +319,13 @@ def _marker_line(text: str) -> int:
     return len((text[:text.find(G_MATRIX_MARKER)] + "x").splitlines())
 
 
-def parse_g_matrix(source) -> np.ndarray:
-    """Extract the 3x3 g matrix following the first ELECTRONIC G-MATRIX marker.
+def parse_g_matrix(path) -> np.ndarray:
+    """The 3x3 g matrix after the first ELECTRONIC G-MATRIX marker in the file at path.
 
     Tolerant of prose around the block and of row labels; strict about
     finding nine float fields in a contiguous run of lines.
     """
-    text = read_source(source)
+    text = Path(path).read_text()
     m = np.array(_g_fields(text)).reshape(3, 3)
     if not np.all(np.isfinite(m)):
         raise ParseError("g matrix block contains non-finite values",

@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    MUB_CM_PER_T,
     RATE_CM_TO_PER_US,
     BathSpec,
     SpinSystem,
@@ -30,7 +29,7 @@ from .core import (
     freeze,
     raise_first_failure,
 )
-from .couplings import CouplingTensors
+from .couplings import CouplingTensors, field_prefactor
 
 CONVENTIONS = ("projection", "lindblad")
 
@@ -85,7 +84,8 @@ def _rate_grid(c: CouplingTensors, bath: BathSpec, temperatures, spins):
     the spin frequency, Lorentzians and the all_pairs pair sums per field
     (the outer loop, so one field's arrays are held at a time).  A point
     is one fixed-shape matrix-vector product with n(T) plus O(N) work, and
-    applies the field prefactor (muB|B|/hc)^2 as a scalar.  No point's
+    applies the field prefactor (muB|B|/hc)^2 as a scalar (field_prefactor,
+    which refuses a field off the couplings' direction).  No point's
     arithmetic depends on the rest of the grid, so each is bitwise what a
     1x1 grid gives.
     """
@@ -122,7 +122,7 @@ def _rate_grid(c: CouplingTensors, bath: BathSpec, temperatures, spins):
 
     for j, spin in enumerate(spins):
         big_omega = spin.larmor_cm()
-        pref2 = (MUB_CM_PER_T * spin.field_magnitude_t) ** 2
+        pref2 = field_prefactor(c, spin) ** 2
         two_phonon = _lorentzian(big_omega - 2.0 * omega, lam)
         zero_freq = (2.0 / np.pi) * (lam / (big_omega * big_omega + lam * lam))
         if all_pairs:

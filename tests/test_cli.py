@@ -89,6 +89,48 @@ def test_displace_all_pairs_counts(dataset, tmp_path):
     assert len(list(out.glob("*.xyz"))) == 1 + 6 + 4 * 3
 
 
+def test_displace_refuses_order_1_with_all_pairs(dataset, tmp_path, capsys):
+    # order 1 plans no pair runs, so the all_pairs couplings could never be
+    # built from the plan; refused before anything is written
+    out = tmp_path / "plan"
+    code, _, err = run("displace", "--modes", dataset["modes"], "--out", str(out),
+                       "--order", "1", "--pairing", "all_pairs", capsys=capsys)
+    assert code == 2, err
+    assert "numerics.order 1 (flag --order)" in err
+    assert "physics.pairing 'all_pairs' (flag --pairing)" in err
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"format": "spinlat-config/1",
+                                   "numerics": {"order": 1},
+                                   "physics": {"pairing": "all_pairs"}}))
+    code, _, err = run("displace", "--config", str(cfgfile), "--modes", dataset["modes"],
+                       "--out", str(out), capsys=capsys)
+    assert code == 2, err
+    assert "numerics.order 1 with physics.pairing 'all_pairs' is refused" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["couplings", "tensor", "sweep", "attribute", "dynamics"])
+def test_runs_based_artifacts_record_the_baseline_g(dataset, tmp_path, command):
+    # from runs the spin's g is the baseline run's, whatever physics.g0 says,
+    # so the embedded config must hold the baseline's g
+    cfgfile = tmp_path / "g0.json"
+    cfgfile.write_text(json.dumps({"format": "spinlat-config/1",
+                                   "physics": {"g0": (3.0 * np.eye(3)).tolist()}}))
+    flags = () if command == "couplings" else ("--temp", "20", "--field-mt", "1266")
+    out = tmp_path / "art"
+    assert run(command, "--config", str(cfgfile), "--modes", dataset["modes"],
+               "--manifest", dataset["manifest"], *flags, "--out", str(out))[0] == 0
+    if command == "sweep":
+        line = (out / "sweep.csv").read_text().split("\n")[0]
+        config = json.loads(line[len("# config: "):])
+    else:
+        artifact = {"couplings": "couplings.json", "tensor": "tensor.json",
+                    "attribute": "attribution.json", "dynamics": "dynamics.json"}[command]
+        config = json.loads((out / artifact).read_text())["config"]
+    baseline = load_run_set(dataset["manifest"], dataset["modeset"]).baseline
+    assert config["physics"]["g0"] == baseline.tolist()
+
+
 def test_skip_soft_plan_gives_couplings(tmp_path, monkeypatch):
     # the manifest numbers the modes skip_soft keeps, so every command that
     # reads the modes must drop the same soft modes
@@ -506,7 +548,7 @@ def test_every_flag_setting_can_come_from_the_config_file(
     # flag's artifacts and stdout byte for byte, and the flag wins over the file
     monkeypatch.chdir(tmp_path)
     inputs = ("--modes", dataset["modes"], "--out", "art")
-    inputs += {"displace": ("--pairing", "all_pairs"),
+    inputs += {"displace": (),
                "dynamics": ("--manifest", dataset["manifest"], "--temp", "200",
                             "--samples", "201")}.get(
         command, ("--manifest", dataset["manifest"], "--temp", "20"))

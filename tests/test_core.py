@@ -218,9 +218,14 @@ def test_modeset_cartesian_direction_is_unit_norm():
 
 
 def test_spin_system_axis_and_override():
+    # the axis is the field's direction, not a setting of its own
     g = GTensor(2.0 * np.eye(3))
-    with pytest.raises(ValueError, match="unit"):
-        SpinSystem(g0=g, field_mt=np.zeros(3), axis=(0, 0, 2.0))
+    with pytest.raises(TypeError, match="axis"):
+        SpinSystem(g0=g, field_mt=[0, 0, 1000.0], axis=(0, 0, 1.0))
+    assert SpinSystem(g0=g, field_mt=np.zeros(3)).axis.tolist() == [0.0, 0.0, 1.0]
+    assert SpinSystem(g0=g, field_mt=[0, 0, 1000.0]).axis.tolist() == [0.0, 0.0, 1.0]
+    np.testing.assert_allclose(SpinSystem(g0=g, field_mt=[300.0, 0, -400.0]).axis,
+                               [0.6, 0.0, -0.8], rtol=1e-15)
     s = SpinSystem(g0=g, field_mt=[0, 0, 1000.0], omega_override_cm=1.2)
     assert s.larmor_cm() == 1.2
     s2 = SpinSystem(g0=g, field_mt=[0, 0, 1000.0])

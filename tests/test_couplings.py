@@ -339,15 +339,18 @@ def test_export_load_round_trip(toy_modes, tmp_path):
     assert doc["units"]["frequencies_cm"] == "cm^-1"
 
 
-def test_load_single_line_json_text(toy_modes):
+def test_load_single_line_json_text(toy_modes, tmp_path):
     gfun, _, _ = quadratic_surface(toy_modes)
     c = build_couplings(sample_g_surface(toy_modes, gfun))
     text = json.dumps(json.loads(export_couplings(c)))
     assert "\n" not in text
-    loaded = load_couplings(text)
+    path = tmp_path / "one-line.json"
+    path.write_text(text)
+    loaded = load_couplings(path)
     assert np.array_equal(loaded.d1, c.d1)
     assert np.array_equal(loaded.d2, c.d2)
-    assert np.array_equal(load_couplings("  " + export_couplings(c)).d1, c.d1)
+    path.write_text("  " + export_couplings(c))
+    assert np.array_equal(load_couplings(str(path)).d1, c.d1)
 
 
 def test_load_rejects_unknown_format(tmp_path):

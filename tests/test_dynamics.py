@@ -551,7 +551,6 @@ def test_spectral_density_follows_quantization_axis():
     )
     spin = SpinSystem(
         g0=GTensor(2.0 * np.eye(3)), field_mt=np.array([1000.0, 0.0, 0.0]),
-        axis=(1.0, 0.0, 0.0),
     )
     got = spectral_density(c, BathSpec(temperature_k=150.0), spin)(5.0)
     assert got[2] > 0.0

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinlat.core import Geometry, ModeSet
+from spinlat.couplings import CouplingTensors, export_couplings, load_couplings
 from spinlat.ingest import (
     G_MATRIX_MARKER,
     _G_FIELD,
@@ -21,7 +22,6 @@ from spinlat.ingest import (
     parse_g_matrix,
     parse_modes,
     plan_displacements,
-    read_source,
     sample_g_surface,
     write_displacement_set,
     write_g_matrix,
@@ -52,8 +52,19 @@ def _golden_text():
     return GOLDEN_NMODES + rows + "\n"
 
 
-def test_parse_golden_file():
-    ms = parse_modes(_golden_text())
+@pytest.fixture
+def written(tmp_path):
+    """Writes its text to one file, replacing what it wrote before, and
+    returns the file's path."""
+    def write(text: str):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        return path
+    return write
+
+
+def test_parse_golden_file(written):
+    ms = parse_modes(written(_golden_text()))
     assert ms.nmodes == 3
     assert ms.geometry.natoms == 3
     assert ms.geometry.symbols == ("O", "H", "H")
@@ -62,20 +73,20 @@ def test_parse_golden_file():
     assert ms.geometry.masses[0] == 15.999
 
 
-def test_parse_sorts_and_records_permutation():
+def test_parse_sorts_and_records_permutation(written):
     text = _golden_text().replace(
         "1 1595.0\n2 3657.0   # symmetric stretch\n3 3756.0",
         "1 3756.0\n2 1595.0\n3 3657.0",
     )
-    ms = parse_modes(text)
+    ms = parse_modes(written(text))
     np.testing.assert_allclose(ms.frequencies, [1595.0, 3657.0, 3756.0])
     np.testing.assert_array_equal(ms.source_indices, [2, 3, 1])
     # columns permuted along with their frequencies
     assert ms.eigenvectors[1, 0] == 1.0  # original column 2 now first
 
 
-def test_roundtrip_bit_identical(toy_modes):
-    ms2 = parse_modes(write_modes(toy_modes))
+def test_roundtrip_bit_identical(toy_modes, written):
+    ms2 = parse_modes(written(write_modes(toy_modes)))
     np.testing.assert_array_equal(ms2.frequencies, toy_modes.frequencies)
     np.testing.assert_array_equal(ms2.eigenvectors, toy_modes.eigenvectors)
     np.testing.assert_array_equal(ms2.source_indices, toy_modes.source_indices)
@@ -93,52 +104,52 @@ def test_roundtrip_via_file(tmp_path, toy_modes):
     np.testing.assert_array_equal(ms2.eigenvectors, toy_modes.eigenvectors)
 
 
-def test_bad_magic_line():
+def test_bad_magic_line(written):
     with pytest.raises(ParseError, match="line 1"):
-        parse_modes("#NMODES 2\nnatoms 1\n")
+        parse_modes(written("#NMODES 2\nnatoms 1\n"))
 
 
-def test_count_mismatch_reported_at_normal_modes_header():
+def test_count_mismatch_reported_at_normal_modes_header(written):
     # modes says 3 but only 2 columns of data follow
     vecs = np.eye(9)[:, :2]
     rows = "\n".join(" ".join(repr(float(v)) for v in row) for row in vecs)
     text = GOLDEN_NMODES + rows + "\n"
     with pytest.raises(ParseError, match="line 13") as err:
-        parse_modes(text)
+        parse_modes(written(text))
     assert "27 floats" in str(err.value)
     assert "18" in str(err.value)
 
 
-def test_nonpositive_frequency_errors_with_line():
+def test_nonpositive_frequency_errors_with_line(written):
     text = _golden_text().replace("1 1595.0", "1 -4.2")
     with pytest.raises(ParseError, match="line 10"):
-        parse_modes(text)
+        parse_modes(written(text))
 
 
-def test_skip_soft_drops_low_modes():
+def test_skip_soft_drops_low_modes(written):
     text = _golden_text().replace("1 1595.0", "1 0.4")
-    ms = parse_modes(text, skip_soft=True)  # cutoff 1 cm^-1
+    ms = parse_modes(written(text), skip_soft=True)  # cutoff 1 cm^-1
     assert ms.nmodes == 2
     np.testing.assert_array_equal(ms.source_indices, [2, 3])
 
 
-def test_nonorthonormal_columns_rejected():
+def test_nonorthonormal_columns_rejected(written):
     vecs = np.eye(9)[:, :3]
     vecs[:, 2] = vecs[:, 1]  # duplicate column
     rows = "\n".join(" ".join(repr(float(v)) for v in row) for row in vecs)
     with pytest.raises(ParseError, match="orthonormal"):
-        parse_modes(GOLDEN_NMODES + rows + "\n")
+        parse_modes(written(GOLDEN_NMODES + rows + "\n"))
 
 
-def test_atom_line_error_names_line():
+def test_atom_line_error_names_line(written):
     text = _golden_text().replace("H 1.008 0.0 0.757 -0.467", "H 1.008 0.0 0.757")
     with pytest.raises(ParseError, match="line 7"):
-        parse_modes(text)
+        parse_modes(written(text))
 
 
 # ---------------------------------------------------------------- g matrices
 
-def test_g_block_with_prose_and_labels():
+def test_g_block_with_prose_and_labels(written):
     text = (
         "Some program banner\n"
         "Total SCF energy: -3214.12345678\n"
@@ -151,40 +162,40 @@ def test_g_block_with_prose_and_labels():
         "\n"
         "more prose after\n"
     )
-    np.testing.assert_allclose(parse_g_matrix(text), REFERENCE_G, rtol=1e-12)
+    np.testing.assert_allclose(parse_g_matrix(written(text)), REFERENCE_G, rtol=1e-12)
 
 
-def test_g_block_row_labels_skipped():
+def test_g_block_row_labels_skipped(written):
     text = (
         "ELECTRONIC G-MATRIX\n"
         "1   2.0012  0.0001  0.0\n"
         "2   0.0001  2.0034  0.0\n"
         "3   0.0     0.0     1.9876\n"
     )
-    m = parse_g_matrix(text)
+    m = parse_g_matrix(written(text))
     assert m[0, 0] == 2.0012
     assert m[2, 2] == 1.9876
 
 
-def test_g_block_first_marker_wins():
+def test_g_block_first_marker_wins(written):
     text = (
         "ELECTRONIC G-MATRIX\n"
         "2.0 0.0 0.0\n0.0 2.0 0.0\n0.0 0.0 2.0\n"
         "ELECTRONIC G-MATRIX\n"
         "9.0 0.0 0.0\n0.0 9.0 0.0\n0.0 0.0 9.0\n"
     )
-    np.testing.assert_allclose(parse_g_matrix(text), 2.0 * np.eye(3))
+    np.testing.assert_allclose(parse_g_matrix(written(text)), 2.0 * np.eye(3))
 
 
-def test_g_block_missing_marker():
+def test_g_block_missing_marker(written):
     with pytest.raises(ParseError, match="ELECTRONIC G-MATRIX"):
-        parse_g_matrix("nothing to see here\n1.0 2.0 3.0\n")
+        parse_g_matrix(written("nothing to see here\n1.0 2.0 3.0\n"))
 
 
-def test_g_block_too_few_numbers():
+def test_g_block_too_few_numbers(written):
     text = "ELECTRONIC G-MATRIX\n1.98 0.001\n0.001 1.99\n"
     with pytest.raises(ParseError, match="4 of 9"):
-        parse_g_matrix(text)
+        parse_g_matrix(written(text))
 
 
 def test_g_write_parse_roundtrip(tmp_path):
@@ -346,19 +357,24 @@ def test_sample_g_surface_diagonal_only_has_no_pairs(toy_modes):
     assert rs.singles.shape == (2 * toy_modes.nmodes, 3, 3)
 
 
-def test_read_source_one_rule_for_text_and_paths(tmp_path, monkeypatch):
-    # a str is text when it holds a newline or starts with '{' after
-    # whitespace; any other str, and every Path, names a file
+@pytest.mark.parametrize("name", ["{modes}.txt", " {modes}.txt", "two\nlines.txt"],
+                         ids=["brace", "space-brace", "newline"])
+def test_every_str_names_a_file(tmp_path, monkeypatch, toy_modes, name):
+    # a str never holds a file's text, even one that reads like JSON or
+    # spans lines
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "g.out").write_text("from file\n")
-    assert read_source("line one\nline two") == "line one\nline two"
-    assert read_source('  {"a": 1}') == '  {"a": 1}'
-    assert read_source("g.out") == "from file\n"
-    assert read_source(tmp_path / "g.out") == "from file\n"
-    with pytest.raises(FileNotFoundError):
-        read_source("no such file")
-    with pytest.raises(TypeError):
-        read_source(3)
+    write_modes(toy_modes, name)
+    assert np.array_equal(parse_modes(name).eigenvectors, toy_modes.eigenvectors)
+    write_g_matrix(REFERENCE_G, name)
+    np.testing.assert_allclose(parse_g_matrix(name), REFERENCE_G, rtol=1e-12)
+    c = CouplingTensors(d1=np.full((3, 1), 1e-3), d2=np.zeros((3, 1, 1)),
+                        delta_angstrom=0.01, frequencies=[20.0],
+                        field_direction=(0.0, 0.0, 1.0), mixed_computed=True)
+    export_couplings(c, name)
+    assert np.array_equal(load_couplings(name).d1, c.d1)
+    for read in (parse_modes, parse_g_matrix, load_couplings):
+        with pytest.raises(FileNotFoundError):
+            read("{}\n")  # text by both of the old rules
 
 
 # ------------------------------------------------------- g-block tokenizer
@@ -427,19 +443,21 @@ def test_g_tokenizer_matches_split_oracle(line):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_LINES, max_size=8), st.lists(_LINES, max_size=8), _LINES,
        st.booleans())
-def test_g_block_matches_old_rules(before, after, head, has_marker):
+def test_g_block_matches_old_rules(tmp_path_factory, before, after, head, has_marker):
     marker = head + G_MATRIX_MARKER if has_marker else head
     text = "\n".join(before + [marker] + after) + "\n"
+    path = tmp_path_factory.getbasetemp() / "g-block.out"
+    path.write_text(text)
     try:
-        got = parse_g_matrix(text).ravel().tolist()
+        got = parse_g_matrix(path).ravel().tolist()
     except ParseError as e:
         got = str(e)
     assert got == _old_parse(text)
 
 
-def test_g_block_nine_fields_over_rows_with_commas():
+def test_g_block_nine_fields_over_rows_with_commas(written):
     text = "ELECTRONIC G-MATRIX\n x: 2.0, 0.0,\t0.0\n y: 0., 2.0 0.0\n z: .0 0e0 2.\n"
-    np.testing.assert_array_equal(parse_g_matrix(text), 2.0 * np.eye(3))
+    np.testing.assert_array_equal(parse_g_matrix(written(text)), 2.0 * np.eye(3))
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])

@@ -20,7 +20,7 @@ from spinlat.core import (
     check_rate_matrix,
 )
 from spinlat.couplings import CouplingTensors
-from spinlat.dynamics import JumpBasisDissipator
+from spinlat.dynamics import JumpBasisDissipator, spectral_density
 from spinlat.relaxation import (
     CONVENTIONS,
     RelaxationTensor,
@@ -605,12 +605,12 @@ def test_sweep_rows_bitwise_equal_build_tensor(pairing, shape, case):
     direction = np.asarray(opts.get("direction", (0.0, 0.0, 1.0)))
     direction = direction / np.linalg.norm(direction)
     spin = SpinSystem(
-        g0=GTensor(np.diag([1.9, 2.0, 2.1])), field_mt=direction, axis=direction,
+        g0=GTensor(np.diag([1.9, 2.0, 2.1])), field_mt=direction,
         omega_override_cm=opts.get("omega_override_cm"),
     )
     bath = BathSpec(temperature_k=1.0, linewidth_cm=opts.get("linewidth_cm", 2.0),
                     raman_pairing=pairing)
-    c = random_couplings(17)
+    c = replace(random_couplings(17), field_direction=direction)
     temps = [40.0 * (k + 1) for k in range(shape[0])]
     fields = [opts.get("first_field_mt", 700.0) + 450.0 * k for k in range(shape[1])]
     points = sweep(c, spin, temps, fields, bath)
@@ -623,6 +623,34 @@ def test_sweep_rows_bitwise_equal_build_tensor(pairing, shape, case):
         assert (p.t1_us, p.t2_us) == (times.t1_us, times.t2_us)
         for name in ("lambda1", "lambda2", "lambda2_quartic", "lambda2_gsq"):
             np.testing.assert_array_equal(getattr(p, name), getattr(tensor, name))
+
+
+def test_times_project_on_the_field_direction():
+    # a spin's quantization axis is its field's direction, so a tensor for a
+    # field along x is projected along x
+    c = replace(random_couplings(6), field_direction=(1.0, 0.0, 0.0))
+    spin = SpinSystem(g0=GTensor(2.0 * np.eye(3)), field_mt=np.array([1266.0, 0.0, 0.0]))
+    tensor = build_tensor(c, BathSpec(temperature_k=100.0), spin)
+    assert spin.axis.tolist() == [1.0, 0.0, 0.0]
+    times = relaxation_times(tensor, axis=spin.axis)
+    assert times.rate1_cm == 2.0 * tensor.lambda_total[0, 0]
+
+
+def test_field_off_the_couplings_direction_refused():
+    # couplings hold the derivatives of g . b for their own b; a field along
+    # another line would be scaled with the wrong couplings
+    c = random_couplings(6)  # along z
+    bath = BathSpec(temperature_k=100.0)
+    along_x = SpinSystem(g0=GTensor(2.0 * np.eye(3)), field_mt=np.array([1266.0, 0.0, 0.0]))
+    for compute in (lambda s: build_tensor(c, bath, s),
+                    lambda s: sweep(c, s, [100.0], [1266.0], bath),
+                    lambda s: spectral_density(c, bath, s)):
+        with pytest.raises(ValueError, match="not along"):
+            compute(along_x)
+    # either sense of b gives the same rates, and zero field has no direction
+    np.testing.assert_array_equal(build_tensor(c, bath, make_spin(-1266.0)).lambda_total,
+                                  build_tensor(c, bath, make_spin(1266.0)).lambda_total)
+    assert not build_tensor(c, bath, make_spin(0.0)).lambda_total.any()
 
 
 def test_sweep_computes_occupations_once_per_temperature(monkeypatch):
