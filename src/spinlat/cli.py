@@ -374,16 +374,12 @@ def _bath(cfg: dict, c: CouplingTensors, temperature_k: float) -> BathSpec:
     )
 
 
-def _sweep_grid(cfg: dict, c: CouplingTensors, spin: SpinSystem) -> list:
-    """`sweep` over the configured (T, B) grid.
-
-    `sweep` takes only the field direction from `spin`, so callers build
-    it at any nonzero field and the grid may include B = 0.
-    """
+def _sweep_grid(cfg: dict, c: CouplingTensors) -> list:
+    """`sweep` over the configured (T, B) grid, along the couplings' direction."""
     phys = cfg["physics"]
     return sweep(
         c,
-        spin,
+        _spin_system(cfg, c, 1.0),
         phys["temperatures_k"],
         phys["fields_mt"],
         _bath(cfg, c, phys["temperatures_k"][0]),
@@ -457,18 +453,20 @@ def _cmd_tensor(cfg: dict) -> int:
 def _cmd_sweep(cfg: dict) -> int:
     c = _assemble_couplings(cfg)
     phys = cfg["physics"]
-    points = _sweep_grid(cfg, c, _spin_system(cfg, c, 1.0))
+    points = _sweep_grid(cfg, c)
     out = _outdir(cfg)
     header = _config_comment(cfg)
     (out / "sweep.csv").write_text(header + "\n" + sweep_csv(points))
     fields = phys["fields_mt"]
+    temp, field_mt, *times = np.array(
+        [(p.temperature_k, p.field_mt, p.t1_us, p.t2_us) for p in points]).T
     for field in fields:
-        rows = [p for p in points if p.field_mt == field]
-        for name, pick in (("t1", lambda p: p.t1_us), ("t2", lambda p: p.t2_us)):
+        at = field_mt == field
+        temp_text = list(map(repr, temp[at].tolist()))
+        for name, t in zip(("t1", "t2"), times):
             lines = [header, "# columns: temperature_k inv_%s_per_us" % name]
-            for p in rows:
-                rate = 0.0 if np.isinf(pick(p)) else 1.0 / pick(p)
-                lines.append(f"{p.temperature_k!r} {rate!r}")
+            # an infinite time gives rate 0.0
+            lines += map("{} {}".format, temp_text, map(repr, (1.0 / t[at]).tolist()))
             tag = np.format_float_positional(field, trim="-")
             path = out / f"inv_{name}_vs_temp_{tag}mT.dat"
             path.write_text("\n".join(lines) + "\n")
@@ -551,8 +549,6 @@ def _cmd_dynamics(cfg: dict) -> int:
     fitted_time = float("inf") if fit.rate_per_us == 0.0 else 1.0 / fit.rate_per_us
     _write_json(out / "dynamics.json", {
         "config": cfg,
-        "engine": engine,
-        "kind": kind,
         "observable": observable,
         "fitted_rate_per_us": fit.rate_per_us,
         "fitted_time_us": fitted_time,
@@ -600,7 +596,7 @@ def _cmd_validate(cfg: dict) -> int:
     def tensors():
         # sweep runs RelaxationTensor's checks (finite, symmetric PSD, split
         # sums) on each field's grid points at once, naming a failing point
-        state["points"] = _sweep_grid(cfg, state["c"], _spin_system(cfg, state["c"], 1.0))
+        state["points"] = _sweep_grid(cfg, state["c"])
 
     def identity():
         # criterion 08 on the rows' reported times, stacked, no eigen-solve:

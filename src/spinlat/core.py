@@ -85,7 +85,8 @@ def check_rate_matrix(m: np.ndarray, name: str, labels=None) -> None:
         else f"is not PSD: eigenvalue {low[i]:.3e} below {floor[i]:.3e}", labels)
 
 
-@dataclass(frozen=True)
+# records holding arrays take eq=False: a generated __eq__ would raise on them
+@dataclass(frozen=True, eq=False)
 class GTensor:
     """Zeeman coupling matrix g, dimensionless, not assumed symmetric."""
 
@@ -102,7 +103,7 @@ class GTensor:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Geometry:
     """Molecular geometry: element symbols, masses in amu, positions in Angstrom."""
 
@@ -130,7 +131,7 @@ class Geometry:
         return len(self.symbols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeSet:
     """Harmonic modes: frequencies ascending in cm^-1, mass-weighted
     eigenvector columns orthonormal, source_indices keeping the original
@@ -187,7 +188,7 @@ class ModeSet:
         return u.reshape(self.geometry.natoms, 3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinSystem:
     """Effective S=1/2 center: g matrix and static field in mT."""
 

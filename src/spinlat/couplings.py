@@ -39,7 +39,7 @@ def dimensionless_steps(modeset: ModeSet, delta: float) -> np.ndarray:
     return delta / (norms * lengths)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CouplingTensors:
     """First and second g-surface derivatives over modes.
 
@@ -132,7 +132,7 @@ def build_couplings(
 
 # ------------------------------------------------------------- convergence
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvergenceReport:
     """Step-halving comparison of two coupling builds.
 

@@ -75,7 +75,7 @@ def _affine(block: np.ndarray, drift: float = 0.0) -> np.ndarray:
     return gen * RATE_CM_TO_PER_US
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JumpBasisDissipator:
     """Pauli-basis dissipator coefficients (cm^-1) plus the precession Omega."""
 
@@ -116,7 +116,7 @@ def frame_rotation(axis) -> np.ndarray:
 
 # -------------------------------------------------------------- trajectory
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinTrajectory:
     """Bloch-vector samples (T, 3) on a time grid, with derived observables."""
 
@@ -151,20 +151,20 @@ class SpinTrajectory:
         return 0.5 * np.hypot(self.sx, self.sy)
 
     def to_csv(self) -> str:
-        cols = [
-            "t_us",
-            "rho00_re", "rho00_im", "rho01_re", "rho01_im",
-            "rho10_re", "rho10_im", "rho11_re", "rho11_im",
-            "sx", "sy", "sz", "coherence_abs",
-        ]
-        lines = [",".join(cols)]
-        for t, (x, y, z), coh in zip(self.times_us, self.bloch, self.coherence_abs):
-            vals = (
-                t, 0.5 * (1.0 + z), 0.0, 0.5 * x, -0.5 * y,
-                0.5 * x, 0.5 * y, 0.5 * (1.0 - z), 0.0, x, y, z, coh,
-            )
-            lines.append(",".join(repr(float(v)) for v in vals))
-        return "\n".join(lines) + "\n"
+        header = ("t_us,rho00_re,rho00_im,rho01_re,rho01_im,rho10_re,rho10_im,"
+                  "rho11_re,rho11_im,sx,sy,sz,coherence_abs")
+
+        def text(column):
+            return list(map(repr, column.tolist()))
+
+        x, y, z = self.bloch.T
+        half_x, zero = text(0.5 * x), ["0.0"] * x.size
+        columns = (
+            text(self.times_us), text(0.5 * (1.0 + z)), zero, half_x, text(-0.5 * y),
+            half_x, text(0.5 * y), text(0.5 * (1.0 - z)), zero,
+            text(x), text(y), text(z), text(self.coherence_abs),
+        )
+        return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
 
 
 def _validate_rho0(rho0) -> np.ndarray:

@@ -8,7 +8,9 @@ the leaf rules that every JSON document spinlat reads is checked with.
 
 from __future__ import annotations
 
+import errno
 import json
+import math
 import os
 import re
 import reprlib
@@ -293,7 +295,7 @@ def _g_fields(text: str) -> list[float]:
 
     Fields start on the line after the first ELECTRONIC G-MATRIX marker;
     lines without fields are skipped until the block starts, and end it
-    after.  Finiteness is left to the caller.
+    after.  Every entry must be finite.
     """
     pos = text.find(G_MATRIX_MARKER)
     if pos < 0:
@@ -304,7 +306,11 @@ def _g_fields(text: str) -> list[float]:
         if row:
             values += row
             if len(values) >= 9:
-                return [float(v) for v in values[:9]]
+                entries = [float(v) for v in values[:9]]
+                if not all(map(math.isfinite, entries)):
+                    raise ParseError("g matrix block contains non-finite values",
+                                     line=_marker_line(text))
+                return entries
         elif values:
             break  # numeric block ended before 9 entries
     raise ParseError(
@@ -323,14 +329,38 @@ def parse_g_matrix(path) -> np.ndarray:
     """The 3x3 g matrix after the first ELECTRONIC G-MATRIX marker in the file at path.
 
     Tolerant of prose around the block and of row labels; strict about
-    finding nine float fields in a contiguous run of lines.
+    finding nine finite float fields in a contiguous run of lines.  The
+    file is read as `load_run_set` reads a result.
     """
-    text = Path(path).read_text()
-    m = np.array(_g_fields(text)).reshape(3, 3)
-    if not np.all(np.isfinite(m)):
-        raise ParseError("g matrix block contains non-finite values",
-                         line=_marker_line(text))
-    return m
+    m = np.empty(9)
+    if not _read_result(path, path, m):
+        raise FileNotFoundError(errno.ENOENT, "no result file", str(path))
+    return m.reshape(3, 3)
+
+
+def _read_result(path, name, out: np.ndarray) -> bool:
+    """Read the nine g entries of the result at path into out; False when
+    no file is there.  A result that cannot be decoded or parsed raises
+    ParseError naming it as name."""
+    # a raw descriptor skips the buffered text-file layers, which cost
+    # more than the system calls for results of a few hundred bytes
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except (FileNotFoundError, NotADirectoryError):
+        return False
+    chunks = []
+    try:
+        while chunk := os.read(fd, 65536):
+            chunks.append(chunk)
+    except IsADirectoryError:  # os.open succeeds on a directory on Linux
+        return False
+    finally:
+        os.close(fd)
+    try:
+        out[:] = _g_fields(b"".join(chunks).decode())
+    except (ParseError, UnicodeDecodeError) as e:
+        raise ParseError(f"{name}: {e}") from None
+    return True
 
 
 def write_g_matrix(matrix, path=None, prose: str = "") -> str:
@@ -350,7 +380,7 @@ def write_g_matrix(matrix, path=None, prose: str = "") -> str:
 
 # ------------------------------------------------------------- displacements
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisplacedGeometry:
     """One displaced structure: which modes were stepped and with what signs."""
 
@@ -471,7 +501,7 @@ def write_displacement_set(
 
 # ------------------------------------------------------------------ run sets
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisplacedGTensorSet:
     """g matrices sampled on the displacement grid of one ModeSet.
 
@@ -603,35 +633,12 @@ def load_run_set(manifest_path, modeset: ModeSet) -> DisplacedGTensorSet:
     del doc, entries  # every entry is checked; free them before the results are read
     stack = np.empty((len(paths), 9))  # one parsed result per row
 
-    def read(i: int) -> bool:
-        # a raw descriptor skips the buffered text-file layers, which cost
-        # more than the system calls for results of a few hundred bytes
-        try:
-            fd = os.open(os.path.join(root, paths[i]), os.O_RDONLY)
-        except (FileNotFoundError, NotADirectoryError):
-            return False
-        chunks = []
-        try:
-            while chunk := os.read(fd, 65536):
-                chunks.append(chunk)
-        except IsADirectoryError:  # os.open succeeds on a directory on Linux
-            return False
-        finally:
-            os.close(fd)
-        try:
-            stack[i] = _g_fields(b"".join(chunks).decode())
-        except (ParseError, UnicodeDecodeError) as e:
-            raise ParseError(f"{paths[i]}: {e}") from None
-        return True
-
-    found = [read(i) for i in range(len(paths))]
+    found = [_read_result(os.path.join(root, path), path, row)
+             for path, row in zip(paths, stack)]
     if not all(found):
         raise IncompleteRunSetError(
             [_run(i - 1, n) for i in range(1, len(paths)) if not found[i]],
             missing_baseline=not found[0])
-    bad = np.nonzero(~np.isfinite(stack).all(axis=1))[0]
-    if bad.size:
-        raise ParseError(f"{paths[bad[0]]}: g matrix block contains non-finite values")
     del paths  # needed for messages only; free it before the views are made
     stack = stack.reshape(-1, 3, 3)
     return DisplacedGTensorSet(modeset, float(delta), stack[0], stack[1:1 + 2 * n],

@@ -56,6 +56,7 @@ def _lorentzian(x, width):
     return width / (np.pi * (x * x + width * width))
 
 
+# shapes at one point; a grid batch adds a leading temperature axis
 class FirstOrder(NamedTuple):
     matrix: np.ndarray      # (3, 3)
     per_mode: np.ndarray    # (N, 3, 3)
@@ -69,7 +70,7 @@ class SecondOrder(NamedTuple):
 
 
 def _rate_grid(c: CouplingTensors, bath: BathSpec, temperatures, spins):
-    """Yield (i, j, FirstOrder, SecondOrder) at temperatures[i], spins[j].
+    """Yield (j, FirstOrder, SecondOrder) for spins[j], row i at temperatures[i].
 
     First order is the one-phonon direct rate times G G'.  The quartic
     part of second order sums single modes with the lumped thermal weight
@@ -80,14 +81,18 @@ def _rate_grid(c: CouplingTensors, bath: BathSpec, temperatures, spins):
     it refuses couplings of more than one mode without mixed derivatives.
 
     Each piece of work is done once at the level it depends on: the
-    coupling products once, occupations and direct rates per temperature,
+    coupling products once, occupations and direct rates as (T, N) arrays,
     the spin frequency, Lorentzians and the all_pairs pair sums per field
-    (the outer loop, so one field's arrays are held at a time).  A point
-    is one fixed-shape matrix-vector product with n(T) plus O(N) work, and
-    applies the field prefactor (muB|B|/hc)^2 as a scalar (field_prefactor,
-    which refuses a field off the couplings' direction).  No point's
-    arithmetic depends on the rest of the grid, so each is bitwise what a
-    1x1 grid gives.
+    (the outer loop).  A field's temperatures are one set of elementwise
+    operations on (T, N, 3, 3) per-mode stacks, O(T N 9) floats each, and
+    one sum over the mode axis; the field prefactor (muB|B|/hc)^2 enters as
+    a scalar (field_prefactor, which refuses a field off the couplings'
+    direction).  The all_pairs contraction stays one fixed-shape
+    matrix-vector product per temperature: the columns of a product with
+    all temperatures at once change their last bits with the number of
+    temperatures.  Elementwise arithmetic and a sum over the mode axis
+    give each row the bits of a one-row batch, so every point is bitwise
+    what a 1x1 grid gives.
     """
     omega = c.frequencies
     n_modes = c.nmodes
@@ -115,16 +120,19 @@ def _rate_grid(c: CouplingTensors, bath: BathSpec, temperatures, spins):
         width = 0.5 * (lam[:, None] + lam[None, :])
         by_n = np.empty((2,) + pair_sq.shape)
 
-    thermal = []
-    for temperature in temperatures:
-        n = bose_occupation(omega, temperature)
-        thermal.append((n, direct_rate(gamma, omega, n), (2.0 * n + 1.0) ** 2))
+    n = np.array([bose_occupation(omega, t) for t in temperatures])
+    direct = direct_rate(gamma, omega, n)
+    lumped = (2.0 * n + 1.0) ** 2
 
     for j, spin in enumerate(spins):
         big_omega = spin.larmor_cm()
         pref2 = field_prefactor(c, spin) ** 2
         two_phonon = _lorentzian(big_omega - 2.0 * omega, lam)
         zero_freq = (2.0 / np.pi) * (lam / (big_omega * big_omega + lam * lam))
+        resonant = lumped * two_phonon
+        # (T, N) weights times (N, 3, 3) products
+        per1 = (pref2 * direct)[..., None, None] * d1_sq
+        per_quartic = (pref2 * pref2 * resonant)[..., None, None] * quartic_sq
         if all_pairs:
             # absorb both, emit both, emit q and absorb p, and its transpose;
             # with n + 1 for each emission the pair weight is
@@ -141,32 +149,26 @@ def _rate_grid(c: CouplingTensors, bath: BathSpec, temperatures, spins):
             fixed = np.einsum("kqp,qp->kq", pair_sq, emit)
             np.multiply(pair_sq, lor_nn, out=by_n[0])
             np.multiply(pair_sq, emit + emit_q, out=by_n[1])
-        for i, (n, direct, lumped) in enumerate(thermal):
-            per1 = (pref2 * direct)[:, None, None] * d1_sq
-            resonant = lumped * two_phonon
-            per_quartic = (pref2 * pref2 * resonant)[:, None, None] * quartic_sq
-            if all_pairs:
-                # a per-point product keeps its shape on any grid, so its
-                # bits do not depend on how many temperatures are swept; W
-                # and d2 are symmetric in (q, p), so summing each row gives
-                # every ordered pair half to q and half to p, q == p whole
-                nn, by_p = (by_n.reshape(-1, n_modes) @ n).reshape(2, 6, n_modes)
-                per6 = (0.25 * pref2) * ((nn + by_q) * n + by_p + fixed)
-                per_gsq = per6.T[:, _SYM]
-            else:
-                per_gsq = (pref2 * resonant)[:, None, None] * diag_sq
-            elastic = pref2 * (lumped * zero_freq * diag_d2_sq).sum(axis=1)
-            yield (
-                i, j,
-                FirstOrder(per1.sum(axis=0), per1),
-                SecondOrder(per_quartic.sum(axis=0), per_gsq.sum(axis=0),
-                            per_quartic + per_gsq, elastic),
-            )
+            products = np.array([by_n.reshape(-1, n_modes) @ n_i for n_i in n])
+            nn, by_p = products.reshape(-1, 2, 6, n_modes).transpose(1, 0, 2, 3)
+            # W and d2 are symmetric in (q, p), so summing each row gives
+            # every ordered pair half to q and half to p, q == p whole
+            per6 = (0.25 * pref2) * ((nn + by_q) * n[:, None, :] + by_p + fixed)
+            per_gsq = per6.transpose(0, 2, 1)[:, :, _SYM]
+        else:
+            per_gsq = (pref2 * resonant)[..., None, None] * diag_sq
+        elastic = pref2 * ((lumped * zero_freq)[:, None, :] * diag_d2_sq).sum(axis=2)
+        yield (
+            j,
+            FirstOrder(per1.sum(axis=1), per1),
+            SecondOrder(per_quartic.sum(axis=1), per_gsq.sum(axis=1),
+                        per_quartic + per_gsq, elastic),
+        )
 
 
 def _one_point(c: CouplingTensors, bath: BathSpec, spin: SpinSystem):
-    ((_, _, first, second),) = _rate_grid(c, bath, [bath.temperature_k], [spin])
-    return first, second
+    ((_, first, second),) = _rate_grid(c, bath, [bath.temperature_k], [spin])
+    return FirstOrder(*(v[0] for v in first)), SecondOrder(*(v[0] for v in second))
 
 
 def lambda_first(c: CouplingTensors, bath: BathSpec, spin: SpinSystem) -> FirstOrder:
@@ -212,7 +214,7 @@ def _check_rates(lambda1, quartic, gsq, elastic, split1, split2, labels=None) ->
 
 # ------------------------------------------------------------------ tensor
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelaxationTensor:
     """First- and second-order rate tensors with their per-mode split."""
 
@@ -276,7 +278,7 @@ def build_tensor(c: CouplingTensors, bath: BathSpec, spin: SpinSystem) -> Relaxa
 
 # ------------------------------------------------------------------- times
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelaxationTimes:
     t1_us: float
     t2_us: float
@@ -393,7 +395,7 @@ def _axis_aligned_basis(block: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------ attribution
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeAttribution:
     """Per-mode shares of each tensor component, ranked by trace weight.
 
@@ -454,7 +456,7 @@ def mode_attribution(
 
 # ------------------------------------------------------------------ sweeps
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepPoint:
     temperature_k: float
     field_mt: float
@@ -478,8 +480,10 @@ def sweep(
     """Tensor and times over a (T, B) grid, one row per point.
 
     Rows are ordered with temperature outermost.  Each row is what
-    `build_tensor` and `relaxation_times` give at that point, with the
-    field along `spin`'s direction.
+    `build_tensor` and `relaxation_times` give at that point, for the
+    field `c.field_direction * B` projected on its own axis.  `spin`
+    gives g0 and the frequency override; a nonzero field of `spin` must
+    lie along the couplings' direction.
     """
     temperatures = [float(t) for t in np.atleast_1d(temperatures)]
     fields_mt = [float(b) for b in np.atleast_1d(fields_mt)]
@@ -487,29 +491,24 @@ def sweep(
         raise ValueError("sweep grid must be nonempty")
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}")
-    spins = [replace(spin, field_mt=spin.field_direction * b) for b in fields_mt]
-    omegas = [s.larmor_cm() for s in spins]
+    field_prefactor(c, spin)  # refuses a field off the couplings' direction
+    spins = [replace(spin, field_mt=c.field_direction * b) for b in fields_mt]
     rows = [[None] * len(fields_mt) for _ in temperatures]
-    field = []
-    for i, j, first, second in _rate_grid(c, bath, temperatures, spins):
-        # keep each point's totals, not its per-mode arrays, and check a
-        # field's points together once its last temperature is in
-        field.append((first.matrix, second.quartic, second.gsq, second.elastic,
-                      first.per_mode.sum(axis=0), second.per_mode.sum(axis=0)))
-        if i < len(temperatures) - 1:
-            continue
-        stacks = [np.array(v) for v in zip(*field)]
-        field = []
-        _check_rates(*stacks, [f"{t!r} K, {fields_mt[j]!r} mT" for t in temperatures])
-        lambda1, quartic, gsq = stacks[:3]
+    for j, first, second in _rate_grid(c, bath, temperatures, spins):
+        # check a field's points together, then keep their totals only
+        lambda1, quartic, gsq = first.matrix, second.quartic, second.gsq
+        _check_rates(lambda1, quartic, gsq, second.elastic, first.per_mode.sum(axis=1),
+                     second.per_mode.sum(axis=1),
+                     [f"{t!r} K, {fields_mt[j]!r} mT" for t in temperatures])
         lambda2 = quartic + gsq
+        axis, omega = spins[j].axis, spins[j].larmor_cm()
         for k, temperature in enumerate(temperatures):
             # lambda1 and lambda2 are checked, so their sum needs no check
-            times = _project(lambda1[k] + lambda2[k], spin.axis, convention)
+            times = _project(lambda1[k] + lambda2[k], axis, convention)
             rows[k][j] = SweepPoint(
                 temperature_k=temperature,
                 field_mt=fields_mt[j],
-                omega_cm=omegas[j],
+                omega_cm=omega,
                 lambda1=lambda1[k],
                 lambda2=lambda2[k],
                 lambda2_quartic=quartic[k],
@@ -532,21 +531,17 @@ def sweep_csv(points: list[SweepPoint]) -> str:
     """CSV rows in _CSV_COLUMNS order; floats via repr, so byte-stable."""
     iu = np.triu_indices(3)
 
-    def fmt(x):
-        return repr(float(x))
+    def stack(name, shape=()):
+        return np.array([getattr(p, name) for p in points], dtype=float).reshape(-1, *shape)
 
-    lines = [",".join(_CSV_COLUMNS)]
-    for p in points:
-        row = [
-            fmt(p.temperature_k), fmt(p.field_mt), fmt(p.omega_cm),
-            fmt(p.t1_us), fmt(p.t2_us),
-            *(fmt(v) for v in p.lambda1[iu]),
-            *(fmt(v) for v in p.lambda2[iu]),
-            fmt(np.trace(p.lambda2_quartic)),
-            fmt(np.trace(p.lambda2_gsq)),
-        ]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    # the first five columns are named as SweepPoint's scalar fields
+    columns = [stack(name) for name in _CSV_COLUMNS[:5]]
+    for name in ("lambda1", "lambda2"):
+        columns.extend(stack(name, (3, 3))[:, iu[0], iu[1]].T)
+    for name in ("lambda2_quartic", "lambda2_gsq"):
+        columns.append(np.trace(stack(name, (3, 3)), axis1=1, axis2=2))
+    text = [map(repr, col.tolist()) for col in columns]
+    return "\n".join([",".join(_CSV_COLUMNS), *map(",".join, zip(*text))]) + "\n"
 
 
 def tensor_report(tensor: RelaxationTensor, axis=(0.0, 0.0, 1.0), top_m: int | None = None) -> dict:

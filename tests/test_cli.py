@@ -292,6 +292,30 @@ def test_couplings_file_matches_runs_along_any_direction(dataset, tmp_path):
         assert from_file[key] == from_runs[key], key
 
 
+def test_tilted_sweep_rows_equal_tensor(dataset, tmp_path):
+    # along (1, -2, -2) a sweep row is, bit for bit, tensor at its point:
+    # both scale the couplings' direction by B and project on that field
+    runs = ("--modes", dataset["modes"], "--manifest", dataset["manifest"],
+            "--field-dir", "1,-2,-2")
+    assert run("sweep", *runs, "--temp", "20,300", "--field-mt", "700:2000:4",
+               "--out", str(tmp_path / "sweep"))[0] == 0
+    lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    header = lines[1].split(",")
+    upper = np.triu_indices(3)
+    for k, line in enumerate(lines[2:]):
+        row = dict(zip(header, map(float, line.split(","))))
+        out = tmp_path / f"tensor{k}"
+        assert run("tensor", *runs, "--temp", repr(row["temperature_k"]),
+                   "--field-mt", repr(row["field_mt"]), "--out", str(out))[0] == 0
+        doc = json.loads((out / "tensor.json").read_text())
+        times = doc["times_us"]["projection"]
+        assert (row["t1_us"], row["t2_us"]) == (times["t1"], times["t2"]), k
+        assert row["omega_cm"] == doc["metadata"]["omega_cm"], k
+        for order in ("1", "2"):
+            got = [row[f"l{order}_{c}"] for c in ("xx", "xy", "xz", "yy", "yz", "zz")]
+            assert got == np.array(doc["lambda" + order])[upper].tolist(), (k, order)
+
+
 def _bool_at(key, *index_and_value):
     """An edit setting one leaf of doc[key], at the given index, to a bool."""
     *index, value = index_and_value
@@ -453,6 +477,10 @@ def test_dynamics_t1_run(dataset, tmp_path):
                          "--kind", "t1", "--samples", "801", "--out", str(out))
     assert code == 0
     doc = json.loads((out / "dynamics.json").read_text())
+    # engine and kind are written once, as the config keys they are
+    assert "engine" not in doc and "kind" not in doc
+    assert (doc["config"]["dynamics"]["engine"], doc["config"]["dynamics"]["kind"]) == (
+        "lindblad", "t1")
     assert doc["fitted_time_us"] > 0.0
     assert not doc["non_decaying"]
     assert 0.1 < doc["fitted_time_us"] / doc["analytic_t1_us"] < 10.0

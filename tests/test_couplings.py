@@ -339,6 +339,17 @@ def test_export_load_round_trip(toy_modes, tmp_path):
     assert doc["units"]["frequencies_cm"] == "cm^-1"
 
 
+def test_equal_valued_couplings_compare_by_identity(toy_modes):
+    # a generated __eq__ would compare the arrays and raise "truth value
+    # ... ambiguous"; array-holding records compare, and hash, by identity
+    gfun, _, _ = quadratic_surface(toy_modes)
+    runs = sample_g_surface(toy_modes, gfun, pairing="all_pairs")
+    a, b = (build_couplings(runs, field_direction=(0.0, 0.0, 1.0)) for _ in range(2))
+    assert np.array_equal(a.d2, b.d2)
+    assert a == a and a != b
+    assert len({a, b}) == 2
+
+
 def test_load_single_line_json_text(toy_modes, tmp_path):
     gfun, _, _ = quadratic_surface(toy_modes)
     c = build_couplings(sample_g_surface(toy_modes, gfun))

@@ -694,6 +694,35 @@ def test_trajectory_csv_round_trip():
     assert traj.to_csv() == text
 
 
+def _row_wise_csv(traj):
+    """SpinTrajectory.to_csv as it was written row by row, kept as the oracle."""
+    lines = ["t_us,rho00_re,rho00_im,rho01_re,rho01_im,rho10_re,rho10_im,"
+             "rho11_re,rho11_im,sx,sy,sz,coherence_abs"]
+    for t, (x, y, z), coh in zip(traj.times_us, traj.bloch, traj.coherence_abs):
+        vals = (
+            t, 0.5 * (1.0 + z), 0.0, 0.5 * x, -0.5 * y,
+            0.5 * x, 0.5 * y, 0.5 * (1.0 - z), 0.0, x, y, z, coh,
+        )
+        lines.append(",".join(repr(float(v)) for v in vals))
+    return "\n".join(lines) + "\n"
+
+
+def test_trajectory_csv_by_columns_matches_row_wise_writer():
+    # signed zeros, a zero Bloch vector, and a decay with and without
+    # precession, as the default and lab frames write them
+    signed = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, -0.0], [0.0, 0.0, 0.0],
+                       [-0.25, -0.0, 1e-300], [0.6, -0.8, 0.0]])
+    trajs = [SpinTrajectory(times_us=np.arange(5.0), bloch=signed)]
+    lam = np.diag([0.3, 0.5, 0.7]) * 1e-6
+    rho0 = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
+    grid = np.linspace(0.0, 3.0, 201)
+    for omega in (0.0, 2e-5):
+        trajs.append(lindblad_evolve(rho0, JumpBasisDissipator(lam, omega), grid))
+    for traj in trajs:
+        assert traj.to_csv() == _row_wise_csv(traj)
+    assert "-0.0" in trajs[0].to_csv()
+
+
 def test_trajectory_validation():
     # the eigenvalues of rho are (1 -+ |m|)/2, so the bound |m| <= 1 + 2e-8
     # is the eigenvalue floor -1e-8; trace and Hermiticity hold by form

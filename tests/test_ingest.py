@@ -452,7 +452,8 @@ def test_g_block_matches_old_rules(tmp_path_factory, before, after, head, has_ma
         got = parse_g_matrix(path).ravel().tolist()
     except ParseError as e:
         got = str(e)
-    assert got == _old_parse(text)
+    expected = _old_parse(text)
+    assert got == (expected if isinstance(expected, list) else f"{path}: {expected}")
 
 
 def test_g_block_nine_fields_over_rows_with_commas(written):
@@ -661,6 +662,29 @@ def test_result_that_is_not_utf8_named(pair_runs, toy_modes):
     baseline.write_bytes(b"caf\xe9 engine\n" + baseline.read_bytes())
     with pytest.raises(ParseError, match=r"^baseline\.gout: 'utf-8' codec can't decode"):
         load_run_set(pair_runs, toy_modes)
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"caf\xe9 engine\n" + write_g_matrix(2.0 * np.eye(3)).encode(),
+     "'utf-8' codec can't decode byte 0xe9"),
+    (b"log\nELECTRONIC G-MATRIX\n1.0 2.0\n", "line 2: found 2 of 9"),
+    (b"ELECTRONIC G-MATRIX\n" + b"1e999 " * 9 + b"\n",
+     "line 1: g matrix block contains non-finite values"),
+], ids=["latin1", "short", "non-finite"])
+def test_both_g_readers_refuse_a_result_alike(pair_runs, toy_modes, monkeypatch,
+                                              content, message):
+    # parse_g_matrix reads a result as load_run_set does: the same bytes
+    # give the same ParseError, naming the file as it was given
+    monkeypatch.chdir(pair_runs.parent)
+    (pair_runs.parent / "baseline.gout").write_bytes(content)
+    errors = []
+    for read in (lambda: load_run_set(pair_runs, toy_modes),
+                 lambda: parse_g_matrix("baseline.gout")):
+        with pytest.raises(ParseError) as got:
+            read()
+        errors.append(str(got.value))
+    assert errors[0] == errors[1], errors
+    assert errors[0].startswith(f"baseline.gout: {message}"), errors
 
 
 def test_result_under_a_regular_file_counts_as_missing(pair_runs, toy_modes):

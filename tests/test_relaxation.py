@@ -616,9 +616,10 @@ def test_sweep_rows_bitwise_equal_build_tensor(pairing, shape, case):
     points = sweep(c, spin, temps, fields, bath)
     assert len(points) == len(temps) * len(fields)
     for p, (t, b) in zip(points, itertools.product(temps, fields)):
-        spin_b = replace(spin, field_mt=spin.field_direction * b)
+        # the field the CLI's tensor uses: the couplings' direction times B
+        spin_b = replace(spin, field_mt=c.field_direction * b)
         tensor = build_tensor(c, replace(bath, temperature_k=t), spin_b)
-        times = relaxation_times(tensor, axis=spin.axis)
+        times = relaxation_times(tensor, axis=spin_b.axis)
         assert (p.temperature_k, p.field_mt, p.omega_cm) == (t, b, tensor.omega_cm)
         assert (p.t1_us, p.t2_us) == (times.t1_us, times.t2_us)
         for name in ("lambda1", "lambda2", "lambda2_quartic", "lambda2_gsq"):
