@@ -374,7 +374,7 @@ def _bath(cfg: dict, c: CouplingTensors, temperature_k: float) -> BathSpec:
     )
 
 
-def _sweep_grid(cfg: dict, c: CouplingTensors) -> list:
+def _sweep_grid(cfg: dict, c: CouplingTensors) -> np.recarray:
     """`sweep` over the configured (T, B) grid, along the couplings' direction."""
     phys = cfg["physics"]
     return sweep(
@@ -458,15 +458,14 @@ def _cmd_sweep(cfg: dict) -> int:
     header = _config_comment(cfg)
     (out / "sweep.csv").write_text(header + "\n" + sweep_csv(points))
     fields = phys["fields_mt"]
-    temp, field_mt, *times = np.array(
-        [(p.temperature_k, p.field_mt, p.t1_us, p.t2_us) for p in points]).T
-    for field in fields:
-        at = field_mt == field
-        temp_text = list(map(repr, temp[at].tolist()))
-        for name, t in zip(("t1", "t2"), times):
+    table = points.reshape(-1, len(fields))  # row i, column j: T_i, B_j
+    temp_text = list(map(repr, table.temperature_k[:, 0].tolist()))
+    for j, field in enumerate(fields):
+        for name in ("t1", "t2"):
             lines = [header, "# columns: temperature_k inv_%s_per_us" % name]
             # an infinite time gives rate 0.0
-            lines += map("{} {}".format, temp_text, map(repr, (1.0 / t[at]).tolist()))
+            rates = 1.0 / table[name + "_us"][:, j]
+            lines += map("{} {}".format, temp_text, map(repr, rates.tolist()))
             tag = np.format_float_positional(field, trim="-")
             path = out / f"inv_{name}_vs_temp_{tag}mT.dat"
             path.write_text("\n".join(lines) + "\n")
@@ -599,19 +598,19 @@ def _cmd_validate(cfg: dict) -> int:
         state["points"] = _sweep_grid(cfg, state["c"])
 
     def identity():
-        # criterion 08 on the rows' reported times, stacked, no eigen-solve:
+        # criterion 08 on the table's reported times, by column, no eigen-solve:
         # 1/T2 + 1/(2 T1) is Tr L (projection) or 2 Tr L (lindblad)
         points = state["points"]
-        rate1, rate2 = (1.0 / np.array([(p.t1_us, p.t2_us) for p in points])
-                        / RATE_CM_TO_PER_US).T
-        trace = np.trace(np.array([p.lambda1 + p.lambda2 for p in points]),
-                         axis1=1, axis2=2)
+        rate1 = 1.0 / points.t1_us / RATE_CM_TO_PER_US
+        rate2 = 1.0 / points.t2_us / RATE_CM_TO_PER_US
+        trace = np.trace(points.lambda1 + points.lambda2, axis1=1, axis2=2)
         scale = 1.0 if phys["convention"] == "projection" else 2.0
         dev = np.abs(rate2 + 0.5 * rate1 - scale * trace)
         raise_first_failure(
             ~(dev <= 1e-12 * trace), "T2 identity",
             lambda i: f"violated by {dev[i]:.3e}",
-            [f"{p.temperature_k!r} K, {p.field_mt!r} mT" for p in points])
+            [f"{t!r} K, {b!r} mT" for t, b in zip(points.temperature_k.tolist(),
+                                                   points.field_mt.tolist())])
 
     run("modes-parse", parse)
     if state.get("modeset") is not None:

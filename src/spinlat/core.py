@@ -211,12 +211,6 @@ class SpinSystem:
         return float(np.linalg.norm(self.field_mt)) * 1e-3
 
     @property
-    def field_direction(self) -> np.ndarray:
-        if not self.field_mt.any():
-            raise ValueError("field direction undefined at zero field")
-        return self.axis
-
-    @property
     def axis(self) -> np.ndarray:
         """The quantization axis: the field's unit direction, or z at zero
         field, where every rate is zero."""

@@ -282,8 +282,6 @@ def build_tensor(c: CouplingTensors, bath: BathSpec, spin: SpinSystem) -> Relaxa
 class RelaxationTimes:
     t1_us: float
     t2_us: float
-    axis: np.ndarray
-    convention: str
     rate1_cm: float
     rate2_cm: float
 
@@ -310,33 +308,29 @@ def relaxation_times(lam, axis=(0.0, 0.0, 1.0), convention: str = "projection") 
         raise ValueError("axis must be a unit 3-vector")
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}")
-    return _project(m, n, convention)
+    rate1, rate2 = _rates(m, n, convention)
+    t1, t2 = _times_us(np.array([rate1, rate2])).tolist()
+    return RelaxationTimes(t1_us=t1, t2_us=t2, rate1_cm=rate1, rate2_cm=rate2)
 
 
-def _project(m: np.ndarray, n: np.ndarray, convention: str) -> RelaxationTimes:
-    """relaxation_times for a checked tensor, unit axis and known convention."""
+def _rates(m: np.ndarray, n: np.ndarray, convention: str) -> tuple[float, float]:
+    """1/T1 and 1/T2 in cm^-1 of a checked tensor along a unit axis.
+
+    One point at a time: n @ m @ n batched over points changes its last
+    bits with the batch, and a sweep row must be bitwise its point alone.
+    """
     longitudinal = float(n @ m @ n)
     trace = float(np.trace(m))
     if convention == "projection":
-        rate1 = 2.0 * longitudinal
-        rate2 = trace - longitudinal
-    else:
-        rate1 = 2.0 * (trace - longitudinal)
-        rate2 = trace + longitudinal
+        return 2.0 * longitudinal, trace - longitudinal
+    return 2.0 * (trace - longitudinal), trace + longitudinal
 
-    def to_time(rate_cm: float) -> float:
-        if rate_cm <= 0.0:
-            return np.inf
-        return 1.0 / (rate_cm * RATE_CM_TO_PER_US)
 
-    return RelaxationTimes(
-        t1_us=to_time(rate1),
-        t2_us=to_time(rate2),
-        axis=n,
-        convention=convention,
-        rate1_cm=rate1,
-        rate2_cm=rate2,
-    )
+def _times_us(rates_cm: np.ndarray) -> np.ndarray:
+    """Times in us of rates in cm^-1, elementwise; inf where a rate is <= 0."""
+    times = np.full(rates_cm.shape, np.inf)
+    np.divide(1.0, rates_cm * RATE_CM_TO_PER_US, out=times, where=rates_cm > 0.0)
+    return times
 
 
 def principal_relaxation_axes(lam):
@@ -456,17 +450,13 @@ def mode_attribution(
 
 # ------------------------------------------------------------------ sweeps
 
-@dataclass(frozen=True, eq=False)
-class SweepPoint:
-    temperature_k: float
-    field_mt: float
-    omega_cm: float
-    lambda1: np.ndarray
-    lambda2: np.ndarray
-    lambda2_quartic: np.ndarray
-    lambda2_gsq: np.ndarray
-    t1_us: float
-    t2_us: float
+# one row of a sweep's table
+_SWEEP_ROW = np.dtype([
+    ("temperature_k", float), ("field_mt", float), ("omega_cm", float),
+    ("t1_us", float), ("t2_us", float),
+    ("lambda1", float, (3, 3)), ("lambda2", float, (3, 3)),
+    ("lambda2_quartic", float, (3, 3)), ("lambda2_gsq", float, (3, 3)),
+])
 
 
 def sweep(
@@ -476,10 +466,13 @@ def sweep(
     fields_mt,
     bath: BathSpec,
     convention: str = "projection",
-) -> list[SweepPoint]:
-    """Tensor and times over a (T, B) grid, one row per point.
+) -> np.recarray:
+    """Tensor and times over a (T, B) grid, as one record array of T*B rows.
 
-    Rows are ordered with temperature outermost.  Each row is what
+    Rows are ordered with temperature outermost.  Their fields are
+    temperature_k, field_mt, omega_cm, t1_us, t2_us and the (3, 3)
+    lambda1, lambda2, lambda2_quartic and lambda2_gsq: points.t1_us is a
+    column, points[i].t1_us one row's time.  Each row is what
     `build_tensor` and `relaxation_times` give at that point, for the
     field `c.field_direction * B` projected on its own axis.  `spin`
     gives g0 and the frequency override; a nonzero field of `spin` must
@@ -493,7 +486,10 @@ def sweep(
         raise ValueError(f"convention must be one of {CONVENTIONS}")
     field_prefactor(c, spin)  # refuses a field off the couplings' direction
     spins = [replace(spin, field_mt=c.field_direction * b) for b in fields_mt]
-    rows = [[None] * len(fields_mt) for _ in temperatures]
+    points = np.zeros(len(temperatures) * len(fields_mt), _SWEEP_ROW).view(np.recarray)
+    rows = points.reshape(len(temperatures), len(fields_mt))
+    rows.temperature_k = np.array(temperatures)[:, None]
+    rows.field_mt = fields_mt
     for j, first, second in _rate_grid(c, bath, temperatures, spins):
         # check a field's points together, then keep their totals only
         lambda1, quartic, gsq = first.matrix, second.quartic, second.gsq
@@ -501,22 +497,15 @@ def sweep(
                      second.per_mode.sum(axis=1),
                      [f"{t!r} K, {fields_mt[j]!r} mT" for t in temperatures])
         lambda2 = quartic + gsq
-        axis, omega = spins[j].axis, spins[j].larmor_cm()
-        for k, temperature in enumerate(temperatures):
-            # lambda1 and lambda2 are checked, so their sum needs no check
-            times = _project(lambda1[k] + lambda2[k], axis, convention)
-            rows[k][j] = SweepPoint(
-                temperature_k=temperature,
-                field_mt=fields_mt[j],
-                omega_cm=omega,
-                lambda1=lambda1[k],
-                lambda2=lambda2[k],
-                lambda2_quartic=quartic[k],
-                lambda2_gsq=gsq[k],
-                t1_us=times.t1_us,
-                t2_us=times.t2_us,
-            )
-    return [p for row in rows for p in row]
+        column = rows[:, j]
+        column.omega_cm = spins[j].larmor_cm()
+        column.lambda1, column.lambda2 = lambda1, lambda2
+        column.lambda2_quartic, column.lambda2_gsq = quartic, gsq
+        # lambda1 and lambda2 are checked, so their sum needs no check
+        axis = spins[j].axis
+        rates = np.array([_rates(m, axis, convention) for m in lambda1 + lambda2])
+        column.t1_us, column.t2_us = _times_us(rates).T
+    return points
 
 
 _CSV_COLUMNS = (
@@ -527,19 +516,16 @@ _CSV_COLUMNS = (
 )
 
 
-def sweep_csv(points: list[SweepPoint]) -> str:
-    """CSV rows in _CSV_COLUMNS order; floats via repr, so byte-stable."""
+def sweep_csv(points: np.recarray) -> str:
+    """CSV rows of a sweep's table in _CSV_COLUMNS order, formatted column by
+    column; floats via repr, so byte-stable."""
     iu = np.triu_indices(3)
-
-    def stack(name, shape=()):
-        return np.array([getattr(p, name) for p in points], dtype=float).reshape(-1, *shape)
-
-    # the first five columns are named as SweepPoint's scalar fields
-    columns = [stack(name) for name in _CSV_COLUMNS[:5]]
+    # the first five columns are named as _SWEEP_ROW's scalar fields
+    columns = [points[name] for name in _CSV_COLUMNS[:5]]
     for name in ("lambda1", "lambda2"):
-        columns.extend(stack(name, (3, 3))[:, iu[0], iu[1]].T)
+        columns.extend(points[name][:, iu[0], iu[1]].T)
     for name in ("lambda2_quartic", "lambda2_gsq"):
-        columns.append(np.trace(stack(name, (3, 3)), axis1=1, axis2=2))
+        columns.append(np.trace(points[name], axis1=1, axis2=2))
     text = [map(repr, col.tolist()) for col in columns]
     return "\n".join([",".join(_CSV_COLUMNS), *map(",".join, zip(*text))]) + "\n"
 

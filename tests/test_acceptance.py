@@ -245,6 +245,39 @@ def test_criterion_09_dataset_reproduction():
     assert abs(slope - 2.0) < 0.2
 
 
+def test_dataset_reproduction_calls_run_offline():
+    # criterion 09 is skipped without its dataset, so its calls run here, as
+    # written there, on a synthetic all_pairs run set: attribution arrays,
+    # and sweep rows read by attribute, counted and indexed
+    from conftest import make_modeset
+    from spinlat.ingest import sample_g_surface
+
+    modeset = make_modeset(natoms=4, nmodes=4, seed=3)
+    gfun, _, _ = quadratic_surface(modeset, seed=9, lin_scale=1e-3, quad_scale=1e-2,
+                                   g0=np.diag([1.98, 1.99, 2.0]))
+    runset = sample_g_surface(modeset, gfun, delta=0.01, pairing="all_pairs")
+    c = build_couplings(runset, field_direction=(0.0, 0.0, 1.0))
+    spin = SpinSystem(
+        g0=GTensor(runset.baseline), field_mt=np.array([0.0, 0.0, 1266.0])
+    )
+    bath = BathSpec(temperature_k=20.0)
+
+    att = mode_attribution(c, bath, spin, top_m=4)
+    assert set(att.mode_numbers.tolist()) == {1, 2, 3, 4}
+    idx = int(np.nonzero(att.mode_numbers == 2)[0][0])
+    assert 0.0 <= att.shares2[idx, 2, 2] <= 1.0
+
+    temps = np.geomspace(70.0, 300.0, 12)
+    points = sweep(c, spin, temps, [1266.0], bath)
+    inv_t1 = np.array([1.0 / p.t1_us for p in points])
+    assert len(points) == 12
+    assert np.all(np.isfinite(inv_t1)) and np.all(inv_t1 > 0.0)
+    for i, t in enumerate(temps):
+        tensor = build_tensor(c, BathSpec(temperature_k=t), spin)
+        np.testing.assert_array_equal(points[i].lambda1, tensor.lambda1)
+        assert inv_t1[i] == 1.0 / relaxation_times(tensor, axis=spin.axis).t1_us
+
+
 def test_criterion_10_redfield_lindblad_cross_check():
     c, spin = raman_system()
     bath = BathSpec(temperature_k=200.0)

@@ -7,7 +7,6 @@ import shutil
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +30,8 @@ from spinlat.ingest import (
 BASE_G = np.diag([1.981, 1.989, 1.990])
 
 
-@pytest.fixture(scope="module")
-def dataset(tmp_path_factory):
+def _quadratic_runs(root, pairing):
     """Modes file plus completed displacement runs on a quadratic g surface."""
-    root = tmp_path_factory.mktemp("cli_data")
     ms = make_modeset(natoms=3, nmodes=3, frequencies=[12.6, 45.0, 210.0])
     modes = root / "modes.txt"
     write_modes(ms, modes)
@@ -51,11 +48,22 @@ def dataset(tmp_path_factory):
                 + 0.5 * np.einsum("ijab,i,j->ab", quad, d, d))
 
     runs = root / "runs"
-    plan = plan_displacements(ms, delta=0.01, order=2, pairing="diagonal_only")
+    plan = plan_displacements(ms, delta=0.01, order=2, pairing=pairing)
     manifest = write_displacement_set(plan, ms, runs, 0.01)
     for g in plan:
         write_g_matrix(gfun(g.positions), runs / (g.label() + ".gout"))
     return {"modes": str(modes), "manifest": str(manifest), "modeset": ms}
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    return _quadratic_runs(tmp_path_factory.mktemp("cli_data"), "diagonal_only")
+
+
+@pytest.fixture(scope="module")
+def pair_dataset(tmp_path_factory):
+    """The same surface with the pair runs all_pairs needs."""
+    return _quadratic_runs(tmp_path_factory.mktemp("cli_pairs"), "all_pairs")
 
 
 def run(*argv, capsys=None):
@@ -156,6 +164,7 @@ def test_paths_that_start_with_a_brace_name_files(dataset, tmp_path, monkeypatch
     shutil.copy(dataset["modes"], "{m}.txt")
     code, _, err = run("displace", "--modes", "{m}.txt", "--out", "plan", capsys=capsys)
     assert code == 0, err
+    assert Path("plan/manifest.json").is_file()
     assert run("couplings", "--modes", "{m}.txt", "--manifest", dataset["manifest"],
                "--out", "built")[0] == 0
     assert run("validate", "--modes", "{m}.txt", "--manifest", dataset["manifest"])[0] == 0
@@ -292,28 +301,30 @@ def test_couplings_file_matches_runs_along_any_direction(dataset, tmp_path):
         assert from_file[key] == from_runs[key], key
 
 
-def test_tilted_sweep_rows_equal_tensor(dataset, tmp_path):
+def test_tilted_sweep_rows_equal_tensor(dataset, pair_dataset, tmp_path):
     # along (1, -2, -2) a sweep row is, bit for bit, tensor at its point:
     # both scale the couplings' direction by B and project on that field
-    runs = ("--modes", dataset["modes"], "--manifest", dataset["manifest"],
-            "--field-dir", "1,-2,-2")
-    assert run("sweep", *runs, "--temp", "20,300", "--field-mt", "700:2000:4",
-               "--out", str(tmp_path / "sweep"))[0] == 0
-    lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
-    header = lines[1].split(",")
     upper = np.triu_indices(3)
-    for k, line in enumerate(lines[2:]):
-        row = dict(zip(header, map(float, line.split(","))))
-        out = tmp_path / f"tensor{k}"
-        assert run("tensor", *runs, "--temp", repr(row["temperature_k"]),
-                   "--field-mt", repr(row["field_mt"]), "--out", str(out))[0] == 0
-        doc = json.loads((out / "tensor.json").read_text())
-        times = doc["times_us"]["projection"]
-        assert (row["t1_us"], row["t2_us"]) == (times["t1"], times["t2"]), k
-        assert row["omega_cm"] == doc["metadata"]["omega_cm"], k
-        for order in ("1", "2"):
-            got = [row[f"l{order}_{c}"] for c in ("xx", "xy", "xz", "yy", "yz", "zz")]
-            assert got == np.array(doc["lambda" + order])[upper].tolist(), (k, order)
+    for pairing, data in (("diagonal_only", dataset), ("all_pairs", pair_dataset)):
+        runs = ("--modes", data["modes"], "--manifest", data["manifest"],
+                "--field-dir", "1,-2,-2", "--pairing", pairing)
+        base = tmp_path / pairing
+        assert run("sweep", *runs, "--temp", "20,300", "--field-mt", "700:2000:4",
+                   "--out", str(base / "sweep"))[0] == 0
+        lines = (base / "sweep" / "sweep.csv").read_text().splitlines()
+        header = lines[1].split(",")
+        for k, line in enumerate(lines[2:]):
+            row = dict(zip(header, map(float, line.split(","))))
+            out = base / f"tensor{k}"
+            assert run("tensor", *runs, "--temp", repr(row["temperature_k"]),
+                       "--field-mt", repr(row["field_mt"]), "--out", str(out))[0] == 0
+            doc = json.loads((out / "tensor.json").read_text())
+            times = doc["times_us"]["projection"]
+            assert (row["t1_us"], row["t2_us"]) == (times["t1"], times["t2"]), k
+            assert row["omega_cm"] == doc["metadata"]["omega_cm"], k
+            for order in ("1", "2"):
+                got = [row[f"l{order}_{c}"] for c in ("xx", "xy", "xz", "yy", "yz", "zz")]
+                assert got == np.array(doc["lambda" + order])[upper].tolist(), (k, order)
 
 
 def _bool_at(key, *index_and_value):
@@ -556,6 +567,8 @@ def test_every_dynamics_setting_is_recorded(dataset, tmp_path, monkeypatch):
         assert json.loads(line[len("# config: "):]) == doc["config"]
         configs.append(line)
     assert len(set(configs)) == len(configs)
+    assert doc["config"]["numerics"]["t_end_us"] == 50.0
+    assert '"engine":"redfield"' in configs[2] and '"rotating_frame":false' in configs[1]
 
 
 @pytest.mark.parametrize("command, flag, key, file_value, flag_value", [
@@ -781,7 +794,7 @@ def test_validate_time_identity_checks_reported_times(dataset, monkeypatch, caps
 
     def corrupt_t2(*args, **kwargs):
         points = real(*args, **kwargs)
-        points[-1] = replace(points[-1], t2_us=points[-1].t2_us * (1.0 + 1e-9))
+        points.t2_us[-1] *= 1 + 1e-9
         return points
 
     monkeypatch.setattr(spinlat.cli, "sweep", corrupt_t2)
@@ -951,6 +964,7 @@ def test_malformed_manifest_entry_exits_1(dataset, tmp_path, capsys, edit, named
                        "--out", str(tmp_path / "art"), capsys=capsys)
     assert code == 1
     assert f"error: manifest {named}" in err
+    assert not (tmp_path / "art").exists()
 
 
 def _drop_runs(section, keep):

@@ -250,6 +250,7 @@ def test_coarse_and_fine_grids_agree_on_shared_samples():
 def test_full_tensor_matches_bloch_matrix():
     # with off-diagonal entries the Bloch vector obeys
     # dm/dt = -2 (tr(L) I - L) m, a multi-exponential mixture
+    pytest.importorskip("scipy")  # the oracle is SciPy's
     from scipy.linalg import expm
 
     rng = np.random.default_rng(3)
@@ -285,6 +286,7 @@ def test_trajectory_invariants_random_psd(seed):
 def test_random_psd_with_precession_matches_bloch_oracle(seed):
     # Bloch-vector oracle: dm/dt = -2 (tr(L) I - L) m plus precession
     # about z at omega, evaluated directly at each sample time
+    pytest.importorskip("scipy")  # the oracle is SciPy's
     from scipy.linalg import expm
 
     m0 = np.array([0.6, 0.0, 0.8])
@@ -330,6 +332,7 @@ def test_expm_matches_scipy(scale):
     # Lindblad and Redfield generators scaled to ||gen dt||_1 = scale,
     # with and without precession, the non-secular Redfield oracle, and
     # the zero matrix
+    pytest.importorskip("scipy")  # the oracle is SciPy's
     from scipy.linalg import expm
 
     rng = np.random.default_rng(8)
@@ -653,6 +656,7 @@ def curve_fit_rate(traj, observable):
 def test_fit_matches_curve_fit_reference():
     # single exponentials (diagonal tensor, and the synthetic signal) and
     # multi-exponential mixtures (full tensor, two synthetic rates)
+    pytest.importorskip("scipy")  # the oracle is SciPy's
     rng = np.random.default_rng(12)
     cases = [
         (synthetic_coherence_traj([0.2], [1.0]), "coherence_abs"),
