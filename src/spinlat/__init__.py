@@ -13,7 +13,6 @@ from .core import (
 from .couplings import (
     CouplingTensors,
     build_couplings,
-    convergence_check,
     export_couplings,
     load_couplings,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "bose_occupation",
     "build_couplings",
     "build_tensor",
-    "convergence_check",
     "export_couplings",
     "fit_decay_rate",
     "larmor_frequency",

@@ -80,6 +80,13 @@ def _finite(shape=None, test=lambda arr: True, null=False):
     return rule
 
 
+def _unit_length(arr: np.ndarray) -> bool:
+    """Whether arr's squared length is a normal float, so that arr divided by
+    its length is a unit vector; computed without an overflow warning."""
+    with np.errstate(over="ignore"):
+        return bool(np.finfo(float).tiny <= arr @ arr < np.inf)
+
+
 def _grid(lo: float = -np.inf):
     """The rule for a nonempty list of finite numbers >= lo."""
     return _finite(test=lambda arr: arr.ndim == 1 and arr.size > 0 and (arr >= lo).all())
@@ -102,15 +109,10 @@ _CONFIG_KEYS = {
     "physics": {
         "temperatures_k": ([20.0], _grid(0.0), "a nonempty list of finite numbers >= 0"),
         "fields_mt": ([1266.0], _grid(), "a nonempty list of finite numbers"),
-        "field_direction": ([0.0, 0.0, 1.0], _finite((3,), np.any),
-                            "a finite nonzero 3-vector"),
+        "field_direction": ([0.0, 0.0, 1.0], _finite((3,), _unit_length),
+                            "a finite 3-vector of length 1.5e-154 to 1.3e154"),
         "g0": (None, _finite((3, 3), null=True), "null or a finite 3x3 matrix"),
         "linewidth_cm": (2.0, *_POSITIVE),
-        "linewidth_overrides": (
-            {}, lambda v: (type(v) is dict and all(map(str.isdecimal, v))
-                           and len(set(map(int, v))) == len(v)
-                           and all(map(positive, v.values()))),
-            "an object mapping distinct mode numbers to positive finite numbers"),
         "gamma_cm": (2.0, *_POSITIVE),
         "pairing": ("diagonal_only", lambda v: one_of(v, PAIRING_MODES),
                     f"one of {PAIRING_MODES}"),
@@ -356,20 +358,12 @@ def _spin_system(cfg: dict, c: CouplingTensors, field_mt: float) -> SpinSystem:
     )
 
 
-def _bath(cfg: dict, c: CouplingTensors, temperature_k: float) -> BathSpec:
+def _bath(cfg: dict, temperature_k: float) -> BathSpec:
     phys = cfg["physics"]
-    linewidth = np.full(c.nmodes, float(phys["linewidth_cm"]))
-    for num, value in phys["linewidth_overrides"].items():
-        hit = np.nonzero(c.source_indices == int(num))[0]
-        if hit.size == 0:
-            raise UsageError(
-                f"physics.linewidth_overrides names unknown mode {num!r}"
-            )
-        linewidth[hit] = float(value)
     return BathSpec(
         temperature_k=temperature_k,
         gamma_cm=float(phys["gamma_cm"]),
-        linewidth_cm=linewidth,
+        linewidth_cm=float(phys["linewidth_cm"]),
         raman_pairing=phys["pairing"],
     )
 
@@ -382,7 +376,7 @@ def _sweep_grid(cfg: dict, c: CouplingTensors) -> np.recarray:
         _spin_system(cfg, c, 1.0),
         phys["temperatures_k"],
         phys["fields_mt"],
-        _bath(cfg, c, phys["temperatures_k"][0]),
+        _bath(cfg, phys["temperatures_k"][0]),
         convention=phys["convention"],
     )
 
@@ -397,7 +391,7 @@ def _one_point(cfg: dict, command: str) -> tuple[CouplingTensors, BathSpec, Spin
             raise UsageError(f"{command} {flag} needs exactly one value, got {len(values)}")
         point.append(float(values[0]))
     spin = _spin_system(cfg, c, point[1])
-    return c, _bath(cfg, c, point[0]), spin
+    return c, _bath(cfg, point[0]), spin
 
 
 # --------------------------------------------------------- subcommands

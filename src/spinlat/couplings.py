@@ -130,65 +130,6 @@ def build_couplings(
     )
 
 
-# ------------------------------------------------------------- convergence
-
-@dataclass(frozen=True, eq=False)
-class ConvergenceReport:
-    """Step-halving comparison of two coupling builds.
-
-    Central differences converge as dx^2, so the Richardson value
-    (4*half - full)/3 cancels the leading error and the full-vs-half
-    deviation measures how far from converged each entry is.
-    """
-
-    d1_richardson: np.ndarray
-    d2_richardson: np.ndarray
-    d1_deviation: np.ndarray
-    d2_deviation: np.ndarray
-    threshold: float
-    flagged: tuple
-
-    @property
-    def ok(self) -> bool:
-        return len(self.flagged) == 0
-
-
-def convergence_check(
-    full: CouplingTensors, half: CouplingTensors, threshold: float = 0.05
-) -> ConvergenceReport:
-    """Compare couplings built at delta and delta/2 along one field direction."""
-    if full.nmodes != half.nmodes:
-        raise ValueError(f"mode count mismatch: {full.nmodes} vs {half.nmodes}")
-    if not np.allclose(full.frequencies, half.frequencies, rtol=1e-12):
-        raise ValueError("frequency grids differ between coupling sets")
-    if abs(half.delta_angstrom - 0.5 * full.delta_angstrom) > 1e-12 * full.delta_angstrom:
-        raise ValueError(
-            f"half set must use delta/2: {half.delta_angstrom} vs "
-            f"{full.delta_angstrom}"
-        )
-    if not same_direction(full.field_direction, half.field_direction):
-        raise ValueError(f"coupling sets built along different field directions: "
-                         f"{full.field_direction.tolist()} vs {half.field_direction.tolist()}")
-
-    def compare(a_full, a_half):
-        rich = (4.0 * a_half - a_full) / 3.0
-        scale = np.maximum(np.abs(rich), np.abs(rich).max() * 1e-12 + 1e-300)
-        dev = np.abs(a_full - a_half) / scale
-        return rich, dev
-
-    r1, dev1 = compare(full.d1, half.d1)
-    r2, dev2 = compare(full.d2, half.d2)
-    return ConvergenceReport(
-        d1_richardson=r1,
-        d2_richardson=r2,
-        d1_deviation=dev1,
-        d2_deviation=dev2,
-        threshold=threshold,
-        flagged=tuple((name, *map(int, idx)) for name, dev in (("d1", dev1), ("d2", dev2))
-                      for idx in zip(*np.nonzero(dev > threshold))),
-    )
-
-
 # ------------------------------------------------------------------- export
 
 def export_couplings(c: CouplingTensors, path=None, config=None) -> str:

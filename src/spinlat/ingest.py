@@ -31,10 +31,7 @@ class ParseError(ValueError):
     """Input file violates the expected format; message carries the line number."""
 
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class IncompleteRunSetError(RuntimeError):

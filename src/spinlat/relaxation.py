@@ -376,14 +376,12 @@ def _axis_aligned_basis(block: np.ndarray) -> np.ndarray:
             basis.append(v / norm)
 
     proj = block @ block.T
+    # the squared projections of x, y and z onto a k-dimensional span sum to
+    # k, so the three axes always complete the basis
     for e in np.eye(3):
         if len(basis) == block.shape[1]:
             break
         try_add(proj @ e)
-    for col in block.T:
-        if len(basis) == block.shape[1]:
-            break
-        try_add(col.copy())
     return np.column_stack(basis)
 
 

@@ -1023,11 +1023,15 @@ def test_config_unknown_key_named(dataset, tmp_path, capsys):
     code, _, err = run("tensor", "--config", str(cfgfile), capsys=capsys)
     assert code == 2
     assert "physics.temprature_k" in err
-    # nothing is stochastic, so there is no seed to set
-    cfgfile.write_text(json.dumps({"format": "spinlat-config/1", "seed": 0}))
-    code, _, err = run("tensor", "--config", str(cfgfile), capsys=capsys)
-    assert code == 2
-    assert "unknown config key 'seed'" in err
+    # nothing is stochastic, so there is no seed to set; one linewidth holds
+    # for every mode, and per-mode linewidths are BathSpec's alone
+    for key, doc in (("seed", {"seed": 0}),
+                     ("physics.linewidth_overrides",
+                      {"physics": {"linewidth_overrides": {"1": 1.5}}})):
+        cfgfile.write_text(json.dumps({"format": "spinlat-config/1", **doc}))
+        code, _, err = run("tensor", "--config", str(cfgfile), capsys=capsys)
+        assert code == 2
+        assert f"unknown config key '{key}'" in err
 
 
 @pytest.mark.parametrize("command, flag, text, key, value", [
@@ -1035,6 +1039,10 @@ def test_config_unknown_key_named(dataset, tmp_path, capsys):
     ("couplings", "--field-dir", "0,0,0", "physics.field_direction", [0, 0, 0]),
     ("sweep", "--field-dir", "nan,0,1", "physics.field_direction",
      [float("nan"), 0.0, 1.0]),
+    # finite components whose length overflows or underflows to 0
+    ("tensor", "--field-dir", "1e308,1e308,0", "physics.field_direction",
+     [1e308, 1e308, 0.0]),
+    ("tensor", "--field-dir", "1e-200,0,0", "physics.field_direction", [1e-200, 0.0, 0.0]),
     ("tensor", "--temp", "-5", "physics.temperatures_k", [-5.0]),
     ("sweep", "--temp", "20,inf", "physics.temperatures_k", [20.0, float("inf")]),
     ("tensor", "--linewidth", "0", "physics.linewidth_cm", 0.0),
@@ -1052,8 +1060,8 @@ def test_config_unknown_key_named(dataset, tmp_path, capsys):
     ("dynamics", "--kind", "t3", "dynamics.kind", "t3"),
     ("dynamics", "--engine", "euler", "dynamics.engine", "euler"),
     ("dynamics", "--pairing", "some", "physics.pairing", "some"),
-], ids=["dir-zero", "couplings-dir-zero", "dir-nan", "temp-negative",
-        "temp-inf", "linewidth-zero", "gamma-negative", "samples-five",
+], ids=["dir-zero", "couplings-dir-zero", "dir-nan", "dir-overflow", "dir-underflow",
+        "temp-negative", "temp-inf", "linewidth-zero", "gamma-negative", "samples-five",
         "omega-negative", "omega-nan", "field-nan", "fit-window-reversed",
         "fit-window-nan", "displace-delta-inf", "displace-delta-nan", "order-three",
         "kind-t3", "engine-euler", "pairing-some"])
@@ -1077,12 +1085,12 @@ def test_bad_physics_values_exit_2(dataset, tmp_path, capsys, command, flag,
 
 
 @pytest.mark.parametrize("key, value", [
+    ("paths.modes", 5),
+    ("paths.output_dir", None),
     ("physics.linewidth_cm", "2"),
     ("physics.gamma_cm", True),
-    ("physics.linewidth_overrides", [1]),
-    ("physics.linewidth_overrides", {"1": "2"}),
-    ("physics.linewidth_overrides", {"one": 2.0}),
     ("physics.temperatures_k", 5),
+    ("physics.field_direction", "0,0,1"),
     ("physics.fields_mt", ["1266"]),
     ("physics.field_direction", ["0", "0", "1"]),
     ("physics.omega_override_cm", "0.1"),
@@ -1095,8 +1103,6 @@ def test_bad_physics_values_exit_2(dataset, tmp_path, capsys, command, flag,
     ("numerics.fit_window_us", 3),
     ("numerics.fit_window_us", [0, "1"]),
     ("numerics.fit_window_us", [0.0, 1.0, 2.0]),
-    ("paths.modes", 5),
-    ("paths.output_dir", None),
     ("numerics.order", True),
     ("numerics.order", 2.0),
     ("numerics.skip_soft", 1),
@@ -1126,13 +1132,37 @@ def test_config_wrong_type_exits_2(dataset, tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("argv", [("displace", "--order", "x"), ("tensor", "--top", "1.5"),
                                   ("dynamics", "--t-end", "soon"),
-                                  ("sweep", "--temp", "5:300:x")])
+                                  ("sweep", "--temp", "5:300:x"),
+                                  ("sweep", "--temp", "5:300:0")])
 def test_unreadable_flag_text_exits_2(dataset, tmp_path, capsys, argv):
     command, flag, text = argv
     code, _, err = run(command, "--modes", dataset["modes"], flag, text,
                        "--out", str(tmp_path / "art"), capsys=capsys)
     assert code == 2
     assert f"argument {flag}:" in err
+    assert not (tmp_path / "art").exists()
+
+
+_RUNS = ("--modes", "{modes}", "--manifest", "{manifest}", "--out", "{tmp}/art")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("tensor", "--config", "{tmp}/absent.json", *_RUNS),
+     "config file not found: {tmp}/absent.json"),
+    (("tensor", "--config", "{tmp}/physics3.json", *_RUNS),
+     "config: 'physics' must be an object, got 3"),
+    (("tensor", "--out", "{tmp}/art"), "paths.modes is required (flag --modes)"),
+    # at zero field the analytic T1 is infinite, so it cannot set the span
+    (("dynamics", *_RUNS, "--field-mt", "0"),
+     "analytic relaxation time is infinite; set numerics.t_end_us (flag --t-end)"),
+], ids=["config-absent", "config-section-not-object", "no-inputs", "dynamics-zero-field"])
+def test_refused_inputs_exit_2(dataset, tmp_path, capsys, argv, message):
+    (tmp_path / "physics3.json").write_text(
+        json.dumps({"format": "spinlat-config/1", "physics": 3}))
+    fill = dict(tmp=tmp_path, modes=dataset["modes"], manifest=dataset["manifest"])
+    code, _, err = run(*(arg.format(**fill) for arg in argv), capsys=capsys)
+    assert code == 2
+    assert err == f"error: {message.format(**fill)}\n"
     assert not (tmp_path / "art").exists()
 
 
@@ -1192,60 +1222,6 @@ def test_unknown_flag_and_missing_subcommand_exit_2(dataset, tmp_path, capsys):
     assert code == 2
 
 
-def test_linewidth_override_unknown_mode(dataset, tmp_path, capsys):
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({
-        "format": "spinlat-config/1",
-        "physics": {"linewidth_overrides": {"9": 1.5}},
-    }))
-    code, _, err = run("tensor", "--config", str(cfgfile),
-                       "--modes", dataset["modes"],
-                       "--manifest", dataset["manifest"],
-                       "--temp", "20", "--field-mt", "1266", capsys=capsys)
-    assert code == 2
-    assert "unknown mode" in err
-
-
-def test_linewidth_overrides_naming_one_mode_twice_exit_2(dataset, tmp_path, capsys,
-                                                         monkeypatch):
-    # "2" and "02" are both mode 2; neither value may silently win
-    def forbidden(*args, **kwargs):
-        raise AssertionError("input read before the config was checked")
-
-    monkeypatch.setattr(spinlat.cli, "parse_modes", forbidden)
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({
-        "format": "spinlat-config/1",
-        "physics": {"linewidth_overrides": {"2": 1.5, "02": 3.0}},
-    }))
-    code, _, err = run("tensor", "--config", str(cfgfile),
-                       "--modes", dataset["modes"],
-                       "--manifest", dataset["manifest"],
-                       "--temp", "20", "--field-mt", "1266",
-                       "--out", str(tmp_path / "art"), capsys=capsys)
-    assert code == 2, err
-    assert "'physics.linewidth_overrides' must be" in err
-    assert not (tmp_path / "art").exists()
-
-
-@pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
-def test_linewidth_override_bad_value_exits_2(dataset, tmp_path, capsys, value):
-    mode = int(dataset["modeset"].source_indices[0])
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({
-        "format": "spinlat-config/1",
-        "physics": {"linewidth_overrides": {str(mode): value}},
-    }))
-    code, _, err = run("tensor", "--config", str(cfgfile),
-                       "--modes", dataset["modes"],
-                       "--manifest", dataset["manifest"],
-                       "--temp", "20", "--field-mt", "1266",
-                       "--out", str(tmp_path / "art"), capsys=capsys)
-    assert code == 2, err
-    assert "'physics.linewidth_overrides' must be" in err
-    assert not (tmp_path / "art").exists()
-
-
 # ------------------------------------------- every leaf of the three documents
 
 def _numeric_leaves(doc, path=()):
@@ -1283,8 +1259,7 @@ def _refusals(write, argv, code, named, tmp_path, capsys, doc, nullable=()):
 def test_every_config_leaf_refused(dataset, tmp_path, capsys):
     doc = json.loads(json.dumps(spinlat.cli._DEFAULTS))
     # numbers for the keys that are null or empty by default
-    doc["physics"].update(g0=BASE_G.tolist(), omega_override_cm=0.5,
-                          linewidth_overrides={"1": 1.5})
+    doc["physics"].update(g0=BASE_G.tolist(), omega_override_cm=0.5)
     doc["numerics"]["fit_window_us"] = [0.0, 1.0]
     cfgfile = tmp_path / "cfg.json"
     argv = ("tensor", "--config", str(cfgfile), "--modes", dataset["modes"],

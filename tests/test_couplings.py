@@ -7,10 +7,8 @@ import pytest
 
 from spinlat.core import ModeSet
 from spinlat.couplings import (
-    ConvergenceReport,
     CouplingTensors,
     build_couplings,
-    convergence_check,
     dimensionless_steps,
     export_couplings,
     load_couplings,
@@ -258,63 +256,6 @@ def test_diagonal_only_flags_mixed_not_computed(toy_modes):
     off = c.d2 * (1.0 - np.eye(toy_modes.nmodes))
     assert np.all(off == 0.0)
     assert np.abs(np.einsum("akk->ak", c.d2)).max() > 0.0
-
-
-# ------------------------------------------------------------ convergence
-
-def test_convergence_exact_polynomial_all_clean(toy_modes):
-    gfun, _, _ = quadratic_surface(toy_modes)
-    full = build_couplings(sample_g_surface(toy_modes, gfun, delta=0.02,
-                                            pairing="all_pairs"))
-    half = build_couplings(sample_g_surface(toy_modes, gfun, delta=0.01,
-                                            pairing="all_pairs"))
-    report = convergence_check(full, half)
-    assert isinstance(report, ConvergenceReport)
-    assert report.ok
-    assert report.d1_deviation.max() < 1e-9
-    assert report.d2_deviation.max() < 1e-9
-
-
-def test_convergence_flags_noise_amplification(toy_modes):
-    gfun, _, _ = quadratic_surface(toy_modes)
-    rng = np.random.default_rng(19)
-
-    def noisy(positions):
-        return gfun(positions) + 1e-6 * rng.standard_normal((3, 3))
-
-    full = build_couplings(sample_g_surface(toy_modes, noisy, delta=0.02,
-                                            pairing="all_pairs"))
-    half = build_couplings(sample_g_surface(toy_modes, noisy, delta=0.01,
-                                            pairing="all_pairs"))
-    report = convergence_check(full, half, threshold=0.05)
-    assert not report.ok
-    assert any(name == "d2" for name, *_ in report.flagged)
-
-
-def test_convergence_rejects_wrong_half_delta(toy_modes):
-    gfun, _, _ = quadratic_surface(toy_modes)
-    full = build_couplings(sample_g_surface(toy_modes, gfun, delta=0.02))
-    bad_half = build_couplings(sample_g_surface(toy_modes, gfun, delta=0.015))
-    with pytest.raises(ValueError, match="delta/2"):
-        convergence_check(full, bad_half)
-
-
-def test_convergence_rejects_mode_count_mismatch(toy_modes):
-    other = make_modeset(natoms=3, nmodes=2, frequencies=[12.6, 45.0], seed=5)
-    gfun, _, _ = quadratic_surface(toy_modes)
-    full = build_couplings(sample_g_surface(toy_modes, gfun, delta=0.02))
-    half = build_couplings(sample_g_surface(other, gfun, delta=0.01))
-    with pytest.raises(ValueError, match="mode count"):
-        convergence_check(full, half)
-
-
-def test_convergence_rejects_other_field_direction(toy_modes):
-    gfun, _, _ = quadratic_surface(toy_modes)
-    full = build_couplings(sample_g_surface(toy_modes, gfun, delta=0.02))
-    half = build_couplings(sample_g_surface(toy_modes, gfun, delta=0.01),
-                           field_direction=(1.0, 0.0, 0.0))
-    with pytest.raises(ValueError, match="different field directions"):
-        convergence_check(full, half)
 
 
 # ----------------------------------------------------------------- export

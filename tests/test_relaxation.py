@@ -409,6 +409,25 @@ def test_principal_axes_degenerate_uses_coordinate_axes():
     np.testing.assert_allclose(vectors[:, 1], [0.0, 0.0, 1.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("spectrum", [
+    [1.0, 1.0, 3.0], [1.0, 3.0, 3.0], [2.0, 2.0, 2.0], [0.0, 1.5, 1.5], [0.0, 0.0, 1.5],
+    [1.0, 1.0 + 4e-9, 3.0], [1.0, 1.0 + 3e-9, 1.0 + 6e-9],
+], ids=["axial-low", "axial-high", "isotropic", "rank-2", "rank-1", "near-pair",
+        "near-triple"])
+def test_principal_axes_of_rotated_degenerate_tensors(spectrum):
+    # a degenerate cluster (eigenvalues within 1e-8 of the largest) is rebuilt
+    # from x, y and z, which must always give the cluster a full basis
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        rot = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        lam = (rot * spectrum) @ rot.T
+        values, vectors = principal_relaxation_axes(0.5 * (lam + lam.T))
+        assert np.all(np.diff(values) >= 0.0)
+        np.testing.assert_allclose(vectors.T @ vectors, np.eye(3), atol=1e-12)
+        lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(3)]
+        assert np.all(lead > 0.0)
+
+
 def test_principal_axes_rejects_asymmetric():
     m = np.zeros((3, 3))
     m[0, 1] = 1.0
