@@ -1258,7 +1258,7 @@ def _refusals(write, argv, code, named, tmp_path, capsys, doc, nullable=()):
 
 def test_every_config_leaf_refused(dataset, tmp_path, capsys):
     doc = json.loads(json.dumps(spinlat.cli._DEFAULTS))
-    # numbers for the keys that are null or empty by default
+    # numbers for the keys that are null by default
     doc["physics"].update(g0=BASE_G.tolist(), omega_override_cm=0.5)
     doc["numerics"]["fit_window_us"] = [0.0, 1.0]
     cfgfile = tmp_path / "cfg.json"
