@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -561,40 +562,14 @@ def _cmd_dynamics(cfg: dict) -> int:
 def _cmd_validate(cfg: dict) -> int:
     _need_files(cfg, "modes", "manifest")
     paths, phys = cfg["paths"], cfg["physics"]
-    checks: list[tuple[str, bool, str]] = []
-    state: dict = {}
 
-    def run(name: str, func) -> None:
-        try:
-            func()
-            checks.append((name, True, ""))
-        except Exception as e:  # report, never abort the table
-            checks.append((name, False, str(e)))
+    def baseline_g(runset):
+        phys["g0"] = runset.baseline.tolist()
+        GTensor(runset.baseline)
 
-    def parse():
-        state["modeset"] = parse_modes(paths["modes"], skip_soft=cfg["numerics"]["skip_soft"])
-
-    def manifest():
-        state["runset"] = load_run_set(paths["manifest"], state["modeset"])
-
-    def baseline_g():
-        phys["g0"] = state["runset"].baseline.tolist()
-        GTensor(state["runset"].baseline)
-
-    def couplings():
-        state["c"] = build_couplings(
-            state["runset"], field_direction=phys["field_direction"]
-        )
-
-    def tensors():
-        # sweep runs RelaxationTensor's checks (finite, symmetric PSD, split
-        # sums) on each field's grid points at once, naming a failing point
-        state["points"] = _sweep_grid(cfg, state["c"])
-
-    def identity():
+    def identity(points):
         # criterion 08 on the table's reported times, by column, no eigen-solve:
         # 1/T2 + 1/(2 T1) is Tr L (projection) or 2 Tr L (lindblad)
-        points = state["points"]
         rate1 = 1.0 / points.t1_us / RATE_CM_TO_PER_US
         rate2 = 1.0 / points.t2_us / RATE_CM_TO_PER_US
         trace = np.trace(points.lambda1 + points.lambda2, axis1=1, axis2=2)
@@ -606,26 +581,33 @@ def _cmd_validate(cfg: dict) -> int:
             [f"{t!r} K, {b!r} mT" for t, b in zip(points.temperature_k.tolist(),
                                                    points.field_mt.tolist())])
 
-    run("modes-parse", parse)
-    if state.get("modeset") is not None:
-        run("manifest-complete", manifest)
-    if state.get("runset") is not None:
-        run("baseline-g", baseline_g)
-        run("couplings-assemble", couplings)
-    if state.get("c") is not None:
-        run("tensor-psd", tensors)
-    if state.get("points") is not None:
-        run("time-identity", identity)
-
-    width = max(len(name) for name, _, _ in checks)
-    failed = False
-    for name, ok, message in checks:
-        line = f"CHECK {name:<{width}} {'PASS' if ok else 'FAIL'}"
-        if message:
-            line += f"  ({message})"
-        print(line)
-        failed = failed or not ok
-    return 1 if failed else 0
+    # each check: its name, the check whose result its step takes (None: no
+    # result) and the step; a check runs only when that check passed
+    table = (
+        ("modes-parse", None,
+         lambda _: parse_modes(paths["modes"], skip_soft=cfg["numerics"]["skip_soft"])),
+        ("manifest-complete", "modes-parse",
+         lambda modeset: load_run_set(paths["manifest"], modeset)),
+        ("baseline-g", "manifest-complete", baseline_g),
+        ("couplings-assemble", "manifest-complete",
+         lambda runset: build_couplings(runset, field_direction=phys["field_direction"])),
+        # sweep runs RelaxationTensor's checks (finite, symmetric PSD, split
+        # sums) on each field's grid points at once, naming a failing point
+        ("tensor-psd", "couplings-assemble", lambda c: _sweep_grid(cfg, c)),
+        ("time-identity", "tensor-psd", identity),
+    )
+    results, lines = {None: None}, []
+    for name, needs, step in table:
+        if needs in results:
+            try:
+                results[name] = step(results[needs])
+                lines.append((name, "PASS", ""))
+            except Exception as e:  # report, never abort the table
+                lines.append((name, "FAIL", str(e)))
+    width = max(len(name) for name, _, _ in lines)
+    for name, verdict, message in lines:
+        print(f"CHECK {name:<{width}} {verdict}" + (f"  ({message})" if message else ""))
+    return 0 if all(name in results for name, _, _ in table) else 1
 
 
 # -------------------------------------------------------------- parser
@@ -675,8 +657,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    args = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a token such as '-500,0' for an option, so a value flag
+    # followed by a minus and a digit or a point is joined into --flag=value
+    for i in range(len(args) - 1, 0, -1):
+        flag, value = args[i - 1], args[i]
+        if flag in _FLAGS and type(_FLAGS[flag][1]) is not bool and re.match(r"-[0-9.]", value):
+            args[i - 1:i + 1] = [f"{flag}={value}"]
     try:
-        flags = vars(build_parser().parse_args(argv))
+        flags = vars(build_parser().parse_args(args))
     except SystemExit as e:
         return int(e.code or 0)
     command, config = flags.pop("command"), flags.pop("config", None)

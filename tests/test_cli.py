@@ -766,15 +766,34 @@ def test_dynamics_bad_fit_window_exits_2(dataset, capsys):
 
 # ------------------------------------------------------------- validate
 
+CHECKS = ("modes-parse", "manifest-complete", "baseline-g", "couplings-assemble",
+          "tensor-psd", "time-identity")
+
+
+def checks(stdout):
+    """validate's table as (name, verdict) pairs, in printed order."""
+    return re.findall(r"^CHECK (\S+) +(PASS|FAIL)", stdout, re.M)
+
+
 def test_validate_clean_dataset(dataset, capsys):
     code, stdout, _ = run("validate", "--modes", dataset["modes"],
                           "--manifest", dataset["manifest"],
                           "--temp", "20,300", "--field-mt", "1266",
                           capsys=capsys)
     assert code == 0
-    lines = [l for l in stdout.strip().split("\n") if l.startswith("CHECK")]
-    assert len(lines) == 6
-    assert all(line.endswith("PASS") for line in lines)
+    # names padded to the longest printed name, no message after a PASS
+    assert stdout == "".join(f"CHECK {name:<18} PASS\n" for name in CHECKS)
+
+
+def test_validate_unparsable_modes_fails(dataset, tmp_path, capsys):
+    # no later check can run without the modes, so the table is one line
+    modes = tmp_path / "modes.txt"
+    modes.write_text("not a modes file\n")
+    code, stdout, _ = run("validate", "--modes", str(modes),
+                          "--manifest", dataset["manifest"], capsys=capsys)
+    assert code == 1
+    assert checks(stdout) == [("modes-parse", "FAIL")]
+    assert stdout.startswith("CHECK modes-parse FAIL  (line 1: ")
 
 
 @pytest.mark.parametrize("convention", ["projection", "lindblad"])
@@ -878,6 +897,8 @@ def test_all_pairs_on_couplings_without_mixed_exits_1(dataset, tmp_path, capsys)
         assert not (tmp_path / "art").exists()
     code, stdout, _ = run("validate", *runs, capsys=capsys)
     assert code == 1
+    # time-identity needs the sweep that tensor-psd failed, so it is not run
+    assert checks(stdout) == [(name, "PASS") for name in CHECKS[:4]] + [("tensor-psd", "FAIL")]
     assert re.search(r"CHECK tensor-psd +FAIL  \(pairing 'all_pairs' needs the mixed",
                      stdout), stdout
 
@@ -910,7 +931,8 @@ def test_validate_incomplete_runs_fails(dataset, tmp_path, capsys):
                           "--manifest", str(broken / "manifest.json"),
                           capsys=capsys)
     assert code == 1
-    assert "manifest-complete FAIL" in stdout.replace("  ", " ")
+    assert checks(stdout) == [("modes-parse", "PASS"), ("manifest-complete", "FAIL")]
+    assert "manifest-complete FAIL  (1 missing displaced-run results: (mode 2, -))" in stdout
 
 
 @pytest.mark.parametrize("command", ["couplings", "validate"])
@@ -926,6 +948,9 @@ def test_unparsable_result_names_its_file(dataset, tmp_path, capsys, command):
     reported = stdout if command == "validate" else err
     assert ("single0002_m.gout: line 1: found 2 of 9 numeric fields"
             in reported.replace("  ", " ")), reported
+    if command == "validate":
+        # without a run set neither the couplings nor the tensors are checked
+        assert checks(stdout) == [("modes-parse", "PASS"), ("manifest-complete", "FAIL")]
 
 
 @pytest.mark.parametrize("command", ["couplings", "validate"])
@@ -1044,6 +1069,8 @@ def test_config_unknown_key_named(dataset, tmp_path, capsys):
      [1e308, 1e308, 0.0]),
     ("tensor", "--field-dir", "1e-200,0,0", "physics.field_direction", [1e-200, 0.0, 0.0]),
     ("tensor", "--temp", "-5", "physics.temperatures_k", [-5.0]),
+    # a value that starts with a minus and holds a comma
+    ("sweep", "--temp", "-5,20", "physics.temperatures_k", [-5.0, 20.0]),
     ("sweep", "--temp", "20,inf", "physics.temperatures_k", [20.0, float("inf")]),
     ("tensor", "--linewidth", "0", "physics.linewidth_cm", 0.0),
     ("attribute", "--gamma", "-1", "physics.gamma_cm", -1.0),
@@ -1054,6 +1081,8 @@ def test_config_unknown_key_named(dataset, tmp_path, capsys):
     ("dynamics", "--fit-window", "5,1", "numerics.fit_window_us", [5.0, 1.0]),
     ("dynamics", "--fit-window", "nan,1", "numerics.fit_window_us",
      [float("nan"), 1.0]),
+    ("dynamics", "--fit-window", "-1,-2", "numerics.fit_window_us", [-1.0, -2.0]),
+    ("tensor", "--field-dir", "-0,0,0", "physics.field_direction", [-0.0, 0.0, 0.0]),
     ("displace", "--delta", "inf", "numerics.delta_angstrom", float("inf")),
     ("displace", "--delta", "nan", "numerics.delta_angstrom", float("nan")),
     ("displace", "--order", "3", "numerics.order", 3),
@@ -1061,9 +1090,10 @@ def test_config_unknown_key_named(dataset, tmp_path, capsys):
     ("dynamics", "--engine", "euler", "dynamics.engine", "euler"),
     ("dynamics", "--pairing", "some", "physics.pairing", "some"),
 ], ids=["dir-zero", "couplings-dir-zero", "dir-nan", "dir-overflow", "dir-underflow",
-        "temp-negative", "temp-inf", "linewidth-zero", "gamma-negative", "samples-five",
-        "omega-negative", "omega-nan", "field-nan", "fit-window-reversed",
-        "fit-window-nan", "displace-delta-inf", "displace-delta-nan", "order-three",
+        "temp-negative", "temp-negative-list", "temp-inf", "linewidth-zero",
+        "gamma-negative", "samples-five", "omega-negative", "omega-nan", "field-nan",
+        "fit-window-reversed", "fit-window-nan", "fit-window-negative",
+        "dir-negative-zero", "displace-delta-inf", "displace-delta-nan", "order-three",
         "kind-t3", "engine-euler", "pairing-some"])
 def test_bad_physics_values_exit_2(dataset, tmp_path, capsys, command, flag,
                                    text, key, value):
@@ -1082,6 +1112,32 @@ def test_bad_physics_values_exit_2(dataset, tmp_path, capsys, command, flag,
     assert code == 2, err
     assert key in err
     assert not (tmp_path / "art").exists()
+
+
+def test_value_starting_with_minus_reads_as_flag_equals_value(dataset, tmp_path,
+                                                              monkeypatch):
+    # argparse alone takes '-500,0' for an option and refuses the flag
+    # before it; given in argv or in sys.argv, such a value must give the
+    # same files as the --flag=value form
+    runs = ("--modes", dataset["modes"], "--manifest", dataset["manifest"])
+    out = tmp_path / "art"
+
+    def outputs(*argv, from_sys_argv=False):
+        argv = (*argv, *runs, "--out", str(out))
+        if from_sys_argv:
+            monkeypatch.setattr(sys, "argv", ["spinlat", *argv])
+        assert (main() if from_sys_argv else main(list(argv))) == 0
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        shutil.rmtree(out)
+        return files
+
+    for command, flag, text, written in (
+            ("sweep", "--field-mt", "-500,0", "inv_t1_vs_temp_-500mT.dat"),
+            ("tensor", "--field-dir", "-1,-2,-2", "tensor.json")):
+        joined = outputs(command, f"{flag}={text}")
+        assert written in joined
+        assert outputs(command, flag, text) == joined
+        assert outputs(command, flag, text, from_sys_argv=True) == joined
 
 
 @pytest.mark.parametrize("key, value", [
