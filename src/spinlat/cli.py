@@ -532,6 +532,7 @@ def _cmd_dynamics(cfg: dict) -> int:
         diss = JumpBasisDissipator(lam, omega)
         traj = lindblad_evolve(rho0, diss, grid)
     else:
+        dyn["rotating_frame"] = False  # record the lab frame this engine runs in
         traj = redfield_evolve(rho0, c, bath, spin, grid)
     fit = fit_decay_rate(
         traj, observable, window=None if window is None else tuple(window)
@@ -644,7 +645,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, text, flags) in _COMMANDS.items():
-        sp = sub.add_parser(command, help=text, argument_default=argparse.SUPPRESS)
+        # no flag prefixes: the minus-value join in main matches full names
+        sp = sub.add_parser(command, help=text, argument_default=argparse.SUPPRESS,
+                            allow_abbrev=False)
         sp.add_argument("--config", help="JSON config file (spinlat-config/1)")
         for flag in flags:
             key, read, text = _FLAGS[flag]

@@ -416,24 +416,14 @@ def plan_displacements(
     base = modeset.geometry.positions
     plan = [DisplacedGeometry("baseline", (), (), base.copy())]
     dirs = [modeset.cartesian_direction(k) for k in range(modeset.nmodes)]
-    for k in range(modeset.nmodes):
-        for s in (+1, -1):
-            plan.append(
-                DisplacedGeometry("single", (k,), (s,), base + s * delta * dirs[k])
-            )
-    if order == 2 and pairing == "all_pairs":
-        for k in range(modeset.nmodes):
-            for kp in range(k + 1, modeset.nmodes):
-                for s in (+1, -1):
-                    for sp in (+1, -1):
-                        plan.append(
-                            DisplacedGeometry(
-                                "pair",
-                                (k, kp),
-                                (s, sp),
-                                base + s * delta * dirs[k] + sp * delta * dirs[kp],
-                            )
-                        )
+    for run in _runs(modeset.nmodes, order == 2 and pairing == "all_pairs"):
+        half = len(run) // 2
+        modes = tuple(k - 1 for k in run[:half])
+        signs = tuple(1 if s == "+" else -1 for s in run[half:])
+        positions = base  # base + s delta dir_k + s' delta dir_k', summed left to right
+        for k, s in zip(modes, signs):
+            positions = positions + s * delta * dirs[k]
+        plan.append(DisplacedGeometry(("single", "pair")[half - 1], modes, signs, positions))
     return plan
 
 
@@ -502,10 +492,10 @@ def write_displacement_set(
 class DisplacedGTensorSet:
     """g matrices sampled on the displacement grid of one ModeSet.
 
-    The runs are stacked in the order plan_displacements lists them.
-    Row 2k of singles is mode k's + run and row 2k + 1 its - run.  pairs
-    is empty, or holds every mode pair k < kp in np.triu_indices(N, 1)
-    order, four rows each with signs ++, +-, -+, --.
+    The runs are stacked in the order _runs lists them, which
+    plan_displacements follows.  Row 2k of singles is mode k's + run and
+    row 2k + 1 its - run.  pairs is empty, or holds every mode pair k < kp
+    in np.triu_indices(N, 1) order, four rows each with signs ++, +-, -+, --.
     """
 
     modeset: ModeSet
@@ -518,7 +508,7 @@ class DisplacedGTensorSet:
         if not positive(self.delta_angstrom):
             raise ValueError("delta_angstrom must be positive and finite")
         n = self.modeset.nmodes
-        # each field, its allowed shapes and the _run row of its first run
+        # each field, its allowed shapes and the _runs row of its first run
         for name, shapes, first in (("baseline", [(3, 3)], None),
                                     ("singles", [(2 * n, 3, 3)], 0),
                                     ("pairs", [(0, 3, 3), (2 * n * (n - 1), 3, 3)], 2 * n)):
@@ -528,20 +518,20 @@ class DisplacedGTensorSet:
                                  f"{' or '.join(map(str, shapes))}, got {arr.shape}")
             bad = ~np.isfinite(arr).all(axis=(-2, -1))
             if bad.any():
-                run = "" if first is None else " " + _name(_run(first + np.argmax(bad), n))
+                run = "" if first is None else " " + _name(_runs(n, True)[first + np.argmax(bad)])
                 raise ValueError(f"{name}{run} g matrix is not finite")
             object.__setattr__(self, name, arr)
 
 
-def _run(row: int, n: int) -> tuple:
-    """The run in a row of singles then pairs: 1-based modes, signs as +/-."""
-    if row < 2 * n:
-        return row // 2 + 1, "+-"[row % 2]
-    pair, signs = divmod(row - 2 * n, 4)
-    k = 0
-    while pair >= n - 1 - k:  # mode k pairs with the n - 1 - k modes after it
-        pair, k = pair - (n - 1 - k), k + 1
-    return k + 1, k + pair + 2, "+-"[signs // 2], "+-"[signs % 2]
+def _runs(n: int, pairs: bool) -> list:
+    """Every displaced run of an n-mode set in stack order, as manifests and
+    messages name it: (mode, sign) for each single, then, when pairs is set,
+    (mode, mode', sign, sign') for each pair mode < mode' in np.triu_indices
+    order with signs ++, +-, -+, --.  Modes are 1-based, signs "+" or "-"."""
+    modes = range(1, n + 1)
+    singles = [(k, s) for k in modes for s in "+-"]
+    return singles + [(k, kp, s, sp) for k in modes for kp in modes[k:]
+                      for s in "+-" for sp in "+-"] if pairs else singles
 
 
 def _name(run: tuple) -> str:
@@ -549,7 +539,7 @@ def _name(run: tuple) -> str:
     return "(mode %d, %s)" % run if len(run) == 2 else "(modes %d %d, %s%s)" % run
 
 
-_SIGNS = {"+": 0, "plus": 0, 1: 0, "-": 1, "minus": 1, -1: 1}  # the sign's row offset
+_SIGNS = {"+": "+", "plus": "+", 1: "+", "-": "-", "minus": "-", -1: "-"}  # as _runs spells it
 
 
 def _planned_paths(run_entries: list, pair_entries: list, n: int) -> list:
@@ -560,7 +550,9 @@ def _planned_paths(run_entries: list, pair_entries: list, n: int) -> list:
     every mode pair or for none.  An entry's name is formatted only when
     it is refused, since a manifest can list tens of thousands.
     """
-    paths = [None] * (2 * n + (2 * n * (n - 1) if pair_entries else 0))
+    runs = _runs(n, bool(pair_entries))
+    row_of = {run: row for row, run in enumerate(runs)}
+    paths = [None] * len(runs)
     listed_at = paths.copy()  # the index of the entry that fills each row
     where = "manifest runs[%d]"
     for i, run in enumerate(run_entries):
@@ -569,7 +561,7 @@ def _planned_paths(run_entries: list, pair_entries: list, n: int) -> list:
             raise ParseError(refusal(where % i, "mode", f"an integer in 1..{n}", mode))
         if not one_of(sign, _SIGNS):
             raise ParseError(refusal(where % i, "sign", f"one of {[*_SIGNS]}", sign))
-        _place(paths, listed_at, 2 * mode - 2 + _SIGNS[sign], path, "runs", i)
+        _place(paths, listed_at, row_of[mode, _SIGNS[sign]], path, "runs", i)
     where = "manifest pairs[%d]"
     for i, run in enumerate(pair_entries):
         modes, signs, path = require(run, where, "modes", "signs", "path", at=i)
@@ -583,10 +575,9 @@ def _planned_paths(run_entries: list, pair_entries: list, n: int) -> list:
         (ka, kb), sa, sb = modes, _SIGNS[signs[0]], _SIGNS[signs[1]]
         if ka > kb:
             ka, kb, sa, sb = kb, ka, sb, sa
-        pair = (ka - 1) * (2 * n - ka) // 2 + kb - ka - 1  # in np.triu_indices order
-        _place(paths, listed_at, 2 * n + 4 * pair + 2 * sa + sb, path, "pairs", i)
+        _place(paths, listed_at, row_of[ka, kb, sa, sb], path, "pairs", i)
     if None in paths:
-        raise ParseError(f"manifest lists no run for {_name(_run(paths.index(None), n))}")
+        raise ParseError(f"manifest lists no run for {_name(runs[paths.index(None)])}")
     return paths
 
 
@@ -633,9 +624,9 @@ def load_run_set(manifest_path, modeset: ModeSet) -> DisplacedGTensorSet:
     found = [_read_result(os.path.join(root, path), path, row)
              for path, row in zip(paths, stack)]
     if not all(found):
-        raise IncompleteRunSetError(
-            [_run(i - 1, n) for i in range(1, len(paths)) if not found[i]],
-            missing_baseline=not found[0])
+        runs = _runs(n, len(paths) > 1 + 2 * n)
+        raise IncompleteRunSetError([run for run, ok in zip(runs, found[1:]) if not ok],
+                                    missing_baseline=not found[0])
     del paths  # needed for messages only; free it before the views are made
     stack = stack.reshape(-1, 3, 3)
     return DisplacedGTensorSet(modeset, float(delta), stack[0], stack[1:1 + 2 * n],

@@ -571,6 +571,20 @@ def test_every_dynamics_setting_is_recorded(dataset, tmp_path, monkeypatch):
     assert '"engine":"redfield"' in configs[2] and '"rotating_frame":false' in configs[1]
 
 
+def test_redfield_records_the_lab_frame(dataset, tmp_path):
+    # the Redfield engine never rotates, so both artifacts record
+    # rotating_frame false although the key's default is true
+    out = tmp_path / "art"
+    assert run("dynamics", "--engine", "redfield", "--kind", "t2",
+               "--modes", dataset["modes"], "--manifest", dataset["manifest"],
+               "--temp", "200", "--field-mt", "1266", "--samples", "201",
+               "--out", str(out))[0] == 0
+    line = (out / "trajectory.csv").read_text().split("\n")[0]
+    doc = json.loads((out / "dynamics.json").read_text())
+    for config in (json.loads(line[len("# config: "):]), doc["config"]):
+        assert config["dynamics"]["rotating_frame"] is False
+
+
 @pytest.mark.parametrize("command, flag, key, file_value, flag_value", [
     ("displace", ("--order", "1"), "numerics.order", 2, 1),
     ("displace", ("--skip-soft",), "numerics.skip_soft", False, True),
@@ -1138,6 +1152,18 @@ def test_value_starting_with_minus_reads_as_flag_equals_value(dataset, tmp_path,
         assert written in joined
         assert outputs(command, flag, text) == joined
         assert outputs(command, flag, text, from_sys_argv=True) == joined
+
+
+def test_flag_prefix_is_refused(dataset, tmp_path, capsys):
+    # a prefix would bypass the minus-value join, which matches full names,
+    # so '--tem 20,300' and '--tem -5,20' must both be refused alike
+    runs = ("--modes", dataset["modes"], "--manifest", dataset["manifest"],
+            "--out", str(tmp_path / "art"))
+    for value in ("20,300", "-5,20"):
+        code, _, err = run("sweep", *runs, "--tem", value, capsys=capsys)
+        assert code == 2, err
+        assert f"unrecognized arguments: --tem {value}" in err
+    assert not (tmp_path / "art").exists()
 
 
 @pytest.mark.parametrize("key, value", [

@@ -147,6 +147,40 @@ def test_atom_line_error_names_line(written):
         parse_modes(written(text))
 
 
+def _golden_lines(*replacements, end=None):
+    """The golden file with each (old, new) line replaced, cut after line end."""
+    lines = _golden_text().splitlines()[:end]
+    for old, new in replacements:
+        lines[lines.index(old)] = new
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("text, skip_soft, message", [
+    ("", False, "line 1: empty file"),
+    (_golden_lines(end=6), False, "line 6: unexpected end of file, expected atom line"),
+    (_golden_lines(("frequencies_cm", "frequencies")), False,
+     "line 9: expected 'frequencies_cm' section header, got 'frequencies'"),
+    (_golden_lines(("O 15.999 0.0 0.0 0.117", "O 15.999 0.0 x 0.117")), False,
+     "line 6: bad number in atom line 'O 15.999 0.0 x 0.117'"),
+    (_golden_lines(("3 3756.0", "three 3756.0")), False,
+     "line 12: bad number in frequency line 'three 3756.0'"),
+    (_golden_lines(("modes 3", "mode 3")), False, "line 4: expected 'modes <int>', got 'mode 3'"),
+    (_golden_lines(("natoms 3", "natoms 3.0")), False,
+     "line 3: bad integer in 'natoms' line: '3.0'"),
+    (_golden_lines(("modes 3", "modes 0")), False, "line 4: modes must be positive, got 0"),
+    (_golden_lines(("1.0 0.0 0.0", "1.0 0.0 0.0e")), False,
+     "line 14: bad float '0.0e' in normal_modes"),
+    (_golden_lines(("1 1595.0", "1 0.4"), ("2 3657.0   # symmetric stretch", "2 0.5"),
+                   ("3 3756.0", "3 -2.0")), True,
+     "line 10: all modes fall below the 1.0 cm^-1 cutoff"),
+], ids=["empty", "ends-early", "section-header", "atom-number", "frequency-number",
+        "count-line", "count-integer", "count-zero", "vector-float", "all-soft"])
+def test_nmodes_refusal_named_with_its_line(written, text, skip_soft, message):
+    with pytest.raises(ParseError) as err:
+        parse_modes(written(text), skip_soft=skip_soft)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------- g matrices
 
 def test_g_block_with_prose_and_labels(written):
@@ -579,9 +613,11 @@ def _sign_at(section, i, sign):
      r"manifest pairs\[2\]: 'modes' must be two different integers in 1..3"),
     (lambda m: m["runs"][1].update(mode=True), r"manifest runs\[1\]: 'mode' must be"),
     (lambda m: m.update(runs={}), r"manifest: 'runs' must be an array"),
+    (lambda m: m.update(baseline=""), r"^manifest: 'baseline' must be a file name, got ''$"),
 ], ids=["no-mode", "null-path", "one-pair-mode", "text-mode", "repeated-run", "text-delta",
         "repeated-pair-reordered", "true-sign", "float-sign", "float-in-signs",
-        "false-in-signs", "pair-repeats-mode", "true-mode", "runs-not-array"])
+        "false-in-signs", "pair-repeats-mode", "true-mode", "runs-not-array",
+        "empty-baseline"])
 def test_malformed_manifest_entry_named(pair_runs, toy_modes, edit, message):
     doc = json.loads(pair_runs.read_text())
     edit(doc)
@@ -628,6 +664,42 @@ def test_result_that_is_a_directory_counts_as_missing(pair_runs, toy_modes):
     with pytest.raises(IncompleteRunSetError) as err:
         load_run_set(pair_runs, toy_modes)
     assert err.value.missing_singles == [(2, "+")]
+
+
+def test_each_missing_result_names_its_own_run(pair_runs, toy_modes):
+    # the run a missing result is named by comes from the plan's geometry
+    plan = plan_displacements(toy_modes, delta=0.02, order=2, pairing="all_pairs")
+    assert len(plan) == 19
+    for g in plan:
+        result = pair_runs.parent / f"{g.label()}.gout"
+        result.rename(result.with_suffix(".away"))
+        with pytest.raises(IncompleteRunSetError) as err:
+            load_run_set(pair_runs, toy_modes)
+        result.with_suffix(".away").rename(result)
+        signs = tuple("+" if s > 0 else "-" for s in g.signs)
+        run = (*(k + 1 for k in g.modes), *signs)
+        assert err.value.missing_baseline == (g.kind == "baseline")
+        assert err.value.missing_singles == ([run] if g.kind == "single" else [])
+        assert err.value.missing_pairs == ([run] if g.kind == "pair" else [])
+        name = {"baseline": "baseline", "single": "(mode {}, {})",
+                "pair": "(modes {} {}, {}{})"}[g.kind].format(*run)
+        assert str(err.value) == f"1 missing displaced-run results: {name}"
+
+
+def test_manifest_entry_order_does_not_matter(pair_runs, toy_modes):
+    # entries in any order, each pair listed high mode first with its signs
+    # swapped to match, fill the same rows
+    expected = load_run_set(pair_runs, toy_modes)
+    doc = json.loads(pair_runs.read_text())
+    rng = np.random.default_rng(3)
+    doc["runs"] = [doc["runs"][i] for i in rng.permutation(len(doc["runs"]))]
+    doc["pairs"] = [{"modes": run["modes"][::-1], "signs": run["signs"][::-1],
+                     "path": run["path"]}
+                    for run in (doc["pairs"][i] for i in rng.permutation(len(doc["pairs"])))]
+    pair_runs.write_text(json.dumps(doc))
+    loaded = load_run_set(pair_runs, toy_modes)
+    for a, b in zip(_run_set_arrays(expected), _run_set_arrays(loaded)):
+        assert np.array_equal(a, b)
 
 
 # ------------------------------------------------------------ result reads
