@@ -93,6 +93,13 @@ def _grid(lo: float = -np.inf):
     return _finite(test=lambda arr: arr.ndim == 1 and arr.size > 0 and (arr >= lo).all())
 
 
+def _directory(value) -> bool:
+    """Whether value is a path string that mkdir can make a directory of:
+    neither it nor any of its parents names a file."""
+    return type(value) is str and not any(
+        p.exists() and not p.is_dir() for p in (Path(value), *Path(value).parents))
+
+
 _PATH = (lambda v: v is None or type(v) is str, "a path string or null")
 _POSITIVE = (positive, "positive and finite")
 _BOOL = (lambda v: type(v) is bool, "true or false")
@@ -105,7 +112,7 @@ _CONFIG_KEYS = {
         "modes": (None, *_PATH),
         "manifest": (None, *_PATH),
         "couplings": (None, *_PATH),
-        "output_dir": (".", lambda v: type(v) is str, "a path string"),
+        "output_dir": (".", _directory, "a path string that names a directory or nothing"),
     },
     "physics": {
         "temperatures_k": ([20.0], _grid(0.0), "a nonempty list of finite numbers >= 0"),
@@ -400,6 +407,11 @@ def _one_point(cfg: dict, command: str) -> tuple[CouplingTensors, BathSpec, Spin
 
 def _cmd_displace(cfg: dict) -> int:
     _need_files(cfg, "modes")
+    # results beside an old manifest would be read with the new plan's step
+    old = Path(cfg["paths"]["output_dir"]) / "manifest.json"
+    if old.exists():
+        raise UsageError(f"paths.output_dir (flag --out) already holds {old}; "
+                         "displace into a new directory")
     num = cfg["numerics"]
     modeset = parse_modes(cfg["paths"]["modes"], skip_soft=num["skip_soft"])
     plan = plan_displacements(
@@ -473,16 +485,7 @@ def _cmd_sweep(cfg: dict) -> int:
 
 def _cmd_attribute(cfg: dict) -> int:
     c, bath, spin = _one_point(cfg, "attribute")
-    att = mode_attribution(c, bath, spin, top_m=cfg["report"]["top_modes"])
-    rows = [
-        {
-            "mode": int(att.mode_numbers[i]),
-            "frequency_cm": float(att.frequencies_cm[i]),
-            "trace_share1": float(att.trace_share1[i]),
-            "trace_share2": float(att.trace_share2[i]),
-        }
-        for i in range(att.mode_numbers.size)
-    ]
+    rows = mode_attribution(c, bath, spin, top_m=cfg["report"]["top_modes"]).rows()
     out = _outdir(cfg)
     _write_json(out / "attribution.json", {"config": cfg, "modes": rows})
     for row in rows:

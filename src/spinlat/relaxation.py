@@ -389,41 +389,49 @@ def _axis_aligned_basis(block: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ModeAttribution:
-    """Per-mode shares of each tensor component, ranked by trace weight.
+    """Modes ranked by descending tr L1_q + tr L2_q (stable), with their shares.
 
-    Shares are normalized per component and per order; components whose
-    total is zero get share 0.  Off-diagonal components can have shares
-    outside [0, 1] when mode contributions carry opposite signs; the
-    diagonal (and trace) shares always lie in [0, 1].
+    A trace share is the mode's trace of one order over that order's
+    summed trace (0 when the sum is 0), so it lies in [0, 1].  shares2
+    divides each second-order component by its total (0 where the total
+    is 0); an off-diagonal share can lie outside [0, 1] when mode
+    contributions carry opposite signs.
     """
 
     mode_numbers: np.ndarray     # (M,) 1-based numbering of the input file
     frequencies_cm: np.ndarray   # (M,)
-    shares1: np.ndarray          # (M, 3, 3)
     shares2: np.ndarray          # (M, 3, 3)
     trace_share1: np.ndarray     # (M,)
     trace_share2: np.ndarray     # (M,)
 
+    def rows(self) -> list[dict]:
+        """The JSON rows that tensor.json and attribution.json both list."""
+        columns = (self.mode_numbers, self.frequencies_cm, self.trace_share1,
+                   self.trace_share2)
+        return [{"mode": m, "frequency_cm": f, "trace_share1": s1, "trace_share2": s2}
+                for m, f, s1, s2 in zip(*(col.tolist() for col in columns))]
 
-def _component_shares(per_mode: np.ndarray, total: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(per_mode)
-    np.divide(per_mode, total[None, :, :], out=out, where=total[None, :, :] != 0.0)
-    return out
 
+def _attribution(tensor: RelaxationTensor, top_m: int | None) -> ModeAttribution:
+    """The only mode ranking: tensor's modes by descending tr L1_q + tr L2_q
+    (stable, so ties keep input order), cut to top_m."""
+    tr1, tr2 = (np.einsum("qaa->q", m)
+                for m in (tensor.per_mode_lambda1, tensor.per_mode_lambda2))
+    order = np.argsort(-(tr1 + tr2), kind="stable")[:top_m]
 
-def _rank_modes(key: np.ndarray, top_m: int | None, *traces: np.ndarray):
-    """Modes by descending key (stable), cut to top_m, and each trace's shares.
-
-    A share is the mode's trace over the summed trace, 0 when that sum is
-    0; the shares come back in the ranked order.
-    """
-    order = np.argsort(-key, kind="stable")[:top_m]
-    shares = []
-    for tr in traces:
+    def shares(tr):
         total = tr.sum()
-        share = tr / total if total != 0.0 else np.zeros_like(tr)
-        shares.append(share[order])
-    return order, shares
+        return tr[order] / total if total != 0.0 else np.zeros(order.size)
+
+    lambda2 = tensor.lambda2
+    return ModeAttribution(
+        mode_numbers=tensor.source_modes[order].astype(int),
+        frequencies_cm=tensor.frequencies[order],
+        shares2=np.divide(tensor.per_mode_lambda2[order], lambda2,
+                          out=np.zeros((order.size, 3, 3)), where=lambda2 != 0.0),
+        trace_share1=shares(tr1),
+        trace_share2=shares(tr2),
+    )
 
 
 def mode_attribution(
@@ -432,18 +440,7 @@ def mode_attribution(
     spin: SpinSystem,
     top_m: int | None = None,
 ) -> ModeAttribution:
-    tensor = build_tensor(c, bath, spin)
-    tr1 = np.einsum("qaa->q", tensor.per_mode_lambda1)
-    tr2 = np.einsum("qaa->q", tensor.per_mode_lambda2)
-    order, (trace_share1, trace_share2) = _rank_modes(tr1 + tr2, top_m, tr1, tr2)
-    return ModeAttribution(
-        mode_numbers=tensor.source_modes[order].astype(int),
-        frequencies_cm=tensor.frequencies[order],
-        shares1=_component_shares(tensor.per_mode_lambda1, tensor.lambda1)[order],
-        shares2=_component_shares(tensor.per_mode_lambda2, tensor.lambda2)[order],
-        trace_share1=trace_share1,
-        trace_share2=trace_share2,
-    )
+    return _attribution(build_tensor(c, bath, spin), top_m)
 
 
 # ------------------------------------------------------------------ sweeps
@@ -529,14 +526,13 @@ def sweep_csv(points: np.recarray) -> str:
 
 
 def tensor_report(tensor: RelaxationTensor, axis=(0.0, 0.0, 1.0), top_m: int | None = None) -> dict:
-    """JSON-ready summary: metadata, tensors, times in both conventions."""
+    """JSON-ready summary: metadata, tensors, times in both conventions and
+    the ranked modes' rows, as `attribute` writes them."""
     times = {
         name: relaxation_times(tensor, axis=axis, convention=name)
         for name in CONVENTIONS
     }
     values, vectors = principal_relaxation_axes(tensor.lambda_total)
-    tr2 = np.einsum("qaa->q", tensor.per_mode_lambda2)
-    order, (share2,) = _rank_modes(tr2, top_m, tr2)
     return {
         "metadata": {
             "temperature_k": tensor.temperature_k,
@@ -556,12 +552,5 @@ def tensor_report(tensor: RelaxationTensor, axis=(0.0, 0.0, 1.0), top_m: int | N
         "times_us": {
             name: {"t1": t.t1_us, "t2": t.t2_us} for name, t in times.items()
         },
-        "mode_attribution": [
-            {
-                "mode": int(tensor.source_modes[q]),
-                "frequency_cm": float(tensor.frequencies[q]),
-                "lambda2_trace_share": float(share),
-            }
-            for q, share in zip(order, share2)
-        ],
+        "mode_attribution": _attribution(tensor, top_m).rows(),
     }

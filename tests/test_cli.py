@@ -30,14 +30,15 @@ from spinlat.ingest import (
 BASE_G = np.diag([1.981, 1.989, 1.990])
 
 
-def _quadratic_runs(root, pairing):
-    """Modes file plus completed displacement runs on a quadratic g surface."""
-    ms = make_modeset(natoms=3, nmodes=3, frequencies=[12.6, 45.0, 210.0])
+def _quadratic_runs(root, pairing, frequencies=(12.6, 45.0, 210.0), seed=5, slope=2e-3):
+    """Modes file plus completed displacement runs on a quadratic g surface
+    whose random first derivatives have scale slope."""
+    ms = make_modeset(natoms=3, nmodes=len(frequencies), frequencies=frequencies)
     modes = root / "modes.txt"
     write_modes(ms, modes)
 
-    rng = np.random.default_rng(5)
-    lin = rng.normal(scale=2e-3, size=(9, 3, 3))
+    rng = np.random.default_rng(seed)
+    lin = rng.normal(scale=slope, size=(9, 3, 3))
     quad = rng.normal(scale=5e-2, size=(9, 9, 3, 3))
     quad = 0.5 * (quad + quad.transpose(1, 0, 2, 3))
     base_pos = ms.geometry.positions
@@ -64,6 +65,16 @@ def dataset(tmp_path_factory):
 def pair_dataset(tmp_path_factory):
     """The same surface with the pair runs all_pairs needs."""
     return _quadratic_runs(tmp_path_factory.mktemp("cli_pairs"), "all_pairs")
+
+
+@pytest.fixture(scope="module")
+def six_mode_dataset(tmp_path_factory):
+    """Six modes whose first order is strong enough that ranking by tr L2
+    alone and by tr L1 + tr L2 give different top three modes, in both
+    pairings, along z and along (1, -2, -2), at 20 K and 1266 mT."""
+    return _quadratic_runs(tmp_path_factory.mktemp("cli_six"), "all_pairs",
+                           frequencies=(12.6, 30.0, 45.0, 80.0, 120.0, 210.0),
+                           seed=15, slope=5e-2)
 
 
 def run(*argv, capsys=None):
@@ -115,6 +126,20 @@ def test_displace_refuses_order_1_with_all_pairs(dataset, tmp_path, capsys):
     assert code == 2, err
     assert "numerics.order 1 with physics.pairing 'all_pairs' is refused" in err
     assert not out.exists()
+
+
+def test_displace_refuses_a_directory_that_holds_a_manifest(dataset, tmp_path, capsys):
+    # the results already there were computed at the old manifest's step;
+    # a new plan over them would have couplings read them with its own step
+    runs = tmp_path / "runs"
+    shutil.copytree(Path(dataset["manifest"]).parent, runs)
+    before = {path.name: path.read_bytes() for path in runs.iterdir()}
+    code, _, err = run("displace", "--modes", dataset["modes"], "--delta", "0.02",
+                       "--pairing", "all_pairs", "--out", str(runs), capsys=capsys)
+    assert code == 2, err
+    assert err == (f"error: paths.output_dir (flag --out) already holds "
+                   f"{runs / 'manifest.json'}; displace into a new directory\n")
+    assert {path.name: path.read_bytes() for path in runs.iterdir()} == before
 
 
 @pytest.mark.parametrize("command", ["couplings", "tensor", "sweep", "attribute", "dynamics"])
@@ -472,6 +497,27 @@ def test_attribute_ranked_and_truncated(dataset, tmp_path, capsys):
     shares = [r["trace_share1"] + r["trace_share2"] for r in rows]
     assert shares[0] >= shares[1]
     assert "mode" in stdout
+
+
+@pytest.mark.parametrize("pairing", ["diagonal_only", "all_pairs"])
+@pytest.mark.parametrize("direction", ["0,0,1", "1,-2,-2"])
+@pytest.mark.parametrize("top", [(), ("--top", "3")], ids=["all", "top3"])
+def test_tensor_and_attribute_list_the_same_modes(six_mode_dataset, tmp_path, pairing,
+                                                  direction, top):
+    # one ranking, by tr L1 + tr L2, for both artifacts; on this set tr L2
+    # alone would rank another top three
+    data = six_mode_dataset
+    for command in ("tensor", "attribute"):
+        assert run(command, "--modes", data["modes"], "--manifest", data["manifest"],
+                   "--temp", "20", "--field-mt", "1266", "--pairing", pairing,
+                   "--field-dir", direction, *top, "--out", str(tmp_path))[0] == 0
+    listed = json.loads((tmp_path / "tensor.json").read_text())["mode_attribution"]
+    ranked = json.loads((tmp_path / "attribution.json").read_text())["modes"]
+    assert listed == ranked
+    assert len(ranked) == (3 if top else 6)
+    if not top:
+        by_l2 = sorted(ranked, key=lambda row: -row["trace_share2"])
+        assert [row["mode"] for row in by_l2[:3]] != [row["mode"] for row in ranked[:3]]
 
 
 # ------------------------------------------------------------- dynamics
@@ -1246,6 +1292,23 @@ def test_refused_inputs_exit_2(dataset, tmp_path, capsys, argv, message):
     assert code == 2
     assert err == f"error: {message.format(**fill)}\n"
     assert not (tmp_path / "art").exists()
+
+
+@pytest.mark.parametrize("command", ["displace", "couplings", "tensor", "sweep",
+                                     "attribute", "dynamics"])
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_out_naming_a_file_exits_2(dataset, tmp_path, capsys, command, out):
+    # refused with the config, before any input is read or anything written
+    (tmp_path / "afile").write_text("kept\n")
+    inputs = ("--modes", dataset["modes"])
+    if command != "displace":
+        inputs += ("--manifest", dataset["manifest"])
+    code, _, err = run(command, *inputs, "--out", str(tmp_path / out), capsys=capsys)
+    assert code == 2, err
+    assert "'paths.output_dir' must be a path string that names a directory or nothing" in err
+    assert err.endswith("(flag --out)\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["afile"]
+    assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("command", ["tensor", "attribute"])

@@ -575,8 +575,8 @@ def test_attribution_diagonal_shares_sum_to_one():
     att = mode_attribution(c, BathSpec(temperature_k=150.0), make_spin())
     sums = att.shares2.sum(axis=0)
     np.testing.assert_allclose(np.diag(sums), 1.0, rtol=1e-10)
-    sums1 = att.shares1.sum(axis=0)
-    np.testing.assert_allclose(np.diag(sums1), 1.0, rtol=1e-10)
+    # the first order keeps its trace shares only
+    np.testing.assert_allclose(att.trace_share1.sum(), 1.0, rtol=1e-10)
 
 
 # ------------------------------------------------------------------ sweeps
@@ -740,5 +740,5 @@ def test_tensor_report_round_trips_through_json():
     assert parsed["metadata"]["pairing"] == "diagonal_only"
     assert len(parsed["mode_attribution"]) == 2
     assert set(parsed["times_us"]) == set(CONVENTIONS)
-    shares = [row["lambda2_trace_share"] for row in parsed["mode_attribution"]]
+    shares = [row["trace_share2"] for row in parsed["mode_attribution"]]
     assert all(0.0 <= s <= 1.0 for s in shares)
