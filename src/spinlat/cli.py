@@ -100,60 +100,6 @@ def _directory(value) -> bool:
         p.exists() and not p.is_dir() for p in (Path(value), *Path(value).parents))
 
 
-_PATH = (lambda v: v is None or type(v) is str, "a path string or null")
-_POSITIVE = (positive, "positive and finite")
-_BOOL = (lambda v: type(v) is bool, "true or false")
-_KINDS, _ENGINES = ("t1", "t2"), ("lindblad", "redfield")
-
-# every config key: its default, the test a value must pass, and what the
-# test asks for
-_CONFIG_KEYS = {
-    "paths": {
-        "modes": (None, *_PATH),
-        "manifest": (None, *_PATH),
-        "couplings": (None, *_PATH),
-        "output_dir": (".", _directory, "a path string that names a directory or nothing"),
-    },
-    "physics": {
-        "temperatures_k": ([20.0], _grid(0.0), "a nonempty list of finite numbers >= 0"),
-        "fields_mt": ([1266.0], _grid(), "a nonempty list of finite numbers"),
-        "field_direction": ([0.0, 0.0, 1.0], _finite((3,), _unit_length),
-                            "a finite 3-vector of length 1.5e-154 to 1.3e154"),
-        "g0": (None, _finite((3, 3), null=True), "null or a finite 3x3 matrix"),
-        "linewidth_cm": (2.0, *_POSITIVE),
-        "gamma_cm": (2.0, *_POSITIVE),
-        "pairing": ("diagonal_only", lambda v: one_of(v, PAIRING_MODES),
-                    f"one of {PAIRING_MODES}"),
-        "convention": ("projection", lambda v: one_of(v, CONVENTIONS),
-                       f"one of {CONVENTIONS}"),
-        "omega_override_cm": (None, _finite((), lambda arr: arr >= 0, null=True),
-                              "null or a finite number >= 0"),
-    },
-    "numerics": {
-        "delta_angstrom": (0.01, *_POSITIVE),
-        "order": (2, lambda v: one_of(v, (1, 2)), "1 or 2"),
-        "skip_soft": (False, *_BOOL),
-        "fit_window_us": (None, _finite((2,), lambda arr: arr[0] < arr[1], null=True),
-                          "null or [lo, hi] with finite lo < hi"),
-        "time_samples": (2001, lambda v: integer(v, 10, np.inf), "an integer >= 10"),
-        "t_end_us": (None, lambda v: v is None or positive(v),
-                     "null or positive and finite"),
-    },
-    "dynamics": {
-        "kind": ("t1", lambda v: one_of(v, _KINDS), f"one of {_KINDS}"),
-        "engine": ("lindblad", lambda v: one_of(v, _ENGINES), f"one of {_ENGINES}"),
-        "rotating_frame": (True, *_BOOL),
-    },
-    "report": {
-        "top_modes": (None, lambda v: v is None or integer(v, 1, np.inf),
-                      "null or an integer >= 1"),
-    },
-}
-_DEFAULTS = {"format": CONFIG_FORMAT, **{
-    section: {key: rule[0] for key, rule in keys.items()}
-    for section, keys in _CONFIG_KEYS.items()}}
-
-
 def _parse_grid(text: str) -> list[float]:
     """'20' -> [20.0]; '10,20' -> list; '5:300:60' -> inclusive grid."""
     if ":" in text:
@@ -188,48 +134,91 @@ def _vector_reader(*names: str):
     return read
 
 
-# every flag: the config key it sets, how its text is read (for a switch,
-# the value it sets) and its help; a flag is only a way to set its key
-_FLAGS = {
-    "--modes": ("paths.modes", str, "NMODES file"),
-    "--manifest": ("paths.manifest", str, "displacement run manifest"),
-    "--couplings": ("paths.couplings", str, "precomputed couplings JSON"),
-    "--out": ("paths.output_dir", str, "output directory (default '.')"),
-    "--temp": ("physics.temperatures_k", _parse_grid,
-               "temperature K: value, list, or start:stop:count"),
-    "--field-mt": ("physics.fields_mt", _parse_grid,
-                   "field mT: value, list, or start:stop:count"),
-    "--field-dir": ("physics.field_direction", _vector_reader("x", "y", "z"),
-                    "field direction as x,y,z"),
-    "--linewidth": ("physics.linewidth_cm", float, "Lorentzian half-width, cm^-1"),
-    "--gamma": ("physics.gamma_cm", float, "one-phonon damping rate, cm^-1"),
-    "--pairing": ("physics.pairing", str, " or ".join(PAIRING_MODES)),
-    "--convention": ("physics.convention", str, " or ".join(CONVENTIONS)),
-    "--omega": ("physics.omega_override_cm", float, "pin the spin frequency, cm^-1"),
-    "--delta": ("numerics.delta_angstrom", float, "step size, Angstrom"),
-    "--order": ("numerics.order", int, "finite-difference order, 1 or 2"),
-    "--skip-soft": ("numerics.skip_soft", True,
-                    "drop modes below 1 cm^-1 instead of failing"),
-    "--samples": ("numerics.time_samples", int, "trajectory sample count"),
-    "--t-end": ("numerics.t_end_us", float, "trajectory span, us"),
-    "--fit-window": ("numerics.fit_window_us", _vector_reader("lo", "hi"),
-                     "fit window lo,hi in us"),
-    "--kind": ("dynamics.kind", str, " or ".join(_KINDS)),
-    "--engine": ("dynamics.engine", str, " or ".join(_ENGINES)),
-    "--no-rotating-frame": ("dynamics.rotating_frame", False,
-                            "keep coherent precession in the lindblad engine"),
-    "--top": ("report.top_modes", int, "modes listed in the report"),
+_PATH = (lambda v: v is None or type(v) is str, "a path string or null")
+_POSITIVE = (positive, "positive and finite")
+_BOOL = (lambda v: type(v) is bool, "true or false")
+_KINDS, _ENGINES = ("t1", "t2"), ("lindblad", "redfield")
+
+# every config key: its default, the test a value must pass and what the
+# test asks for, then, for a key a flag sets, that flag, how its text is
+# read (for a switch, the value it sets) and its help; a flag is only a
+# way to set its key
+_CONFIG_KEYS = {
+    "paths": {
+        "modes": (None, *_PATH, "--modes", str, "NMODES file"),
+        "manifest": (None, *_PATH, "--manifest", str, "displacement run manifest"),
+        "couplings": (None, *_PATH, "--couplings", str, "precomputed couplings JSON"),
+        "output_dir": (".", _directory, "a path string that names a directory or nothing",
+                       "--out", str, "output directory (default '.')"),
+    },
+    "physics": {
+        "temperatures_k": ([20.0], _grid(0.0), "a nonempty list of finite numbers >= 0",
+                           "--temp", _parse_grid,
+                           "temperature K: value, list, or start:stop:count"),
+        "fields_mt": ([1266.0], _grid(), "a nonempty list of finite numbers",
+                      "--field-mt", _parse_grid, "field mT: value, list, or start:stop:count"),
+        "field_direction": ([0.0, 0.0, 1.0], _finite((3,), _unit_length),
+                            "a finite 3-vector of length 1.5e-154 to 1.3e154",
+                            "--field-dir", _vector_reader("x", "y", "z"),
+                            "field direction as x,y,z"),
+        "g0": (None, _finite((3, 3), null=True), "null or a finite 3x3 matrix"),
+        "linewidth_cm": (2.0, *_POSITIVE, "--linewidth", float,
+                         "Lorentzian half-width, cm^-1"),
+        "gamma_cm": (2.0, *_POSITIVE, "--gamma", float, "one-phonon damping rate, cm^-1"),
+        "pairing": ("diagonal_only", lambda v: one_of(v, PAIRING_MODES),
+                    f"one of {PAIRING_MODES}", "--pairing", str, " or ".join(PAIRING_MODES)),
+        "convention": ("projection", lambda v: one_of(v, CONVENTIONS),
+                       f"one of {CONVENTIONS}", "--convention", str, " or ".join(CONVENTIONS)),
+        "omega_override_cm": (None, _finite((), lambda arr: arr >= 0, null=True),
+                              "null or a finite number >= 0",
+                              "--omega", float, "pin the spin frequency, cm^-1"),
+    },
+    "numerics": {
+        "delta_angstrom": (0.01, *_POSITIVE, "--delta", float, "step size, Angstrom"),
+        "order": (2, lambda v: one_of(v, (1, 2)), "1 or 2",
+                  "--order", int, "finite-difference order, 1 or 2"),
+        "skip_soft": (False, *_BOOL, "--skip-soft", True,
+                      "drop modes below 1 cm^-1 instead of failing"),
+        "fit_window_us": (None, _finite((2,), lambda arr: arr[0] < arr[1], null=True),
+                          "null or [lo, hi] with finite lo < hi",
+                          "--fit-window", _vector_reader("lo", "hi"), "fit window lo,hi in us"),
+        "time_samples": (2001, lambda v: integer(v, 10, np.inf), "an integer >= 10",
+                         "--samples", int, "trajectory sample count"),
+        "t_end_us": (None, lambda v: v is None or positive(v),
+                     "null or positive and finite", "--t-end", float, "trajectory span, us"),
+    },
+    "dynamics": {
+        "kind": ("t1", lambda v: one_of(v, _KINDS), f"one of {_KINDS}",
+                 "--kind", str, " or ".join(_KINDS)),
+        "engine": ("lindblad", lambda v: one_of(v, _ENGINES), f"one of {_ENGINES}",
+                   "--engine", str, " or ".join(_ENGINES)),
+        "rotating_frame": (True, *_BOOL, "--no-rotating-frame", False,
+                           "keep coherent precession in the lindblad engine"),
+    },
+    "report": {
+        "top_modes": (None, lambda v: v is None or integer(v, 1, np.inf),
+                      "null or an integer >= 1", "--top", int, "modes listed in the report"),
+    },
 }
+_DEFAULTS = {"format": CONFIG_FORMAT, **{
+    section: {key: rule[0] for key, rule in keys.items()}
+    for section, keys in _CONFIG_KEYS.items()}}
+_FLAGS = {row[3]: (f"{section}.{key}", *row[4:]) for section, keys in _CONFIG_KEYS.items()
+          for key, row in keys.items() if len(row) > 3}  # flag: key, reader, help
 _FLAG_OF = {key: flag for flag, (key, _, _) in _FLAGS.items()}
 
-# the settings (section, key, value) a command refuses together, and why
-_CONFLICTS = {
-    "displace": ((("numerics", "order", 1), ("physics", "pairing", "all_pairs")),
-                 "order 1 plans no pair runs, and all_pairs needs them"),
-    "dynamics": ((("dynamics", "engine", "redfield"), ("physics", "pairing", "all_pairs")),
-                 "the Redfield bath has no two-phonon pair channel, so it would "
-                 "run the diagonal_only bath"),
-}
+_SET = object()  # a value in _CONFLICTS that any value but null meets
+# the settings (key, value) some commands refuse together: the commands,
+# the setting that is refused with any one of the others, and why
+_CONFLICTS = (
+    (("displace",), (("numerics.order", 1), ("physics.pairing", "all_pairs")),
+     "order 1 plans no pair runs, and all_pairs needs them"),
+    (("dynamics",), (("dynamics.engine", "redfield"), ("physics.pairing", "all_pairs")),
+     "the Redfield bath has no two-phonon pair channel, so it would run the diagonal_only bath"),
+    (("couplings", "tensor", "sweep", "attribute", "dynamics"),
+     (("paths.couplings", _SET), ("paths.modes", _SET), ("paths.manifest", _SET)),
+     "a couplings file and runs are two sources of the couplings; give one"),
+)
 
 
 def _config(path, flags: dict, command: str) -> dict:
@@ -268,15 +257,21 @@ def _config(path, flags: dict, command: str) -> dict:
         return f" (flag {_FLAG_OF[key]})" if key in flags else ""
 
     for section, keys in _CONFIG_KEYS.items():
-        for name, (_, test, what) in keys.items():
+        for name, (_, test, what, *_) in keys.items():
             key, value = f"{section}.{name}", cfg[section][name]
             if not test(value):
                 raise UsageError(refusal("config", key, what, value) + given(key))
-    refused, why = _CONFLICTS.get(command, ((), ""))
-    if refused and all(cfg[section][name] == value for section, name, value in refused):
-        raise UsageError(" with ".join(f"{section}.{name} {value!r}" + given(f"{section}.{name}")
-                                       for section, name, value in refused)
-                         + f" is refused: {why}")
+
+    def setting(key: str):
+        section, name = key.split(".")
+        return cfg[section][name]
+
+    for commands, settings, why in _CONFLICTS:
+        met = [key for key, value in settings
+               if (setting(key) is not None if value is _SET else setting(key) == value)]
+        if command in commands and len(met) > 1 and met[0] == settings[0][0]:
+            raise UsageError(" with ".join(f"{key} {setting(key)!r}" + given(key) for key in met)
+                             + f" is refused: {why}")
     phys = cfg["physics"]
     for key in ("temperatures_k", "fields_mt"):
         phys[key] = list(dict.fromkeys(phys[key]))

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Geometry, ModeSet
+from .core import PAIRING_MODES, Geometry, ModeSet
 
 G_MATRIX_MARKER = "ELECTRONIC G-MATRIX"
 RESULT_SUFFIX = ".gout"     # engine result file next to each geometry
@@ -162,10 +162,10 @@ def parse_modes(path, *, skip_soft: bool = False) -> ModeSet:
     """Parse the NMODES v1 file at path into a ModeSet.
 
     Frequencies come out sorted ascending with eigenvector columns
-    permuted to match; the original 1-based file numbering is kept in
-    source_indices.  Nonpositive frequencies are an error unless
-    skip_soft is set, in which case every mode below SOFT_CUTOFF_CM
-    is dropped.
+    permuted to match; the file's mode numbers, each >= 1 and used once,
+    are kept in source_indices.  Nonpositive frequencies are an error
+    unless skip_soft is set, in which case every mode below
+    SOFT_CUTOFF_CM is dropped.
     """
     lines = list(_effective_lines(Path(path).read_text()))
     if not lines:
@@ -221,6 +221,11 @@ def parse_modes(path, *, skip_soft: bool = False) -> ModeSet:
     _, atoms = rows(natoms, "atom", "element mass x y z", str, float, float, float, float)
     section("frequencies_cm")
     freq_lines, modes = rows(nmodes, "frequency", "index value", int, float)
+    seen = set()  # reports name a mode by its number
+    for lineno, (index, _) in zip(freq_lines, modes):
+        if index < 1 or index in seen:
+            raise ParseError(f"mode index {index} is below 1 or repeated", line=lineno)
+        seen.add(index)
     header_lineno = section("normal_modes")
     values = []
     for lineno, content in rest:
@@ -379,19 +384,20 @@ def write_g_matrix(matrix, path=None, prose: str = "") -> str:
 
 @dataclass(frozen=True, eq=False)
 class DisplacedGeometry:
-    """One displaced structure: which modes were stepped and with what signs."""
+    """One displaced structure and the run it is: its _runs entry, or () for
+    the baseline."""
 
-    kind: str                  # baseline | single | pair
-    modes: tuple[int, ...]     # 0-based mode indices into the ModeSet
-    signs: tuple[int, ...]     # +1 / -1 per displaced mode
+    run: tuple                 # () | (mode, sign) | (mode, mode', sign, sign')
     positions: np.ndarray      # (natoms, 3), Angstrom
 
     def label(self) -> str:
-        if self.kind == "baseline":
+        """The file stem: baseline, single0002_m or pair0001_0003_pm."""
+        if not self.run:
             return "baseline"
-        tag = "".join("p" if s > 0 else "m" for s in self.signs)
-        nums = "_".join(f"{k + 1:04d}" for k in self.modes)
-        return f"{self.kind}{nums}_{tag}"
+        half = len(self.run) // 2
+        nums = "_".join(f"{k:04d}" for k in self.run[:half])
+        tag = "".join(self.run[half:]).replace("+", "p").replace("-", "m")
+        return f"{('single', 'pair')[half - 1]}{nums}_{tag}"
 
 
 def plan_displacements(
@@ -411,19 +417,17 @@ def plan_displacements(
         raise ValueError("delta must be positive and finite")
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    if pairing not in ("diagonal_only", "all_pairs"):
+    if pairing not in PAIRING_MODES:
         raise ValueError(f"unknown pairing {pairing!r}")
     base = modeset.geometry.positions
-    plan = [DisplacedGeometry("baseline", (), (), base.copy())]
+    plan = [DisplacedGeometry((), base.copy())]
     dirs = [modeset.cartesian_direction(k) for k in range(modeset.nmodes)]
     for run in _runs(modeset.nmodes, order == 2 and pairing == "all_pairs"):
         half = len(run) // 2
-        modes = tuple(k - 1 for k in run[:half])
-        signs = tuple(1 if s == "+" else -1 for s in run[half:])
         positions = base  # base + s delta dir_k + s' delta dir_k', summed left to right
-        for k, s in zip(modes, signs):
-            positions = positions + s * delta * dirs[k]
-        plan.append(DisplacedGeometry(("single", "pair")[half - 1], modes, signs, positions))
+        for k, s in zip(run[:half], run[half:]):
+            positions = positions + (delta if s == "+" else -delta) * dirs[k - 1]
+        plan.append(DisplacedGeometry(run, positions))
     return plan
 
 
@@ -449,8 +453,8 @@ def write_displacement_set(
     built with the manifest's step; another one is refused before any
     file is written.
     """
-    base = next(g.positions for g in plan if g.kind == "baseline")
-    steps = np.array([np.linalg.norm(g.positions - base) for g in plan if g.kind == "single"])
+    base = next(g.positions for g in plan if not g.run)
+    steps = np.array([np.linalg.norm(g.positions - base) for g in plan if len(g.run) == 2])
     if not np.allclose(steps, delta, rtol=1e-9, atol=0.0):
         raise ValueError(f"delta {delta} is not the plan's step {steps[0]:.6g}")
     outdir = Path(outdir)
@@ -465,22 +469,11 @@ def write_displacement_set(
         stem = g.label()
         write_xyz(g.positions, modeset.geometry.symbols, outdir / f"{stem}.xyz",
                   comment=stem)
-        if g.kind == "single":
-            manifest["runs"].append(
-                {
-                    "mode": g.modes[0] + 1,
-                    "sign": "+" if g.signs[0] > 0 else "-",
-                    "path": stem + RESULT_SUFFIX,
-                }
-            )
-        elif g.kind == "pair":
-            manifest["pairs"].append(
-                {
-                    "modes": [k + 1 for k in g.modes],
-                    "signs": ["+" if s > 0 else "-" for s in g.signs],
-                    "path": stem + RESULT_SUFFIX,
-                }
-            )
+        path = stem + RESULT_SUFFIX
+        if len(g.run) == 2:
+            manifest["runs"].append({"mode": g.run[0], "sign": g.run[1], "path": path})
+        elif g.run:
+            manifest["pairs"].append({"modes": g.run[:2], "signs": g.run[2:], "path": path})
     mpath = outdir / "manifest.json"
     mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return mpath

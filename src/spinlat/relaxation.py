@@ -225,7 +225,7 @@ class RelaxationTensor:
     per_mode_lambda2: np.ndarray    # (N, 3, 3)
     elastic_dephasing: np.ndarray   # (3,) diagnostic, kept out of T2
     temperature_k: float
-    field_mt: float
+    field_mt: float                 # signed along the couplings' direction, as in sweep
     omega_cm: float
     gamma_cm: np.ndarray            # (N,)
     linewidth_cm: np.ndarray        # (N,)
@@ -258,6 +258,7 @@ class RelaxationTensor:
 
 def build_tensor(c: CouplingTensors, bath: BathSpec, spin: SpinSystem) -> RelaxationTensor:
     first, second = _one_point(c, bath, spin)
+    field = float(np.linalg.norm(spin.field_mt))
     return RelaxationTensor(
         lambda1=first.matrix,
         lambda2_quartic=second.quartic,
@@ -266,7 +267,7 @@ def build_tensor(c: CouplingTensors, bath: BathSpec, spin: SpinSystem) -> Relaxa
         per_mode_lambda2=second.per_mode,
         elastic_dephasing=second.elastic,
         temperature_k=bath.temperature_k,
-        field_mt=float(np.linalg.norm(spin.field_mt)),
+        field_mt=-field if spin.field_mt @ c.field_direction < 0 else field,
         omega_cm=spin.larmor_cm(),
         gamma_cm=bath.gamma_per_mode(c.nmodes),
         linewidth_cm=bath.linewidth_per_mode(c.nmodes),

@@ -308,6 +308,43 @@ def test_couplings_file_from_other_direction_exits_2(dataset, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("by", ["flags", "config"])
+@pytest.mark.parametrize("command", ["couplings", "tensor", "sweep", "attribute", "dynamics"])
+def test_couplings_file_with_runs_exits_2(tmp_path, capsys, command, by):
+    # a couplings file and runs are two sources of the couplings, and which
+    # was meant cannot be told: refused before any input is read (none of
+    # the three files exists), naming the flag of each key a flag gave
+    argv, in_file, named = [], {}, []
+    for name in ("couplings", "modes", "manifest"):
+        path, flag = str(tmp_path / f"absent_{name}"), f"--{name}"
+        if by == "flags" and flag in spinlat.cli._COMMANDS[command][2]:
+            argv += [flag, path]
+            named.append(f"paths.{name} {path!r} (flag {flag})")
+        else:
+            in_file[name] = path
+            named.append(f"paths.{name} {path!r}")
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"format": "spinlat-config/1", "paths": in_file}))
+    out = tmp_path / "art"
+    code, stdout, err = run(command, "--config", str(cfgfile), *argv, "--out", str(out),
+                            capsys=capsys)
+    assert code == 2
+    assert err == (f"error: {' with '.join(named)} is refused: a couplings file and runs "
+                   "are two sources of the couplings; give one\n")
+    assert stdout == "" and not out.exists()
+
+
+def test_validate_reads_only_the_runs(dataset, tmp_path, capsys):
+    # validate never assembles couplings from a file, so a config's
+    # paths.couplings is no second source for it
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"format": "spinlat-config/1",
+                                   "paths": {"couplings": str(tmp_path / "absent.json")}}))
+    code, _, err = run("validate", "--config", str(cfgfile), "--modes", dataset["modes"],
+                       "--manifest", dataset["manifest"], capsys=capsys)
+    assert code == 0, err
+
+
 def test_couplings_file_matches_runs_along_any_direction(dataset, tmp_path):
     built = tmp_path / "built"
     assert run("couplings", "--modes", dataset["modes"],
@@ -350,6 +387,23 @@ def test_tilted_sweep_rows_equal_tensor(dataset, pair_dataset, tmp_path):
             for order in ("1", "2"):
                 got = [row[f"l{order}_{c}"] for c in ("xx", "xy", "xz", "yy", "yz", "zz")]
                 assert got == np.array(doc["lambda" + order])[upper].tolist(), (k, order)
+
+
+@pytest.mark.parametrize("direction", ["0,0,1", "1,-2,-2"])
+@pytest.mark.parametrize("field", ["-1266", "1266", "0"])
+def test_tensor_records_the_signed_field(dataset, tmp_path, direction, field):
+    # tensor.json records the field as the config and the sweep row at the
+    # same point give it: signed along the field direction, a zero as 0.0
+    runs = ("--modes", dataset["modes"], "--manifest", dataset["manifest"],
+            "--temp", "20", "--field-mt", field, "--field-dir", direction)
+    assert run("sweep", *runs, "--out", str(tmp_path / "sweep"))[0] == 0
+    assert run("tensor", *runs, "--out", str(tmp_path / "tensor"))[0] == 0
+    header, row = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
+    swept = dict(zip(header.split(","), map(float, row.split(","))))["field_mt"]
+    doc = json.loads((tmp_path / "tensor" / "tensor.json").read_text())
+    recorded = doc["metadata"]["field_mt"]
+    assert recorded == swept == doc["config"]["physics"]["fields_mt"][0] == float(field)
+    assert np.copysign(1.0, recorded) == np.copysign(1.0, float(field))
 
 
 def _bool_at(key, *index_and_value):
@@ -631,46 +685,107 @@ def test_redfield_records_the_lab_frame(dataset, tmp_path):
         assert config["dynamics"]["rotating_frame"] is False
 
 
-@pytest.mark.parametrize("command, flag, key, file_value, flag_value", [
-    ("displace", ("--order", "1"), "numerics.order", 2, 1),
-    ("displace", ("--skip-soft",), "numerics.skip_soft", False, True),
-    ("tensor", ("--top", "1"), "report.top_modes", 3, 1),
-    ("attribute", ("--top", "1"), "report.top_modes", 3, 1),
-    ("dynamics", ("--t-end", "50"), "numerics.t_end_us", 70.0, 50.0),
-    ("dynamics", ("--kind", "t2"), "dynamics.kind", "t1", "t2"),
-    ("dynamics", ("--engine", "redfield"), "dynamics.engine", "lindblad", "redfield"),
-    ("dynamics", ("--no-rotating-frame",), "dynamics.rotating_frame", True, False),
-], ids=["order", "skip-soft", "tensor-top", "attribute-top", "t-end", "kind", "engine",
-        "rotating-frame"])
+# one case for each flag of every command: a command that has it, the
+# flag's text, its key, a value for the config file and the value the text
+# gives; "{name}" in a text or a value is the test's input of that name
+_FLAG_CASES = {
+    "modes": ("displace", ("--modes", "{modes}"), "paths.modes", "{other_modes}", "{modes}"),
+    "manifest": ("couplings", ("--manifest", "{manifest}"), "paths.manifest",
+                 "{pair_manifest}", "{manifest}"),
+    "couplings": ("tensor", ("--couplings", "{couplings}"), "paths.couplings",
+                  "{pair_couplings}", "{couplings}"),
+    "out": ("displace", ("--out", "art"), "paths.output_dir", "art2", "art"),
+    "temp": ("tensor", ("--temp", "30"), "physics.temperatures_k", [20.0], [30.0]),
+    "field-mt": ("tensor", ("--field-mt", "-1266"), "physics.fields_mt", [1266.0], [-1266.0]),
+    "field-dir": ("couplings", ("--field-dir", "1,-2,-2"), "physics.field_direction",
+                  [0.0, 0.0, 1.0], [1.0, -2.0, -2.0]),
+    "linewidth": ("tensor", ("--linewidth", "3"), "physics.linewidth_cm", 2.0, 3.0),
+    "gamma": ("tensor", ("--gamma", "3"), "physics.gamma_cm", 2.0, 3.0),
+    "pairing": ("displace", ("--pairing", "all_pairs"), "physics.pairing", "diagonal_only",
+                "all_pairs"),
+    "convention": ("tensor", ("--convention", "lindblad"), "physics.convention",
+                   "projection", "lindblad"),
+    "omega": ("tensor", ("--omega", "0.5"), "physics.omega_override_cm", 1.0, 0.5),
+    "delta": ("displace", ("--delta", "0.02"), "numerics.delta_angstrom", 0.01, 0.02),
+    "order": ("displace", ("--order", "1"), "numerics.order", 2, 1),
+    "skip-soft": ("displace", ("--skip-soft",), "numerics.skip_soft", False, True),
+    "samples": ("dynamics", ("--samples", "301"), "numerics.time_samples", 201, 301),
+    # T1 is about 0.019 us at 200 K, so the grid spans about 0.075 us
+    "fit-window": ("dynamics", ("--fit-window", "0.005,0.04"), "numerics.fit_window_us",
+                   [0.01, 0.06], [0.005, 0.04]),
+    "tensor-top": ("tensor", ("--top", "1"), "report.top_modes", 3, 1),
+    "attribute-top": ("attribute", ("--top", "1"), "report.top_modes", 3, 1),
+    "t-end": ("dynamics", ("--t-end", "50"), "numerics.t_end_us", 70.0, 50.0),
+    "kind": ("dynamics", ("--kind", "t2"), "dynamics.kind", "t1", "t2"),
+    "engine": ("dynamics", ("--engine", "redfield"), "dynamics.engine", "lindblad", "redfield"),
+    "rotating-frame": ("dynamics", ("--no-rotating-frame",), "dynamics.rotating_frame", True,
+                       False),
+}
+
+
+def test_every_flag_has_a_config_file_case():
+    flags = {flag for _, _, command_flags in spinlat.cli._COMMANDS.values()
+             for flag in command_flags}
+    assert {flag[0] for _, flag, *_ in _FLAG_CASES.values()} == flags
+    for command, flag, key, *_ in _FLAG_CASES.values():
+        assert flag[0] in spinlat.cli._COMMANDS[command][2]
+        assert spinlat.cli._FLAGS[flag[0]][0] == key
+
+
+@pytest.mark.parametrize("command, flag, key, file_value, flag_value",
+                         list(_FLAG_CASES.values()), ids=list(_FLAG_CASES))
 def test_every_flag_setting_can_come_from_the_config_file(
-        dataset, tmp_path, monkeypatch, capsys, command, flag, key, file_value,
-        flag_value):
+        dataset, pair_dataset, tmp_path, monkeypatch, capsys, command, flag, key,
+        file_value, flag_value):
     # a flag is only a way to set its key: the key set in the file gives the
     # flag's artifacts and stdout byte for byte, and the flag wins over the file
     monkeypatch.chdir(tmp_path)
-    inputs = ("--modes", dataset["modes"], "--out", "art")
-    inputs += {"displace": (),
-               "dynamics": ("--manifest", dataset["manifest"], "--temp", "200",
-                            "--samples", "201")}.get(
-        command, ("--manifest", dataset["manifest"], "--temp", "20"))
+    inputs = {"--modes": dataset["modes"], "--out": "art"}
+    if command != "displace":
+        inputs["--manifest"] = dataset["manifest"]
+    if command in ("tensor", "attribute"):
+        inputs["--temp"] = "20"
+    if command == "dynamics":
+        inputs.update({"--temp": "200", "--samples": "201"})
+    names = {"modes": dataset["modes"], "other_modes": pair_dataset["modes"],
+             "manifest": dataset["manifest"], "pair_manifest": pair_dataset["manifest"]}
+    base = {}  # what every run's config file holds
+    if key == "paths.couplings":
+        # a couplings file is one source of the couplings and the runs another
+        del inputs["--modes"], inputs["--manifest"]
+        base = {"physics": {"g0": BASE_G.tolist()}}
+        for name, data in (("couplings", dataset), ("pair_couplings", pair_dataset)):
+            assert run("couplings", "--modes", data["modes"], "--manifest",
+                       data["manifest"], "--out", name, capsys=capsys)[0] == 0
+            names[name] = str(tmp_path / name / "couplings.json")
+    inputs.pop(flag[0], None)
+    inputs = [text for pair in inputs.items() for text in pair]
+
+    def named(value):
+        return value.format(**names) if type(value) is str else value
+
+    flag, file_value, flag_value = tuple(map(named, flag)), named(file_value), named(flag_value)
     section, name = key.split(".")
 
     def artifacts(*argv, value=None):
-        shutil.rmtree("art", ignore_errors=True)
+        for out in Path(".").glob("art*"):
+            shutil.rmtree(out)
+        doc = {**base}
         if value is not None:
-            Path("cfg.json").write_text(json.dumps(
-                {"format": "spinlat-config/1", section: {name: value}}))
-            argv += ("--config", "cfg.json")
-        code, out, err = run(command, *inputs, *argv, capsys=capsys)
+            doc[section] = {**doc.get(section, {}), name: value}
+        Path("cfg.json").write_text(json.dumps({"format": "spinlat-config/1", **doc}))
+        code, out, err = run(command, *inputs, *argv, "--config", "cfg.json", capsys=capsys)
         assert code == 0, err
-        return out, {p.name: p.read_bytes() for p in Path("art").iterdir()}
+        # --out names the directory: art by the flag, art2 by the file
+        return out, {p.name: p.read_bytes() for p in Path(".").glob("art*/*")}
 
     expected = artifacts(*flag)
     assert artifacts(value=flag_value) == expected
     assert artifacts(*flag, value=file_value) == expected
     assert artifacts(value=file_value) != expected
-    sidecar = {"displace": "displace.config.json", "tensor": "tensor.json",
-               "attribute": "attribution.json"}.get(command, "dynamics.json")
+    sidecar = {"displace": "displace.config.json", "couplings": "couplings.json",
+               "tensor": "tensor.json", "attribute": "attribution.json"}.get(
+        command, "dynamics.json")
     assert json.loads(expected[1][sidecar])["config"][section][name] == flag_value
 
 

@@ -15,6 +15,7 @@ from spinlat.ingest import (
     G_MATRIX_MARKER,
     _G_FIELD,
     _g_fields,
+    _runs,
     DisplacedGTensorSet,
     IncompleteRunSetError,
     ParseError,
@@ -173,8 +174,14 @@ def _golden_lines(*replacements, end=None):
     (_golden_lines(("1 1595.0", "1 0.4"), ("2 3657.0   # symmetric stretch", "2 0.5"),
                    ("3 3756.0", "3 -2.0")), True,
      "line 10: all modes fall below the 1.0 cm^-1 cutoff"),
+    # a report names a mode by its index, so two modes never share one
+    (_golden_lines(("3 3756.0", "2 3756.0")), False,
+     "line 12: mode index 2 is below 1 or repeated"),
+    (_golden_lines(("1 1595.0", "-4 1595.0")), False,
+     "line 10: mode index -4 is below 1 or repeated"),
 ], ids=["empty", "ends-early", "section-header", "atom-number", "frequency-number",
-        "count-line", "count-integer", "count-zero", "vector-float", "all-soft"])
+        "count-line", "count-integer", "count-zero", "vector-float", "all-soft",
+        "index-repeated", "index-below-1"])
 def test_nmodes_refusal_named_with_its_line(written, text, skip_soft, message):
     with pytest.raises(ParseError) as err:
         parse_modes(written(text), skip_soft=skip_soft)
@@ -262,12 +269,28 @@ def test_plan_counts_production_sized():
     assert len(plan) == 1 + 2 * 192 + 4 * (192 * 191 // 2) == 73729
 
 
+@pytest.mark.parametrize("pairing", ["diagonal_only", "all_pairs"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_each_planned_geometry_is_its_run(tmp_path, n, pairing):
+    # a geometry is the run _runs lists, () for the baseline; its label
+    # names its files, and the manifest lists the runs in plan order
+    ms = make_modeset(natoms=2, nmodes=n)
+    plan = plan_displacements(ms, delta=0.01, order=2, pairing=pairing)
+    assert [g.run for g in plan] == [(), *_runs(n, pairing == "all_pairs")]
+    assert len({g.label() for g in plan}) == len(plan)
+    manifest = json.loads(write_displacement_set(plan, ms, tmp_path, 0.01).read_text())
+    listed = [((), manifest["baseline"])]
+    listed += [((run["mode"], run["sign"]), run["path"]) for run in manifest["runs"]]
+    listed += [((*run["modes"], *run["signs"]), run["path"]) for run in manifest["pairs"]]
+    assert listed == [(g.run, g.label() + ".gout") for g in plan]
+
+
 def test_displacement_recovers_mode_direction(toy_modes):
     delta = 0.01
     plan = plan_displacements(toy_modes, delta=delta, order=1)
-    by_key = {(g.modes, g.signs): g.positions for g in plan if g.kind == "single"}
+    by_key = {g.run: g.positions for g in plan if len(g.run) == 2}
     for k in range(toy_modes.nmodes):
-        diff = (by_key[((k,), (1,))] - by_key[((k,), (-1,))]) / (2 * delta)
+        diff = (by_key[k + 1, "+"] - by_key[k + 1, "-"]) / (2 * delta)
         np.testing.assert_allclose(
             diff, toy_modes.cartesian_direction(k), atol=1e-10
         )
@@ -342,7 +365,7 @@ def test_load_run_set_reports_missing_runs(tmp_path, toy_modes):
     mpath = write_displacement_set(plan, ms, tmp_path, delta=0.01)
     gfun = _linear_g_surface(ms.geometry.positions)
     for g in plan:
-        if g.kind == "single" and g.modes == (6,) and g.signs == (-1,):
+        if g.run == (7, "-"):
             continue  # omit (mode 7, minus)
         write_g_matrix(gfun(g.positions), tmp_path / f"{g.label()}.gout")
     with pytest.raises(IncompleteRunSetError) as err:
@@ -371,7 +394,7 @@ def test_load_run_set_missing_baseline(tmp_path, toy_modes):
     mpath = write_displacement_set(plan, toy_modes, tmp_path, delta=0.01)
     gfun = _linear_g_surface(toy_modes.geometry.positions)
     for g in plan:
-        if g.kind != "baseline":
+        if g.run:
             write_g_matrix(gfun(g.positions), tmp_path / f"{g.label()}.gout")
     with pytest.raises(IncompleteRunSetError, match="baseline"):
         load_run_set(mpath, toy_modes)
@@ -676,13 +699,11 @@ def test_each_missing_result_names_its_own_run(pair_runs, toy_modes):
         with pytest.raises(IncompleteRunSetError) as err:
             load_run_set(pair_runs, toy_modes)
         result.with_suffix(".away").rename(result)
-        signs = tuple("+" if s > 0 else "-" for s in g.signs)
-        run = (*(k + 1 for k in g.modes), *signs)
-        assert err.value.missing_baseline == (g.kind == "baseline")
-        assert err.value.missing_singles == ([run] if g.kind == "single" else [])
-        assert err.value.missing_pairs == ([run] if g.kind == "pair" else [])
-        name = {"baseline": "baseline", "single": "(mode {}, {})",
-                "pair": "(modes {} {}, {}{})"}[g.kind].format(*run)
+        assert err.value.missing_baseline == (g.run == ())
+        assert err.value.missing_singles == ([g.run] if len(g.run) == 2 else [])
+        assert err.value.missing_pairs == ([g.run] if len(g.run) == 4 else [])
+        name = {0: "baseline", 2: "(mode {}, {})",
+                4: "(modes {} {}, {}{})"}[len(g.run)].format(*g.run)
         assert str(err.value) == f"1 missing displaced-run results: {name}"
 
 
