@@ -463,12 +463,13 @@ def _cmd_sweep(cfg: dict) -> int:
     table = points.reshape(-1, len(fields))  # row i, column j: T_i, B_j
     temp_text = list(map(repr, table.temperature_k[:, 0].tolist()))
     for j, field in enumerate(fields):
+        # positional (500, 1266.0001) unless repr is shorter (1e-300, 1e+16)
+        tag = min(np.format_float_positional(field, trim="-"), repr(field), key=len)
         for name in ("t1", "t2"):
             lines = [header, "# columns: temperature_k inv_%s_per_us" % name]
             # an infinite time gives rate 0.0
             rates = 1.0 / table[name + "_us"][:, j]
             lines += map("{} {}".format, temp_text, map(repr, rates.tolist()))
-            tag = np.format_float_positional(field, trim="-")
             path = out / f"inv_{name}_vs_temp_{tag}mT.dat"
             path.write_text("\n".join(lines) + "\n")
     print(

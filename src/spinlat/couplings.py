@@ -209,7 +209,9 @@ def _unit(v) -> np.ndarray:
     b = np.asarray(v, dtype=float)
     if b.shape != (3,):
         raise ValueError("field direction must be a 3-vector")
-    norm = np.linalg.norm(b)
-    if norm == 0.0 or not np.all(np.isfinite(b)):
+    if not (np.all(np.isfinite(b)) and b.any()):
         raise ValueError("field direction must be finite and nonzero")
-    return b / norm
+    # scaled exactly, by the power of two of its largest |component|, so the
+    # norm neither overflows nor underflows
+    b = np.ldexp(b, -np.frexp(np.abs(b).max())[1])
+    return b / np.linalg.norm(b)

@@ -59,17 +59,22 @@ def _lorentzian(x, width):
 # shapes at one point; a grid batch adds a leading temperature axis
 class FirstOrder(NamedTuple):
     matrix: np.ndarray      # (3, 3)
-    per_mode: np.ndarray    # (N, 3, 3)
+    per_mode: np.ndarray    # (N, 3, 3); None from a grid without split
 
 
 class SecondOrder(NamedTuple):
     quartic: np.ndarray     # (3, 3) from first-order couplings squared twice
     gsq: np.ndarray         # (3, 3) from diagonal/pair second derivatives
-    per_mode: np.ndarray    # (N, 3, 3) quartic + gsq, pairs split evenly
+    per_mode: np.ndarray    # (N, 3, 3) quartic + gsq, pairs split evenly; or None
     elastic: np.ndarray     # (3,) zero-frequency dephasing diagnostic
 
 
-def _rate_grid(c: CouplingTensors, bath: BathSpec, temperatures, spins):
+# occupation columns per all_pairs product: every product has the one shape
+# (12N, N) @ (N, _BLOCK), so a column's bits do not depend on its block
+_BLOCK = 16
+
+
+def _rate_grid(c: CouplingTensors, bath: BathSpec, temperatures, spins, split=False):
     """Yield (j, FirstOrder, SecondOrder) for spins[j], row i at temperatures[i].
 
     First order is the one-phonon direct rate times G G'.  The quartic
@@ -84,15 +89,17 @@ def _rate_grid(c: CouplingTensors, bath: BathSpec, temperatures, spins):
     coupling products once, occupations and direct rates as (T, N) arrays,
     the spin frequency, Lorentzians and the all_pairs pair sums per field
     (the outer loop).  A field's temperatures are one set of elementwise
-    operations on (T, N, 3, 3) per-mode stacks, O(T N 9) floats each, and
-    one sum over the mode axis; the field prefactor (muB|B|/hc)^2 enters as
-    a scalar (field_prefactor, which refuses a field off the couplings'
-    direction).  The all_pairs contraction stays one fixed-shape
-    matrix-vector product per temperature: the columns of a product with
-    all temperatures at once change their last bits with the number of
-    temperatures.  Elementwise arithmetic and a sum over the mode axis
-    give each row the bits of a one-row batch, so every point is bitwise
-    what a 1x1 grid gives.
+    operations on per-mode stacks, (T, N, 3, 3) or, for the all_pairs
+    second derivatives, (T, 6, N), and one sum over the mode axis; the
+    field prefactor (muB|B|/hc)^2 enters as a scalar (field_prefactor,
+    which refuses a field off the couplings' direction).  The all_pairs
+    contraction multiplies the field's (12N, N) matrix by zero-padded
+    (N, _BLOCK) blocks of occupation columns; one product over all
+    temperatures would change its columns' last bits with their number, a
+    fixed-width block does not.  With elementwise arithmetic and sums over
+    the mode axis, each row has the bits of a one-row batch, so every
+    point is bitwise what a 1x1 grid gives.  The per-mode splits are built
+    only if split, else None.
     """
     omega = c.frequencies
     n_modes = c.nmodes
@@ -111,6 +118,9 @@ def _rate_grid(c: CouplingTensors, bath: BathSpec, temperatures, spins):
     quartic_sq = outer((c.d1 / omega) ** 2)
     diag_d2 = np.einsum("aqq->aq", c.d2)
     diag_sq, diag_d2_sq = outer(diag_d2), diag_d2**2
+    n = np.array([bose_occupation(omega, t) for t in temperatures])
+    direct = direct_rate(gamma, omega, n)
+    lumped = (2.0 * n + 1.0) ** 2
     if all_pairs:
         # d2_aqp d2_bqp for the six components a <= b, shape (6, N, N);
         # _SYM expands them back to 3x3, so every tensor is exactly symmetric
@@ -119,10 +129,10 @@ def _rate_grid(c: CouplingTensors, bath: BathSpec, temperatures, spins):
             np.multiply(c.d2[a], c.d2[b], out=pair_sq[k])
         width = 0.5 * (lam[:, None] + lam[None, :])
         by_n = np.empty((2,) + pair_sq.shape)
-
-    n = np.array([bose_occupation(omega, t) for t in temperatures])
-    direct = direct_rate(gamma, omega, n)
-    lumped = (2.0 * n + 1.0) ** 2
+        # (blocks, N, _BLOCK) occupation columns, zero past the last temperature
+        blocks = np.zeros((-(-len(n) // _BLOCK) * _BLOCK, n_modes))
+        blocks[: len(n)] = n
+        blocks = blocks.reshape(-1, _BLOCK, n_modes).transpose(0, 2, 1)
 
     for j, spin in enumerate(spins):
         big_omega = spin.larmor_cm()
@@ -149,25 +159,27 @@ def _rate_grid(c: CouplingTensors, bath: BathSpec, temperatures, spins):
             fixed = np.einsum("kqp,qp->kq", pair_sq, emit)
             np.multiply(pair_sq, lor_nn, out=by_n[0])
             np.multiply(pair_sq, emit + emit_q, out=by_n[1])
-            products = np.array([by_n.reshape(-1, n_modes) @ n_i for n_i in n])
-            nn, by_p = products.reshape(-1, 2, 6, n_modes).transpose(1, 0, 2, 3)
+            products = (by_n.reshape(-1, n_modes) @ blocks).transpose(0, 2, 1)
+            nn, by_p = products.reshape(-1, 2, 6, n_modes)[: len(n)].transpose(1, 0, 2, 3)
             # W and d2 are symmetric in (q, p), so summing each row gives
             # every ordered pair half to q and half to p, q == p whole
             per6 = (0.25 * pref2) * ((nn + by_q) * n[:, None, :] + by_p + fixed)
-            per_gsq = per6.transpose(0, 2, 1)[:, :, _SYM]
+            gsq = per6.sum(axis=2)[:, _SYM]
+            per_gsq = per6.transpose(0, 2, 1)[:, :, _SYM] if split else None
         else:
             per_gsq = (pref2 * resonant)[..., None, None] * diag_sq
+            gsq = per_gsq.sum(axis=1)
         elastic = pref2 * ((lumped * zero_freq)[:, None, :] * diag_d2_sq).sum(axis=2)
         yield (
             j,
-            FirstOrder(per1.sum(axis=1), per1),
-            SecondOrder(per_quartic.sum(axis=1), per_gsq.sum(axis=1),
-                        per_quartic + per_gsq, elastic),
+            FirstOrder(per1.sum(axis=1), per1 if split else None),
+            SecondOrder(per_quartic.sum(axis=1), gsq,
+                        per_quartic + per_gsq if split else None, elastic),
         )
 
 
 def _one_point(c: CouplingTensors, bath: BathSpec, spin: SpinSystem):
-    ((_, first, second),) = _rate_grid(c, bath, [bath.temperature_k], [spin])
+    ((_, first, second),) = _rate_grid(c, bath, [bath.temperature_k], [spin], split=True)
     return FirstOrder(*(v[0] for v in first)), SecondOrder(*(v[0] for v in second))
 
 
@@ -180,14 +192,15 @@ def lambda_second(c: CouplingTensors, bath: BathSpec, spin: SpinSystem) -> Secon
     return _one_point(c, bath, spin)[1]
 
 
-def _check_rates(lambda1, quartic, gsq, elastic, split1, split2, labels=None) -> None:
+def _check_rates(lambda1, quartic, gsq, elastic, splits=(), labels=None) -> None:
     """Raise ValueError unless the rates of a point, or of a stack, are physical.
 
     Finite; lambda1 and lambda2 = quartic + gsq symmetric PSD; the quartic
-    part and the elastic diagnostic nonnegative; the per-mode splits,
-    summed over modes, equal to their totals.  Arrays carry the stack's
-    axes first; a stack takes one eigen-solve per order, and a message
-    names its first failing point (see raise_first_failure).
+    part and the elastic diagnostic nonnegative; the per-mode splits of
+    each order, if given as splits, summed over modes equal to their
+    totals.  Arrays carry the stack's axes first; a stack takes one
+    eigen-solve per order, and a message names its first failing point
+    (see raise_first_failure).
     """
     def per_point(v):
         return np.reshape(v, np.shape(lambda1)[:-2] + (-1,))
@@ -195,7 +208,7 @@ def _check_rates(lambda1, quartic, gsq, elastic, split1, split2, labels=None) ->
     def require(ok, subject, problem):
         raise_first_failure(~ok, subject, problem, labels)
 
-    arrays = (lambda1, quartic, gsq, elastic, split1, split2)
+    arrays = (lambda1, quartic, gsq, elastic, *splits)
     require(np.logical_and.reduce([np.isfinite(per_point(v)).all(axis=-1) for v in arrays]),
             "rates", "contain non-finite entries")
     lambda2 = quartic + gsq
@@ -205,7 +218,7 @@ def _check_rates(lambda1, quartic, gsq, elastic, split1, split2, labels=None) ->
             "must be entrywise nonnegative")
     require(per_point(elastic).min(axis=-1) >= 0.0, "elastic diagnostic",
             "must be nonnegative")
-    for total, split in ((lambda1, split1), (lambda2, split2)):
+    for total, split in zip((lambda1, lambda2), splits):
         dev = np.abs(per_point(split - total)).max(axis=-1)
         scale = np.maximum(np.abs(per_point(total)).max(axis=-1), 1e-300)
         require(dev <= 1e-10 * scale, "per-mode split",
@@ -244,8 +257,8 @@ class RelaxationTensor:
                 raise ValueError(f"{name} contains non-finite entries")
             freeze(self, **{name: v})
         _check_rates(self.lambda1, self.lambda2_quartic, self.lambda2_gsq,
-                     self.elastic_dephasing, self.per_mode_lambda1.sum(axis=0),
-                     self.per_mode_lambda2.sum(axis=0))
+                     self.elastic_dephasing, (self.per_mode_lambda1.sum(axis=0),
+                                              self.per_mode_lambda2.sum(axis=0)))
 
     @property
     def lambda2(self) -> np.ndarray:
@@ -487,11 +500,10 @@ def sweep(
     rows.temperature_k = np.array(temperatures)[:, None]
     rows.field_mt = fields_mt
     for j, first, second in _rate_grid(c, bath, temperatures, spins):
-        # check a field's points together, then keep their totals only
+        # check a field's points together; a sweep keeps their totals only
         lambda1, quartic, gsq = first.matrix, second.quartic, second.gsq
-        _check_rates(lambda1, quartic, gsq, second.elastic, first.per_mode.sum(axis=1),
-                     second.per_mode.sum(axis=1),
-                     [f"{t!r} K, {fields_mt[j]!r} mT" for t in temperatures])
+        _check_rates(lambda1, quartic, gsq, second.elastic,
+                     labels=[f"{t!r} K, {fields_mt[j]!r} mT" for t in temperatures])
         lambda2 = quartic + gsq
         column = rows[:, j]
         column.omega_cm = spins[j].larmor_cm()

@@ -252,6 +252,18 @@ def test_tensor_report(dataset, tmp_path, capsys):
     assert "omega" in stdout and "tensor.json" in stdout
 
 
+def test_tensor_huge_field_not_refused_as_off_direction(dataset, tmp_path, capsys):
+    # 1e300 mT lies along z; its rates overflow, and the refusal must say so
+    # rather than name the field's direction
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        code, _, err = run("tensor", "--modes", dataset["modes"], "--manifest",
+                           dataset["manifest"], "--temp", "20", "--field-mt", "1e300",
+                           "--out", str(tmp_path / "art"), capsys=capsys)
+    assert code == 1
+    assert "non-finite" in err and "direction" not in err
+
+
 def test_tensor_rejects_temperature_grid(dataset, capsys):
     code, _, err = run("tensor", "--modes", dataset["modes"],
                        "--manifest", dataset["manifest"],
@@ -524,6 +536,22 @@ def test_sweep_plot_files_distinct_for_close_fields(dataset, tmp_path, capsys):
         for kind in ("t1", "t2") for field in ("1266.0001", "1266.00012")
     }
     assert "4 plot files" in stdout
+
+
+@pytest.mark.parametrize("field, tag", [
+    ("1e-300", "1e-300"), ("-2.5e-7", "-2.5e-07"), ("1e16", "1e+16"),
+    ("0.0001", "0.0001"), ("-500", "-500"), ("1266.0001", "1266.0001"),
+])
+def test_sweep_plot_file_names_for_extreme_fields(dataset, tmp_path, field, tag):
+    # a field's positional text runs to hundreds of digits for |B| far from 1,
+    # which no file system takes as a name; the shorter repr is used there
+    out = tmp_path / "art"
+    code, _, _ = run("sweep", "--modes", dataset["modes"],
+                     "--manifest", dataset["manifest"], "--temp", "20",
+                     f"--field-mt={field}", "--out", str(out))
+    assert code == 0
+    assert sorted(p.name for p in out.glob("inv_*.dat")) == [
+        f"inv_{kind}_vs_temp_{tag}mT.dat" for kind in ("t1", "t2")]
 
 
 def test_range_syntax_errors(dataset, capsys):

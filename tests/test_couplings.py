@@ -1,6 +1,7 @@
 """Finite-difference coupling assembly against analytic surfaces."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ import pytest
 from spinlat.core import ModeSet
 from spinlat.couplings import (
     CouplingTensors,
+    _unit,
     build_couplings,
     dimensionless_steps,
     export_couplings,
     load_couplings,
+    same_direction,
 )
 from spinlat.ingest import sample_g_surface
 
@@ -336,3 +339,23 @@ def test_tensor_validation_rejects_a_step_that_is_not_positive_and_finite(toy_mo
         CouplingTensors(d1=np.zeros((3, n)), d2=np.zeros((3, n, n)), delta_angstrom=delta,
                         frequencies=toy_modes.frequencies,
                         field_direction=(0.0, 0.0, 1.0), mixed_computed=False)
+
+
+def test_same_direction_of_extreme_fields():
+    # the raw vector's norm overflows above about 1.3e154 (and underflows
+    # below 1e-154), so the direction must come from a scaled vector
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert same_direction([0.0, 0.0, 1e300], [0.0, 0.0, 1.0])
+        assert same_direction([1e300, -2e300, -2e300], [1.0, -2.0, -2.0])
+        assert same_direction([0.0, 0.0, -1e-300], [0.0, 0.0, -1.0])
+        assert not same_direction([1e300, 0.0, 1e300], [0.0, 0.0, 1.0])
+
+
+def test_unit_direction_keeps_its_bits():
+    # the scaling is by a power of two, so an ordinary direction is made unit
+    # with the bits of b / |b|, which every stored field_direction has
+    rng = np.random.default_rng(3)
+    for b in [(1.0, -2.0, -2.0), (0.3, 0.1, 2.7), *rng.normal(size=(200, 3)) * 1e3]:
+        b = np.asarray(b)
+        np.testing.assert_array_equal(_unit(b), b / np.linalg.norm(b))

@@ -611,11 +611,15 @@ SWEEP_CASES = {
     "omega-override": {"omega_override_cm": 1.5},
     "mode-linewidths": {"linewidth_cm": [1.0, 2.5, 0.7, 4.0]},
     "zero-field-row": {"first_field_mt": 0.0},
+    "60-modes": {"nmodes": 60},
+    "60-modes-tilted": {"nmodes": 60, "direction": (1.0, -2.0, -2.0)},
 }
 
 
+# all_pairs contracts temperatures in blocks of 16 columns: 16 fills one,
+# 17 and 40 add a partial tail block, so every block position is checked
 @pytest.mark.parametrize("case", list(SWEEP_CASES))
-@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (4, 1), (3, 2)],
+@pytest.mark.parametrize("shape", [(1, 1), (1, 3), (4, 1), (3, 2), (16, 1), (17, 2), (40, 1)],
                          ids=lambda s: f"{s[0]}x{s[1]}")
 @pytest.mark.parametrize("pairing", ["diagonal_only", "all_pairs"])
 def test_sweep_rows_bitwise_equal_build_tensor(pairing, shape, case):
@@ -629,7 +633,7 @@ def test_sweep_rows_bitwise_equal_build_tensor(pairing, shape, case):
     )
     bath = BathSpec(temperature_k=1.0, linewidth_cm=opts.get("linewidth_cm", 2.0),
                     raman_pairing=pairing)
-    c = replace(random_couplings(17), field_direction=direction)
+    c = replace(random_couplings(17, n=opts.get("nmodes", 4)), field_direction=direction)
     temps = [40.0 * (k + 1) for k in range(shape[0])]
     fields = [opts.get("first_field_mt", 700.0) + 450.0 * k for k in range(shape[1])]
     points = sweep(c, spin, temps, fields, bath)
