@@ -95,8 +95,8 @@ def _grid(lo: float = -np.inf):
 
 def _directory(value) -> bool:
     """Whether value is a path string that mkdir can make a directory of:
-    neither it nor any of its parents names a file."""
-    return type(value) is str and not any(
+    it holds no NUL, and neither it nor any of its parents names a file."""
+    return type(value) is str and "\0" not in value and not any(
         p.exists() and not p.is_dir() for p in (Path(value), *Path(value).parents))
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import errno
 import json
-import math
 import os
 import re
 import reprlib
@@ -111,8 +110,8 @@ def one_of(value, choices) -> bool:
 
 
 def file_name(value) -> bool:
-    """A nonempty JSON string."""
-    return type(value) is str and value != ""
+    """A nonempty JSON string without a NUL, which no path can hold."""
+    return type(value) is str and value != "" and "\0" not in value
 
 
 def numbers(value, shape=None, kinds: str = "if", finite: bool = False):
@@ -292,12 +291,12 @@ _G_FIELD = re.compile(
 )
 
 
-def _g_fields(text: str) -> list[float]:
-    """The nine entries of the first g block in text, row by row.
+def _g_fields(text: str) -> list[str]:
+    """The nine entries of the first g block in text, row by row, as written.
 
     Fields start on the line after the first ELECTRONIC G-MATRIX marker;
     lines without fields are skipped until the block starts, and end it
-    after.  Every entry must be finite.
+    after.
     """
     pos = text.find(G_MATRIX_MARKER)
     if pos < 0:
@@ -308,11 +307,7 @@ def _g_fields(text: str) -> list[float]:
         if row:
             values += row
             if len(values) >= 9:
-                entries = [float(v) for v in values[:9]]
-                if not all(map(math.isfinite, entries)):
-                    raise ParseError("g matrix block contains non-finite values",
-                                     line=_marker_line(text))
-                return entries
+                return values[:9]
         elif values:
             break  # numeric block ended before 9 entries
     raise ParseError(
@@ -334,35 +329,57 @@ def parse_g_matrix(path) -> np.ndarray:
     finding nine finite float fields in a contiguous run of lines.  The
     file is read as `load_run_set` reads a result.
     """
-    m = np.empty(9)
-    if not _read_result(path, path, m):
+    m = np.zeros((1, 9))
+    if _read_results([path], m):
         raise FileNotFoundError(errno.ENOENT, "no result file", str(path))
     return m.reshape(3, 3)
 
 
-def _read_result(path, name, out: np.ndarray) -> bool:
-    """Read the nine g entries of the result at path into out; False when
-    no file is there.  A result that cannot be decoded or parsed raises
-    ParseError naming it as name."""
-    # a raw descriptor skips the buffered text-file layers, which cost
-    # more than the system calls for results of a few hundred bytes
+def _read_results(names: list, stack: np.ndarray, dir_fd: int | None = None) -> list:
+    """Read the nine g entries of each result named in names, opened relative
+    to dir_fd, into its row of the zeroed stack, holding one result at a time;
+    returns the rows with no file there.
+
+    The first result in row order that cannot be decoded or parsed, or is
+    not finite, raises ParseError naming it as names does.  Another error
+    opening a result is raised as is, unless an earlier one is not finite.
+    """
+    missing = []
     try:
-        fd = os.open(path, os.O_RDONLY)
-    except (FileNotFoundError, NotADirectoryError):
-        return False
-    chunks = []
-    try:
-        while chunk := os.read(fd, 65536):
-            chunks.append(chunk)
-    except IsADirectoryError:  # os.open succeeds on a directory on Linux
-        return False
-    finally:
-        os.close(fd)
-    try:
-        out[:] = _g_fields(b"".join(chunks).decode())
-    except (ParseError, UnicodeDecodeError) as e:
-        raise ParseError(f"{name}: {e}") from None
-    return True
+        for row, name in enumerate(names):
+            # a raw descriptor skips the buffered text-file layers, which
+            # cost more than the system calls for results of a few hundred bytes
+            try:
+                fd = os.open(name, os.O_RDONLY, dir_fd=dir_fd)
+                try:
+                    chunks = []
+                    while chunk := os.read(fd, 65536):
+                        chunks.append(chunk)
+                finally:
+                    os.close(fd)
+            except (FileNotFoundError, NotADirectoryError, IsADirectoryError):
+                missing.append(row)  # os.open succeeds on a directory on Linux
+                continue
+            try:
+                stack[row] = _g_fields(b"".join(chunks).decode())
+            except (ParseError, UnicodeDecodeError) as e:
+                raise ParseError(f"{name}: {e}") from None
+    except (OSError, ParseError):
+        _refuse_non_finite(names, stack[:row], dir_fd)
+        raise
+    _refuse_non_finite(names, stack, dir_fd)
+    return missing
+
+
+def _refuse_non_finite(names: list, stack: np.ndarray, dir_fd: int | None) -> None:
+    """Refuse the first row of stack that is not finite, naming its result
+    and the line of its marker."""
+    bad = ~np.isfinite(stack).all(axis=1)
+    if bad.any():
+        name = names[bad.argmax()]
+        with open(os.open(name, os.O_RDONLY, dir_fd=dir_fd), "rb") as f:
+            line = _marker_line(f.read().decode())
+        raise ParseError(f"{name}: line {line}: g matrix block contains non-finite values")
 
 
 def write_g_matrix(matrix, path=None, prose: str = "") -> str:
@@ -431,14 +448,6 @@ def plan_displacements(
     return plan
 
 
-def write_xyz(geometry_positions, symbols, path, comment: str = "") -> None:
-    pos = np.asarray(geometry_positions, dtype=float)
-    lines = [str(len(symbols)), comment]
-    for sym, xyz in zip(symbols, pos):
-        lines.append(f"{sym} {xyz[0]:.10f} {xyz[1]:.10f} {xyz[2]:.10f}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def write_displacement_set(
     plan: list[DisplacedGeometry],
     modeset: ModeSet,
@@ -465,15 +474,23 @@ def write_displacement_set(
         "runs": [],
         "pairs": [],
     }
-    for g in plan:
-        stem = g.label()
-        write_xyz(g.positions, modeset.geometry.symbols, outdir / f"{stem}.xyz",
-                  comment=stem)
-        path = stem + RESULT_SUFFIX
-        if len(g.run) == 2:
-            manifest["runs"].append({"mode": g.run[0], "sign": g.run[1], "path": path})
-        elif g.run:
-            manifest["pairs"].append({"modes": g.run[:2], "signs": g.run[2:], "path": path})
+    symbols = modeset.geometry.symbols
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+    root = os.open(outdir, os.O_RDONLY | os.O_DIRECTORY)  # each geometry is made in it
+    try:
+        for g in plan:
+            stem = g.label()  # also the XYZ comment line
+            rows = "".join(f"{sym} {x:.10f} {y:.10f} {z:.10f}\n"
+                           for sym, (x, y, z) in zip(symbols, g.positions.tolist()))
+            with open(os.open(f"{stem}.xyz", flags, 0o666, dir_fd=root), "wb") as f:
+                f.write(f"{len(symbols)}\n{stem}\n{rows}".encode())
+            path = stem + RESULT_SUFFIX
+            if len(g.run) == 2:
+                manifest["runs"].append({"mode": g.run[0], "sign": g.run[1], "path": path})
+            elif g.run:
+                manifest["pairs"].append({"modes": g.run[:2], "signs": g.run[2:], "path": path})
+    finally:
+        os.close(root)
     mpath = outdir / "manifest.json"
     mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return mpath
@@ -589,16 +606,17 @@ def load_run_set(manifest_path, modeset: ModeSet) -> DisplacedGTensorSet:
     """Assemble a DisplacedGTensorSet from a run manifest.
 
     The manifest must list every single run, and every pair run or none.
-    Result paths are resolved relative to the manifest location.  Each
-    result is read to its end as UTF-8 text, with any line ending.  A
-    missing baseline or missing results abort with IncompleteRunSetError,
-    which lists every gap; mode numbers in it are 1-based.  A result that
-    cannot be opened for another reason (PermissionError) is not a gap:
-    its error is raised as is.  A result that cannot be decoded or parsed
-    aborts naming its path as the manifest gives it.
+    A relative result path is resolved against the manifest's directory,
+    and an absolute one is used as given.  The results are read one at a
+    time, each to its end as UTF-8 text, with any line ending.  The first
+    result in row order that cannot be decoded or parsed, or is not
+    finite, aborts naming its path as the manifest gives it.  Only when
+    every present result is good do a missing baseline or missing results
+    abort with IncompleteRunSetError, which lists every gap; mode numbers
+    in it are 1-based.  A result that cannot be opened for another reason
+    (PermissionError) is not a gap: its error is raised as is.
     """
     doc = json_object(Path(manifest_path).read_text(), "manifest")
-    root = os.path.dirname(manifest_path)
     delta, baseline_path, *entries = require(doc, "manifest", "delta_angstrom",
                                              "baseline", "runs", "pairs")
     if not positive(delta):
@@ -612,14 +630,16 @@ def load_run_set(manifest_path, modeset: ModeSet) -> DisplacedGTensorSet:
     n = modeset.nmodes
     paths = [baseline_path, *_planned_paths(*entries, n)]
     del doc, entries  # every entry is checked; free them before the results are read
-    stack = np.empty((len(paths), 9))  # one parsed result per row
-
-    found = [_read_result(os.path.join(root, path), path, row)
-             for path, row in zip(paths, stack)]
-    if not all(found):
-        runs = _runs(n, len(paths) > 1 + 2 * n)
-        raise IncompleteRunSetError([run for run, ok in zip(runs, found[1:]) if not ok],
-                                    missing_baseline=not found[0])
+    stack = np.zeros((len(paths), 9))  # one parsed result per row
+    root = os.open(os.path.dirname(manifest_path) or os.curdir, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        missing = _read_results(paths, stack, root)
+    finally:
+        os.close(root)
+    if missing:
+        runs = [(), *_runs(n, len(paths) > 1 + 2 * n)]
+        raise IncompleteRunSetError([runs[row] for row in missing if row],
+                                    missing_baseline=missing[0] == 0)
     del paths  # needed for messages only; free it before the views are made
     stack = stack.reshape(-1, 3, 3)
     return DisplacedGTensorSet(modeset, float(delta), stack[0], stack[1:1 + 2 * n],

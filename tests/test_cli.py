@@ -1384,6 +1384,7 @@ def test_flag_prefix_is_refused(dataset, tmp_path, capsys):
     ("dynamics.rotating_frame", "false"),
     ("report.top_modes", 0),
     ("report.top_modes", 1.0),
+    ("paths.output_dir", "art\u0000x"),  # no path holds a NUL
 ])
 def test_config_wrong_type_exits_2(dataset, tmp_path, capsys, key, value):
     # JSON can hold any type for any key; a wrong one is a usage error

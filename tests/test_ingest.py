@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -527,13 +528,15 @@ def test_g_block_before_a_long_log(newline):
     log += G_MATRIX_MARKER + "\n9.0 0.0 0.0\n0.0 9.0 0.0\n0.0 0.0 9.0\n"
     head = "engine banner\n" + G_MATRIX_MARKER + "\n\n"
     text = head + "2.0 0.0 0.0\n0.0 2.0 0.0\n0.0 0.0 2.0\n\n" + log
-    assert _g_fields(text.replace("\n", newline)) == (2.0 * np.eye(3)).ravel().tolist()
+    nine = [*map(float, _g_fields(text.replace("\n", newline)))]
+    assert nine == (2.0 * np.eye(3)).ravel().tolist()
     short = (head + "2.0 0.0 0.0\n0.0 2.0\n\n" + log).replace("\n", newline)
     with pytest.raises(ParseError, match="^line 2: found 5 of 9 numeric fields"):
         _g_fields(short)
     # a block that starts thousands of fieldless lines after its marker
     long_head = head + "prose\n" * 3000
-    assert _g_fields(long_head + text[len(head):]) == (2.0 * np.eye(3)).ravel().tolist()
+    nine = [*map(float, _g_fields(long_head + text[len(head):]))]
+    assert nine == (2.0 * np.eye(3)).ravel().tolist()
 
 
 # ---------------------------------------------------- stacked run-set check
@@ -637,10 +640,13 @@ def _sign_at(section, i, sign):
     (lambda m: m["runs"][1].update(mode=True), r"manifest runs\[1\]: 'mode' must be"),
     (lambda m: m.update(runs={}), r"manifest: 'runs' must be an array"),
     (lambda m: m.update(baseline=""), r"^manifest: 'baseline' must be a file name, got ''$"),
+    # no path holds a NUL: refused by entry, not by the operating system
+    (lambda m: m["runs"][2].update(path="single\u0000.gout"),
+     r"^manifest runs\[2\]: 'path' must be a file name, got 'single\\x00\.gout'$"),
 ], ids=["no-mode", "null-path", "one-pair-mode", "text-mode", "repeated-run", "text-delta",
         "repeated-pair-reordered", "true-sign", "float-sign", "float-in-signs",
         "false-in-signs", "pair-repeats-mode", "true-mode", "runs-not-array",
-        "empty-baseline"])
+        "empty-baseline", "nul-in-path"])
 def test_malformed_manifest_entry_named(pair_runs, toy_modes, edit, message):
     doc = json.loads(pair_runs.read_text())
     edit(doc)
@@ -678,6 +684,30 @@ def test_unparsable_result_named_by_manifest_path(pair_runs, toy_modes):
         load_run_set(pair_runs, toy_modes)
     result.write_text("ELECTRONIC G-MATRIX\n" + "1e999 " * 9 + "\n")
     with pytest.raises(ParseError, match=r"^pair0001_0003_pm\.gout: .*non-finite"):
+        load_run_set(pair_runs, toy_modes)
+
+
+_NON_FINITE = "ELECTRONIC G-MATRIX\n" + "1e999 " * 9 + "\n"
+_SHORT = "ELECTRONIC G-MATRIX\n1.0 2.0\n"
+
+
+@pytest.mark.parametrize("early, late, message", [
+    (_NON_FINITE, _SHORT, r"^single0001_m\.gout: line 1: g matrix block contains non-finite"),
+    (_SHORT, _NON_FINITE, r"^single0001_m\.gout: line 1: found 2 of 9"),
+    (None, _NON_FINITE, r"^pair0002_0003_mm\.gout: line 1: g matrix block contains non-finite"),
+], ids=["non-finite-then-short", "short-then-non-finite", "missing-then-non-finite"])
+def test_first_refused_result_in_row_order_is_named(pair_runs, toy_modes, early, late,
+                                                    message):
+    # the results are checked in row order: baseline, singles, pairs; a
+    # missing result is reported only when every present one is good
+    first, last = (pair_runs.parent / f"{stem}.gout"
+                   for stem in ("single0001_m", "pair0002_0003_mm"))
+    if early is None:
+        first.unlink()
+    else:
+        first.write_text(early)
+    last.write_text(late)
+    with pytest.raises(ParseError, match=message):
         load_run_set(pair_runs, toy_modes)
 
 
@@ -809,5 +839,59 @@ def test_manifest_named_by_bare_file_name(pair_runs, toy_modes, monkeypatch):
     expected = load_run_set(pair_runs, toy_modes)
     monkeypatch.chdir(pair_runs.parent)
     loaded = load_run_set("manifest.json", toy_modes)
+    for a, b in zip(_run_set_arrays(expected), _run_set_arrays(loaded)):
+        assert np.array_equal(a, b)
+
+
+def test_absolute_result_path_used_as_given(pair_runs, toy_modes, tmp_path_factory):
+    # a relative result path is read from the manifest's directory, an
+    # absolute one from where it names, as os.path.join joins them
+    expected = load_run_set(pair_runs, toy_modes)
+    elsewhere = tmp_path_factory.mktemp("elsewhere") / "single0001_p.gout"
+    write_g_matrix(3.0 * np.eye(3), elsewhere)
+    doc = json.loads(pair_runs.read_text())
+    assert doc["runs"][0]["mode"] == 1 and doc["runs"][0]["sign"] == "+"
+    doc["runs"][0]["path"] = str(elsewhere)
+    pair_runs.write_text(json.dumps(doc))
+    loaded = load_run_set(pair_runs, toy_modes)
+    assert np.array_equal(loaded.singles[0], 3.0 * np.eye(3))
+    assert np.array_equal(loaded.singles[1:], expected.singles[1:])
+    assert np.array_equal(loaded.pairs, expected.pairs)
+
+
+def test_each_result_opened_once(pair_runs, toy_modes, monkeypatch):
+    real_open = os.open
+    opened = []
+
+    def count(path, *args, **kwargs):
+        if os.fspath(path).endswith(".gout"):
+            opened.append(os.path.basename(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", count)
+    load_run_set(pair_runs, toy_modes)
+    results = sorted(path.name for path in pair_runs.parent.glob("*.gout"))
+    assert len(results) == 19
+    assert sorted(opened) == results
+
+
+def test_results_are_read_one_at_a_time(pair_runs, toy_modes):
+    # an engine's output runs to megabytes, so a run set never holds the
+    # text of all its results at once
+    expected = load_run_set(pair_runs, toy_modes)
+    prose = "SCF iteration converged\n" * 2731
+    assert len(prose) >= 65536
+    results = list(pair_runs.parent.glob("*.gout"))
+    for result in results:
+        result.write_text(prose + result.read_text())
+    total = sum(result.stat().st_size for result in results)
+    load_run_set(pair_runs, toy_modes)  # any first-call work is done before tracing
+    tracemalloc.start()
+    try:
+        loaded = load_run_set(pair_runs, toy_modes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < total / 4, (peak, total)
     for a, b in zip(_run_set_arrays(expected), _run_set_arrays(loaded)):
         assert np.array_equal(a, b)
