@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import importlib
 import json
 import re
 import sys
@@ -21,34 +22,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (PAIRING_MODES, RATE_CM_TO_PER_US, BathSpec, GTensor, SpinSystem,
-                   raise_first_failure)
+from .core import (PAIRING_MODES, RATE_CM_TO_PER_US, BathSpec, GTensor, ParseError, SpinSystem,
+                   integer, json_object, numbers, one_of, positive, raise_first_failure,
+                   refusal)
 from .couplings import (
     CouplingTensors,
     build_couplings,
     export_couplings,
     load_couplings,
     same_direction,
-)
-from .dynamics import (
-    JumpBasisDissipator,
-    fit_decay_rate,
-    frame_rotation,
-    lindblad_evolve,
-    redfield_evolve,
-)
-from .ingest import (
-    ParseError,
-    integer,
-    json_object,
-    load_run_set,
-    numbers,
-    one_of,
-    parse_modes,
-    plan_displacements,
-    positive,
-    refusal,
-    write_displacement_set,
 )
 from .relaxation import (
     CONVENTIONS,
@@ -59,6 +41,27 @@ from .relaxation import (
     sweep_csv,
     tensor_report,
 )
+
+
+def _on_call(module: str, name: str):
+    """A stand-in for name of spinlat.<module> that imports the module on its
+    first call, so that only the commands that read runs or propagate load
+    ingest or dynamics."""
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f"spinlat.{module}"), name)(*args, **kwargs)
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+parse_modes = _on_call("ingest", "parse_modes")
+plan_displacements = _on_call("ingest", "plan_displacements")
+write_displacement_set = _on_call("ingest", "write_displacement_set")
+load_run_set = _on_call("ingest", "load_run_set")
+lindblad_evolve = _on_call("dynamics", "lindblad_evolve")
+redfield_evolve = _on_call("dynamics", "redfield_evolve")
+fit_decay_rate = _on_call("dynamics", "fit_decay_rate")
+JumpBasisDissipator = _on_call("dynamics", "JumpBasisDissipator")
+frame_rotation = _on_call("dynamics", "frame_rotation")
 
 CONFIG_FORMAT = "spinlat-config/1"
 
@@ -134,7 +137,8 @@ def _vector_reader(*names: str):
     return read
 
 
-_PATH = (lambda v: v is None or type(v) is str, "a path string or null")
+_PATH = (lambda v: v is None or type(v) is str and "\0" not in v,
+         "a path string without a NUL, or null")
 _POSITIVE = (positive, "positive and finite")
 _BOOL = (lambda v: type(v) is bool, "true or false")
 _KINDS, _ENGINES = ("t1", "t2"), ("lindblad", "redfield")
@@ -635,8 +639,9 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subcommand per _COMMANDS entry; a given flag is stored under its
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """One subcommand per _COMMANDS entry, each with its flags or, when only
+    is given, only the one only names; a given flag is stored under its
     config key, and a flag not given is left out of the namespace."""
     parser = argparse.ArgumentParser(
         prog="spinlat",
@@ -647,6 +652,8 @@ def build_parser() -> argparse.ArgumentParser:
         # no flag prefixes: the minus-value join in main matches full names
         sp = sub.add_parser(command, help=text, argument_default=argparse.SUPPRESS,
                             allow_abbrev=False)
+        if only not in (None, command):
+            continue
         sp.add_argument("--config", help="JSON config file (spinlat-config/1)")
         for flag in flags:
             key, read, text = _FLAGS[flag]
@@ -667,7 +674,8 @@ def main(argv=None) -> int:
         if flag in _FLAGS and type(_FLAGS[flag][1]) is not bool and re.match(r"-[0-9.]", value):
             args[i - 1:i + 1] = [f"{flag}={value}"]
     try:
-        flags = vars(build_parser().parse_args(args))
+        # only the command, which comes first, needs its flags
+        flags = vars(build_parser(args[0] if args else None).parse_args(args))
     except SystemExit as e:
         return int(e.code or 0)
     command, config = flags.pop("command"), flags.pop("config", None)

@@ -3,14 +3,18 @@
 Everything downstream works in wavenumbers: energies, frequencies and
 rates are cm^-1, temperatures K, magnetic fields mT, lengths Angstrom,
 masses amu, times microseconds.  A rate r in cm^-1 corresponds to
-2*pi*c*r events per second.
+2*pi*c*r events per second.  The module also holds the leaf rules that
+every JSON document spinlat reads is checked with.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import reprlib
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -292,3 +296,95 @@ def principal_g_values(g) -> np.ndarray:
     """
     m = g.matrix if isinstance(g, GTensor) else _as_matrix3(g, "g matrix")
     return np.sort(np.linalg.svd(m, compute_uv=False))
+
+
+class ParseError(ValueError):
+    """Input file violates the expected format; message carries the line number."""
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
+
+
+# -------------------------------------------------------------- JSON leaves
+# The config, the run manifest and the couplings file share these rules.
+# A refusal names the document and the key, and is built only on failure.
+
+def json_object(text: str, where: str, form: str | None = None) -> dict:
+    """text parsed as a JSON object, whose "format" is form when form is given."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{where} is not valid JSON: {e}") from None
+    require(doc, where)
+    if form is not None and doc.get("format") != form:
+        raise ParseError(refusal(where, "format", repr(form), doc.get("format")))
+    return doc
+
+
+def require(doc, where: str, *keys: str, at: int | None = None) -> list:
+    """The values of keys in the JSON object doc; an absent key is named.
+
+    doc is named by where, or by where % at when at is given.
+    """
+    try:
+        if type(doc) is dict:
+            return [doc[key] for key in keys]
+    except KeyError:
+        pass
+    where = where if at is None else where % at
+    if type(doc) is not dict:
+        raise ParseError(f"{where} must be a JSON object")
+    absent = ", ".join(repr(key) for key in keys if key not in doc)
+    raise ParseError(f"{where} has no {absent}")
+
+
+_SHORT = reprlib.Repr()  # a refused value as shown: six items a level, two levels
+_SHORT.maxlevel = 2
+
+
+def refusal(where: str, key: str, what: str, value) -> str:
+    """The message refusing where's key, which must be what but is value."""
+    return f"{where}: {key!r} must be {what}, got {_SHORT.repr(value)}"
+
+
+def positive(value) -> bool:
+    """A positive, finite JSON number."""
+    return numbers(value, ()) is not None and 0.0 < value < np.inf
+
+
+def integer(value, lo, hi) -> bool:
+    """A JSON integer in lo..hi; neither true nor 1.0 is the integer 1."""
+    return type(value) is int and lo <= value <= hi
+
+
+def one_of(value, choices) -> bool:
+    """A JSON string or integer among choices; neither true nor 1.0 is 1."""
+    return (type(value) is str or type(value) is int) and value in choices
+
+
+def file_name(value) -> bool:
+    """A nonempty JSON string without a NUL, which no path can hold."""
+    return type(value) is str and value != "" and "\0" not in value
+
+
+def numbers(value, shape=None, kinds: str = "if", finite: bool = False):
+    """value as an array of JSON numbers, or None when it is not one.
+
+    Text, null, bools and ragged nesting are not numbers.  The array must
+    have shape, when given, and be finite, when asked.  NumPy reads a bool
+    among numbers as 0 or 1, so only an array holding a 0 or a 1 has its
+    leaves scanned in Python.
+    """
+    try:
+        arr = np.array(value)
+    except ValueError:  # ragged nesting
+        return None
+    if arr.dtype.kind not in kinds or shape not in (None, arr.shape) or (
+            finite and not np.isfinite(arr).all()):
+        return None
+    if arr.ndim and ((arr == 0) | (arr == 1)).any():
+        for _ in range(arr.ndim - 1):
+            value = chain.from_iterable(value)
+        if bool in map(type, value):
+            return None
+    return arr

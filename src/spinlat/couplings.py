@@ -23,9 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import HBAR_AMU_A2_CM, MUB_CM_PER_T, ModeSet, SpinSystem, freeze
-from .ingest import (DisplacedGTensorSet, ParseError, json_object, numbers, positive,
-                     refusal, require)
+from .core import (HBAR_AMU_A2_CM, MUB_CM_PER_T, ModeSet, ParseError, SpinSystem, freeze,
+                   json_object, numbers, positive, refusal, require)
 
 COUPLINGS_FORMAT = "spinlat-couplings/1"
 
@@ -94,7 +93,7 @@ class CouplingTensors:
 
 
 def build_couplings(
-    runset: DisplacedGTensorSet, field_direction=(0.0, 0.0, 1.0)
+    runset: "DisplacedGTensorSet", field_direction=(0.0, 0.0, 1.0)
 ) -> CouplingTensors:
     """Central-difference derivatives of g . b, b the unit field direction.
 

@@ -2,8 +2,7 @@
 
 Covers the plain-text normal-mode format (NMODES v1), g-matrix extraction
 from electronic-structure output, displaced-geometry generation, the
-JSON run manifest that ties displaced runs back to their mode labels, and
-the leaf rules that every JSON document spinlat reads is checked with.
+JSON run manifest that ties displaced runs back to their mode labels.
 """
 
 from __future__ import annotations
@@ -12,25 +11,17 @@ import errno
 import json
 import os
 import re
-import reprlib
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .core import PAIRING_MODES, Geometry, ModeSet
+from .core import (PAIRING_MODES, Geometry, ModeSet, ParseError, file_name, integer,
+                   json_object, one_of, positive, refusal, require)
 
 G_MATRIX_MARKER = "ELECTRONIC G-MATRIX"
 RESULT_SUFFIX = ".gout"     # engine result file next to each geometry
 SOFT_CUTOFF_CM = 1.0        # skip_soft drops modes below this frequency
-
-
-class ParseError(ValueError):
-    """Input file violates the expected format; message carries the line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class IncompleteRunSetError(RuntimeError):
@@ -50,91 +41,6 @@ class IncompleteRunSetError(RuntimeError):
         names = ["baseline"] * missing_baseline + [*map(_name, runs[:5])]
         super().__init__(f"{count} missing displaced-run results: " + ", ".join(names[:5])
                          + (f" and {count - 5} more" if count > 5 else ""))
-
-
-# -------------------------------------------------------------- JSON leaves
-# The config, the run manifest and the couplings file share these rules.
-# A refusal names the document and the key, and is built only on failure.
-
-def json_object(text: str, where: str, form: str | None = None) -> dict:
-    """text parsed as a JSON object, whose "format" is form when form is given."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{where} is not valid JSON: {e}") from None
-    require(doc, where)
-    if form is not None and doc.get("format") != form:
-        raise ParseError(refusal(where, "format", repr(form), doc.get("format")))
-    return doc
-
-
-def require(doc, where: str, *keys: str, at: int | None = None) -> list:
-    """The values of keys in the JSON object doc; an absent key is named.
-
-    doc is named by where, or by where % at when at is given.
-    """
-    try:
-        if type(doc) is dict:
-            return [doc[key] for key in keys]
-    except KeyError:
-        pass
-    where = where if at is None else where % at
-    if type(doc) is not dict:
-        raise ParseError(f"{where} must be a JSON object")
-    absent = ", ".join(repr(key) for key in keys if key not in doc)
-    raise ParseError(f"{where} has no {absent}")
-
-
-_SHORT = reprlib.Repr()  # a refused value as shown: six items a level, two levels
-_SHORT.maxlevel = 2
-
-
-def refusal(where: str, key: str, what: str, value) -> str:
-    """The message refusing where's key, which must be what but is value."""
-    return f"{where}: {key!r} must be {what}, got {_SHORT.repr(value)}"
-
-
-def positive(value) -> bool:
-    """A positive, finite JSON number."""
-    return numbers(value, ()) is not None and 0.0 < value < np.inf
-
-
-def integer(value, lo, hi) -> bool:
-    """A JSON integer in lo..hi; neither true nor 1.0 is the integer 1."""
-    return type(value) is int and lo <= value <= hi
-
-
-def one_of(value, choices) -> bool:
-    """A JSON string or integer among choices; neither true nor 1.0 is 1."""
-    return (type(value) is str or type(value) is int) and value in choices
-
-
-def file_name(value) -> bool:
-    """A nonempty JSON string without a NUL, which no path can hold."""
-    return type(value) is str and value != "" and "\0" not in value
-
-
-def numbers(value, shape=None, kinds: str = "if", finite: bool = False):
-    """value as an array of JSON numbers, or None when it is not one.
-
-    Text, null, bools and ragged nesting are not numbers.  The array must
-    have shape, when given, and be finite, when asked.  NumPy reads a bool
-    among numbers as 0 or 1, so only an array holding a 0 or a 1 has its
-    leaves scanned in Python.
-    """
-    try:
-        arr = np.array(value)
-    except ValueError:  # ragged nesting
-        return None
-    if arr.dtype.kind not in kinds or shape not in (None, arr.shape) or (
-            finite and not np.isfinite(arr).all()):
-        return None
-    if arr.ndim and ((arr == 0) | (arr == 1)).any():
-        for _ in range(arr.ndim - 1):
-            value = chain.from_iterable(value)
-        if bool in map(type, value):
-            return None
-    return arr
 
 
 # ------------------------------------------------------------------ NMODES

@@ -1,5 +1,6 @@
 """End-to-end command tests over a fabricated displacement dataset."""
 
+import argparse
 import json
 import os
 import re
@@ -876,6 +877,57 @@ def test_cli_import_loads_no_scipy(dataset, tmp_path):
     assert json.loads(done.stdout.strip().splitlines()[-1]) == [[0, 0], []]
 
 
+def test_cli_loads_ingest_and_dynamics_only_for_their_commands(dataset, tmp_path):
+    # importing the CLI loads neither module; a command loads ingest only to
+    # plan or read runs, and dynamics only to propagate
+    src = str(Path(spinlat.cli.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    assert main(["couplings", "--modes", dataset["modes"], "--manifest",
+                 dataset["manifest"], "--out", str(tmp_path / "c")]) == 0
+    g0 = tmp_path / "g0.json"
+    g0.write_text(json.dumps({"format": "spinlat-config/1",
+                              "physics": {"g0": BASE_G.tolist()}}))
+    from_file = ["--config", str(g0), "--couplings", str(tmp_path / "c" / "couplings.json"),
+                 "--temp", "200", "--field-mt", "1266"]
+    runs = ["--modes", dataset["modes"], "--manifest", dataset["manifest"]]
+    probe = ("import json, sys, spinlat.cli\n"
+             "def loaded():\n"
+             "    return [m for m in ('spinlat.ingest', 'spinlat.dynamics') if m in sys.modules]\n"
+             "seen = [loaded()]\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    seen.append((spinlat.cli.main(argv), loaded()))\n"
+             "print(json.dumps(seen))")
+
+    def seen(*argvs):
+        done = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        return json.loads(done.stdout.strip().splitlines()[-1])
+
+    assert seen(*([command, *from_file, "--out", str(tmp_path / command)]
+                  for command in ("tensor", "sweep", "attribute", "dynamics"))) == [
+        [], [0, []], [0, []], [0, []], [0, ["spinlat.dynamics"]]]
+    assert seen(["displace", "--modes", dataset["modes"], "--out", str(tmp_path / "plan")],
+                ["couplings", *runs, "--out", str(tmp_path / "again")],
+                ["validate", *runs]) == [[], *[[0, ["spinlat.ingest"]]] * 3]
+
+
+def test_help_is_the_help_of_the_parser_with_every_flag(capsys):
+    # main gives only the named command its flags; no help text changes,
+    # and another command's flag is still refused
+    full = spinlat.cli.build_parser()
+    commands = next(action.choices for action in full._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert list(commands) == list(spinlat.cli._COMMANDS)
+    for command, parser in commands.items():
+        assert run(command, "--help", capsys=capsys)[:2] == (0, parser.format_help())
+    assert run("--help", capsys=capsys)[:2] == (0, full.format_help())
+    code, _, err = run("tensor", "--kind", "t1", capsys=capsys)
+    assert code == 2 and "unrecognized arguments: --kind t1" in err
+
+
 @pytest.mark.parametrize("t_end", ["-1", "0", "nan", "inf"])
 def test_dynamics_bad_t_end_exits_2(dataset, tmp_path, capsys, monkeypatch,
                                     t_end):
@@ -1385,6 +1437,9 @@ def test_flag_prefix_is_refused(dataset, tmp_path, capsys):
     ("report.top_modes", 0),
     ("report.top_modes", 1.0),
     ("paths.output_dir", "art\u0000x"),  # no path holds a NUL
+    ("paths.modes", "modes\u0000x"),
+    ("paths.manifest", "manifest\u0000x"),
+    ("paths.couplings", "couplings\u0000x"),
 ])
 def test_config_wrong_type_exits_2(dataset, tmp_path, capsys, key, value):
     # JSON can hold any type for any key; a wrong one is a usage error
@@ -1399,6 +1454,7 @@ def test_config_wrong_type_exits_2(dataset, tmp_path, capsys, key, value):
     code, _, err = run("dynamics", "--config", str(cfgfile), capsys=capsys)
     assert code == 2, err
     assert key in err and "flag" not in err
+    assert "\0" not in err  # a refused value is shown escaped
     assert not (tmp_path / "art").exists()
 
 
