@@ -256,13 +256,36 @@ def test_tensor_report(dataset, tmp_path, capsys):
 def test_tensor_huge_field_not_refused_as_off_direction(dataset, tmp_path, capsys):
     # 1e300 mT lies along z; its rates overflow, and the refusal must say so
     # rather than name the field's direction
+    code, _, err = run("tensor", "--modes", dataset["modes"], "--manifest",
+                       dataset["manifest"], "--temp", "20", "--field-mt", "1e300",
+                       "--out", str(tmp_path / "art"), capsys=capsys)
+    assert code == 2
+    assert "physics.fields_mt" in err and "direction" not in err
+
+
+@pytest.mark.parametrize("command", ["tensor", "sweep", "dynamics"])
+@pytest.mark.parametrize("fields", ["1e90", "20,-1e90", "-1.3e154"])
+def test_field_the_rate_kernel_cannot_evaluate_exits_2(dataset, tmp_path, capsys,
+                                                       command, fields):
+    # (muB |B| / hc)^4 overflows above about 2.9e80 mT: refused with the
+    # config, naming the key, the flag and the value, before anything runs
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
-        code, _, err = run("tensor", "--modes", dataset["modes"], "--manifest",
-                           dataset["manifest"], "--temp", "20", "--field-mt", "1e300",
+        warnings.simplefilter("error")
+        code, _, err = run(command, "--modes", dataset["modes"], "--manifest",
+                           dataset["manifest"], "--temp", "20", "--field-mt", fields,
                            "--out", str(tmp_path / "art"), capsys=capsys)
-    assert code == 1
-    assert "non-finite" in err and "direction" not in err
+    assert code == 2, err
+    assert "'physics.fields_mt'" in err and "(flag --field-mt)" in err
+    assert repr(float(fields.split(",")[-1])) in err
+    assert not (tmp_path / "art").exists()
+
+
+def test_largest_evaluable_field_runs(dataset, tmp_path, capsys):
+    # the bound is where the kernel overflows, not a lab limit: 1e80 mT runs
+    code, _, err = run("tensor", "--modes", dataset["modes"], "--manifest",
+                       dataset["manifest"], "--temp", "20", "--field-mt", "1e80",
+                       "--out", str(tmp_path / "art"), capsys=capsys)
+    assert code == 0, err
 
 
 def test_tensor_rejects_temperature_grid(dataset, capsys):
