@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (PAIRING_MODES, RATE_CM_TO_PER_US, BathSpec, GTensor, ParseError, SpinSystem,
-                   integer, json_object, numbers, one_of, positive, raise_first_failure,
+from .core import (MUB_CM_PER_T, PAIRING_MODES, RATE_CM_TO_PER_US, BathSpec, GTensor, ParseError,
+                   SpinSystem, integer, json_object, numbers, one_of, positive, raise_first_failure,
                    refusal)
 from .couplings import (
     CouplingTensors,
@@ -91,9 +91,16 @@ def _unit_length(arr: np.ndarray) -> bool:
         return bool(np.finfo(float).tiny <= arr @ arr < np.inf)
 
 
-def _grid(lo: float = -np.inf):
-    """The rule for a nonempty list of finite numbers >= lo."""
-    return _finite(test=lambda arr: arr.ndim == 1 and arr.size > 0 and (arr >= lo).all())
+def _grid(test):
+    """The rule for a nonempty list of finite numbers whose array passes test."""
+    return _finite(test=lambda arr: arr.ndim == 1 and arr.size > 0 and test(arr))
+
+
+def _evaluable(fields_mt: np.ndarray) -> bool:
+    """Whether the rate kernel's (muB|B|/hc)^4 is finite at every field."""
+    with np.errstate(over="ignore"):
+        pref2 = (MUB_CM_PER_T * (np.abs(fields_mt) * 1e-3)) ** 2
+        return bool(np.isfinite(pref2 * pref2).all())
 
 
 def _directory(value) -> bool:
@@ -156,10 +163,13 @@ _CONFIG_KEYS = {
                        "--out", str, "output directory (default '.')"),
     },
     "physics": {
-        "temperatures_k": ([20.0], _grid(0.0), "a nonempty list of finite numbers >= 0",
+        "temperatures_k": ([20.0], _grid(lambda arr: (arr >= 0.0).all()),
+                           "a nonempty list of finite numbers >= 0",
                            "--temp", _parse_grid,
                            "temperature K: value, list, or start:stop:count"),
-        "fields_mt": ([1266.0], _grid(), "a nonempty list of finite numbers",
+        "fields_mt": ([1266.0], _grid(_evaluable), "a nonempty list of numbers below "
+                      f"{np.finfo(float).max ** 0.25 / (MUB_CM_PER_T * 1e-3):.3g} in "
+                      "magnitude, where the rate kernel's (muB|B|/hc)^4 is finite",
                       "--field-mt", _parse_grid, "field mT: value, list, or start:stop:count"),
         "field_direction": ([0.0, 0.0, 1.0], _finite((3,), _unit_length),
                             "a finite 3-vector of length 1.5e-154 to 1.3e154",
@@ -537,9 +547,7 @@ def _cmd_dynamics(cfg: dict) -> int:
     else:
         dyn["rotating_frame"] = False  # record the lab frame this engine runs in
         traj = redfield_evolve(rho0, c, bath, spin, grid)
-    fit = fit_decay_rate(
-        traj, observable, window=None if window is None else tuple(window)
-    )
+    fit = fit_decay_rate(traj, observable, window=window)
     out = _outdir(cfg)
     (out / "trajectory.csv").write_text(
         _config_comment(cfg) + "\n" + traj.to_csv()

@@ -33,8 +33,8 @@ positive exactly when |m| <= 1, which every trajectory is checked for.
 
 Decay rates come from a variable-projection least-squares fit (Golub
 and Pereyra, SIAM J. Numer. Anal. 10, 413, 1973): the amplitude and
-offset are solved linearly at each trial rate, leaving a 1-D search
-over the log of the rate.
+offset are solved in closed form at each trial rate, leaving a 1-D
+search over the log of the rate.
 
 `frame_rotation` gives the rotation that carries any field axis to z,
 for rotating tensors and couplings into that frame.
@@ -151,20 +151,10 @@ class SpinTrajectory:
         return 0.5 * np.hypot(self.sx, self.sy)
 
     def to_csv(self) -> str:
-        header = ("t_us,rho00_re,rho00_im,rho01_re,rho01_im,rho10_re,rho10_im,"
-                  "rho11_re,rho11_im,sx,sy,sz,coherence_abs")
-
-        def text(column):
-            return list(map(repr, column.tolist()))
-
-        x, y, z = self.bloch.T
-        half_x, zero = text(0.5 * x), ["0.0"] * x.size
-        columns = (
-            text(self.times_us), text(0.5 * (1.0 + z)), zero, half_x, text(-0.5 * y),
-            half_x, text(0.5 * y), text(0.5 * (1.0 - z)), zero,
-            text(x), text(y), text(z), text(self.coherence_abs),
-        )
-        return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+        """Columns t_us, sx, sy, sz, coherence_abs; rho = (1 + m.sigma)/2."""
+        columns = (self.times_us, self.sx, self.sy, self.sz, self.coherence_abs)
+        text = (map(repr, column.tolist()) for column in columns)
+        return "\n".join(["t_us,sx,sy,sz,coherence_abs", *map(",".join, zip(*text))]) + "\n"
 
 
 def _validate_rho0(rho0) -> np.ndarray:
@@ -221,17 +211,15 @@ def _integrate(gen: np.ndarray, m0: np.ndarray, t_grid) -> SpinTrajectory:
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise ValueError("time grid needs at least two points")
-    if t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
+    steps = np.diff(t)
+    if t[0] != 0.0 or np.any(steps <= 0.0):
         raise ValueError("time grid must start at 0 and increase strictly")
     samples = np.empty((t.size, 4))
     samples[0] = (1.0, *m0)
-    propagators: dict[float, np.ndarray] = {}
-    for i in range(1, t.size):
-        dt = t[i] - t[i - 1]
-        p = propagators.get(dt)
-        if p is None:
-            p = propagators[dt] = _expm(gen * dt)
-        samples[i] = p @ samples[i - 1]
+    spacings, step_of = np.unique(steps, return_inverse=True)
+    propagators = [_expm(gen * dt) for dt in spacings]
+    for i, k in enumerate(step_of.tolist(), 1):
+        np.matmul(propagators[k], samples[i - 1], out=samples[i])
     return SpinTrajectory(times_us=t, bloch=samples[:, 1:])
 
 
@@ -361,15 +349,36 @@ def _local_min(f, u0: float) -> float:
     return x1 if f1 <= f2 else x2
 
 
+def _solver(ts: np.ndarray, y: np.ndarray, with_offset: bool):
+    """solve(rate): the least-squares amplitude of exp(-rate ts) and offset (0
+    unless with_offset) for y, in closed form, and the residual fit - y."""
+    y_mean = y.mean() if with_offset else 0.0
+    y_centred = y - y_mean
+
+    def solve(rate: float) -> tuple[tuple[float, float], np.ndarray]:
+        decay = np.exp(-rate * ts)
+        d_mean = decay.mean() if with_offset else 0.0
+        centred = decay - d_mean
+        norm2 = centred @ centred
+        # decay[0] is 1, so a constant decay is the offset: split the mean evenly
+        amp = centred @ y_centred / norm2 if norm2 > 0.0 else 0.5 * y_mean
+        offset = y_mean - amp * d_mean
+        return (amp, offset), amp * decay + offset - y
+
+    return solve
+
+
 def fit_decay_rate(traj: SpinTrajectory, observable: str, window=None) -> DecayFit:
     """Single-exponential least-squares fit of a trajectory observable.
 
     sz fits include a free equilibrium offset since the dissipator need
     not relax toward sz = 0.  window = (t_lo, t_hi) restricts the samples
     used, e.g. to skip an initial fast transient.  The amplitude and
-    offset are linear, so each trial rate r >= 0 solves for them exactly
-    and only log r is searched, from the time the signal takes to fall
-    by 1/e.
+    offset are linear, so each trial rate r >= 0 solves for them in
+    closed form, the centred two-column solution, and only log r is
+    searched, from the time the signal takes to fall by 1/e.  At r = 0
+    the decay is collinear with the offset, and gets half the mean, the
+    minimum-norm split.
     """
     y = _observable_series(traj, observable)
     t = traj.times_us
@@ -391,11 +400,7 @@ def fit_decay_rate(traj: SpinTrajectory, observable: str, window=None) -> DecayF
     drop = np.nonzero(np.abs(y - offset0) <= abs(amp0) / np.e)[0]
     rate0 = 1.0 / ts[drop[0]] if drop.size and ts[drop[0]] > 0 else 1.0 / ts[-1]
 
-    def solve(rate: float) -> tuple[np.ndarray, np.ndarray]:
-        decay = np.exp(-rate * ts)[:, None]
-        x = np.hstack((decay, np.ones_like(decay))) if with_offset else decay
-        coef = np.linalg.lstsq(x, y, rcond=None)[0]
-        return coef, x @ coef - y
+    solve = _solver(ts, y, with_offset)
 
     def cost(log_rate: float) -> float:
         res = solve(np.exp(log_rate))[1]

@@ -572,6 +572,87 @@ def test_frame_rotation_carries_axis_to_z():
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-14)
 
 
+# ------------------------------------------------------ propagation oracle
+
+def _step_by_step(gen, m0, t):
+    """_integrate's loop as it was once written, one subtraction, lookup and
+    product per step, kept as the oracle of the in-place propagation."""
+    samples = np.empty((t.size, 4))
+    samples[0] = (1.0, *m0)
+    propagators = {}
+    for i in range(1, t.size):
+        dt = t[i] - t[i - 1]
+        p = propagators.get(dt)
+        if p is None:
+            p = propagators[dt] = dyn._expm(gen * dt)
+        samples[i] = p @ samples[i - 1]
+    return samples[:, 1:]
+
+
+def _oracle_grids(rate):
+    """A 2001-point linspace grid over four decay times, and two non-uniform
+    ones: geometric spacing, and two uniform pieces of different steps."""
+    return (
+        np.linspace(0.0, 4.0 / rate, 2001),
+        np.concatenate(([0.0], np.geomspace(1e-3, 4.0, 300))) / rate,
+        np.concatenate((np.linspace(0.0, 1.0, 101), np.linspace(1.0, 4.0, 31)[1:])) / rate,
+    )
+
+
+def _assert_bitwise(got, ref):
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("precession", [0.0, 400.0])  # Omega / rate
+@pytest.mark.parametrize("rho0", [RHO_EXCITED, RHO_PLUS_X], ids=["t1", "t2"])
+def test_lindblad_propagation_bitwise_step_by_step(precession, rho0):
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((3, 3)) * 2e-6
+    lam = a @ a.T
+    rate_cm = 2.0 * np.trace(lam)
+    diss = JumpBasisDissipator(lam, precession * rate_cm)
+    for grid in _oracle_grids(rate_cm * RATE_CM_TO_PER_US):
+        got = lindblad_evolve(rho0, diss, grid).bloch
+        _assert_bitwise(got, _step_by_step(diss.generator_per_us(),
+                                           dyn._validate_rho0(rho0), grid))
+
+
+@pytest.mark.parametrize("precession", [0.0, 400.0])  # Omega / rate
+@pytest.mark.parametrize("rho0", [RHO_EXCITED, RHO_PLUS_X], ids=["t1", "t2"])
+def test_redfield_propagation_bitwise_step_by_step(precession, rho0):
+    rng = np.random.default_rng(6)
+    d1 = 1e-3 * rng.standard_normal((3, 3))
+    d2 = np.zeros((3, 3, 3))
+    d2[:, range(3), range(3)] = 5e-3 * rng.standard_normal((3, 3))
+
+    def couplings(scale):
+        return CouplingTensors(
+            d1=scale * d1, d2=scale * d2,
+            delta_angstrom=0.01, frequencies=np.array([12.6, 18.0, 24.0]),
+            field_direction=(0.0, 0.0, 1.0), mixed_computed=True,
+        )
+
+    bath = BathSpec(temperature_k=100.0)
+    omega_cm = 1.0 if precession else 0.0
+    spin = plain_spin(omega_override=omega_cm)
+
+    def generator(c):
+        return redfield_generator(spectral_density(c, bath, spin), omega_cm)
+
+    c = couplings(1.0)
+    if precession:
+        # the spectral density goes as the couplings squared, so scaling
+        # them sets mz's rate to Omega / precession
+        rate = -generator(c)[3, 3]
+        c = couplings(np.sqrt(omega_cm * RATE_CM_TO_PER_US / precession / rate))
+        assert -generator(c)[3, 3] == pytest.approx(omega_cm * RATE_CM_TO_PER_US
+                                                    / precession, rel=1e-6)
+    gen = generator(c)
+    for grid in _oracle_grids(-gen[3, 3]):
+        got = redfield_evolve(rho0, c, bath, spin, grid).bloch
+        _assert_bitwise(got, _step_by_step(gen, dyn._validate_rho0(rho0), grid))
+
+
 # -------------------------------------------------------------------- fits
 
 def synthetic_coherence_traj(rates, weights, t_end=50.0, samples=500):
@@ -677,6 +758,103 @@ def test_fit_matches_curve_fit_reference():
         assert got == pytest.approx(curve_fit_rate(traj, observable), rel=1e-5)
 
 
+def _lstsq_solver(ts, y, with_offset):
+    """fit_decay_rate's solve as it was once written, by np.linalg.lstsq on
+    the (decay, 1) columns, kept as the oracle of the closed form."""
+    def solve(rate):
+        decay = np.exp(-rate * ts)[:, None]
+        x = np.hstack((decay, np.ones_like(decay))) if with_offset else decay
+        coef = np.linalg.lstsq(x, y, rcond=None)[0]
+        return coef, x @ coef - y
+    return solve
+
+
+@pytest.mark.parametrize("observable", dyn.OBSERVABLES)
+def test_closed_form_solve_matches_lstsq(observable):
+    # from rate 1e-2 / span up, the decay column is far enough from the
+    # constant one for both solves to be accurate; at rate 0 they are
+    # collinear, and both split the mean evenly (the minimum-norm solution)
+    rng = np.random.default_rng(21)
+    with_offset = observable == "sz_minus_eq"
+    for _ in range(40):
+        ts = np.linspace(0.0, rng.uniform(1.0, 100.0), rng.integers(10, 2002))
+        y = (rng.normal() * np.exp(-rng.uniform(0.1, 10.0) * ts / ts[-1])
+             + with_offset * rng.normal() + 1e-3 * rng.normal(size=ts.size))
+        solve, oracle = dyn._solver(ts, y, with_offset), _lstsq_solver(ts, y, with_offset)
+        tol = 1e-12 * np.abs(y).max()
+        for rate in (0.0, *(10.0 ** rng.uniform(-2.0, 3.0, 10) / ts[-1])):
+            coef, res = solve(rate)
+            ref_coef, ref_res = oracle(rate)
+            if not with_offset:
+                assert coef[1] == 0.0
+            assert np.abs(coef[:len(ref_coef)] - ref_coef).max() <= tol, rate
+            assert np.abs(res - ref_res).max() <= tol, rate
+
+
+def _fit_both(monkeypatch, traj, observable, window=None):
+    """The fit with the closed-form solve, then with the lstsq oracle."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = fit_decay_rate(traj, observable, window)
+        with monkeypatch.context() as m:
+            m.setattr(dyn, "_solver", _lstsq_solver)
+            ref = fit_decay_rate(traj, observable, window)
+    assert got.non_decaying == ref.non_decaying
+    return got, ref
+
+
+def _sz_traj(y, t):
+    bloch = np.zeros((t.size, 3))
+    bloch[:, 2] = y
+    return SpinTrajectory(times_us=t, bloch=bloch)
+
+
+def test_closed_form_fit_matches_lstsq_fit(monkeypatch):
+    # the fit cases above, then signals a little off constant
+    t = np.linspace(0.0, 50.0, 500)
+    cases = [
+        (synthetic_coherence_traj([0.2], [1.0]), "coherence_abs", None),
+        (synthetic_coherence_traj([0.0], [0.8]), "coherence_abs", None),
+        (synthetic_coherence_traj([-0.01], [0.5]), "coherence_abs", None),
+        (synthetic_coherence_traj([2.0, 0.2], [0.5, 0.5], t_end=40.0, samples=2000),
+         "coherence_abs", (1.5, 40.0)),
+        (synthetic_coherence_traj([2.0, 0.2], [0.5, 0.5]), "coherence_abs", None),
+        (synthetic_coherence_traj([-1e-7], [0.5]), "coherence_abs", None),
+    ]
+    for eps in (1e-8, 1e-6, 1e-4):
+        cases.append((synthetic_coherence_traj([0.0, 0.1], [0.3, eps]), "coherence_abs", None))
+    for eps in (1e-6, 1e-4):
+        cases.append((_sz_traj(0.3 + eps * np.exp(-0.1 * t), t), "sz_minus_eq", None))
+        cases.append((_sz_traj(-0.3 - eps * np.exp(-0.1 * t), t), "sz_minus_eq", None))
+    rng = np.random.default_rng(12)
+    for k in range(6):
+        a = rng.standard_normal((3, 3)) * 2e-3
+        lam = np.diag(np.diag(a @ a.T)) if k < 2 else a @ a.T
+        omega = 0.0 if k % 2 == 0 else 20.0 * np.trace(lam)
+        grid = np.linspace(0.0, 4.0 / (np.trace(lam) * RATE_CM_TO_PER_US), 401)
+        diss = JumpBasisDissipator(lam, omega)
+        cases.append((lindblad_evolve(RHO_EXCITED, diss, grid), "sz_minus_eq", None))
+        cases.append((lindblad_evolve(RHO_PLUS_X, diss, grid), "coherence_abs", None))
+    for traj, observable, window in cases:
+        got, ref = _fit_both(monkeypatch, traj, observable, window)
+        assert abs(got.rate_per_us - ref.rate_per_us) <= 1e-8 * ref.rate_per_us
+
+
+def test_closed_form_fit_no_worse_where_rate_is_ill_determined(monkeypatch):
+    # an offset plus a decay below ~1e-8 of it, growth on an offset, or
+    # noise: the cost is flat in the rate to rounding, lstsq cuts the small
+    # singular value and the closed form does not, so the rates differ;
+    # the closed form never fits worse than the oracle beyond rounding
+    t = np.linspace(0.0, 50.0, 500)
+    rng = np.random.default_rng(7)
+    signals = [0.3 + eps * np.exp(-0.1 * t) for eps in (2e-9, 1e-8)]
+    signals += [0.3 + 0.5 * np.exp(1e-4 * (t - 50.0)), 0.3 + 2e-9 * np.sin(t),
+                0.3 + 1e-6 * rng.normal(size=t.size)]
+    for y in signals:
+        got, ref = _fit_both(monkeypatch, _sz_traj(y, t), "sz_minus_eq")
+        assert got.residual_rms <= ref.residual_rms + 1e-15 * np.abs(y).max()
+
+
 def test_fit_requires_enough_samples():
     traj = synthetic_coherence_traj([0.2], [1.0], samples=40)
     with pytest.raises(ValueError, match="10 samples"):
@@ -692,22 +870,22 @@ def test_trajectory_csv_round_trip():
     text = traj.to_csv()
     lines = text.strip().split("\n")
     assert len(lines) == 13
-    assert lines[0].startswith("t_us,rho00_re")
+    assert lines[0] == "t_us,sx,sy,sz,coherence_abs"
     row = lines[1].split(",")
-    assert float(row[1]) == 0.5
+    assert float(row[1]) == 1.0 and float(row[4]) == 0.5
+    # repr round-trips every float, so the file rebuilds the trajectory
+    table = np.loadtxt(lines[1:], delimiter=",")
+    assert np.array_equal(table[:, 0], traj.times_us)
+    assert np.array_equal(table[:, 1:4], traj.bloch)
+    assert np.array_equal(table[:, 4], traj.coherence_abs)
     assert traj.to_csv() == text
 
 
 def _row_wise_csv(traj):
     """SpinTrajectory.to_csv as it was written row by row, kept as the oracle."""
-    lines = ["t_us,rho00_re,rho00_im,rho01_re,rho01_im,rho10_re,rho10_im,"
-             "rho11_re,rho11_im,sx,sy,sz,coherence_abs"]
+    lines = ["t_us,sx,sy,sz,coherence_abs"]
     for t, (x, y, z), coh in zip(traj.times_us, traj.bloch, traj.coherence_abs):
-        vals = (
-            t, 0.5 * (1.0 + z), 0.0, 0.5 * x, -0.5 * y,
-            0.5 * x, 0.5 * y, 0.5 * (1.0 - z), 0.0, x, y, z, coh,
-        )
-        lines.append(",".join(repr(float(v)) for v in vals))
+        lines.append(",".join(repr(float(v)) for v in (t, x, y, z, coh)))
     return "\n".join(lines) + "\n"
 
 
