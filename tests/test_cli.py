@@ -254,8 +254,8 @@ def test_tensor_report(dataset, tmp_path, capsys):
 
 
 def test_tensor_huge_field_not_refused_as_off_direction(dataset, tmp_path, capsys):
-    # 1e300 mT lies along z; its rates overflow, and the refusal must say so
-    # rather than name the field's direction
+    # 1e300 mT lies along z; it is refused as a field the rate kernel cannot
+    # evaluate, not as one off the couplings' direction
     code, _, err = run("tensor", "--modes", dataset["modes"], "--manifest",
                        dataset["manifest"], "--temp", "20", "--field-mt", "1e300",
                        "--out", str(tmp_path / "art"), capsys=capsys)
@@ -267,7 +267,7 @@ def test_tensor_huge_field_not_refused_as_off_direction(dataset, tmp_path, capsy
 @pytest.mark.parametrize("fields", ["1e90", "20,-1e90", "-1.3e154"])
 def test_field_the_rate_kernel_cannot_evaluate_exits_2(dataset, tmp_path, capsys,
                                                        command, fields):
-    # (muB |B| / hc)^4 overflows above about 2.9e80 mT: refused with the
+    # (muB |B| / hc)^4 overflows above about 2.5e80 mT: refused with the
     # config, naming the key, the flag and the value, before anything runs
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -280,7 +280,7 @@ def test_field_the_rate_kernel_cannot_evaluate_exits_2(dataset, tmp_path, capsys
     assert not (tmp_path / "art").exists()
 
 
-def test_largest_evaluable_field_runs(dataset, tmp_path, capsys):
+def test_field_below_the_kernel_bound_runs(dataset, tmp_path, capsys):
     # the bound is where the kernel overflows, not a lab limit: 1e80 mT runs
     code, _, err = run("tensor", "--modes", dataset["modes"], "--manifest",
                        dataset["manifest"], "--temp", "20", "--field-mt", "1e80",
