@@ -855,6 +855,24 @@ def test_closed_form_fit_no_worse_where_rate_is_ill_determined(monkeypatch):
         assert got.residual_rms <= ref.residual_rms + 1e-15 * np.abs(y).max()
 
 
+@pytest.mark.parametrize("y", [
+    lambda t: 0.3 + 0.5 * np.exp(1e-4 * (t - 50.0)),
+    lambda t: 0.3 + 0.5 * np.exp(0.1 * (t - 50.0)),
+    lambda t: 0.3 - 0.5 * np.exp(-1e-4 * (50.0 - t)),
+], ids=["slow-growth", "fast-growth", "slow-growth-down"])
+def test_growth_toward_an_offset_is_not_decaying(y):
+    # no rate r > 0 bends the right way, so the best fit is the r -> 0
+    # limit of amp exp(-r t) + offset, a line; that optimum sits at the
+    # boundary and is reported as rate 0, keeping the residual of the fit
+    t = np.linspace(0.0, 50.0, 500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        fit = fit_decay_rate(_sz_traj(y(t), t), "sz_minus_eq")
+    assert fit.rate_per_us == 0.0 and fit.non_decaying
+    line = np.polyval(np.polyfit(t, y(t), 1), t) - y(t)
+    assert fit.residual_rms <= 1.01 * np.sqrt(np.mean(line**2))
+
+
 def test_fit_requires_enough_samples():
     traj = synthetic_coherence_traj([0.2], [1.0], samples=40)
     with pytest.raises(ValueError, match="10 samples"):
