@@ -378,7 +378,8 @@ def fit_decay_rate(traj: SpinTrajectory, observable: str, window=None) -> DecayF
     closed form, the centred two-column solution, and only log r is
     searched, from the time the signal takes to fall by 1/e.  At r = 0
     the decay is collinear with the offset, and gets half the mean, the
-    minimum-norm split.
+    minimum-norm split.  A best rate too small for its decay to bend over
+    the window, as growth away from the offset gives, is reported as 0.
     """
     y = _observable_series(traj, observable)
     t = traj.times_us
@@ -419,6 +420,11 @@ def fit_decay_rate(traj: SpinTrajectory, observable: str, window=None) -> DecayF
             f"decay fit residual {residual:.3e} exceeds "
             f"{RESIDUAL_WARN:.0%} of the amplitude", stacklevel=2
         )
+    # once (r span)^2 <= 2 eps, the decay's bend over the window, r span / 2
+    # of its slope, is below its rounding, eps / (r span): the fit is the
+    # r -> 0 limit, a line or a constant, and the optimum sits at r = 0
+    if (rate * ts[-1]) ** 2 <= 2.0 * np.finfo(float).eps:
+        rate = 0.0
     return DecayFit(
         rate_per_us=rate, residual_rms=residual, non_decaying=rate == 0.0
     )
