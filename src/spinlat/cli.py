@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (MUB_CM_PER_T, PAIRING_MODES, RATE_CM_TO_PER_US, BathSpec, GTensor, ParseError,
+from .core import (PAIRING_MODES, RATE_CM_TO_PER_US, BathSpec, GTensor, ParseError,
                    SpinSystem, integer, json_object, numbers, one_of, positive, raise_first_failure,
                    refusal)
 from .couplings import (
@@ -34,7 +34,9 @@ from .couplings import (
 )
 from .relaxation import (
     CONVENTIONS,
+    FIELD_BOUND_MT,
     build_tensor,
+    fields_evaluable,
     mode_attribution,
     relaxation_times,
     sweep,
@@ -94,13 +96,6 @@ def _unit_length(arr: np.ndarray) -> bool:
 def _grid(test):
     """The rule for a nonempty list of finite numbers whose array passes test."""
     return _finite(test=lambda arr: arr.ndim == 1 and arr.size > 0 and test(arr))
-
-
-def _evaluable(fields_mt: np.ndarray) -> bool:
-    """Whether the rate kernel's (muB|B|/hc)^4 is finite at every field."""
-    with np.errstate(over="ignore"):
-        pref2 = (MUB_CM_PER_T * (np.abs(fields_mt) * 1e-3)) ** 2
-        return bool(np.isfinite(pref2 * pref2).all())
 
 
 def _directory(value) -> bool:
@@ -167,9 +162,9 @@ _CONFIG_KEYS = {
                            "a nonempty list of finite numbers >= 0",
                            "--temp", _parse_grid,
                            "temperature K: value, list, or start:stop:count"),
-        "fields_mt": ([1266.0], _grid(_evaluable), "a nonempty list of numbers below "
-                      f"{np.finfo(float).max ** 0.25 / (MUB_CM_PER_T * 1e-3):.3g} in "
-                      "magnitude, where the rate kernel's (muB|B|/hc)^4 is finite",
+        "fields_mt": ([1266.0], _grid(fields_evaluable), "a nonempty list of numbers below "
+                      f"{FIELD_BOUND_MT:.3g} in magnitude, where the rate kernel's "
+                      "(muB|B|/hc)^4 is finite",
                       "--field-mt", _parse_grid, "field mT: value, list, or start:stop:count"),
         "field_direction": ([0.0, 0.0, 1.0], _finite((3,), _unit_length),
                             "a finite 3-vector of length 1.5e-154 to 1.3e154",
@@ -398,7 +393,7 @@ def _sweep_grid(cfg: dict, c: CouplingTensors) -> np.recarray:
     )
 
 
-def _one_point(cfg: dict, command: str) -> tuple[CouplingTensors, BathSpec, SpinSystem]:
+def _point(cfg: dict, command: str) -> tuple[CouplingTensors, BathSpec, SpinSystem]:
     """Couplings, bath and spin at the one (T, B) point command runs at."""
     c = _assemble_couplings(cfg)
     point = []
@@ -450,7 +445,7 @@ def _cmd_couplings(cfg: dict) -> int:
 
 
 def _cmd_tensor(cfg: dict) -> int:
-    c, bath, spin = _one_point(cfg, "tensor")
+    c, bath, spin = _point(cfg, "tensor")
     phys = cfg["physics"]
     tensor = build_tensor(c, bath, spin)
     report = tensor_report(tensor, axis=spin.axis, top_m=cfg["report"]["top_modes"])
@@ -494,7 +489,7 @@ def _cmd_sweep(cfg: dict) -> int:
 
 
 def _cmd_attribute(cfg: dict) -> int:
-    c, bath, spin = _one_point(cfg, "attribute")
+    c, bath, spin = _point(cfg, "attribute")
     rows = mode_attribution(c, bath, spin, top_m=cfg["report"]["top_modes"]).rows()
     out = _outdir(cfg)
     _write_json(out / "attribution.json", {"config": cfg, "modes": rows})
@@ -509,7 +504,7 @@ def _cmd_attribute(cfg: dict) -> int:
 def _cmd_dynamics(cfg: dict) -> int:
     num, dyn = cfg["numerics"], cfg["dynamics"]
     kind, engine = dyn["kind"], dyn["engine"]
-    c, bath, spin = _one_point(cfg, "dynamics")
+    c, bath, spin = _point(cfg, "dynamics")
     tensor = build_tensor(c, bath, spin)
     analytic = relaxation_times(tensor, axis=spin.axis, convention="lindblad")
     analytic_time = analytic.t1_us if kind == "t1" else analytic.t2_us

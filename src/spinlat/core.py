@@ -39,13 +39,13 @@ HBAR_AMU_A2_CM = _HBAR_JS / (_AMU_KG * 1e-20 * 4.0 * math.pi * C_CM_PER_S)
 PAIRING_MODES = ("diagonal_only", "all_pairs")
 
 
-def _as_matrix3(values, name: str) -> np.ndarray:
-    m = np.array(values, dtype=float)
-    if m.shape != (3, 3):
+def _as_matrix3(values, name: str, stack: bool = False) -> np.ndarray:
+    """values as floats, refused unless finite and 3x3, or (..., 3, 3) if stack."""
+    m = np.asarray(values, dtype=float)
+    if m.shape[-2:] != (3, 3) or m.ndim > 2 and not stack:
         raise ValueError(f"{name} must be 3x3, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
-    m.setflags(write=False)
     return m
 
 
@@ -73,12 +73,14 @@ def raise_first_failure(bad, subject: str, problem, labels=None) -> None:
         raise ValueError(f"{subject} {problem(i) if callable(problem) else problem}")
 
 
-def check_rate_matrix(m: np.ndarray, name: str, labels=None) -> None:
-    """Raise ValueError unless each 3x3 rate matrix in m (..., 3, 3) is symmetric and PSD.
+def check_rate_matrix(m, name: str, labels=None, stack: bool = True) -> np.ndarray:
+    """m as floats once each matrix in it is finite, 3x3 (one matrix unless
+    stack), symmetric and PSD; the one check of every rate matrix.
 
     Per matrix, asymmetry may reach 1e-10 of max(|m|, 1), eigenvalues -1e-12
     of Tr m.  A stack takes one eigen-solve; see raise_first_failure.
     """
+    m = _as_matrix3(m, name, stack)
     scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
     asym = np.ravel(np.abs(m - np.swapaxes(m, -2, -1)).max(axis=(-2, -1)) > 1e-10 * scale)
     floor = np.ravel(-1e-12 * np.maximum(np.trace(m, axis1=-2, axis2=-1), 1e-300))
@@ -87,6 +89,7 @@ def check_rate_matrix(m: np.ndarray, name: str, labels=None) -> None:
         (asym | (low < floor)).reshape(np.shape(m)[:-2]), name,
         lambda i: "is not symmetric within 1e-10" if asym[i]
         else f"is not PSD: eigenvalue {low[i]:.3e} below {floor[i]:.3e}", labels)
+    return m
 
 
 # records holding arrays take eq=False: a generated __eq__ would raise on them
@@ -97,8 +100,8 @@ class GTensor:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_matrix3(self.matrix, "g matrix")
-        object.__setattr__(self, "matrix", m)
+        m = _as_matrix3(self.matrix, "g matrix").copy()
+        freeze(self, matrix=m)
         d = np.diagonal(m)
         if np.any(d < 1.5) or np.any(d > 2.5):
             warnings.warn(

@@ -56,6 +56,7 @@ from .core import (
     freeze,
 )
 from .couplings import CouplingTensors, field_prefactor
+from .relaxation import lorentzian
 
 # a fit whose rms residual exceeds this fraction of its amplitude warns
 RESIDUAL_WARN = 0.01
@@ -83,10 +84,7 @@ class JumpBasisDissipator:
     omega_cm: float
 
     def __post_init__(self):
-        m = np.asarray(self.lam_cm, dtype=float)
-        if m.shape != (3, 3) or not np.all(np.isfinite(m)):
-            raise ValueError("lam_cm must be a finite 3x3 matrix")
-        check_rate_matrix(m, "lam_cm")
+        m = check_rate_matrix(self.lam_cm, "lam_cm", stack=False)
         if not np.isfinite(self.omega_cm) or self.omega_cm < 0.0:
             raise ValueError("omega_cm must be finite and nonnegative")
         freeze(self, lam_cm=m)
@@ -252,17 +250,12 @@ def spectral_density(c: CouplingTensors, bath: BathSpec, spin: SpinSystem):
     lam = bath.linewidth_per_mode(c.nmodes)
 
     def lor(x):
-        return lam / (x * x + lam * lam)
+        return 2.0 * lorentzian(x, lam)
 
     def s_of(omega: float) -> np.ndarray:
-        out = np.zeros(3)
-        weights = (n + 1.0) * lor(omega - w_q) + n * lor(omega + w_q)
-        out += (2.0 / np.pi) * (G * G) @ weights
-        weights = (n + 1.0) ** 2 * lor(omega - 2.0 * w_q) + n * n * lor(
-            omega + 2.0 * w_q
-        )
-        out += (2.0 / np.pi) * (G2d * G2d) @ weights
-        return out
+        return ((G * G) @ ((n + 1.0) * lor(omega - w_q) + n * lor(omega + w_q))
+                + (G2d * G2d) @ ((n + 1.0) ** 2 * lor(omega - 2.0 * w_q)
+                                 + n * n * lor(omega + 2.0 * w_q)))
 
     return s_of
 
@@ -420,11 +413,8 @@ def fit_decay_rate(traj: SpinTrajectory, observable: str, window=None) -> DecayF
             f"decay fit residual {residual:.3e} exceeds "
             f"{RESIDUAL_WARN:.0%} of the amplitude", stacklevel=2
         )
-    # once (r span)^2 <= 2 eps, the decay's bend over the window, r span / 2
-    # of its slope, is below its rounding, eps / (r span): the fit is the
-    # r -> 0 limit, a line or a constant, and the optimum sits at r = 0
+    # the decay bends over the window by r span / 2 of its slope, below its
+    # rounding eps / (r span) here: the fit is its r -> 0 limit, at r = 0
     if (rate * ts[-1]) ** 2 <= 2.0 * np.finfo(float).eps:
         rate = 0.0
-    return DecayFit(
-        rate_per_us=rate, residual_rms=residual, non_decaying=rate == 0.0
-    )
+    return DecayFit(rate, residual, rate == 0.0)

@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    MUB_CM_PER_T,
     RATE_CM_TO_PER_US,
     BathSpec,
     SpinSystem,
@@ -51,9 +52,22 @@ def direct_rate(gamma_cm, omega_cm, occupation):
 _SYM = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
-def _lorentzian(x, width):
-    """Normalized Lorentzian (1/pi) w/(x^2+w^2), the regularized delta."""
+def lorentzian(x, width):
+    """Normalized Lorentzian (1/pi) w/(x^2+w^2), the line shape of every weight
+    but direct_rate's, in both engines."""
     return width / (np.pi * (x * x + width * width))
+
+
+def fields_evaluable(fields_mt) -> bool:
+    """Whether the kernel's highest power of the field prefactor,
+    (muB|B|/hc)^4 of the quartic part, is finite at every field in mT."""
+    with np.errstate(over="ignore"):
+        pref2 = (MUB_CM_PER_T * (np.abs(fields_mt) * 1e-3)) ** 2
+        return bool(np.isfinite(pref2 * pref2).all())
+
+
+# about the largest |B| in mT that fields_evaluable passes
+FIELD_BOUND_MT = np.finfo(float).max ** 0.25 / (MUB_CM_PER_T * 1e-3)
 
 
 # shapes at one point; a grid batch adds a leading temperature axis
@@ -137,8 +151,8 @@ def _rate_grid(c: CouplingTensors, bath: BathSpec, temperatures, spins, split=Fa
     for j, spin in enumerate(spins):
         big_omega = spin.larmor_cm()
         pref2 = field_prefactor(c, spin) ** 2
-        two_phonon = _lorentzian(big_omega - 2.0 * omega, lam)
-        zero_freq = (2.0 / np.pi) * (lam / (big_omega * big_omega + lam * lam))
+        two_phonon = lorentzian(big_omega - 2.0 * omega, lam)
+        zero_freq = 2.0 * lorentzian(big_omega, lam)
         resonant = lumped * two_phonon
         # (T, N) weights times (N, 3, 3) products
         per1 = (pref2 * direct)[..., None, None] * d1_sq
@@ -149,9 +163,9 @@ def _rate_grid(c: CouplingTensors, bath: BathSpec, temperatures, spins, split=Fa
             # W = lor_nn n_q n_p + lor_q n_q + lor_p n_p + emit, so
             # sum_p W d2 d2 = n_q (by_n[0] n + sum_p lor_q d2 d2)
             #                 + by_n[1] n + sum_p emit d2 d2
-            emit = _lorentzian((big_omega + omega)[:, None] + omega, width)
-            emit_q = _lorentzian((big_omega + omega)[:, None] - omega, width)
-            lor_nn = _lorentzian((big_omega - omega)[:, None] - omega, width)
+            emit = lorentzian((big_omega + omega)[:, None] + omega, width)
+            emit_q = lorentzian((big_omega + omega)[:, None] - omega, width)
+            lor_nn = lorentzian((big_omega - omega)[:, None] - omega, width)
             lor_nn += emit
             lor_nn += emit_q
             lor_nn += emit_q.T
@@ -176,20 +190,6 @@ def _rate_grid(c: CouplingTensors, bath: BathSpec, temperatures, spins, split=Fa
             SecondOrder(per_quartic.sum(axis=1), gsq,
                         per_quartic + per_gsq if split else None, elastic),
         )
-
-
-def _one_point(c: CouplingTensors, bath: BathSpec, spin: SpinSystem):
-    ((_, first, second),) = _rate_grid(c, bath, [bath.temperature_k], [spin], split=True)
-    return FirstOrder(*(v[0] for v in first)), SecondOrder(*(v[0] for v in second))
-
-
-def lambda_first(c: CouplingTensors, bath: BathSpec, spin: SpinSystem) -> FirstOrder:
-    return _one_point(c, bath, spin)[0]
-
-
-def lambda_second(c: CouplingTensors, bath: BathSpec, spin: SpinSystem) -> SecondOrder:
-    """Two-phonon tensor, split into its quartic and second-derivative parts."""
-    return _one_point(c, bath, spin)[1]
 
 
 def _check_rates(lambda1, quartic, gsq, elastic, splits=(), labels=None) -> None:
@@ -270,15 +270,13 @@ class RelaxationTensor:
 
 
 def build_tensor(c: CouplingTensors, bath: BathSpec, spin: SpinSystem) -> RelaxationTensor:
-    first, second = _one_point(c, bath, spin)
+    """The checked tensor at one point: the only one-point entry to the kernel."""
+    ((_, first, second),) = _rate_grid(c, bath, [bath.temperature_k], [spin], split=True)
+    (lambda1, per1), (quartic, gsq, per2, elastic) = ([v[0] for v in o] for o in (first, second))
     field = float(np.linalg.norm(spin.field_mt))
     return RelaxationTensor(
-        lambda1=first.matrix,
-        lambda2_quartic=second.quartic,
-        lambda2_gsq=second.gsq,
-        per_mode_lambda1=first.per_mode,
-        per_mode_lambda2=second.per_mode,
-        elastic_dephasing=second.elastic,
+        lambda1=lambda1, lambda2_quartic=quartic, lambda2_gsq=gsq,
+        per_mode_lambda1=per1, per_mode_lambda2=per2, elastic_dephasing=elastic,
         temperature_k=bath.temperature_k,
         field_mt=-field if spin.field_mt @ c.field_direction < 0 else field,
         omega_cm=spin.larmor_cm(),
@@ -288,6 +286,18 @@ def build_tensor(c: CouplingTensors, bath: BathSpec, spin: SpinSystem) -> Relaxa
         frequencies=c.frequencies,
         source_modes=c.source_indices,
     )
+
+
+def lambda_first(c: CouplingTensors, bath: BathSpec, spin: SpinSystem) -> FirstOrder:
+    t = build_tensor(c, bath, spin)
+    return FirstOrder(t.lambda1, t.per_mode_lambda1)
+
+
+def lambda_second(c: CouplingTensors, bath: BathSpec, spin: SpinSystem) -> SecondOrder:
+    """Two-phonon tensor, split into its quartic and second-derivative parts."""
+    t = build_tensor(c, bath, spin)
+    return SecondOrder(t.lambda2_quartic, t.lambda2_gsq, t.per_mode_lambda2,
+                       t.elastic_dephasing)
 
 
 # ------------------------------------------------------------------- times
@@ -307,11 +317,7 @@ class RelaxationTimes:
 def _as_tensor_matrix(lam) -> np.ndarray:
     if isinstance(lam, RelaxationTensor):
         return lam.lambda_total
-    m = np.asarray(lam, dtype=float)
-    if m.shape != (3, 3) or not np.all(np.isfinite(m)):
-        raise ValueError("expected a finite 3x3 tensor")
-    check_rate_matrix(m, "tensor")
-    return m
+    return check_rate_matrix(lam, "tensor", stack=False)
 
 
 def relaxation_times(lam, axis=(0.0, 0.0, 1.0), convention: str = "projection") -> RelaxationTimes:
@@ -320,15 +326,14 @@ def relaxation_times(lam, axis=(0.0, 0.0, 1.0), convention: str = "projection") 
     n = np.asarray(axis, dtype=float)
     if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-10:
         raise ValueError("axis must be a unit 3-vector")
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}")
     rate1, rate2 = _rates(m, n, convention)
     t1, t2 = _times_us(np.array([rate1, rate2])).tolist()
     return RelaxationTimes(t1_us=t1, t2_us=t2, rate1_cm=rate1, rate2_cm=rate2)
 
 
 def _rates(m: np.ndarray, n: np.ndarray, convention: str) -> tuple[float, float]:
-    """1/T1 and 1/T2 in cm^-1 of a checked tensor along a unit axis.
+    """1/T1 and 1/T2 in cm^-1 of a checked tensor along a unit axis, in one
+    of CONVENTIONS, the only place they are written.
 
     One point at a time: n @ m @ n batched over points changes its last
     bits with the batch, and a sweep row must be bitwise its point alone.
@@ -337,7 +342,9 @@ def _rates(m: np.ndarray, n: np.ndarray, convention: str) -> tuple[float, float]
     trace = float(np.trace(m))
     if convention == "projection":
         return 2.0 * longitudinal, trace - longitudinal
-    return 2.0 * (trace - longitudinal), trace + longitudinal
+    if convention == "lindblad":
+        return 2.0 * (trace - longitudinal), trace + longitudinal
+    raise ValueError(f"convention must be one of {CONVENTIONS}")
 
 
 def _times_us(rates_cm: np.ndarray) -> np.ndarray:
@@ -491,8 +498,6 @@ def sweep(
     fields_mt = [float(b) for b in np.atleast_1d(fields_mt)]
     if not temperatures or not fields_mt:
         raise ValueError("sweep grid must be nonempty")
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}")
     field_prefactor(c, spin)  # refuses a field off the couplings' direction
     spins = [replace(spin, field_mt=c.field_direction * b) for b in fields_mt]
     points = np.zeros(len(temperatures) * len(fields_mt), _SWEEP_ROW).view(np.recarray)
