@@ -42,9 +42,9 @@ PAIRING_MODES = ("diagonal_only", "all_pairs")
 def _as_matrix3(values, name: str, stack: bool = False) -> np.ndarray:
     """values as floats, refused unless finite and 3x3, or (..., 3, 3) if stack."""
     m = np.asarray(values, dtype=float)
-    if m.shape[-2:] != (3, 3) or m.ndim > 2 and not stack:
+    if m.shape[-2:] != (3, 3) or (m.ndim > 2 and not stack):
         raise ValueError(f"{name} must be 3x3, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
 

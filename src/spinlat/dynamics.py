@@ -413,8 +413,8 @@ def fit_decay_rate(traj: SpinTrajectory, observable: str, window=None) -> DecayF
             f"decay fit residual {residual:.3e} exceeds "
             f"{RESIDUAL_WARN:.0%} of the amplitude", stacklevel=2
         )
-    # the decay bends over the window by r span / 2 of its slope, below its
-    # rounding eps / (r span) here: the fit is its r -> 0 limit, at r = 0
+    # at (r span)^2 <= 2 eps the decay's bend, r span / 2 of its slope, is below
+    # its rounding, eps / (r span): the fit is the r -> 0 limit, so r = 0
     if (rate * ts[-1]) ** 2 <= 2.0 * np.finfo(float).eps:
         rate = 0.0
     return DecayFit(rate, residual, rate == 0.0)
