@@ -28,6 +28,10 @@ from spinlat.core import (
     larmor_frequency,
     principal_g_values,
 )
+from spinlat.couplings import CouplingTensors
+from spinlat.dynamics import JumpBasisDissipator, SpinTrajectory
+from spinlat.ingest import DisplacedGTensorSet
+from spinlat.relaxation import RelaxationTensor
 from conftest import REFERENCE_G, make_geometry, make_modeset
 
 
@@ -250,3 +254,79 @@ def test_types_immutable():
         g.matrix = np.eye(3)
     with pytest.raises(Exception):
         g.matrix[0, 0] = 5.0
+
+
+# ------------------------------------------------------ each record's arrays
+
+def _built(cls, fixed=None, **arrays):
+    """cls built from the caller's arrays and the fixed arguments, and the arrays."""
+    return cls(**(fixed or {}), **arrays), arrays
+
+
+def _field_view():
+    base = np.zeros((2, 3))  # the caller keeps base; the record gets a view of it
+    return _built(SpinSystem, {"g0": GTensor(2.0 * np.eye(3))}, field_mt=base[0])
+
+
+_ZERO = np.zeros((3, 3))
+_RECORDS = {
+    "GTensor": lambda: _built(GTensor, matrix=2.0 * np.eye(3)),
+    "Geometry": lambda: _built(Geometry, {"symbols": ("H", "O")},
+                               masses=np.array([1.0, 16.0]), positions=np.ones((2, 3))),
+    "ModeSet": lambda: _built(ModeSet, {"geometry": make_geometry(2)},
+                              frequencies=np.array([20.0, 40.0]),
+                              eigenvectors=np.eye(6)[:, :2].copy(),
+                              source_indices=np.array([3, 5])),
+    "SpinSystem": lambda: _built(SpinSystem, {"g0": GTensor(2.0 * np.eye(3))},
+                                 field_mt=np.array([0.0, 0.0, 1266.0])),
+    "SpinSystem-view": _field_view,
+    "BathSpec": lambda: _built(BathSpec, {"temperature_k": 20.0},
+                               gamma_cm=np.array([2.0, 3.0]),
+                               linewidth_cm=np.array([1.0, 2.0])),
+    "CouplingTensors": lambda: _built(
+        CouplingTensors, {"delta_angstrom": 0.01, "mixed_computed": True},
+        d1=np.ones((3, 2)), d2=np.ones((3, 2, 2)), frequencies=np.array([20.0, 40.0]),
+        field_direction=np.array([0.0, 0.0, 1.0]), source_indices=np.array([3, 5])),
+    "DisplacedGTensorSet": lambda: _built(
+        DisplacedGTensorSet, {"modeset": make_modeset(2, 2), "delta_angstrom": 0.01},
+        baseline=2.0 * np.eye(3), singles=np.full((4, 3, 3), 2.0),
+        pairs=np.full((4, 3, 3), 2.0)),
+    "RelaxationTensor": lambda: _built(
+        RelaxationTensor, {"temperature_k": 20.0, "field_mt": 1266.0, "omega_cm": 1.2,
+                           "pairing": "diagonal_only"},
+        lambda1=np.diag([1.0, 2.0, 3.0]), lambda2_quartic=_ZERO.copy(),
+        lambda2_gsq=_ZERO.copy(), per_mode_lambda1=np.diag([1.0, 2.0, 3.0])[None],
+        per_mode_lambda2=_ZERO[None].copy(), elastic_dephasing=np.zeros(3),
+        gamma_cm=np.array([2.0]), linewidth_cm=np.array([2.0]),
+        frequencies=np.array([20.0]), source_modes=np.array([1.0])),
+    "JumpBasisDissipator": lambda: _built(JumpBasisDissipator, {"omega_cm": 0.0},
+                                          lam_cm=np.diag([1e-3, 2e-3, 3e-3])),
+    "SpinTrajectory": lambda: _built(SpinTrajectory, times_us=np.linspace(0.0, 1.0, 5),
+                                     bloch=np.zeros((5, 3))),
+}
+
+
+@pytest.mark.parametrize("case", list(_RECORDS))
+def test_record_keeps_a_read_only_copy_of_each_array(case):
+    # the caller's arrays stay the caller's: writable, and free to change
+    # without changing the record, whose own copy cannot be written
+    record, given = _RECORDS[case]()
+    for name, arr in given.items():
+        want = arr.copy()
+        owner = arr if arr.base is None else arr.base
+        assert arr.flags.writeable and owner.flags.writeable, name
+        arr += 1
+        owner += 1
+        kept = getattr(record, name)
+        assert kept.dtype == want.dtype and np.array_equal(kept, want), name
+        with pytest.raises(ValueError, match="read-only"):
+            kept[...] = 0
+
+
+def test_bathspec_compares_by_identity():
+    # a generated __eq__ would compare the width arrays and raise
+    g = np.array([2.0, 3.0])
+    bath = BathSpec(20.0, gamma_cm=g)
+    assert bath == bath
+    assert bath != BathSpec(20.0, gamma_cm=g.copy())
+    assert hash(bath) == hash(bath)
