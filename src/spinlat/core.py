@@ -49,11 +49,23 @@ def _as_matrix3(values, name: str, stack: bool = False) -> np.ndarray:
     return m
 
 
-def freeze(obj, **arrays: np.ndarray) -> None:
-    """Set fields of the frozen dataclass obj to the arrays, made read-only."""
-    for name, arr in arrays.items():
-        arr.setflags(write=False)
-        object.__setattr__(obj, name, arr)
+def _set_array(record, name: str, shape=None, finite: bool = True) -> np.ndarray:
+    """Set the field name of the frozen record to a read-only copy of its
+    value, int for source_indices (1..N when None) and float otherwise, once
+    it has shape, when given, and is finite, unless finite is False; the one
+    rule for every record's arrays, so none shares or freezes the caller's."""
+    value = getattr(record, name)
+    if name != "source_indices":
+        arr = np.array(value, dtype=float)
+    else:
+        arr = np.arange(1, shape[0] + 1) if value is None else np.array(value, dtype=int)
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{name} must be {shape}, got {arr.shape}")
+    if finite and not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    arr.setflags(write=False)
+    object.__setattr__(record, name, arr)
+    return arr
 
 
 def raise_first_failure(bad, subject: str, problem, labels=None) -> None:
@@ -100,9 +112,8 @@ class GTensor:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_matrix3(self.matrix, "g matrix").copy()
-        freeze(self, matrix=m)
-        d = np.diagonal(m)
+        _as_matrix3(self.matrix, "g matrix")  # the finite-3x3 rule of every g matrix
+        d = np.diagonal(_set_array(self, "matrix"))
         if np.any(d < 1.5) or np.any(d > 2.5):
             warnings.warn(
                 f"g diagonal {d.tolist()} outside the usual (1.5, 2.5) range",
@@ -119,19 +130,11 @@ class Geometry:
     positions: np.ndarray       # (natoms, 3)
 
     def __post_init__(self):
-        masses = np.asarray(self.masses, dtype=float)
-        pos = np.asarray(self.positions, dtype=float)
         n = len(self.symbols)
-        if masses.shape != (n,):
-            raise ValueError(f"expected {n} masses, got shape {masses.shape}")
-        if pos.shape != (n, 3):
-            raise ValueError(f"expected positions ({n}, 3), got {pos.shape}")
-        if np.any(masses <= 0.0) or not np.all(np.isfinite(masses)):
-            raise ValueError("masses must be positive and finite")
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("positions contain non-finite entries")
+        if np.any(_set_array(self, "masses", (n,)) <= 0.0):
+            raise ValueError("masses must be positive")
+        _set_array(self, "positions", (n, 3))
         object.__setattr__(self, "symbols", tuple(self.symbols))
-        freeze(self, masses=masses, positions=pos)
 
     @property
     def natoms(self) -> int:
@@ -152,17 +155,9 @@ class ModeSet:
     ORTHO_TOL = 1e-6
 
     def __post_init__(self):
-        freqs = np.asarray(self.frequencies, dtype=float)
-        vecs = np.asarray(self.eigenvectors, dtype=float)
-        if freqs.ndim != 1:
-            raise ValueError("frequencies must be a 1-d array")
-        n3 = 3 * self.geometry.natoms
-        if vecs.shape != (n3, freqs.size):
-            raise ValueError(
-                f"eigenvectors must be ({n3}, {freqs.size}), got {vecs.shape}"
-            )
-        if np.any(~np.isfinite(freqs)) or np.any(~np.isfinite(vecs)):
-            raise ValueError("mode data contains non-finite entries")
+        freqs = _set_array(self, "frequencies", (np.size(self.frequencies),))  # 1-d
+        vecs = _set_array(self, "eigenvectors", (3 * self.geometry.natoms, freqs.size))
+        _set_array(self, "source_indices", freqs.shape)
         if np.any(np.diff(freqs) < 0.0):
             raise ValueError("frequencies must be sorted ascending")
         gram = vecs.T @ vecs
@@ -171,13 +166,6 @@ class ModeSet:
             raise ValueError(
                 f"eigenvector columns not orthonormal, max deviation {dev:.3e}"
             )
-        if self.source_indices is None:
-            src = np.arange(1, freqs.size + 1, dtype=int)
-        else:
-            src = np.asarray(self.source_indices, dtype=int)
-            if src.shape != freqs.shape:
-                raise ValueError("source_indices shape mismatch")
-        freeze(self, frequencies=freqs, eigenvectors=vecs, source_indices=src)
 
     @property
     def nmodes(self) -> int:
@@ -204,14 +192,9 @@ class SpinSystem:
     omega_override_cm: float | None = None  # pins the spin frequency if set
 
     def __post_init__(self):
-        b = np.asarray(self.field_mt, dtype=float)
-        if b.shape != (3,):
-            raise ValueError(f"field_mt must be a 3-vector, got shape {b.shape}")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("field_mt contains non-finite entries")
+        _set_array(self, "field_mt", (3,))
         if self.omega_override_cm is not None and self.omega_override_cm < 0.0:
             raise ValueError("omega_override_cm must be nonnegative")
-        freeze(self, field_mt=b)
 
     @property
     def field_magnitude_t(self) -> float:
@@ -230,7 +213,7 @@ class SpinSystem:
         return larmor_frequency(self.g0, self.field_mt)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BathSpec:
     """Phonon bath parameters.
 
@@ -253,15 +236,14 @@ class BathSpec:
                 f"got {self.raman_pairing!r}"
             )
         for name in ("gamma_cm", "linewidth_cm"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite")
+            if np.any(_set_array(self, name) <= 0.0):
+                raise ValueError(f"{name} must be positive")
 
     def gamma_per_mode(self, nmodes: int) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.gamma_cm, float), (nmodes,)).copy()
+        return np.broadcast_to(self.gamma_cm, (nmodes,)).copy()
 
     def linewidth_per_mode(self, nmodes: int) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.linewidth_cm, float), (nmodes,)).copy()
+        return np.broadcast_to(self.linewidth_cm, (nmodes,)).copy()
 
 
 def bose_occupation(omega_cm, temperature_k: float):

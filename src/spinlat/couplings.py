@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (HBAR_AMU_A2_CM, MUB_CM_PER_T, ModeSet, ParseError, SpinSystem, freeze,
+from .core import (HBAR_AMU_A2_CM, MUB_CM_PER_T, ModeSet, ParseError, SpinSystem, _set_array,
                    json_object, numbers, positive, refusal, require)
 
 COUPLINGS_FORMAT = "spinlat-couplings/1"
@@ -57,16 +57,10 @@ class CouplingTensors:
     source_indices: np.ndarray = None
 
     def __post_init__(self):
-        d1 = np.asarray(self.d1, dtype=float)
-        d2 = np.asarray(self.d2, dtype=float)
-        freqs = np.asarray(self.frequencies, dtype=float)
+        freqs = _set_array(self, "frequencies", (np.size(self.frequencies),))  # 1-d
         n = freqs.size
-        if d1.shape != (3, n):
-            raise ValueError(f"d1 must be (3, {n}), got {d1.shape}")
-        if d2.shape != (3, n, n):
-            raise ValueError(f"d2 must be (3, {n}, {n}), got {d2.shape}")
-        if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
-            raise ValueError("coupling tensors contain non-finite entries")
+        _set_array(self, "d1", (3, n))
+        d2 = _set_array(self, "d2", (3, n, n))
         if np.any(freqs <= 0.0):
             raise ValueError("mode frequencies must be positive")
         if not positive(self.delta_angstrom):
@@ -75,17 +69,9 @@ class CouplingTensors:
         scale = max(np.abs(d2).max(), 1.0)
         if sym_dev > 1e-10 * scale:
             raise ValueError(f"d2 not symmetric in mode indices, dev {sym_dev:.3e}")
-        b = np.asarray(self.field_direction, dtype=float)
-        if b.shape != (3,) or abs(np.linalg.norm(b) - 1.0) > 1e-10:
+        if abs(np.linalg.norm(_set_array(self, "field_direction", (3,))) - 1.0) > 1e-10:
             raise ValueError("field_direction must be a unit 3-vector")
-        if self.source_indices is None:
-            src = np.arange(1, n + 1, dtype=int)
-        else:
-            src = np.asarray(self.source_indices, dtype=int)
-            if src.shape != (n,):
-                raise ValueError("source_indices shape mismatch")
-        freeze(self, d1=d1, d2=d2, frequencies=freqs, field_direction=b,
-               source_indices=src)
+        _set_array(self, "source_indices", (n,))
 
     @property
     def nmodes(self) -> int:
@@ -122,10 +108,10 @@ def build_couplings(
         d1=d1,
         d2=d2,
         delta_angstrom=runset.delta_angstrom,
-        frequencies=ms.frequencies.copy(),
+        frequencies=ms.frequencies,
         field_direction=b,
         mixed_computed=mixed,
-        source_indices=ms.source_indices.copy(),
+        source_indices=ms.source_indices,
     )
 
 

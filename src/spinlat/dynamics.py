@@ -51,9 +51,9 @@ from .core import (
     RATE_CM_TO_PER_US,
     BathSpec,
     SpinSystem,
+    _set_array,
     bose_occupation,
     check_rate_matrix,
-    freeze,
 )
 from .couplings import CouplingTensors, field_prefactor
 from .relaxation import lorentzian
@@ -84,10 +84,9 @@ class JumpBasisDissipator:
     omega_cm: float
 
     def __post_init__(self):
-        m = check_rate_matrix(self.lam_cm, "lam_cm", stack=False)
+        check_rate_matrix(_set_array(self, "lam_cm"), "lam_cm", stack=False)
         if not np.isfinite(self.omega_cm) or self.omega_cm < 0.0:
             raise ValueError("omega_cm must be finite and nonnegative")
-        freeze(self, lam_cm=m)
 
     def generator_per_us(self) -> np.ndarray:
         """Affine Bloch generator Omega K_z - 2 (Tr L I - L), rad/us."""
@@ -122,14 +121,11 @@ class SpinTrajectory:
     bloch: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times_us, dtype=float)
-        m = np.asarray(self.bloch, dtype=float)
-        if t.ndim != 1 or m.shape != (t.size, 3):
-            raise ValueError("need times (T,) and Bloch vectors (T, 3)")
-        # the eigenvalues of rho are (1 -+ |m|)/2
+        t = _set_array(self, "times_us", (np.size(self.times_us),))  # 1-d
+        m = _set_array(self, "bloch", (t.size, 3), finite=False)
+        # the eigenvalues of rho are (1 -+ |m|)/2; NaN fails this test too
         if not np.linalg.norm(m, axis=1).max() <= 1.0 + 2e-8:
             raise ValueError("trajectory has eigenvalue below -1e-8")
-        freeze(self, times_us=t, bloch=m)
 
     @property
     def sx(self) -> np.ndarray:

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (PAIRING_MODES, Geometry, ModeSet, ParseError, file_name, integer,
-                   json_object, one_of, positive, refusal, require)
+from .core import (PAIRING_MODES, Geometry, ModeSet, ParseError, _set_array, file_name,
+                   integer, json_object, one_of, positive, refusal, require)
 
 G_MATRIX_MARKER = "ELECTRONIC G-MATRIX"
 RESULT_SUFFIX = ".gout"     # engine result file next to each geometry
@@ -424,19 +424,14 @@ class DisplacedGTensorSet:
         if not positive(self.delta_angstrom):
             raise ValueError("delta_angstrom must be positive and finite")
         n = self.modeset.nmodes
-        # each field, its allowed shapes and the _runs row of its first run
-        for name, shapes, first in (("baseline", [(3, 3)], None),
-                                    ("singles", [(2 * n, 3, 3)], 0),
-                                    ("pairs", [(0, 3, 3), (2 * n * (n - 1), 3, 3)], 2 * n)):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape not in shapes:
-                raise ValueError(f"{name} must have shape "
-                                 f"{' or '.join(map(str, shapes))}, got {arr.shape}")
-            bad = ~np.isfinite(arr).all(axis=(-2, -1))
+        pair_rows = 2 * n * (n - 1) if np.size(self.pairs) else 0  # every pair or none
+        # each field, its shape and the _runs row of its first run
+        for name, shape, first in (("baseline", (3, 3), None), ("singles", (2 * n, 3, 3), 0),
+                                   ("pairs", (pair_rows, 3, 3), 2 * n)):
+            bad = ~np.isfinite(_set_array(self, name, shape, finite=False)).all(axis=(-2, -1))
             if bad.any():
                 run = "" if first is None else " " + _name(_runs(n, True)[first + np.argmax(bad)])
                 raise ValueError(f"{name}{run} g matrix is not finite")
-            object.__setattr__(self, name, arr)
 
 
 def _runs(n: int, pairs: bool) -> list:

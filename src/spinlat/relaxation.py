@@ -25,9 +25,9 @@ from .core import (
     RATE_CM_TO_PER_US,
     BathSpec,
     SpinSystem,
+    _set_array,
     bose_occupation,
     check_rate_matrix,
-    freeze,
     raise_first_failure,
 )
 from .couplings import CouplingTensors, field_prefactor
@@ -252,10 +252,7 @@ class RelaxationTensor:
             "per_mode_lambda2", "elastic_dephasing", "gamma_cm",
             "linewidth_cm", "frequencies", "source_modes",
         ):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} contains non-finite entries")
-            freeze(self, **{name: v})
+            _set_array(self, name)
         _check_rates(self.lambda1, self.lambda2_quartic, self.lambda2_gsq,
                      self.elastic_dephasing, (self.per_mode_lambda1.sum(axis=0),
                                               self.per_mode_lambda2.sum(axis=0)))

@@ -927,7 +927,7 @@ def test_trajectory_validation():
     # the eigenvalues of rho are (1 -+ |m|)/2, so the bound |m| <= 1 + 2e-8
     # is the eigenvalue floor -1e-8; trace and Hermiticity hold by form
     t = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(ValueError, match=r"\(T, 3\)"):
+    with pytest.raises(ValueError, match=r"^bloch must be \(5, 3\), got \(5, 2\)$"):
         SpinTrajectory(times_us=t, bloch=np.zeros((5, 2)))
     edge = np.zeros((5, 3))
     edge[3] = (0.6, 0.0, 0.8 * (1.0 + 2e-8))
