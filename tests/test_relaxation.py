@@ -20,7 +20,14 @@ from spinlat.core import (
     check_rate_matrix,
 )
 from spinlat.couplings import CouplingTensors
-from spinlat.dynamics import JumpBasisDissipator, spectral_density
+from spinlat.dynamics import (
+    JumpBasisDissipator,
+    fit_decay_rate,
+    frame_rotation,
+    lindblad_evolve,
+    redfield_evolve,
+    spectral_density,
+)
 from spinlat.relaxation import (
     CONVENTIONS,
     RelaxationTensor,
@@ -578,9 +585,10 @@ def test_lambda_first_and_second_are_the_parts_of_build_tensor(pairing, monkeypa
 # --------------------------------------------------------- symmetry oracle
 
 def _rotation_case(seed, pairing, field_mt=1266.0):
-    """The tensor of a seeded six-mode set (anisotropic g0, random field
-    direction, 100 K), that of the set turned by a seeded proper rotation R
-    (d1, d2's spin index, the field direction, g0 -> R g0 R^T), and R."""
+    """The (couplings, bath, spin) of a seeded six-mode set (anisotropic g0,
+    random field direction, 100 K), those of the set turned by a seeded
+    proper rotation R (d1, d2's spin index, the field direction,
+    g0 -> R g0 R^T), and R."""
     rng = np.random.default_rng(seed)
     d1 = 1e-3 * rng.standard_normal((3, 6))
     d2 = 1e-3 * rng.standard_normal((3, 6, 6))
@@ -593,14 +601,14 @@ def _rotation_case(seed, pairing, field_mt=1266.0):
     rot = q if np.linalg.det(q) > 0.0 else -q
     bath = BathSpec(temperature_k=100.0, raman_pairing=pairing)
 
-    def tensor(r):
+    def inputs(r):
         c = CouplingTensors(d1=r @ d1, d2=np.einsum("ab,bqp->aqp", r, d2),
                             delta_angstrom=0.01, frequencies=freqs, field_direction=r @ b,
                             mixed_computed=True)
         spin = SpinSystem(g0=GTensor(r @ g0 @ r.T), field_mt=field_mt * (r @ b))
-        return build_tensor(c, bath, spin)
+        return c, bath, spin
 
-    return tensor(np.eye(3)), tensor(rot), rot
+    return inputs(np.eye(3)), inputs(rot), rot
 
 
 def _worst_rotation_error(part, pairing):
@@ -608,9 +616,9 @@ def _worst_rotation_error(part, pairing):
     the (3,) elastic vector is taken as the diagonal tensor it lists."""
     worst = 0.0
     for seed in range(5):
-        plain, rotated, rot = _rotation_case(seed, pairing)
+        *frames, rot = _rotation_case(seed, pairing)
         want, got = (np.diag(v) if v.ndim == 1 else v
-                     for v in (getattr(plain, part), getattr(rotated, part)))
+                     for v in (getattr(build_tensor(*inputs), part) for inputs in frames))
         worst = max(worst, np.abs(got - rot @ want @ rot.T).max() / np.abs(want).max())
     return worst
 
@@ -637,10 +645,93 @@ def test_reversed_field_leaves_every_tensor_bitwise(pairing):
     names = ("lambda1", "lambda2_quartic", "lambda2_gsq", "per_mode_lambda1",
              "per_mode_lambda2", "elastic_dephasing")
     for seed in range(5):
-        (up, _, _), (down, _, _) = (_rotation_case(seed, pairing, field)
-                                    for field in (1266.0, -1266.0))
+        up, down = (build_tensor(*_rotation_case(seed, pairing, field)[0])
+                    for field in (1266.0, -1266.0))
         for name in names:
             assert np.array_equal(getattr(up, name), getattr(down, name)), (seed, name)
+
+
+@pytest.mark.parametrize("pairing", ["diagonal_only", "all_pairs"])
+def test_times_and_shares_do_not_turn_with_the_input(pairing):
+    # what the rotation leaves alone: both conventions' rates within 1e-12 of
+    # Tr L (worst measured 1.0e-13), the times of a 2x2 sweep within 1e-12
+    # relative (4.3e-13), the trace shares within 1e-12 (5.4e-14) and the
+    # ranked order exactly; the frame-dependent quartic part is about 3e-16
+    # of Tr L at 1266 mT, below each bound
+    for seed in range(5):
+        *frames, _ = _rotation_case(seed, pairing)
+        tensors = [build_tensor(*inputs) for inputs in frames]
+        bound = 1e-12 * np.trace(tensors[0].lambda_total)
+        for convention in CONVENTIONS:
+            plain, turned = (relaxation_times(t, axis=spin.axis, convention=convention)
+                             for t, (_, _, spin) in zip(tensors, frames))
+            assert abs(turned.rate1_cm - plain.rate1_cm) <= bound, (seed, convention)
+            assert abs(turned.rate2_cm - plain.rate2_cm) <= bound, (seed, convention)
+            plain, turned = (sweep(c, spin, [5.0, 100.0], [500.0, 1266.0], bath, convention)
+                             for c, bath, spin in frames)
+            for time in ("t1_us", "t2_us"):
+                np.testing.assert_allclose(turned[time], plain[time], rtol=1e-12, atol=0.0)
+        plain, turned = (mode_attribution(*inputs) for inputs in frames)
+        assert turned.mode_numbers.tolist() == plain.mode_numbers.tolist(), seed
+        for share in ("trace_share1", "trace_share2"):
+            np.testing.assert_allclose(getattr(turned, share), getattr(plain, share),
+                                       rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("pairing", ["diagonal_only", "all_pairs"])
+def test_fitted_t1_does_not_turn_with_the_input(pairing):
+    # both engines' fitted T1 over four analytic T1, from the excited state:
+    # Redfield within 1e-12 relative, the lab-frame Lindblad engine within
+    # 1e-9, since the fit's search stops at 1e-10 relative in the rate
+    # (worst measured 3.7e-10). Lab-frame T2 is left out: each frame carries
+    # its L to the field axis by its own rotation, and the two differ by a
+    # turn about z. That leaves sz(t) from m = z alone, but starts the
+    # coherence at another phase of a non-axial L, which moves the fitted
+    # T2 by about 3e-8
+    excited = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    for seed in range(5):
+        *frames, _ = _rotation_case(seed, pairing)
+        tensors = [build_tensor(*inputs) for inputs in frames]
+        analytic = relaxation_times(tensors[0], axis=frames[0][2].axis, convention="lindblad")
+        grid = np.linspace(0.0, 4.0 * analytic.t1_us, 401)
+        redfield, lab = [], []
+        for (c, bath, spin), tensor in zip(frames, tensors):
+            traj = redfield_evolve(excited, c, bath, spin, grid)
+            redfield.append(fit_decay_rate(traj, "sz_minus_eq").rate_per_us)
+            rot = frame_rotation(spin.axis)
+            diss = JumpBasisDissipator(rot @ tensor.lambda_total @ rot.T, spin.larmor_cm())
+            lab.append(fit_decay_rate(lindblad_evolve(excited, diss, grid),
+                                      "sz_minus_eq").rate_per_us)
+        assert abs(redfield[1] / redfield[0] - 1.0) <= 1e-12, seed
+        assert abs(lab[1] / lab[0] - 1.0) <= 1e-9, seed
+
+
+@pytest.mark.parametrize("pairing", ["diagonal_only", "all_pairs"])
+def test_permuting_the_modes_permutes_the_splits(pairing):
+    # the splits and the ranked rows follow the source numbers; every total
+    # and split agrees within 1e-14 of its largest entry (worst measured
+    # 4.4e-16), and the shares within 1e-14
+    for seed in range(5):
+        (c, bath, spin), _, _ = _rotation_case(seed, pairing)
+        order = np.random.default_rng(seed).permutation(c.nmodes)
+        shuffled = CouplingTensors(
+            d1=c.d1[:, order], d2=c.d2[:, order][:, :, order], delta_angstrom=0.01,
+            frequencies=c.frequencies[order], field_direction=c.field_direction,
+            mixed_computed=True, source_indices=c.source_indices[order])
+        plain, permuted = build_tensor(c, bath, spin), build_tensor(shuffled, bath, spin)
+        assert permuted.source_modes.tolist() == plain.source_modes[order].tolist()
+        for name in ("lambda1", "lambda2_quartic", "lambda2_gsq", "elastic_dephasing",
+                     "per_mode_lambda1", "per_mode_lambda2"):
+            want = getattr(plain, name)[order] if name.startswith("per_mode") else \
+                getattr(plain, name)
+            error = np.abs(getattr(permuted, name) - want).max()
+            assert error <= 1e-14 * np.abs(want).max(), (seed, name)
+        plain, permuted = (mode_attribution(x, bath, spin).rows() for x in (c, shuffled))
+        assert [row["mode"] for row in permuted] == [row["mode"] for row in plain], seed
+        for got, want in zip(permuted, plain):
+            assert got["frequency_cm"] == want["frequency_cm"]
+            for share in ("trace_share1", "trace_share2"):
+                assert abs(got[share] - want[share]) <= 1e-14, (seed, share)
 
 
 # ------------------------------------------------------------ attribution
