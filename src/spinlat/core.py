@@ -50,10 +50,13 @@ def _as_matrix3(values, name: str, stack: bool = False) -> np.ndarray:
 
 
 def _set_array(record, name: str, shape=None, finite: bool = True) -> np.ndarray:
-    """Set the field name of the frozen record to a read-only copy of its
-    value, int for source_indices (1..N when None) and float otherwise, once
-    it has shape, when given, and is finite, unless finite is False; the one
-    rule for every record's arrays, so none shares or freezes the caller's."""
+    """Set the frozen record's field name to a read-only copy of its value.
+
+    The copy is int for source_indices (1..N when the value is None) and
+    float otherwise.  A shape other than shape, when given, or a non-finite
+    entry, unless finite is False, is refused naming the field.  Every
+    record's arrays go through here, so none shares or freezes the caller's.
+    """
     value = getattr(record, name)
     if name != "source_indices":
         arr = np.array(value, dtype=float)
@@ -219,7 +222,8 @@ class BathSpec:
 
     gamma_cm is the one-phonon damping rate, linewidth_cm the Lorentzian
     half-width used wherever a delta function is regularized.  Either may
-    be a scalar or a per-mode array.
+    be a scalar or a per-mode array; each is kept as a float array, 0-d
+    for a scalar.
     """
 
     temperature_k: float
