@@ -364,7 +364,7 @@ def _spin_system(cfg: dict, c: CouplingTensors, field_mt: float) -> SpinSystem:
     if phys["g0"] is None:
         raise UsageError("physics.g0 is required when starting from a couplings file")
     return SpinSystem(
-        g0=GTensor(np.asarray(phys["g0"], dtype=float)),
+        g0=GTensor(phys["g0"]),
         field_mt=c.field_direction * field_mt,
         omega_override_cm=phys["omega_override_cm"],
     )

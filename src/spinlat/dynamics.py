@@ -84,7 +84,7 @@ class JumpBasisDissipator:
     omega_cm: float
 
     def __post_init__(self):
-        check_rate_matrix(_set_array(self, "lam_cm"), "lam_cm", stack=False)
+        check_rate_matrix(_set_array(self, "lam_cm", finite=False), "lam_cm", stack=False)
         if not np.isfinite(self.omega_cm) or self.omega_cm < 0.0:
             raise ValueError("omega_cm must be finite and nonnegative")
 

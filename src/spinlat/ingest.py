@@ -157,7 +157,7 @@ def parse_modes(path, *, skip_soft: bool = False) -> ModeSet:
 
     order = np.argsort(freqs, kind="stable")
     symbols, masses, *xyz = zip(*atoms)
-    geometry = Geometry(symbols, np.array(masses), np.column_stack(xyz))
+    geometry = Geometry(symbols, masses, np.column_stack(xyz))
     try:
         return ModeSet(geometry, freqs[order], vecs[:, order], src_idx[order])
     except ValueError as e:
