@@ -115,8 +115,8 @@ class GTensor:
     matrix: np.ndarray
 
     def __post_init__(self):
-        # a bad g matrix is refused as every g matrix is, by _as_matrix3
-        d = np.diagonal(_as_matrix3(_set_array(self, "matrix", finite=False), "g matrix"))
+        _as_matrix3(self.matrix, "g matrix")  # the finite-3x3 rule of every g matrix
+        d = np.diagonal(_set_array(self, "matrix"))
         if np.any(d < 1.5) or np.any(d > 2.5):
             warnings.warn(
                 f"g diagonal {d.tolist()} outside the usual (1.5, 2.5) range",
