@@ -341,18 +341,20 @@ def test_tensor_validation_rejects_a_step_that_is_not_positive_and_finite(toy_mo
                         field_direction=(0.0, 0.0, 1.0), mixed_computed=False)
 
 
-@pytest.mark.parametrize("name, bad", [
-    ("frequencies", [12.6, np.nan, 210.0]), ("frequencies", [12.6, 45.0, np.inf]),
-    ("field_direction", [np.nan, 0.0, 0.0]),
-], ids=["nan-frequency", "inf-frequency", "nan-direction"])
+@pytest.mark.parametrize("name, bad, message", [
+    ("frequencies", [12.6, np.nan, 210.0], "contains non-finite entries"),
+    ("frequencies", [12.6, 45.0, np.inf], "contains non-finite entries"),
+    ("frequencies", [[12.6, 45.0, 210.0]], r"must be \(3,\), got \(1, 3\)"),
+    ("field_direction", [np.nan, 0.0, 0.0], "contains non-finite entries"),
+], ids=["nan-frequency", "inf-frequency", "2d-frequencies", "nan-direction"])
 def test_tensor_validation_rejects_non_finite_frequencies_and_direction(toy_modes, name,
-                                                                        bad):
+                                                                        bad, message):
     # a NaN fails both "<= 0" and "|norm - 1| > 1e-10", so only a finiteness
-    # check refuses it
+    # check refuses it; the frequencies are one value per mode
     n = toy_modes.nmodes
     given = {"frequencies": toy_modes.frequencies, "field_direction": (0.0, 0.0, 1.0),
              name: np.array(bad)}
-    with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+    with pytest.raises(ValueError, match=f"^{name} {message}$"):
         CouplingTensors(d1=np.zeros((3, n)), d2=np.zeros((3, n, n)), delta_angstrom=0.01,
                         mixed_computed=True, **given)
 

@@ -937,3 +937,5 @@ def test_trajectory_validation():
         bloch[3] = bad
         with pytest.raises(ValueError, match="eigenvalue"):
             SpinTrajectory(times_us=t, bloch=bloch)
+    with pytest.raises(ValueError, match="^times_us contains non-finite entries$"):
+        SpinTrajectory(times_us=[0.0, 1.0, np.nan, 3.0, 4.0], bloch=np.zeros((5, 3)))
