@@ -324,7 +324,7 @@ def test_record_keeps_a_read_only_copy_of_each_array(case):
 
 
 def test_bathspec_compares_by_identity():
-    # a generated __eq__ would compare the width arrays and raise
+    # generated methods would compare and hash the width arrays, and raise
     g = np.array([2.0, 3.0])
     bath = BathSpec(20.0, gamma_cm=g)
     assert bath == bath
