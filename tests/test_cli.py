@@ -494,6 +494,81 @@ def test_malformed_couplings_file_exits_1(dataset, tmp_path, capsys, edit, named
     assert named in err
 
 
+@pytest.mark.parametrize("document", ["config", "manifest", "couplings"])
+def test_document_that_is_not_utf8_is_refused_naming_it(dataset, tmp_path, capsys,
+                                                        document):
+    # every input document is UTF-8: a byte that does not decode is refused
+    # the way malformed JSON is, naming the document (a config exits 2)
+    out = tmp_path / "built"
+    assert run("couplings", "--modes", dataset["modes"],
+               "--manifest", dataset["manifest"], "--out", str(out))[0] == 0
+    config = Path(_g0_config(tmp_path, dataset))
+    manifest = Path(dataset["manifest"])
+    copy = manifest.parent / "latin1-manifest.json"
+    shutil.copyfile(manifest, copy)
+    files = {"config": config, "manifest": copy, "couplings": out / "couplings.json"}
+    bad = files[document]
+    bad.write_bytes(b"\xff" + bad.read_bytes())
+    if document == "manifest":
+        argv = ("couplings", "--modes", dataset["modes"], "--manifest", str(copy))
+    else:
+        argv = ("tensor", "--config", str(config), "--couplings", str(files["couplings"]))
+    code, _, err = run(*argv, "--out", str(tmp_path / "art"), capsys=capsys)
+    where = {"config": "config", "manifest": "manifest",
+             "couplings": f"couplings file {bad}"}[document]
+    assert code == (2 if document == "config" else 1), err
+    assert err.startswith(f"error: {where} is not valid JSON: ")
+    assert "can't decode byte 0xff in position 0" in err
+
+
+def _ascii_locale_env() -> dict:
+    """The environment of a process whose locale and file names are ASCII:
+    neither UTF-8 mode nor locale coercion, and the C locale."""
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith(("LC_", "LANG", "PYTHONUTF8", "PYTHONIOENCODING"))}
+    src = str(Path(spinlat.cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.update(PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    return env
+
+
+def test_documents_read_as_utf8_under_an_ascii_locale(dataset, tmp_path):
+    # the config, the NMODES file, the manifest and the couplings file are
+    # UTF-8 whatever the locale, and a path in the config names the same
+    # bytes on disk: the files match those written in UTF-8 mode
+    modes = tmp_path / "modes.txt"
+    magic, rest = Path(dataset["modes"]).read_bytes().split(b"\n", 1)
+    modes.write_bytes(magic + "\n# modes of the résumé set\n".encode() + rest)
+    doc = json.loads(Path(dataset["manifest"]).read_text())
+    manifest = Path(dataset["manifest"]).parent / "noted-manifest.json"
+    manifest.write_bytes(json.dumps({**doc, "note": "résumé"}, ensure_ascii=False).encode())
+    config = tmp_path / "cfg.json"
+    config.write_bytes(json.dumps({"format": "spinlat-config/1",
+                                   "paths": {"output_dir": "résultats"},
+                                   "physics": {"g0": BASE_G.tolist()}},
+                                  ensure_ascii=False).encode())
+    env = _ascii_locale_env()
+
+    def artifacts(utf8: str, *argv) -> dict:
+        done = subprocess.run([sys.executable, "-m", "spinlat.cli", *argv, "--config",
+                               "cfg.json"], cwd=tmp_path, env={**env, "PYTHONUTF8": utf8},
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        out = tmp_path / "résultats"
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        shutil.rmtree(out)
+        return files
+
+    built = artifacts("1", "couplings", "--modes", str(modes), "--manifest", str(manifest))
+    assert artifacts("0", "couplings", "--modes", str(modes),
+                     "--manifest", str(manifest)) == built
+    couplings = tmp_path / "noted-couplings.json"
+    couplings.write_bytes(json.dumps({**json.loads(built["couplings.json"]), "note": "résumé"},
+                                     ensure_ascii=False).encode())
+    point = ("tensor", "--couplings", str(couplings), "--temp", "20", "--field-mt", "1266")
+    assert artifacts("0", *point) == artifacts("1", *point)
+
+
 # ---------------------------------------------------------------- sweep
 
 def test_sweep_grid_and_monotone_t1(dataset, tmp_path):

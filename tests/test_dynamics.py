@@ -380,6 +380,20 @@ def test_rho0_validation():
         lindblad_evolve(RHO_PLUS_X, diss, np.array([0.0, 1.0, 0.5]))
 
 
+@pytest.mark.parametrize("grid", [[0.0, 1.0, np.inf], [0.0, np.nan, 1.0], [0.0, 1.0, np.nan],
+                                  [0.0, np.inf, np.inf]])
+def test_non_finite_time_grid_is_refused_before_propagating(monkeypatch, grid):
+    # a step of inf or NaN would reach the propagator, whose scaling warns
+    def forbidden(*args):
+        raise AssertionError("a propagator was built for a non-finite grid")
+
+    monkeypatch.setattr(dyn, "_expm", forbidden)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^time grid must be finite$"):
+            lindblad_evolve(RHO_PLUS_X, diag_diss(1e-6, 1e-6, 0.0), grid)
+
+
 # ---------------------------------------------------------------- redfield
 
 def flat_spectrum(values):
