@@ -16,6 +16,7 @@ import argparse
 import copy
 import importlib
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -98,11 +99,20 @@ def _grid(test):
     return _finite(test=lambda arr: arr.ndim == 1 and arr.size > 0 and test(arr))
 
 
+def _os_path(text: str) -> str:
+    """The path named by text's UTF-8 bytes, as the file system's encoding
+    spells it, so that a path read from a document names the same file under
+    any locale; a path from the command line is returned unchanged."""
+    return os.fsdecode(text.encode("utf-8", "surrogateescape"))
+
+
 def _directory(value) -> bool:
     """Whether value is a path string that mkdir can make a directory of:
     it holds no NUL, and neither it nor any of its parents names a file."""
-    return type(value) is str and "\0" not in value and not any(
-        p.exists() and not p.is_dir() for p in (Path(value), *Path(value).parents))
+    if type(value) is not str or "\0" in value:
+        return False
+    path = Path(_os_path(value))
+    return not any(p.exists() and not p.is_dir() for p in (path, *path.parents))
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -244,7 +254,7 @@ def _config(path, flags: dict, command: str) -> dict:
         if not Path(path).is_file():
             raise UsageError(f"config file not found: {path}")
         try:
-            doc = json_object(Path(path).read_text(), "config", CONFIG_FORMAT)
+            doc = json_object(Path(path).read_bytes(), "config", CONFIG_FORMAT)
         except ParseError as e:
             raise UsageError(str(e)) from None
         for section, values in doc.items():
@@ -293,7 +303,7 @@ def _need_files(cfg: dict, *names: str) -> None:
         value = cfg["paths"][name]
         if value is None:
             raise UsageError(f"paths.{name} is required (flag {_FLAG_OF['paths.' + name]})")
-        if not Path(value).is_file():
+        if not Path(_os_path(value)).is_file():
             raise UsageError(f"paths.{name} file not found: {value}")
 
 
@@ -324,7 +334,7 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _outdir(cfg: dict) -> Path:
-    out = Path(cfg["paths"]["output_dir"])
+    out = Path(_os_path(cfg["paths"]["output_dir"]))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -340,7 +350,7 @@ def _assemble_couplings(cfg: dict) -> CouplingTensors:
     paths, direction = cfg["paths"], cfg["physics"]["field_direction"]
     if paths["couplings"] is not None:
         _need_files(cfg, "couplings")
-        c = load_couplings(paths["couplings"])
+        c = load_couplings(_os_path(paths["couplings"]))
         if not same_direction(c.field_direction, direction):
             raise UsageError(
                 f"physics.field_direction {direction} differs from "
@@ -349,8 +359,8 @@ def _assemble_couplings(cfg: dict) -> CouplingTensors:
             )
     else:
         _need_files(cfg, "modes", "manifest")
-        modeset = parse_modes(paths["modes"], skip_soft=cfg["numerics"]["skip_soft"])
-        runset = load_run_set(paths["manifest"], modeset)
+        modeset = parse_modes(_os_path(paths["modes"]), skip_soft=cfg["numerics"]["skip_soft"])
+        runset = load_run_set(_os_path(paths["manifest"]), modeset)
         c = build_couplings(runset, field_direction=direction)
         cfg["physics"]["g0"] = runset.baseline.tolist()
     cfg["numerics"]["delta_angstrom"] = c.delta_angstrom
@@ -412,12 +422,12 @@ def _point(cfg: dict, command: str) -> tuple[CouplingTensors, BathSpec, SpinSyst
 def _cmd_displace(cfg: dict) -> int:
     _need_files(cfg, "modes")
     # results beside an old manifest would be read with the new plan's step
-    old = Path(cfg["paths"]["output_dir"]) / "manifest.json"
+    old = Path(_os_path(cfg["paths"]["output_dir"])) / "manifest.json"
     if old.exists():
         raise UsageError(f"paths.output_dir (flag --out) already holds {old}; "
                          "displace into a new directory")
     num = cfg["numerics"]
-    modeset = parse_modes(cfg["paths"]["modes"], skip_soft=num["skip_soft"])
+    modeset = parse_modes(_os_path(cfg["paths"]["modes"]), skip_soft=num["skip_soft"])
     plan = plan_displacements(
         modeset,
         delta=num["delta_angstrom"],
@@ -592,9 +602,10 @@ def _cmd_validate(cfg: dict) -> int:
     # result) and the step; a check runs only when that check passed
     table = (
         ("modes-parse", None,
-         lambda _: parse_modes(paths["modes"], skip_soft=cfg["numerics"]["skip_soft"])),
+         lambda _: parse_modes(_os_path(paths["modes"]),
+                               skip_soft=cfg["numerics"]["skip_soft"])),
         ("manifest-complete", "modes-parse",
-         lambda modeset: load_run_set(paths["manifest"], modeset)),
+         lambda modeset: load_run_set(_os_path(paths["manifest"]), modeset)),
         ("baseline-g", "manifest-complete", baseline_g),
         ("couplings-assemble", "manifest-complete",
          lambda runset: build_couplings(runset, field_direction=phys["field_direction"])),

@@ -298,11 +298,12 @@ class ParseError(ValueError):
 # The config, the run manifest and the couplings file share these rules.
 # A refusal names the document and the key, and is built only on failure.
 
-def json_object(text: str, where: str, form: str | None = None) -> dict:
-    """text parsed as a JSON object, whose "format" is form when form is given."""
+def json_object(data: bytes, where: str, form: str | None = None) -> dict:
+    """The UTF-8 bytes data parsed as a JSON object, whose "format" is form
+    when form is given."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
+        doc = json.loads(data.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ParseError(f"{where} is not valid JSON: {e}") from None
     require(doc, where)
     if form is not None and doc.get("format") != form:

@@ -18,6 +18,8 @@ of the rates exact by construction.
 from __future__ import annotations
 
 import json
+import os
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,6 +67,8 @@ class CouplingTensors:
             raise ValueError("mode frequencies must be positive")
         if not positive(self.delta_angstrom):
             raise ValueError("delta_angstrom must be positive and finite")
+        if type(self.mixed_computed) is not bool:  # the file holds true or false
+            raise ValueError("mixed_computed must be True or False")
         sym_dev = np.abs(d2 - np.swapaxes(d2, 1, 2)).max()
         scale = max(np.abs(d2).max(), 1.0)
         if sym_dev > 1e-10 * scale:
@@ -139,17 +143,72 @@ def export_couplings(c: CouplingTensors, path=None, config=None) -> str:
         doc["config"] = config
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if path is not None:
-        Path(path).write_text(text)
+        data = text.encode()
+        Path(path).write_bytes(data)
+        record = np.zeros((), _record_dtype(c.nmodes))
+        record["json_bytes"], record["json_crc32"] = len(data), zlib.crc32(data)
+        for name in _RECORD_FIELDS:
+            record[name] = getattr(c, name)
+        with open(os.fspath(path) + ".npy", "wb") as f:
+            np.save(f, record, allow_pickle=False)
     return text
+
+
+# every field load_couplings returns, as the record beside a couplings file holds it
+_RECORD_FIELDS = ("delta_angstrom", "field_direction", "frequencies", "source_indices",
+                  "d1", "d2", "mixed_computed")
+
+
+def _record_dtype(n: int) -> np.dtype:
+    """The record of the couplings file of n modes: the file's byte length and
+    CRC-32, then the fields, little-endian whatever the machine."""
+    return np.dtype([("json_bytes", "<i8"), ("json_crc32", "<i8"), ("delta_angstrom", "<f8"),
+                     ("field_direction", "<f8", (3,)), ("frequencies", "<f8", (n,)),
+                     ("source_indices", "<i8", (n,)), ("d1", "<f8", (3, n)),
+                     ("d2", "<f8", (3, n, n)), ("mixed_computed", "?")])
+
+
+def _recorded(path, data: bytes) -> dict | None:
+    """The fields of the record export_couplings wrote beside the couplings
+    file at path, when its length and CRC-32 are those of data, the file's
+    bytes; None when there is no such record or it cannot be read."""
+    try:
+        record = np.load(os.fspath(path) + ".npy", allow_pickle=False)
+        fresh = (record.shape == ()
+                 and record.dtype == _record_dtype(*record.dtype["frequencies"].shape)
+                 and record["json_bytes"] == len(data)
+                 and record["json_crc32"] == zlib.crc32(data))
+    except Exception:  # absent, truncated or not a record: the JSON is read instead
+        return None
+    if not fresh:
+        return None
+    values = {name: record[name] for name in _RECORD_FIELDS}
+    values.update(delta_angstrom=float(values["delta_angstrom"]),
+                  mixed_computed=bool(values["mixed_computed"]))
+    return values
 
 
 def load_couplings(path) -> CouplingTensors:
     """Couplings from the file at path.
 
-    A malformed document raises ValueError naming the file and the key.
+    The file is read once.  When the record that export_couplings wrote
+    beside it (path + ".npy") holds the length and CRC-32 of the file's
+    bytes, the values come from the record, bitwise those the JSON parses
+    to; otherwise from the JSON.  A malformed document raises ValueError
+    naming the file and the key.
     """
     where = f"couplings file {path}"
-    doc = json_object(Path(path).read_text(), where, COUPLINGS_FORMAT)
+    data = Path(path).read_bytes()
+    values = _recorded(path, data) or _parsed(data, where)
+    try:
+        return CouplingTensors(**values)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
+
+
+def _parsed(data: bytes, where: str) -> dict:
+    """The fields of the couplings document data, refusing a malformed one."""
+    doc = json_object(data, where, COUPLINGS_FORMAT)
     delta, mixed, d1, d2, freqs, direction, src = require(
         doc, where, "delta_angstrom", "mixed_computed", "d1", "d2", "frequencies_cm",
         "field_direction", "source_indices")
@@ -165,14 +224,10 @@ def load_couplings(path) -> CouplingTensors:
             raise ParseError(refusal(where, key, what, value))
         return arr
 
-    values = dict(d1=array("d1", d1), d2=array("d2", d2), delta_angstrom=float(delta),
-                  frequencies=array("frequencies_cm", freqs),
-                  field_direction=array("field_direction", direction),
-                  mixed_computed=mixed, source_indices=array("source_indices", src, "i"))
-    try:
-        return CouplingTensors(**values)
-    except ValueError as e:
-        raise ValueError(f"{where}: {e}") from None
+    return dict(d1=array("d1", d1), d2=array("d2", d2), delta_angstrom=float(delta),
+                frequencies=array("frequencies_cm", freqs),
+                field_direction=array("field_direction", direction),
+                mixed_computed=mixed, source_indices=array("source_indices", src, "i"))
 
 
 def field_prefactor(c: CouplingTensors, spin: SpinSystem) -> float:

@@ -205,6 +205,8 @@ def _integrate(gen: np.ndarray, m0: np.ndarray, t_grid) -> SpinTrajectory:
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise ValueError("time grid needs at least two points")
+    if not np.isfinite(t).all():
+        raise ValueError("time grid must be finite")
     steps = np.diff(t)
     if t[0] != 0.0 or np.any(steps <= 0.0):
         raise ValueError("time grid must start at 0 and increase strictly")

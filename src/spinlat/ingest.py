@@ -72,7 +72,7 @@ def parse_modes(path, *, skip_soft: bool = False) -> ModeSet:
     unless skip_soft is set, in which case every mode below
     SOFT_CUTOFF_CM is dropped.
     """
-    lines = list(_effective_lines(Path(path).read_text()))
+    lines = list(_effective_lines(Path(path).read_text(encoding="utf-8")))
     if not lines:
         raise ParseError("empty file", line=1)
     rest = iter(lines[1:])
@@ -517,7 +517,7 @@ def load_run_set(manifest_path, modeset: ModeSet) -> DisplacedGTensorSet:
     in it are 1-based.  A result that cannot be opened for another reason
     (PermissionError) is not a gap: its error is raised as is.
     """
-    doc = json_object(Path(manifest_path).read_text(), "manifest")
+    doc = json_object(Path(manifest_path).read_bytes(), "manifest")
     delta, baseline_path, *entries = require(doc, "manifest", "delta_angstrom",
                                              "baseline", "runs", "pairs")
     if not positive(delta):

@@ -235,6 +235,29 @@ def test_couplings_round_trip(dataset, tmp_path):
     assert doc["config"]["numerics"]["delta_angstrom"] == loaded.delta_angstrom == 0.01
 
 
+@pytest.mark.parametrize("command, artifact", [("tensor", "tensor.json"),
+                                               ("sweep", "sweep.csv")])
+def test_couplings_record_changes_no_artifact(pair_dataset, tmp_path, command, artifact):
+    # couplings writes its record beside couplings.json; a command from the
+    # file writes the same bytes with the record as without it
+    built = tmp_path / "built"
+    assert run("couplings", "--modes", pair_dataset["modes"], "--manifest",
+               pair_dataset["manifest"], "--field-dir", "1,-2,-2", "--out", str(built))[0] == 0
+    assert sorted(p.name for p in built.iterdir()) == ["couplings.json", "couplings.json.npy"]
+
+    def written():
+        out = tmp_path / "art"
+        assert run(command, "--config", _g0_config(tmp_path, pair_dataset), "--couplings",
+                   str(built / "couplings.json"), "--pairing", "all_pairs",
+                   "--temp", "20", "--field-mt", "1266", "--field-dir", "1,-2,-2",
+                   "--out", str(out))[0] == 0
+        return (out / artifact).read_bytes()
+
+    with_record = written()
+    (built / "couplings.json.npy").unlink()
+    assert written() == with_record
+
+
 # --------------------------------------------------------------- tensor
 
 def test_tensor_report(dataset, tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Finite-difference coupling assembly against analytic surfaces."""
 
+import hashlib
 import json
 import warnings
 
 import numpy as np
 import pytest
 
+import spinlat.couplings as couplings_module
 from spinlat.core import ModeSet
 from spinlat.couplings import (
     CouplingTensors,
@@ -306,6 +308,161 @@ def test_load_single_line_json_text(toy_modes, tmp_path):
     assert np.array_equal(loaded.d2, c.d2)
     path.write_text("  " + export_couplings(c))
     assert np.array_equal(load_couplings(str(path)).d1, c.d1)
+
+
+# ------------------------------------------------------------------- record
+
+def seeded_couplings(n, mixed, seed=3):
+    """Random couplings over n modes; without mixed derivatives d2 is diagonal."""
+    rng = np.random.default_rng([seed, n])
+    d2 = rng.normal(scale=1e-3, size=(3, n, n))
+    d2 = d2 + d2.transpose(0, 2, 1)
+    if not mixed:
+        d2 = d2 * np.eye(n)
+    return CouplingTensors(d1=rng.normal(scale=1e-3, size=(3, n)), d2=d2, delta_angstrom=0.01,
+                           frequencies=np.sort(rng.uniform(10.0, 1600.0, n)),
+                           field_direction=np.array([0.6, 0.0, -0.8]), mixed_computed=mixed,
+                           source_indices=rng.permutation(n) + 1)
+
+
+FIELDS = ("d1", "d2", "frequencies", "field_direction", "source_indices",
+          "delta_angstrom", "mixed_computed")
+
+
+def bits(c):
+    """Every field load_couplings returns, as its type, dtype, shape and bytes."""
+    return {name: (type(value), value.dtype, value.shape, value.tobytes())
+            if isinstance(value, np.ndarray) else (type(value), value)
+            for name, value in ((name, getattr(c, name)) for name in FIELDS)}
+
+
+def parsed_only(monkeypatch):
+    """Make a record read fail loudly, so a load can only parse the JSON."""
+    def no_record(*args, **kwargs):
+        raise AssertionError("the record was read")
+    monkeypatch.setattr(couplings_module.np, "load", no_record)
+
+
+def record_only(monkeypatch):
+    """Make the JSON parse fail loudly, so a load can only read the record."""
+    def no_json(*args, **kwargs):
+        raise AssertionError("the JSON was parsed")
+    monkeypatch.setattr(couplings_module, "json_object", no_json)
+
+
+@pytest.mark.parametrize("n, mixed", [(1, False), (1, True), (2, True), (7, False), (7, True)])
+def test_record_and_json_load_bitwise_equal(tmp_path, monkeypatch, n, mixed):
+    c = seeded_couplings(n, mixed)
+    path = tmp_path / "couplings.json"
+    export_couplings(c, path, config={"physics": {"note": "any"}})
+    with monkeypatch.context() as m:
+        record_only(m)
+        from_record = load_couplings(path)
+    with monkeypatch.context() as m:
+        parsed_only(m)
+        from_json = load_couplings(path)
+    assert bits(from_record) == bits(from_json) == bits(c)
+
+
+def test_export_writes_the_returned_text_and_its_record(tmp_path):
+    # the JSON is the text export returns, byte for byte, as it was before
+    # the record; the record's bytes repeat from export to export
+    c = seeded_couplings(4, True)
+    config = {"physics": {"g0": None}}
+    text = export_couplings(c, config=config)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "15fa6b8111938e7a6f8cce4e05223cb98d269b6321b66694bd6b4547ab79ccfe")
+    assert hashlib.sha256(export_couplings(seeded_couplings(1, False), config=config)
+                          .encode()).hexdigest() == (
+        "132f20e5a4e04898062679f42d6b3f099332a18dedb1b8087f426b778e9dd8da")
+    records = []
+    for name in ("a", "b", "a"):
+        path = tmp_path / name / "couplings.json"
+        path.parent.mkdir(exist_ok=True)
+        assert export_couplings(c, path, config=config) == text
+        assert path.read_bytes() == text.encode()
+        records.append((tmp_path / name / "couplings.json.npy").read_bytes())
+    assert records[0] == records[1] == records[2]
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                  if p.is_file()) == ["a/couplings.json", "a/couplings.json.npy",
+                                      "b/couplings.json", "b/couplings.json.npy"]
+
+
+def _same_length_edit(old, new):
+    def edit(text):
+        assert len(old) == len(new) and text.count(old) == 1
+        return text.replace(old, new)
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _same_length_edit('"delta_angstrom": 0.01', '"delta_angstrom": 0.02'),
+    _same_length_edit('"mixed_computed": true', '"mixed_computed": "no"'),
+    _same_length_edit('"delta_angstrom": 0.01', '"delta_angstrom": -1.0'),
+    _same_length_edit('"format": "spinlat-couplings/1"', '"format": "spinlat-couplings/2"'),
+    _same_length_edit('"mixed_computed": true', '"mixed_computed": 1234'),
+], ids=["value", "text-mixed", "negative-delta", "format", "number-mixed"])
+@pytest.mark.parametrize("record", ["kept", "missing", "truncated", "garbage", "pickled",
+                                    "another-file", "other-dtype"])
+def test_a_stale_or_broken_record_gives_the_json_outcome(tmp_path, edit, record):
+    # an edit of one value that keeps the file's length, or a record that is
+    # absent, cut short, not a record or another file's: the load is the
+    # JSON's, value or refusal, with the record or without it
+    c = seeded_couplings(3, True)
+    path = tmp_path / "couplings.json"
+    export_couplings(c, path)
+    beside = tmp_path / "couplings.json.npy"
+    path.write_text(edit(path.read_text()))
+    if record == "missing":
+        beside.unlink()
+    elif record == "truncated":
+        beside.write_bytes(beside.read_bytes()[:-100])
+    elif record == "garbage":
+        beside.write_bytes(b"\x93NUMPY garbage" * 40)
+    elif record == "pickled":
+        with open(beside, "wb") as f:
+            np.save(f, np.array([{"d1": 0}], dtype=object), allow_pickle=True)
+    elif record == "another-file":
+        export_couplings(c, tmp_path / "other.json")
+        (tmp_path / "other.json.npy").replace(beside)
+    elif record == "other-dtype":
+        with open(beside, "wb") as f:
+            np.save(f, np.zeros(10))
+
+    def outcome():
+        try:
+            return bits(load_couplings(path))
+        except ValueError as e:
+            return str(e)
+
+    with_record = outcome()
+    beside.unlink(missing_ok=True)
+    assert with_record == outcome()
+    assert with_record != bits(c)
+
+
+def test_record_arrays_pass_the_records_checks(tmp_path):
+    # a record is trusted only for its bytes: a fresh record holding an
+    # asymmetric d2 is refused by CouplingTensors, naming the file
+    c = seeded_couplings(3, True)
+    path = tmp_path / "couplings.json"
+    export_couplings(c, path)
+    beside = tmp_path / "couplings.json.npy"
+    record = np.load(beside)
+    record["d2"][0, 0, 1] += 1.0
+    with open(beside, "wb") as f:
+        np.save(f, record)
+    with pytest.raises(ValueError, match=f"^couplings file {path}: d2 not symmetric"):
+        load_couplings(path)
+
+
+@pytest.mark.parametrize("mixed", [1, 0, None, np.True_])
+def test_mixed_computed_must_be_a_bool(mixed):
+    # the file can hold only true or false, so the record holds nothing else
+    c = seeded_couplings(2, True)
+    with pytest.raises(ValueError, match="^mixed_computed must be True or False$"):
+        CouplingTensors(d1=c.d1, d2=c.d2, delta_angstrom=0.01, frequencies=c.frequencies,
+                        field_direction=c.field_direction, mixed_computed=mixed)
 
 
 def test_load_rejects_unknown_format(tmp_path):
