@@ -174,13 +174,12 @@ def _recorded(path, data: bytes) -> dict | None:
     bytes; None when there is no such record or it cannot be read."""
     try:
         record = np.load(os.fspath(path) + ".npy", allow_pickle=False)
-        fresh = (record.shape == ()
-                 and record.dtype == _record_dtype(*record.dtype["frequencies"].shape)
-                 and record["json_bytes"] == len(data)
-                 and record["json_crc32"] == zlib.crc32(data))
-    except Exception:  # absent, truncated or not a record: the JSON is read instead
+        modes = record.dtype["frequencies"].shape
+    except (OSError, EOFError, ValueError, KeyError):  # absent, cut short, not a record
         return None
-    if not fresh:
+    if not (len(modes) == 1 and record.shape == () and record.dtype == _record_dtype(*modes)
+            and record["json_bytes"] == len(data)
+            and record["json_crc32"] == zlib.crc32(data)):
         return None
     values = {name: record[name] for name in _RECORD_FIELDS}
     values.update(delta_angstrom=float(values["delta_angstrom"]),
