@@ -13,7 +13,9 @@ input files, 1 for errors raised while computing.
 from __future__ import annotations
 
 import argparse
+import atexit
 import copy
+import gc
 import importlib
 import json
 import os
@@ -24,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import (PAIRING_MODES, RATE_CM_TO_PER_US, BathSpec, GTensor, ParseError,
-                   SpinSystem, integer, json_object, numbers, one_of, positive, raise_first_failure,
-                   refusal)
+                   SpinSystem, integer, json_object, numbers, one_of, os_path, positive,
+                   raise_first_failure, refusal)
 from .couplings import (
     CouplingTensors,
     build_couplings,
@@ -67,6 +69,7 @@ JumpBasisDissipator = _on_call("dynamics", "JumpBasisDissipator")
 frame_rotation = _on_call("dynamics", "frame_rotation")
 
 CONFIG_FORMAT = "spinlat-config/1"
+_exit_freeze = None  # gc.freeze once main has registered it to run at exit
 
 
 class UsageError(Exception):
@@ -99,20 +102,20 @@ def _grid(test):
     return _finite(test=lambda arr: arr.ndim == 1 and arr.size > 0 and test(arr))
 
 
-def _os_path(text: str) -> str:
-    """The path named by text's UTF-8 bytes, as the file system's encoding
-    spells it, so that a path read from a document names the same file under
-    any locale; a path from the command line is returned unchanged."""
-    return os.fsdecode(text.encode("utf-8", "surrogateescape"))
-
-
 def _directory(value) -> bool:
     """Whether value is a path string that mkdir can make a directory of:
     it holds no NUL, and neither it nor any of its parents names a file."""
     if type(value) is not str or "\0" in value:
         return False
-    path = Path(_os_path(value))
+    path = Path(os_path(value))
     return not any(p.exists() and not p.is_dir() for p in (path, *path.parents))
+
+
+def _utf8_text(arg: str) -> str:
+    """A path flag's value as the text of its UTF-8 bytes, as a document
+    spells a path, so that artifacts embed the same config under any locale;
+    os_path maps it back to the same file."""
+    return os.fsencode(arg).decode("utf-8", "surrogateescape")
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -161,11 +164,11 @@ _KINDS, _ENGINES = ("t1", "t2"), ("lindblad", "redfield")
 # way to set its key
 _CONFIG_KEYS = {
     "paths": {
-        "modes": (None, *_PATH, "--modes", str, "NMODES file"),
-        "manifest": (None, *_PATH, "--manifest", str, "displacement run manifest"),
-        "couplings": (None, *_PATH, "--couplings", str, "precomputed couplings JSON"),
+        "modes": (None, *_PATH, "--modes", _utf8_text, "NMODES file"),
+        "manifest": (None, *_PATH, "--manifest", _utf8_text, "displacement run manifest"),
+        "couplings": (None, *_PATH, "--couplings", _utf8_text, "precomputed couplings JSON"),
         "output_dir": (".", _directory, "a path string that names a directory or nothing",
-                       "--out", str, "output directory (default '.')"),
+                       "--out", _utf8_text, "output directory (default '.')"),
     },
     "physics": {
         "temperatures_k": ([20.0], _grid(lambda arr: (arr >= 0.0).all()),
@@ -303,7 +306,7 @@ def _need_files(cfg: dict, *names: str) -> None:
         value = cfg["paths"][name]
         if value is None:
             raise UsageError(f"paths.{name} is required (flag {_FLAG_OF['paths.' + name]})")
-        if not Path(_os_path(value)).is_file():
+        if not Path(os_path(value)).is_file():
             raise UsageError(f"paths.{name} file not found: {value}")
 
 
@@ -334,7 +337,7 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _outdir(cfg: dict) -> Path:
-    out = Path(_os_path(cfg["paths"]["output_dir"]))
+    out = Path(os_path(cfg["paths"]["output_dir"]))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -350,7 +353,7 @@ def _assemble_couplings(cfg: dict) -> CouplingTensors:
     paths, direction = cfg["paths"], cfg["physics"]["field_direction"]
     if paths["couplings"] is not None:
         _need_files(cfg, "couplings")
-        c = load_couplings(_os_path(paths["couplings"]))
+        c = load_couplings(os_path(paths["couplings"]))
         if not same_direction(c.field_direction, direction):
             raise UsageError(
                 f"physics.field_direction {direction} differs from "
@@ -359,8 +362,8 @@ def _assemble_couplings(cfg: dict) -> CouplingTensors:
             )
     else:
         _need_files(cfg, "modes", "manifest")
-        modeset = parse_modes(_os_path(paths["modes"]), skip_soft=cfg["numerics"]["skip_soft"])
-        runset = load_run_set(_os_path(paths["manifest"]), modeset)
+        modeset = parse_modes(os_path(paths["modes"]), skip_soft=cfg["numerics"]["skip_soft"])
+        runset = load_run_set(os_path(paths["manifest"]), modeset)
         c = build_couplings(runset, field_direction=direction)
         cfg["physics"]["g0"] = runset.baseline.tolist()
     cfg["numerics"]["delta_angstrom"] = c.delta_angstrom
@@ -422,12 +425,12 @@ def _point(cfg: dict, command: str) -> tuple[CouplingTensors, BathSpec, SpinSyst
 def _cmd_displace(cfg: dict) -> int:
     _need_files(cfg, "modes")
     # results beside an old manifest would be read with the new plan's step
-    old = Path(_os_path(cfg["paths"]["output_dir"])) / "manifest.json"
+    old = Path(os_path(cfg["paths"]["output_dir"])) / "manifest.json"
     if old.exists():
         raise UsageError(f"paths.output_dir (flag --out) already holds {old}; "
                          "displace into a new directory")
     num = cfg["numerics"]
-    modeset = parse_modes(_os_path(cfg["paths"]["modes"]), skip_soft=num["skip_soft"])
+    modeset = parse_modes(os_path(cfg["paths"]["modes"]), skip_soft=num["skip_soft"])
     plan = plan_displacements(
         modeset,
         delta=num["delta_angstrom"],
@@ -602,10 +605,10 @@ def _cmd_validate(cfg: dict) -> int:
     # result) and the step; a check runs only when that check passed
     table = (
         ("modes-parse", None,
-         lambda _: parse_modes(_os_path(paths["modes"]),
+         lambda _: parse_modes(os_path(paths["modes"]),
                                skip_soft=cfg["numerics"]["skip_soft"])),
         ("manifest-complete", "modes-parse",
-         lambda modeset: load_run_set(_os_path(paths["manifest"]), modeset)),
+         lambda modeset: load_run_set(os_path(paths["manifest"]), modeset)),
         ("baseline-g", "manifest-complete", baseline_g),
         ("couplings-assemble", "manifest-complete",
          lambda runset: build_couplings(runset, field_direction=phys["field_direction"])),
@@ -623,8 +626,12 @@ def _cmd_validate(cfg: dict) -> int:
             except Exception as e:  # report, never abort the table
                 lines.append((name, "FAIL", str(e)))
     width = max(len(name) for name, _, _ in lines)
+    # a message names a result as its manifest spells it; what stdout's
+    # encoding cannot spell (an ASCII locale's) is escaped, as on stderr
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
     for name, verdict, message in lines:
-        print(f"CHECK {name:<{width}} {verdict}" + (f"  ({message})" if message else ""))
+        line = f"CHECK {name:<{width}} {verdict}" + (f"  ({message})" if message else "")
+        print(line.encode(encoding, "backslashreplace").decode(encoding))
     return 0 if all(name in results for name, _, _ in table) else 1
 
 
@@ -680,6 +687,13 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # interpreter shutdown collects every object still alive, which costs a short
+    # run about as much as its work; frozen at exit, they are skipped.  Registered
+    # here, not at import, so that a library's importer exits as before; not frozen
+    # now, which would keep an in-process caller's garbage cycles; not os._exit,
+    # which skips the other exit handlers and the stdio flush
+    global _exit_freeze
+    _exit_freeze = _exit_freeze or atexit.register(gc.freeze)
     args = list(sys.argv[1:] if argv is None else argv)
     # argparse takes a token such as '-500,0' for an option, so a value flag
     # followed by a minus and a digit or a point is joined into --flag=value

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import reprlib
 import warnings
 from dataclasses import dataclass
@@ -355,6 +356,14 @@ def one_of(value, choices) -> bool:
 def file_name(value) -> bool:
     """A nonempty JSON string without a NUL, which no path can hold."""
     return type(value) is str and value != "" and "\0" not in value
+
+
+def os_path(text: str) -> str:
+    """The path named by text's UTF-8 bytes, as the file system's encoding
+    spells it: the one rule for a path read from a document, so that it
+    names the same file under any locale.  A path the system gave (argv,
+    a directory listing) is returned unchanged."""
+    return os.fsdecode(text.encode("utf-8", "surrogateescape"))
 
 
 def numbers(value, shape=None, kinds: str = "if", finite: bool = False):

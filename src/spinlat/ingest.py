@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (PAIRING_MODES, Geometry, ModeSet, ParseError, _set_array, file_name,
-                   integer, json_object, one_of, positive, refusal, require)
+                   integer, json_object, one_of, os_path, positive, refusal, require)
 
 G_MATRIX_MARKER = "ELECTRONIC G-MATRIX"
 RESULT_SUFFIX = ".gout"     # engine result file next to each geometry
@@ -70,9 +70,15 @@ def parse_modes(path, *, skip_soft: bool = False) -> ModeSet:
     permuted to match; the file's mode numbers, each >= 1 and used once,
     are kept in source_indices.  Nonpositive frequencies are an error
     unless skip_soft is set, in which case every mode below
-    SOFT_CUTOFF_CM is dropped.
+    SOFT_CUTOFF_CM is dropped.  The file is UTF-8; a byte that does not
+    decode is refused naming its line.
     """
-    lines = list(_effective_lines(Path(path).read_text(encoding="utf-8")))
+    data = Path(path).read_bytes()
+    try:
+        lines = list(_effective_lines(data.decode()))
+    except UnicodeDecodeError as e:  # named by the line of its first bad byte
+        line = len((data[:e.start].decode() + "x").splitlines())
+        raise ParseError(f"not valid UTF-8: {e.reason}", line=line) from None
     if not lines:
         raise ParseError("empty file", line=1)
     rest = iter(lines[1:])
@@ -236,15 +242,15 @@ def parse_g_matrix(path) -> np.ndarray:
     file is read as `load_run_set` reads a result.
     """
     m = np.zeros((1, 9))
-    if _read_results([path], m):
+    if _read_results([os.fsdecode(path)], m):
         raise FileNotFoundError(errno.ENOENT, "no result file", str(path))
     return m.reshape(3, 3)
 
 
 def _read_results(names: list, stack: np.ndarray, dir_fd: int | None = None) -> list:
-    """Read the nine g entries of each result named in names, opened relative
-    to dir_fd, into its row of the zeroed stack, holding one result at a time;
-    returns the rows with no file there.
+    """Read the nine g entries of each result named in names, opened by
+    os_path relative to dir_fd, into its row of the zeroed stack, holding
+    one result at a time; returns the rows with no file there.
 
     The first result in row order that cannot be decoded or parsed, or is
     not finite, raises ParseError naming it as names does.  Another error
@@ -256,7 +262,7 @@ def _read_results(names: list, stack: np.ndarray, dir_fd: int | None = None) -> 
             # a raw descriptor skips the buffered text-file layers, which
             # cost more than the system calls for results of a few hundred bytes
             try:
-                fd = os.open(name, os.O_RDONLY, dir_fd=dir_fd)
+                fd = os.open(os_path(name), os.O_RDONLY, dir_fd=dir_fd)
                 try:
                     chunks = []
                     while chunk := os.read(fd, 65536):
@@ -283,7 +289,7 @@ def _refuse_non_finite(names: list, stack: np.ndarray, dir_fd: int | None) -> No
     bad = ~np.isfinite(stack).all(axis=1)
     if bad.any():
         name = names[bad.argmax()]
-        with open(os.open(name, os.O_RDONLY, dir_fd=dir_fd), "rb") as f:
+        with open(os.open(os_path(name), os.O_RDONLY, dir_fd=dir_fd), "rb") as f:
             line = _marker_line(f.read().decode())
         raise ParseError(f"{name}: line {line}: g matrix block contains non-finite values")
 

@@ -1,6 +1,8 @@
 """End-to-end command tests over a fabricated displacement dataset."""
 
 import argparse
+import atexit
+import gc
 import json
 import os
 import re
@@ -592,6 +594,72 @@ def test_documents_read_as_utf8_under_an_ascii_locale(dataset, tmp_path):
     assert artifacts("0", *point) == artifacts("1", *point)
 
 
+def _utf8_arg(text: str) -> str:
+    """text as this process spells the argument or file name of its UTF-8 bytes."""
+    return os.fsdecode(text.encode())
+
+
+def test_manifest_results_open_by_their_utf8_names_under_an_ascii_locale(dataset, tmp_path):
+    # a result named in the manifest is the file of its name's UTF-8 bytes,
+    # whatever the locale, and a refusal names it as the manifest spells it
+    runs = tmp_path / "runs"
+    shutil.copytree(Path(dataset["manifest"]).parent, runs)
+    (runs / "baseline.gout").rename(runs / _utf8_arg("b\u00e9se.gout"))
+    doc = json.loads((runs / "manifest.json").read_text())
+    (runs / "manifest.json").write_bytes(
+        json.dumps({**doc, "baseline": "b\u00e9se.gout"}, ensure_ascii=False).encode())
+    env = _ascii_locale_env()
+
+    def couplings(utf8: str, out: str):
+        return subprocess.run([sys.executable, "-m", "spinlat.cli", "couplings", "--modes",
+                               dataset["modes"], "--manifest", str(runs / "manifest.json"),
+                               "--out", out], cwd=tmp_path, env={**env, "PYTHONUTF8": utf8},
+                              capture_output=True, timeout=120)
+
+    written = []
+    for utf8 in "01":
+        done = couplings(utf8, "c")  # the same --out, which the config embeds
+        assert done.returncode == 0, done.stderr
+        written.append((tmp_path / "c" / "couplings.json").read_bytes())
+        shutil.rmtree(tmp_path / "c")
+    assert written[0] == written[1]
+    baseline = runs / _utf8_arg("b\u00e9se.gout")
+    baseline.write_text(baseline.read_text().replace("e+00", "e+999", 1))  # inf
+    done = couplings("0", "bad")
+    assert done.returncode == 1
+    # stderr under the C locale escapes what ASCII cannot spell
+    assert done.stderr.startswith(b"error: b\\xe9se.gout: line "), done.stderr
+    assert b"non-finite" in done.stderr
+    # and validate's table on stdout spells it the same way
+    done = subprocess.run([sys.executable, "-m", "spinlat.cli", "validate", "--modes",
+                           dataset["modes"], "--manifest", str(runs / "manifest.json")],
+                          cwd=tmp_path, env=env, capture_output=True, timeout=120)
+    assert done.returncode == 1 and done.stderr == b"", done.stderr
+    assert b"CHECK manifest-complete FAIL  (b\\xe9se.gout: line 1: " in done.stdout, done.stdout
+
+
+def test_path_flag_gives_the_same_artifact_under_every_locale(dataset, tmp_path):
+    # a path flag is kept as the text of its UTF-8 bytes, so the config a
+    # command embeds is the same whether argv was decoded as UTF-8 or ASCII
+    assert run("couplings", "--modes", dataset["modes"], "--manifest", dataset["manifest"],
+               "--out", str(tmp_path / "c"))[0] == 0
+    env = _ascii_locale_env()
+    written = {}
+    for utf8 in "01":
+        done = subprocess.run([sys.executable, "-m", "spinlat.cli", "tensor", "--config",
+                               _g0_config(tmp_path, dataset), "--couplings",
+                               str(tmp_path / "c" / "couplings.json"), "--temp", "20",
+                               "--field-mt", "1266", "--out", _utf8_arg("r\u00e9s")],
+                              cwd=tmp_path, env={**env, "PYTHONUTF8": utf8},
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        out = tmp_path / _utf8_arg("r\u00e9s")
+        written[utf8] = (out / "tensor.json").read_bytes()
+        shutil.rmtree(out)
+    assert written["0"] == written["1"]
+    assert json.loads(written["0"])["config"]["paths"]["output_dir"] == "r\u00e9s"
+
+
 # ---------------------------------------------------------------- sweep
 
 def test_sweep_grid_and_monotone_t1(dataset, tmp_path):
@@ -1035,6 +1103,77 @@ def test_cli_loads_ingest_and_dynamics_only_for_their_commands(dataset, tmp_path
                 ["validate", *runs]) == [[], *[[0, ["spinlat.ingest"]]] * 3]
 
 
+
+# ----------------------------------------------------------------- exit
+
+def test_cli_run_freezes_what_is_alive_at_exit_only(dataset):
+    # shutdown's collections skip every object a CLI run leaves alive: an
+    # exit handler registered before main runs after main's and sees them
+    # frozen.  A process that only imports the CLI exits as before
+    src = str(Path(spinlat.cli.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = ("import atexit, gc, sys, spinlat.cli\n"
+             "atexit.register(lambda: print('frozen at exit', gc.get_freeze_count() > 0))\n"
+             "if sys.argv[1:]:\n"
+             "    print('exit code', spinlat.cli.main(sys.argv[1:]), gc.get_freeze_count())\n")
+
+    def lines(*argv):
+        done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stderr == ""
+        return done.stdout.splitlines()
+
+    assert lines("validate", "--modes", dataset["modes"],
+                 "--manifest", dataset["manifest"])[-2:] == ["exit code 0 0",
+                                                             "frozen at exit True"]
+    assert lines() == ["frozen at exit False"]
+
+
+def test_main_adds_one_exit_handler_and_freezes_nothing(dataset, capsys, monkeypatch):
+    # however often main runs in one process it registers one handler, and
+    # nothing is frozen while the process runs, so an in-process caller's
+    # garbage cycles are still collected
+    atexit.unregister(gc.freeze)
+    monkeypatch.setattr(spinlat.cli, "_exit_freeze", None)  # as in a fresh process
+    before = atexit._ncallbacks()
+    for argv in (("validate", "--modes", dataset["modes"], "--manifest", dataset["manifest"]),
+                 ("tensor", "--temp", "x")):
+        run(*argv, capsys=capsys)
+        assert gc.get_freeze_count() == 0
+    assert atexit._ncallbacks() == before + 1
+
+
+@pytest.mark.parametrize("name", ["displace", "couplings", "tensor", "tensor-from-file",
+                                  "sweep", "attribute", "dynamics", "redfield", "validate"])
+def test_commands_close_every_file_they_open(dataset, tmp_path, capsys, name):
+    # exit no longer collects reference cycles, so a file left open in one
+    # would stay open: no command, collected after it returns, warns of one
+    runs = ("--modes", dataset["modes"], "--manifest", dataset["manifest"])
+    built, out = tmp_path / "built", ("--out", str(tmp_path / "art"))
+    assert run("couplings", *runs, "--out", str(built))[0] == 0
+    from_file = ("--config", _g0_config(tmp_path, dataset),
+                 "--couplings", str(built / "couplings.json"))
+    argv = {
+        "displace": ("displace", "--modes", dataset["modes"], *out),
+        "couplings": ("couplings", *runs, *out),
+        "tensor": ("tensor", *runs, *out),
+        "tensor-from-file": ("tensor", *from_file, *out),
+        "sweep": ("sweep", *from_file, "--temp", "20,40", *out),
+        "attribute": ("attribute", *runs, *out),
+        "dynamics": ("dynamics", *runs, "--no-rotating-frame", "--samples", "201", *out),
+        "redfield": ("dynamics", *from_file, "--engine", "redfield", "--kind", "t2",
+                     "--samples", "201", *out),
+        "validate": ("validate", *runs),
+    }[name]
+    gc.collect()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(*argv, capsys=capsys)[0] == 0
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 def test_help_is_the_help_of_the_parser_with_every_flag(capsys):
     # main gives only the named command its flags; no help text changes,
     # and another command's flag is still refused
@@ -1342,6 +1481,22 @@ def test_result_that_is_not_utf8_names_its_file(dataset, tmp_path, capsys, comma
     assert code == 1
     reported = stdout if command == "validate" else err
     assert "baseline.gout: 'utf-8' codec can't decode byte 0xe9" in reported, reported
+
+
+@pytest.mark.parametrize("command", ["couplings", "validate"])
+def test_modes_file_that_is_not_utf8_names_its_line(dataset, tmp_path, capsys, command):
+    modes = tmp_path / "modes.txt"
+    modes.write_bytes(b"\xff" + Path(dataset["modes"]).read_bytes())
+    out = () if command == "validate" else ("--out", str(tmp_path / "art"))
+    code, stdout, err = run(command, "--modes", str(modes),
+                            "--manifest", dataset["manifest"], *out, capsys=capsys)
+    assert code == 1
+    if command == "validate":
+        assert checks(stdout) == [("modes-parse", "FAIL")]
+        assert "(line 1: not valid UTF-8: invalid start byte)" in stdout, stdout
+    else:
+        assert err == "error: line 1: not valid UTF-8: invalid start byte\n"
+        assert not (tmp_path / "art").exists()
 
 
 @pytest.mark.parametrize("edit, named", [

@@ -189,6 +189,24 @@ def test_nmodes_refusal_named_with_its_line(written, text, skip_soft, message):
     assert str(err.value) == message
 
 
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: b"\xff" + data, "line 1: not valid UTF-8: invalid start byte"),
+    # a Latin-1 comment after the counts, with CRLF line endings before it
+    (lambda data: data.replace(b"\n", b"\r\n", 2).replace(
+        b"modes 3\n", "modes 3\n# r\u00e9sum\u00e9\n".encode("latin-1"), 1),
+     "line 5: not valid UTF-8: invalid continuation byte"),
+    (lambda data: data + b"\xc3", "line 23: not valid UTF-8: unexpected end of data"),
+], ids=["first-byte", "latin1-comment", "cut-at-end"])
+def test_nmodes_that_is_not_utf8_refused_with_its_line(tmp_path, edit, message):
+    # the line of the first byte that does not decode, as other refusals name it
+    path = tmp_path / "modes.txt"
+    path.write_bytes(edit(_golden_text().encode()))
+    with pytest.raises(ParseError) as err:
+        parse_modes(path)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------- g matrices
 
 def test_g_block_with_prose_and_labels(written):
