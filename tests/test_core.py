@@ -248,6 +248,34 @@ def test_bathspec_validation_and_broadcast():
     np.testing.assert_allclose(b.linewidth_per_mode(3), [1.0, 2.0, 3.0])
 
 
+_SPIN_G = GTensor(2.0 * np.eye(3))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: BathSpec(temperature_k=np.nan), "temperature_k must be finite and >= 0"),
+    (lambda: BathSpec(temperature_k=np.inf), "temperature_k must be finite and >= 0"),
+    (lambda: BathSpec(temperature_k=-1.0), "temperature_k must be finite and >= 0"),
+    (lambda: bose_occupation(12.6, np.nan), "temperature_k must be finite and >= 0"),
+    (lambda: bose_occupation(12.6, np.inf), "temperature_k must be finite and >= 0"),
+    (lambda: SpinSystem(_SPIN_G, [0.0, 0.0, 1000.0], omega_override_cm=np.inf),
+     "omega_override_cm must be finite and nonnegative"),
+    (lambda: SpinSystem(_SPIN_G, [0.0, 0.0, 1000.0], omega_override_cm=np.nan),
+     "omega_override_cm must be finite and nonnegative"),
+    (lambda: SpinSystem(_SPIN_G, [0.0, 0.0, 1000.0], omega_override_cm=-0.5),
+     "omega_override_cm must be finite and nonnegative"),
+    (lambda: larmor_frequency(_SPIN_G, [0.0, 1000.0]), "field_mt must be a 3-vector"),
+], ids=["nan-temperature", "inf-temperature", "negative-temperature", "bose-nan",
+        "bose-inf", "inf-override", "nan-override", "negative-override", "2-vector-field"])
+def test_settings_out_of_range_refused_naming_the_field(build, message):
+    # a NaN temperature failed later as non-finite rates, an infinite one
+    # divided by zero in the occupation, and an infinite override gave
+    # finite times at an infinite spin frequency
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+
 def test_types_immutable():
     g = GTensor(REFERENCE_G)
     with pytest.raises(Exception):

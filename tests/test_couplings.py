@@ -530,6 +530,37 @@ def test_tensor_validation_rejects_non_finite_frequencies_and_direction(toy_mode
                         mixed_computed=True, **given)
 
 
+def _zero_couplings(modes, **given):
+    n = modes.nmodes
+    fields = {"frequencies": modes.frequencies, "field_direction": (0.0, 0.0, 1.0), **given}
+    return CouplingTensors(d1=np.zeros((3, n)), d2=np.zeros((3, n, n)), delta_angstrom=0.01,
+                           mixed_computed=True, **fields)
+
+
+def _flat_couplings_along(modes, direction):
+    return build_couplings(sample_g_surface(modes, lambda pos: 2.0 * np.eye(3)), direction)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda m: _zero_couplings(m, frequencies=[12.6, 0.0, 210.0]),
+     "mode frequencies must be positive"),
+    (lambda m: _zero_couplings(m, field_direction=(0.0, 0.0, 2.0)),
+     "field_direction must be a unit 3-vector"),
+    (lambda m: _flat_couplings_along(m, (0.0, 1.0)), "field direction must be a 3-vector"),
+    (lambda m: _flat_couplings_along(m, (0.0, 0.0, 0.0)),
+     "field direction must be finite and nonzero"),
+    (lambda m: _flat_couplings_along(m, (0.0, np.inf, 1.0)),
+     "field direction must be finite and nonzero"),
+    (lambda m: _flat_couplings_along(m, (np.nan, 0.0, 1.0)),
+     "field direction must be finite and nonzero"),
+], ids=["zero-frequency", "non-unit-direction", "2-vector-field-dir", "zero-field-dir",
+        "inf-field-dir", "nan-field-dir"])
+def test_couplings_refuse_a_nonpositive_frequency_or_a_bad_direction(toy_modes, build,
+                                                                     message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(toy_modes)
+
+
 def test_same_direction_of_extreme_fields():
     # the raw vector's norm overflows above about 1.3e154 (and underflows
     # below 1e-154), so the direction must come from a scaled vector

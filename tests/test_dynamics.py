@@ -380,6 +380,17 @@ def test_rho0_validation():
         lindblad_evolve(RHO_PLUS_X, diss, np.array([0.0, 1.0, 0.5]))
 
 
+@pytest.mark.parametrize("rho0, grid, message", [
+    (np.eye(3) / 3.0, [0.0, 1.0], "rho0 must be a finite 2x2 matrix"),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), [0.0, 1.0], "rho0 must be a finite 2x2 matrix"),
+    (RHO_PLUS_X, [0.0], "time grid needs at least two points"),
+    (RHO_PLUS_X, [[0.0, 1.0]], "time grid needs at least two points"),
+], ids=["3x3-rho0", "nan-rho0", "one-time", "2d-grid"])
+def test_rho0_and_time_grid_of_the_wrong_shape_are_refused(rho0, grid, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        lindblad_evolve(rho0, diag_diss(1e-6, 1e-6, 0.0), grid)
+
+
 @pytest.mark.parametrize("grid", [[0.0, 1.0, np.inf], [0.0, np.nan, 1.0], [0.0, 1.0, np.nan],
                                   [0.0, np.inf, np.inf]])
 def test_non_finite_time_grid_is_refused_before_propagating(monkeypatch, grid):
@@ -572,6 +583,18 @@ def test_spectral_density_follows_quantization_axis():
     got = spectral_density(c, BathSpec(temperature_k=150.0), spin)(5.0)
     assert got[2] > 0.0
     assert got[0] == 0.0 and got[1] == 0.0
+
+
+def test_redfield_refuses_the_all_pairs_bath():
+    # the Redfield bath has no two-phonon pair channel; it used to run the
+    # diagonal_only bath under an all_pairs one without a word
+    c = zero_couplings()
+    bath = BathSpec(temperature_k=150.0, raman_pairing="all_pairs")
+    spin = plain_spin()
+    for run in (lambda: spectral_density(c, bath, spin),
+                lambda: redfield_evolve(RHO_EXCITED, c, bath, spin, [0.0, 1.0])):
+        with pytest.raises(ValueError, match="^raman_pairing 'all_pairs' is refused: "):
+            run()
 
 
 def test_frame_rotation_carries_axis_to_z():

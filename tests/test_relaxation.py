@@ -2,7 +2,7 @@
 
 import itertools
 import json
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -31,6 +31,7 @@ from spinlat.dynamics import (
 from spinlat.relaxation import (
     CONVENTIONS,
     RelaxationTensor,
+    RelaxationTimes,
     build_tensor,
     direct_rate,
     lambda_first,
@@ -367,6 +368,32 @@ def test_relaxation_times_input_validation():
         relaxation_times(np.eye(3), convention="other")
     with pytest.raises(ValueError, match="symmetric"):
         relaxation_times(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("times", [(0.0, 1.0), (1.0, -1.0), (np.nan, 1.0)],
+                         ids=["zero-t1", "negative-t2", "nan-t1"])
+def test_relaxation_times_record_refuses_a_time_that_is_not_positive(times):
+    with pytest.raises(ValueError, match="^relaxation times must be positive$"):
+        RelaxationTimes(*times, rate1_cm=1.0, rate2_cm=1.0)
+
+
+def test_times_do_not_depend_on_the_tensors_memory_layout():
+    # one symmetric tensor C-ordered, Fortran-ordered and as a strided view,
+    # as a sweep row's lambda1 + lambda2 may be, gives the same times bit
+    # for bit in each convention
+    rng = np.random.default_rng(2000)
+    for case in range(200):
+        a = rng.standard_normal((3, 3))
+        m = a @ a.T
+        m = 0.5 * (m + m.T)
+        wide = np.zeros((3, 6))
+        wide[:, ::2] = m
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        for convention in CONVENTIONS:
+            times = [astuple(relaxation_times(x, axis, convention))
+                     for x in (m, np.asfortranarray(m), wide[:, ::2])]
+            assert times[1:] == times[:1] * 2, (case, convention, times)
 
 
 def test_relaxation_times_accepts_tensor_object():
