@@ -197,8 +197,8 @@ class SpinSystem:
 
     def __post_init__(self):
         _set_array(self, "field_mt", (3,))
-        if self.omega_override_cm is not None and self.omega_override_cm < 0.0:
-            raise ValueError("omega_override_cm must be nonnegative")
+        if self.omega_override_cm is not None and not 0.0 <= self.omega_override_cm < np.inf:
+            raise ValueError("omega_override_cm must be finite and nonnegative")
 
     @property
     def field_magnitude_t(self) -> float:
@@ -233,8 +233,8 @@ class BathSpec:
     raman_pairing: str = "diagonal_only"
 
     def __post_init__(self):
-        if self.temperature_k < 0.0:
-            raise ValueError("temperature_k must be >= 0")
+        if not 0.0 <= self.temperature_k < np.inf:
+            raise ValueError("temperature_k must be finite and >= 0")
         if self.raman_pairing not in PAIRING_MODES:
             raise ValueError(
                 f"raman_pairing must be one of {PAIRING_MODES}, "
@@ -259,8 +259,8 @@ def bose_occupation(omega_cm, temperature_k: float):
     w = np.asarray(omega_cm, dtype=float)
     if np.any(w <= 0.0):
         raise ValueError("bose_occupation requires omega_cm > 0")
-    if temperature_k < 0.0:
-        raise ValueError("temperature_k must be >= 0")
+    if not 0.0 <= temperature_k < np.inf:
+        raise ValueError("temperature_k must be finite and >= 0")
     if temperature_k == 0.0:
         out = np.zeros_like(w)
     else:

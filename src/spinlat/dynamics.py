@@ -233,12 +233,15 @@ def spectral_density(c: CouplingTensors, bath: BathSpec, spin: SpinSystem):
     emission side and n on the absorption side.  Two-phonon channel:
     the same structure at +-2*omega_q with squared occupation factors
     from the diagonal second-order couplings; its zero-frequency
-    (elastic) peak is left out here and reported by the relaxation
-    module instead.
+    (elastic) peak is left out.  There is no two-phonon pair channel, so
+    a bath whose raman_pairing is all_pairs is refused.
 
     The couplings' spin index is rotated so that spin.axis becomes z,
     the quantization axis of the Redfield generator.
     """
+    if bath.raman_pairing != "diagonal_only":
+        raise ValueError(f"raman_pairing {bath.raman_pairing!r} is refused: the Redfield "
+                         "bath has no two-phonon pair channel")
     pref = field_prefactor(c, spin)
     rot = frame_rotation(spin.axis)
     G = pref * (rot @ c.d1)

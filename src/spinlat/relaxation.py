@@ -332,9 +332,11 @@ def _rates(m: np.ndarray, n: np.ndarray, convention: str) -> tuple[float, float]
     """1/T1 and 1/T2 in cm^-1 of a checked tensor along a unit axis, in one
     of CONVENTIONS, the only place they are written.
 
-    One point at a time: n @ m @ n batched over points changes its last
-    bits with the batch, and a sweep row must be bitwise its point alone.
+    One point at a time, and on a C-ordered copy: n @ m @ n changes its
+    last bits with the batch or with m's memory layout, and a sweep row
+    must be bitwise its point alone.
     """
+    m = np.ascontiguousarray(m)
     longitudinal = float(n @ m @ n)
     trace = float(np.trace(m))
     if convention == "projection":
