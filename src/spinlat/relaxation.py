@@ -80,7 +80,6 @@ class SecondOrder(NamedTuple):
     quartic: np.ndarray     # (3, 3) from first-order couplings squared twice
     gsq: np.ndarray         # (3, 3) from diagonal/pair second derivatives
     per_mode: np.ndarray    # (N, 3, 3) quartic + gsq, pairs split evenly; or None
-    elastic: np.ndarray     # (3,) zero-frequency dephasing diagnostic
 
 
 # occupation columns per all_pairs product: every product has the one shape
@@ -130,8 +129,7 @@ def _rate_grid(c: CouplingTensors, bath: BathSpec, temperatures, spins, split=Fa
 
     d1_sq = outer(c.d1)
     quartic_sq = outer((c.d1 / omega) ** 2)
-    diag_d2 = np.einsum("aqq->aq", c.d2)
-    diag_sq, diag_d2_sq = outer(diag_d2), diag_d2**2
+    diag_sq = outer(np.einsum("aqq->aq", c.d2))
     n = np.array([bose_occupation(omega, t) for t in temperatures])
     direct = direct_rate(gamma, omega, n)
     lumped = (2.0 * n + 1.0) ** 2
@@ -151,9 +149,7 @@ def _rate_grid(c: CouplingTensors, bath: BathSpec, temperatures, spins, split=Fa
     for j, spin in enumerate(spins):
         big_omega = spin.larmor_cm()
         pref2 = field_prefactor(c, spin) ** 2
-        two_phonon = lorentzian(big_omega - 2.0 * omega, lam)
-        zero_freq = 2.0 * lorentzian(big_omega, lam)
-        resonant = lumped * two_phonon
+        resonant = lumped * lorentzian(big_omega - 2.0 * omega, lam)
         # (T, N) weights times (N, 3, 3) products
         per1 = (pref2 * direct)[..., None, None] * d1_sq
         per_quartic = (pref2 * pref2 * resonant)[..., None, None] * quartic_sq
@@ -183,22 +179,20 @@ def _rate_grid(c: CouplingTensors, bath: BathSpec, temperatures, spins, split=Fa
         else:
             per_gsq = (pref2 * resonant)[..., None, None] * diag_sq
             gsq = per_gsq.sum(axis=1)
-        elastic = pref2 * ((lumped * zero_freq)[:, None, :] * diag_d2_sq).sum(axis=2)
         yield (
             j,
             FirstOrder(per1.sum(axis=1), per1 if split else None),
             SecondOrder(per_quartic.sum(axis=1), gsq,
-                        per_quartic + per_gsq if split else None, elastic),
+                        per_quartic + per_gsq if split else None),
         )
 
 
-def _check_rates(lambda1, quartic, gsq, elastic, splits=(), labels=None) -> None:
+def _check_rates(lambda1, quartic, gsq, splits=(), labels=None) -> None:
     """Raise ValueError unless the rates of a point, or of a stack, are physical.
 
     Finite; lambda1 and lambda2 = quartic + gsq symmetric PSD; the quartic
-    part and the elastic diagnostic nonnegative; the per-mode splits of
-    each order, if given as splits, summed over modes equal to their
-    totals.  Arrays carry the stack's axes first; a stack takes one
+    part nonnegative; the per-mode splits of each order, if given as
+    splits, summed over modes equal to their totals.  Arrays carry the stack's axes first; a stack takes one
     eigen-solve per order, and a message names its first failing point
     (see raise_first_failure).
     """
@@ -208,7 +202,7 @@ def _check_rates(lambda1, quartic, gsq, elastic, splits=(), labels=None) -> None
     def require(ok, subject, problem):
         raise_first_failure(~ok, subject, problem, labels)
 
-    arrays = (lambda1, quartic, gsq, elastic, *splits)
+    arrays = (lambda1, quartic, gsq, *splits)
     require(np.logical_and.reduce([np.isfinite(per_point(v)).all(axis=-1) for v in arrays]),
             "rates", "contain non-finite entries")
     lambda2 = quartic + gsq
@@ -216,8 +210,6 @@ def _check_rates(lambda1, quartic, gsq, elastic, splits=(), labels=None) -> None
     check_rate_matrix(lambda2, "lambda2", labels)
     require(per_point(quartic).min(axis=-1) >= 0.0, "quartic part",
             "must be entrywise nonnegative")
-    require(per_point(elastic).min(axis=-1) >= 0.0, "elastic diagnostic",
-            "must be nonnegative")
     for total, split in zip((lambda1, lambda2), splits):
         dev = np.abs(per_point(split - total)).max(axis=-1)
         scale = np.maximum(np.abs(per_point(total)).max(axis=-1), 1e-300)
@@ -236,7 +228,6 @@ class RelaxationTensor:
     lambda2_gsq: np.ndarray         # (3, 3)
     per_mode_lambda1: np.ndarray    # (N, 3, 3)
     per_mode_lambda2: np.ndarray    # (N, 3, 3)
-    elastic_dephasing: np.ndarray   # (3,) diagnostic, kept out of T2
     temperature_k: float
     field_mt: float                 # signed along the couplings' direction, as in sweep
     omega_cm: float
@@ -249,13 +240,12 @@ class RelaxationTensor:
     def __post_init__(self):
         for name in (
             "lambda1", "lambda2_quartic", "lambda2_gsq", "per_mode_lambda1",
-            "per_mode_lambda2", "elastic_dephasing", "gamma_cm",
-            "linewidth_cm", "frequencies", "source_modes",
+            "per_mode_lambda2", "gamma_cm", "linewidth_cm", "frequencies",
+            "source_modes",
         ):
             _set_array(self, name)
         _check_rates(self.lambda1, self.lambda2_quartic, self.lambda2_gsq,
-                     self.elastic_dephasing, (self.per_mode_lambda1.sum(axis=0),
-                                              self.per_mode_lambda2.sum(axis=0)))
+                     (self.per_mode_lambda1.sum(axis=0), self.per_mode_lambda2.sum(axis=0)))
 
     @property
     def lambda2(self) -> np.ndarray:
@@ -269,11 +259,11 @@ class RelaxationTensor:
 def build_tensor(c: CouplingTensors, bath: BathSpec, spin: SpinSystem) -> RelaxationTensor:
     """The checked tensor at one point: the only one-point entry to the kernel."""
     ((_, first, second),) = _rate_grid(c, bath, [bath.temperature_k], [spin], split=True)
-    (lambda1, per1), (quartic, gsq, per2, elastic) = ([v[0] for v in o] for o in (first, second))
+    (lambda1, per1), (quartic, gsq, per2) = ([v[0] for v in o] for o in (first, second))
     field = float(np.linalg.norm(spin.field_mt))
     return RelaxationTensor(
         lambda1=lambda1, lambda2_quartic=quartic, lambda2_gsq=gsq,
-        per_mode_lambda1=per1, per_mode_lambda2=per2, elastic_dephasing=elastic,
+        per_mode_lambda1=per1, per_mode_lambda2=per2,
         temperature_k=bath.temperature_k,
         field_mt=-field if spin.field_mt @ c.field_direction < 0 else field,
         omega_cm=spin.larmor_cm(),
@@ -293,8 +283,7 @@ def lambda_first(c: CouplingTensors, bath: BathSpec, spin: SpinSystem) -> FirstO
 def lambda_second(c: CouplingTensors, bath: BathSpec, spin: SpinSystem) -> SecondOrder:
     """Two-phonon tensor, split into its quartic and second-derivative parts."""
     t = build_tensor(c, bath, spin)
-    return SecondOrder(t.lambda2_quartic, t.lambda2_gsq, t.per_mode_lambda2,
-                       t.elastic_dephasing)
+    return SecondOrder(t.lambda2_quartic, t.lambda2_gsq, t.per_mode_lambda2)
 
 
 # ------------------------------------------------------------------- times
@@ -506,7 +495,7 @@ def sweep(
     for j, first, second in _rate_grid(c, bath, temperatures, spins):
         # check a field's points together; a sweep keeps their totals only
         lambda1, quartic, gsq = first.matrix, second.quartic, second.gsq
-        _check_rates(lambda1, quartic, gsq, second.elastic,
+        _check_rates(lambda1, quartic, gsq,
                      labels=[f"{t!r} K, {fields_mt[j]!r} mT" for t in temperatures])
         lambda2 = quartic + gsq
         column = rows[:, j]
@@ -563,7 +552,6 @@ def tensor_report(tensor: RelaxationTensor, axis=(0.0, 0.0, 1.0), top_m: int | N
         "lambda2": tensor.lambda2.tolist(),
         "lambda2_quartic": tensor.lambda2_quartic.tolist(),
         "lambda2_gsq": tensor.lambda2_gsq.tolist(),
-        "elastic_dephasing": tensor.elastic_dephasing.tolist(),
         "principal_rates_cm": values.tolist(),
         "principal_axes": vectors.T.tolist(),
         "times_us": {

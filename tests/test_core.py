@@ -324,7 +324,7 @@ _RECORDS = {
                            "pairing": "diagonal_only"},
         lambda1=np.diag([1.0, 2.0, 3.0]), lambda2_quartic=_ZERO.copy(),
         lambda2_gsq=_ZERO.copy(), per_mode_lambda1=np.diag([1.0, 2.0, 3.0])[None],
-        per_mode_lambda2=_ZERO[None].copy(), elastic_dephasing=np.zeros(3),
+        per_mode_lambda2=_ZERO[None].copy(),
         gamma_cm=np.array([2.0]), linewidth_cm=np.array([2.0]),
         frequencies=np.array([20.0]), source_modes=np.array([1.0])),
     "JumpBasisDissipator": lambda: _built(JumpBasisDissipator, {"omega_cm": 0.0},
