@@ -361,9 +361,9 @@ def test_relaxation_times_record_refuses_a_time_that_is_not_positive(times):
 
 
 def test_times_do_not_depend_on_the_tensors_memory_layout():
-    # one symmetric tensor C-ordered, Fortran-ordered and as a strided view,
-    # as a sweep row's lambda1 + lambda2 may be, gives the same times bit
-    # for bit in each convention
+    # one symmetric tensor C-ordered, Fortran-ordered and as a strided view
+    # gives the same times bit for bit in each convention, so a sweep row
+    # stays bitwise its point whatever layout the kernel stacks points in
     rng = np.random.default_rng(2000)
     for case in range(200):
         a = rng.standard_normal((3, 3))
