@@ -192,9 +192,9 @@ def _check_rates(lambda1, quartic, gsq, splits=(), labels=None) -> None:
 
     Finite; lambda1 and lambda2 = quartic + gsq symmetric PSD; the quartic
     part nonnegative; the per-mode splits of each order, if given as
-    splits, summed over modes equal to their totals.  Arrays carry the stack's axes first; a stack takes one
-    eigen-solve per order, and a message names its first failing point
-    (see raise_first_failure).
+    splits, summed over modes equal to their totals.  Arrays carry the
+    stack's axes first; a stack takes one eigen-solve per order, and a
+    message names its first failing point (see raise_first_failure).
     """
     def per_point(v):
         return np.reshape(v, np.shape(lambda1)[:-2] + (-1,))
