@@ -925,22 +925,21 @@ def test_trajectory_csv_round_trip():
     text = traj.to_csv()
     lines = text.strip().split("\n")
     assert len(lines) == 13
-    assert lines[0] == "t_us,sx,sy,sz,coherence_abs"
+    assert lines[0] == "t_us,sx,sy,sz"
     row = lines[1].split(",")
-    assert float(row[1]) == 1.0 and float(row[4]) == 0.5
+    assert len(row) == 4 and float(row[1]) == 1.0
     # repr round-trips every float, so the file rebuilds the trajectory
     table = np.loadtxt(lines[1:], delimiter=",")
     assert np.array_equal(table[:, 0], traj.times_us)
-    assert np.array_equal(table[:, 1:4], traj.bloch)
-    assert np.array_equal(table[:, 4], traj.coherence_abs)
+    assert np.array_equal(table[:, 1:], traj.bloch)
     assert traj.to_csv() == text
 
 
 def _row_wise_csv(traj):
     """SpinTrajectory.to_csv as it was written row by row, kept as the oracle."""
-    lines = ["t_us,sx,sy,sz,coherence_abs"]
-    for t, (x, y, z), coh in zip(traj.times_us, traj.bloch, traj.coherence_abs):
-        lines.append(",".join(repr(float(v)) for v in (t, x, y, z, coh)))
+    lines = ["t_us,sx,sy,sz"]
+    for t, (x, y, z) in zip(traj.times_us, traj.bloch):
+        lines.append(",".join(repr(float(v)) for v in (t, x, y, z)))
     return "\n".join(lines) + "\n"
 
 
