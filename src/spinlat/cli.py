@@ -90,13 +90,6 @@ def _finite(shape=None, test=lambda arr: True, null=False):
     return rule
 
 
-def _unit_length(arr: np.ndarray) -> bool:
-    """Whether arr's squared length is a normal float, so that arr divided by
-    its length is a unit vector; computed without an overflow warning."""
-    with np.errstate(over="ignore"):
-        return bool(np.finfo(float).tiny <= arr @ arr < np.inf)
-
-
 def _grid(test):
     """The rule for a nonempty list of finite numbers whose array passes test."""
     return _finite(test=lambda arr: arr.ndim == 1 and arr.size > 0 and test(arr))
@@ -179,8 +172,8 @@ _CONFIG_KEYS = {
                       f"{FIELD_BOUND_MT:.3g} in magnitude, where the rate kernel's "
                       "(muB|B|/hc)^4 is finite",
                       "--field-mt", _parse_grid, "field mT: value, list, or start:stop:count"),
-        "field_direction": ([0.0, 0.0, 1.0], _finite((3,), _unit_length),
-                            "a finite 3-vector of length 1.5e-154 to 1.3e154",
+        "field_direction": ([0.0, 0.0, 1.0], _finite((3,), np.any),
+                            "a finite nonzero 3-vector",
                             "--field-dir", _vector_reader("x", "y", "z"),
                             "field direction as x,y,z"),
         "g0": (None, _finite((3, 3), null=True), "null or a finite 3x3 matrix"),
@@ -475,29 +468,10 @@ def _cmd_tensor(cfg: dict) -> int:
 
 
 def _cmd_sweep(cfg: dict) -> int:
-    c = _assemble_couplings(cfg)
-    phys = cfg["physics"]
-    points = _sweep_grid(cfg, c)
+    points = _sweep_grid(cfg, _assemble_couplings(cfg))
     out = _outdir(cfg)
-    header = _config_comment(cfg)
-    (out / "sweep.csv").write_text(header + "\n" + sweep_csv(points))
-    fields = phys["fields_mt"]
-    table = points.reshape(-1, len(fields))  # row i, column j: T_i, B_j
-    temp_text = list(map(repr, table.temperature_k[:, 0].tolist()))
-    for j, field in enumerate(fields):
-        # positional (500, 1266.0001) unless repr is shorter (1e-300, 1e+16)
-        tag = min(np.format_float_positional(field, trim="-"), repr(field), key=len)
-        for name in ("t1", "t2"):
-            lines = [header, "# columns: temperature_k inv_%s_per_us" % name]
-            # an infinite time gives rate 0.0
-            rates = 1.0 / table[name + "_us"][:, j]
-            lines += map("{} {}".format, temp_text, map(repr, rates.tolist()))
-            path = out / f"inv_{name}_vs_temp_{tag}mT.dat"
-            path.write_text("\n".join(lines) + "\n")
-    print(
-        f"wrote sweep.csv ({len(points)} points) and "
-        f"{2 * len(fields)} plot files to {out}"
-    )
+    (out / "sweep.csv").write_text(_config_comment(cfg) + "\n" + sweep_csv(points))
+    print(f"wrote sweep.csv ({len(points)} points) to {out}")
     return 0
 
 
@@ -550,6 +524,12 @@ def _cmd_dynamics(cfg: dict) -> int:
             transverse = 0.5 * (lam[0, 0] + lam[1, 1])
             lam = np.diag([transverse, transverse, lam[2, 2]])
             omega = 0.0
+        elif kind == "t2":
+            # the frame's x axis comes from Rodrigues' formula, not from the
+            # sample, so start along the in-plane principal axis of L's larger
+            # eigenvalue, which turns with the input
+            phase = np.exp(0.5j * np.arctan2(2.0 * lam[0, 1], lam[0, 0] - lam[1, 1]))
+            rho0 = 0.5 * np.array([[1.0, phase.conjugate()], [phase, 1.0]])
         diss = JumpBasisDissipator(lam, omega)
         traj = lindblad_evolve(rho0, diss, grid)
     else:

@@ -145,10 +145,10 @@ class SpinTrajectory:
         return 0.5 * np.hypot(self.sx, self.sy)
 
     def to_csv(self) -> str:
-        """Columns t_us, sx, sy, sz, coherence_abs; rho = (1 + m.sigma)/2."""
-        columns = (self.times_us, self.sx, self.sy, self.sz, self.coherence_abs)
+        """Columns t_us, sx, sy, sz; rho = (1 + m.sigma)/2."""
+        columns = (self.times_us, self.sx, self.sy, self.sz)
         text = (map(repr, column.tolist()) for column in columns)
-        return "\n".join(["t_us,sx,sy,sz,coherence_abs", *map(",".join, zip(*text))]) + "\n"
+        return "\n".join(["t_us,sx,sy,sz", *map(",".join, zip(*text))]) + "\n"
 
 
 def _validate_rho0(rho0) -> np.ndarray:

@@ -239,9 +239,9 @@ def test_criterion_09_dataset_reproduction():
 
     temps = np.geomspace(70.0, 300.0, 12)
     points = sweep(c, spin, temps, [1266.0], bath)
-    inv_t1 = np.array([1.0 / p.t1_us for p in points])
-    assert np.all(np.diff(inv_t1) > 0.0)
-    slope = np.polyfit(np.log(temps[-6:]), np.log(inv_t1[-6:]), 1)[0]
+    rate1 = np.array([1.0 / p.t1_us for p in points])
+    assert np.all(np.diff(rate1) > 0.0)
+    slope = np.polyfit(np.log(temps[-6:]), np.log(rate1[-6:]), 1)[0]
     assert abs(slope - 2.0) < 0.2
 
 
@@ -269,13 +269,13 @@ def test_dataset_reproduction_calls_run_offline():
 
     temps = np.geomspace(70.0, 300.0, 12)
     points = sweep(c, spin, temps, [1266.0], bath)
-    inv_t1 = np.array([1.0 / p.t1_us for p in points])
+    rate1 = np.array([1.0 / p.t1_us for p in points])
     assert len(points) == 12
-    assert np.all(np.isfinite(inv_t1)) and np.all(inv_t1 > 0.0)
+    assert np.all(np.isfinite(rate1)) and np.all(rate1 > 0.0)
     for i, t in enumerate(temps):
         tensor = build_tensor(c, BathSpec(temperature_k=t), spin)
         np.testing.assert_array_equal(points[i].lambda1, tensor.lambda1)
-        assert inv_t1[i] == 1.0 / relaxation_times(tensor, axis=spin.axis).t1_us
+        assert rate1[i] == 1.0 / relaxation_times(tensor, axis=spin.axis).t1_us
 
 
 def test_criterion_10_redfield_lindblad_cross_check():

@@ -31,10 +31,10 @@ HBAR_UNITS = 16.857629181311186
 def mode_step_vectors(modeset):
     """c[k] = sqrt(hbar/omega_k) * M^(-1/2) l_k, the Cartesian displacement
     per unit dimensionless coordinate, flattened to length 3*natoms."""
-    inv_sqrt_m = 1.0 / np.sqrt(np.repeat(modeset.geometry.masses, 3))
+    rsqrt_m = 1.0 / np.sqrt(np.repeat(modeset.geometry.masses, 3))
     out = []
     for k in range(modeset.nmodes):
-        w = modeset.eigenvectors[:, k] * inv_sqrt_m
+        w = modeset.eigenvectors[:, k] * rsqrt_m
         out.append(np.sqrt(HBAR_UNITS / modeset.frequencies[k]) * w)
     return np.array(out)
 
@@ -94,9 +94,9 @@ def flip_column(modeset, k):
 def test_dimensionless_steps_oracle(toy_modes):
     delta = 0.01
     steps = dimensionless_steps(toy_modes, delta)
-    inv_sqrt_m = 1.0 / np.sqrt(np.repeat(toy_modes.geometry.masses, 3))
+    rsqrt_m = 1.0 / np.sqrt(np.repeat(toy_modes.geometry.masses, 3))
     for k in range(toy_modes.nmodes):
-        w = toy_modes.eigenvectors[:, k] * inv_sqrt_m
+        w = toy_modes.eigenvectors[:, k] * rsqrt_m
         expected = delta / (
             np.linalg.norm(w) * np.sqrt(HBAR_UNITS / toy_modes.frequencies[k])
         )

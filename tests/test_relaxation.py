@@ -688,12 +688,13 @@ def test_fitted_t1_does_not_turn_with_the_input(pairing):
     # both engines' fitted T1 over four analytic T1, from the excited state:
     # Redfield within 1e-12 relative, the lab-frame Lindblad engine within
     # 1e-9, since the fit's search stops at 1e-10 relative in the rate
-    # (worst measured 3.7e-10). Lab-frame T2 is left out: each frame carries
-    # its L to the field axis by its own rotation, and the two differ by a
-    # turn about z. That leaves sz(t) from m = z alone, but starts the
-    # coherence at another phase of a non-axial L, which moves the fitted
-    # T2 by about 3e-8. The Redfield bath has no pair channel, so it runs
-    # the diagonal_only bath under either pairing
+    # (worst measured 3.7e-10). Each frame carries its L to the field axis
+    # by its own rotation, and the two differ by a turn about z, which
+    # leaves sz(t) from m = z alone. Lab-frame T2 is checked through the
+    # CLI, which starts the coherence along an in-plane principal axis of L
+    # (test_lab_frame_fitted_t2_does_not_turn_with_the_input in test_cli).
+    # The Redfield bath has no pair channel, so it runs the diagonal_only
+    # bath under either pairing
     excited = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     for seed in range(5):
         *frames, _ = _rotation_case(seed, pairing)
