@@ -853,14 +853,21 @@ def test_dynamics_lab_frame_follows_field_direction(dataset, tmp_path, direction
 # at Omega a few times Tr L the coherence beats at 2 Omega, so one
 # exponential misses it by more than the fit's 1 % warning level
 @pytest.mark.filterwarnings("ignore:decay fit residual")
-@pytest.mark.parametrize("omega", ["1e-7", "2.5e-8"])
-def test_lab_frame_fitted_t2_does_not_turn_with_the_input(tmp_path, omega):
-    # each frame carries its L to the field axis by its own rotation, and
-    # the two differ by a turn about z; started along an in-plane principal
-    # axis of L, the coherence meets the same L in both, so a joint rotation
-    # moves the fitted T2 by no more than the lab-frame T1 bound, 1e-9.
-    # Omega is pinned at a few to tens of times Tr L, where a start along
-    # the frame's x axis moved it by 0.17 and 2.7 %
+@pytest.mark.parametrize("flags, omega", [
+    (("--no-rotating-frame",), "1e-7"), (("--no-rotating-frame",), "2.5e-8"),
+    (("--engine", "redfield"), "0"), (("--engine", "redfield"), "1e-7"), ((), "1e-7"),
+], ids=["lindblad-lab-1e-7", "lindblad-lab-2.5e-8", "redfield-0", "redfield-1e-7",
+     "lindblad-rotating-1e-7"])
+def test_fitted_t2_does_not_turn_with_the_input(tmp_path, flags, omega):
+    # each frame carries its L to the field axis by its own rotation, and the
+    # two differ by a turn about z. The lab-frame Lindblad run starts along an
+    # in-plane principal axis of L, so the coherence meets the same L in both
+    # (a start along the frame's x axis moved T2 by 0.17 and 2.7 %); the
+    # rotating frame and the secular Redfield generator keep only the xy
+    # block's trace, at Omega = 0 too (a per-axis Omega = 0 generator moved
+    # it by up to 437 %). So a joint rotation moves the fitted T2 by no more
+    # than the lab-frame T1 bound, 1e-9. Omega is pinned at 0 or at a few to
+    # tens of times Tr L
     for seed in range(5):
         times = []
         for i, (c, bath, spin) in enumerate(_rotation_case(seed, "diagonal_only")[:2]):
@@ -873,7 +880,7 @@ def test_lab_frame_fitted_t2_does_not_turn_with_the_input(tmp_path, omega):
                 "temperatures_k": [bath.temperature_k], "fields_mt": [1266.0]}}))
             out = tmp_path / f"art{i}"
             assert run("dynamics", "--config", str(cfgfile), "--couplings", str(path),
-                       "--omega", omega, "--kind", "t2", "--no-rotating-frame",
+                       "--omega", omega, "--kind", "t2", *flags,
                        "--out", str(out))[0] == 0
             times.append(json.loads((out / "dynamics.json").read_text())["fitted_time_us"])
         assert abs(times[1] / times[0] - 1.0) <= 1e-9, seed
