@@ -547,7 +547,6 @@ def _cmd_dynamics(cfg: dict) -> int:
         "fitted_rate_per_us": fit.rate_per_us,
         "fitted_time_us": fitted_time,
         "residual_rms": fit.residual_rms,
-        "non_decaying": fit.non_decaying,
         "analytic_t1_us": analytic.t1_us,
         "analytic_t2_us": analytic.t2_us,
     })

@@ -20,9 +20,10 @@ G_down = S_x(Omega) + S_y(Omega) and G_up = S_x(-Omega) + S_y(-Omega),
     dmz/dt = -(G_down + G_up) mz + (G_up - G_down),
 
 and mx, my precess at Omega while decaying at
-(G_down + G_up)/2 + 2 S_z(0).  At Omega = 0 the levels are degenerate,
-nothing averages out, and the generator is the Lindblad one with
-L = diag S(0).
+(G_down + G_up)/2 + 2 S_z(0).  At Omega = 0 this is the Omega -> 0
+limit: G_down = G_up, so there is no drift, and mx, my decay at
+S_x(0) + S_y(0) + 2 S_z(0), as under the Lindblad engine's rotating
+frame with L = diag(t, t, S_z(0)), t = (S_x(0) + S_y(0))/2.
 
 Propagation is exact: each distinct grid spacing dt gets one propagator
 exp(G dt), from scaling and squaring with the [13/13] Pade approximant
@@ -265,14 +266,13 @@ def redfield_generator(s_of, omega_cm: float) -> np.ndarray:
     """Affine Bloch generator (rad/us) of the secular Bloch-Redfield equation.
 
     S = 1/2 with sigma couplings and spectral density s_of (cm^-1); the
-    closed form is given in the module docstring.
+    closed form is given in the module docstring.  It is one formula at
+    every omega_cm, 0 included, and reads S_x and S_y only through their
+    sum, so the frame's in-plane axes do not enter.
     """
-    s0 = s_of(0.0)
-    if omega_cm == 0.0:
-        return _affine(-2.0 * (s0.sum() * np.eye(3) - np.diag(s0)))
     down = s_of(omega_cm)[:2].sum()
     up = s_of(-omega_cm)[:2].sum()
-    transverse = 0.5 * (down + up) + 2.0 * s0[2]
+    transverse = 0.5 * (down + up) + 2.0 * s_of(0.0)[2]
     block = omega_cm * _K_Z - np.diag([transverse, transverse, down + up])
     return _affine(block, up - down)
 
@@ -294,7 +294,6 @@ OBSERVABLES = ("sz_minus_eq", "coherence_abs")
 class DecayFit:
     rate_per_us: float
     residual_rms: float
-    non_decaying: bool
 
 
 def _observable_series(traj: SpinTrajectory, observable: str) -> np.ndarray:
@@ -388,7 +387,7 @@ def fit_decay_rate(traj: SpinTrajectory, observable: str, window=None) -> DecayF
     ts = t - t[0]
     span = y.max() - y.min()
     if span <= max(1e-12, 1e-9 * np.abs(y).max()):
-        return DecayFit(0.0, 0.0, True)
+        return DecayFit(0.0, 0.0)
 
     offset0 = float(y[-1]) if with_offset else 0.0
     amp0 = float(y[0] - offset0)
@@ -418,4 +417,4 @@ def fit_decay_rate(traj: SpinTrajectory, observable: str, window=None) -> DecayF
     # its rounding, eps / (r span): the fit is the r -> 0 limit, so r = 0
     if (rate * ts[-1]) ** 2 <= 2.0 * np.finfo(float).eps:
         rate = 0.0
-    return DecayFit(rate, residual, rate == 0.0)
+    return DecayFit(rate, residual)

@@ -786,12 +786,13 @@ def test_dynamics_t1_run(dataset, tmp_path):
                          "--kind", "t1", "--samples", "801", "--out", str(out))
     assert code == 0
     doc = json.loads((out / "dynamics.json").read_text())
-    # engine and kind are written once, as the config keys they are
-    assert "engine" not in doc and "kind" not in doc
+    # engine and kind are written once, as the config keys they are, and the
+    # fit once, as its rate and time
+    assert sorted(doc) == ["analytic_t1_us", "analytic_t2_us", "config", "fitted_rate_per_us",
+                           "fitted_time_us", "observable", "residual_rms"]
     assert (doc["config"]["dynamics"]["engine"], doc["config"]["dynamics"]["kind"]) == (
         "lindblad", "t1")
-    assert doc["fitted_time_us"] > 0.0
-    assert not doc["non_decaying"]
+    assert doc["fitted_rate_per_us"] > 0.0 and doc["fitted_time_us"] > 0.0
     assert 0.1 < doc["fitted_time_us"] / doc["analytic_t1_us"] < 10.0
     traj = (out / "trajectory.csv").read_text().split("\n")
     assert traj[0].startswith("# config:")
@@ -1038,7 +1039,7 @@ def test_artifacts_are_strict_json(dataset, tmp_path):
                                   for name in ("lindblad", "projection")}
     assert run("dynamics", *runs, "--t-end", "5", "--samples", "101")[0] == 0
     doc = strict(tmp_path / "dynamics.json")
-    assert doc["non_decaying"] and doc["fitted_rate_per_us"] == 0.0
+    assert doc["fitted_rate_per_us"] == 0.0
     assert doc["fitted_time_us"] is doc["analytic_t1_us"] is doc["analytic_t2_us"] is None
 
 

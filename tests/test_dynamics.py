@@ -713,24 +713,21 @@ def test_fit_recovers_synthetic_rate():
     traj = synthetic_coherence_traj([0.2], [1.0])
     fit = fit_decay_rate(traj, "coherence_abs")
     assert fit.rate_per_us == pytest.approx(0.2, rel=1e-9)
-    assert not fit.non_decaying
 
 
 def test_fit_constant_signal_flagged():
     traj = synthetic_coherence_traj([0.0], [0.8])
     fit = fit_decay_rate(traj, "coherence_abs")
     assert fit.rate_per_us == 0.0
-    assert fit.non_decaying
 
 
 def test_fit_growing_signal_flagged():
     # rates are bounded below by 0: a growing signal fits best as a
-    # constant, which is reported as not decaying
+    # constant, which is reported as rate 0
     traj = synthetic_coherence_traj([-0.01], [0.5])
     with pytest.warns(UserWarning, match="residual"):
         fit = fit_decay_rate(traj, "coherence_abs")
     assert fit.rate_per_us == 0.0
-    assert fit.non_decaying
 
 
 def test_fit_two_exponential_window_recovers_slow_rate():
@@ -844,7 +841,7 @@ def _fit_both(monkeypatch, traj, observable, window=None):
         with monkeypatch.context() as m:
             m.setattr(dyn, "_solver", _lstsq_solver)
             ref = fit_decay_rate(traj, observable, window)
-    assert got.non_decaying == ref.non_decaying
+    assert (got.rate_per_us == 0.0) == (ref.rate_per_us == 0.0)
     return got, ref
 
 
@@ -913,7 +910,7 @@ def test_growth_toward_an_offset_is_not_decaying(y):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         fit = fit_decay_rate(_sz_traj(y(t), t), "sz_minus_eq")
-    assert fit.rate_per_us == 0.0 and fit.non_decaying
+    assert fit.rate_per_us == 0.0
     line = np.polyval(np.polyfit(t, y(t), 1), t) - y(t)
     assert fit.residual_rms <= 1.01 * np.sqrt(np.mean(line**2))
 

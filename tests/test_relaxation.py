@@ -690,9 +690,9 @@ def test_fitted_t1_does_not_turn_with_the_input(pairing):
     # 1e-9, since the fit's search stops at 1e-10 relative in the rate
     # (worst measured 3.7e-10). Each frame carries its L to the field axis
     # by its own rotation, and the two differ by a turn about z, which
-    # leaves sz(t) from m = z alone. Lab-frame T2 is checked through the
-    # CLI, which starts the coherence along an in-plane principal axis of L
-    # (test_lab_frame_fitted_t2_does_not_turn_with_the_input in test_cli).
+    # leaves sz(t) from m = z alone. T2 is checked through the CLI in both
+    # engines and both Lindblad frames, Redfield at Omega = 0 included
+    # (test_fitted_t2_does_not_turn_with_the_input in test_cli).
     # The Redfield bath has no pair channel, so it runs the diagonal_only
     # bath under either pairing
     excited = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
