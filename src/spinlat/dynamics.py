@@ -265,10 +265,9 @@ def spectral_density(c: CouplingTensors, bath: BathSpec, spin: SpinSystem):
 def redfield_generator(s_of, omega_cm: float) -> np.ndarray:
     """Affine Bloch generator (rad/us) of the secular Bloch-Redfield equation.
 
-    S = 1/2 with sigma couplings and spectral density s_of (cm^-1); the
-    closed form is given in the module docstring.  It is one formula at
-    every omega_cm, 0 included, and reads S_x and S_y only through their
-    sum, so the frame's in-plane axes do not enter.
+    S = 1/2 with sigma couplings and spectral density s_of (cm^-1); one
+    closed form, given in the module docstring, holds at every omega_cm,
+    0 included, and reads S_x and S_y only through their sum.
     """
     down = s_of(omega_cm)[:2].sum()
     up = s_of(-omega_cm)[:2].sum()

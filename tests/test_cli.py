@@ -865,10 +865,9 @@ def test_fitted_t2_does_not_turn_with_the_input(tmp_path, flags, omega):
     # in-plane principal axis of L, so the coherence meets the same L in both
     # (a start along the frame's x axis moved T2 by 0.17 and 2.7 %); the
     # rotating frame and the secular Redfield generator keep only the xy
-    # block's trace, at Omega = 0 too (a per-axis Omega = 0 generator moved
-    # it by up to 437 %). So a joint rotation moves the fitted T2 by no more
-    # than the lab-frame T1 bound, 1e-9. Omega is pinned at 0 or at a few to
-    # tens of times Tr L
+    # block's trace, at Omega = 0 too. So a joint rotation moves the fitted
+    # T2 by no more than the lab-frame T1 bound, 1e-9. Omega is pinned at 0
+    # or at a few to tens of times Tr L
     for seed in range(5):
         times = []
         for i, (c, bath, spin) in enumerate(_rotation_case(seed, "diagonal_only")[:2]):
