@@ -432,11 +432,7 @@ def _cmd_displace(cfg: dict) -> int:
     )
     out = _outdir(cfg)
     manifest = write_displacement_set(plan, modeset, out, num["delta_angstrom"])
-    _write_json(out / "displace.config.json", {
-        "config": cfg,
-        "geometries": len(plan),
-        "manifest": manifest.name,
-    })
+    _write_json(out / "displace.config.json", {"config": cfg, "geometries": len(plan)})
     print(f"wrote {len(plan)} geometries + {manifest.name} to {out}")
     return 0
 

@@ -228,20 +228,14 @@ class RelaxationTensor:
     lambda2_gsq: np.ndarray         # (3, 3)
     per_mode_lambda1: np.ndarray    # (N, 3, 3)
     per_mode_lambda2: np.ndarray    # (N, 3, 3)
-    temperature_k: float
-    field_mt: float                 # signed along the couplings' direction, as in sweep
     omega_cm: float
-    gamma_cm: np.ndarray            # (N,)
-    linewidth_cm: np.ndarray        # (N,)
-    pairing: str
     frequencies: np.ndarray         # (N,)
     source_modes: np.ndarray        # (N,) 1-based input file numbering
 
     def __post_init__(self):
         for name in (
             "lambda1", "lambda2_quartic", "lambda2_gsq", "per_mode_lambda1",
-            "per_mode_lambda2", "gamma_cm", "linewidth_cm", "frequencies",
-            "source_modes",
+            "per_mode_lambda2", "frequencies", "source_modes",
         ):
             _set_array(self, name)
         _check_rates(self.lambda1, self.lambda2_quartic, self.lambda2_gsq,
@@ -260,18 +254,10 @@ def build_tensor(c: CouplingTensors, bath: BathSpec, spin: SpinSystem) -> Relaxa
     """The checked tensor at one point: the only one-point entry to the kernel."""
     ((_, first, second),) = _rate_grid(c, bath, [bath.temperature_k], [spin], split=True)
     (lambda1, per1), (quartic, gsq, per2) = ([v[0] for v in o] for o in (first, second))
-    field = float(np.linalg.norm(spin.field_mt))
     return RelaxationTensor(
         lambda1=lambda1, lambda2_quartic=quartic, lambda2_gsq=gsq,
-        per_mode_lambda1=per1, per_mode_lambda2=per2,
-        temperature_k=bath.temperature_k,
-        field_mt=-field if spin.field_mt @ c.field_direction < 0 else field,
-        omega_cm=spin.larmor_cm(),
-        gamma_cm=bath.gamma_per_mode(c.nmodes),
-        linewidth_cm=bath.linewidth_per_mode(c.nmodes),
-        pairing=bath.raman_pairing,
-        frequencies=c.frequencies,
-        source_modes=c.source_indices,
+        per_mode_lambda1=per1, per_mode_lambda2=per2, omega_cm=spin.larmor_cm(),
+        frequencies=c.frequencies, source_modes=c.source_indices,
     )
 
 
@@ -532,22 +518,17 @@ def sweep_csv(points: np.recarray) -> str:
 
 
 def tensor_report(tensor: RelaxationTensor, axis=(0.0, 0.0, 1.0), top_m: int | None = None) -> dict:
-    """JSON-ready summary: metadata, tensors, times in both conventions and
-    the ranked modes' rows, as `attribute` writes them."""
+    """JSON-ready summary: the spin frequency, tensors, times in both
+    conventions and the ranked modes' rows, as `attribute` writes them.
+    T, B, pairing, gamma and linewidth are the caller's BathSpec and
+    SpinSystem, which the CLI records once, in the artifact's config."""
     times = {
         name: relaxation_times(tensor, axis=axis, convention=name)
         for name in CONVENTIONS
     }
     values, vectors = principal_relaxation_axes(tensor.lambda_total)
     return {
-        "metadata": {
-            "temperature_k": tensor.temperature_k,
-            "field_mt": tensor.field_mt,
-            "omega_cm": tensor.omega_cm,
-            "pairing": tensor.pairing,
-            "gamma_cm": tensor.gamma_cm.tolist(),
-            "linewidth_cm": tensor.linewidth_cm.tolist(),
-        },
+        "metadata": {"omega_cm": tensor.omega_cm},
         "lambda1": tensor.lambda1.tolist(),
         "lambda2": tensor.lambda2.tolist(),
         "lambda2_quartic": tensor.lambda2_quartic.tolist(),

@@ -100,6 +100,8 @@ def test_displace_writes_plan(dataset, tmp_path):
     assert len(list(out.glob("*.xyz"))) == 7
     assert (out / "manifest.json").is_file()
     sidecar = json.loads((out / "displace.config.json").read_text())
+    # manifest.json sits beside it under that one name, so it is not recorded
+    assert set(sidecar) == {"config", "geometries"}
     assert sidecar["geometries"] == 7
     assert sidecar["config"]["numerics"]["delta_angstrom"] == 0.01
 
@@ -146,7 +148,21 @@ def test_displace_refuses_a_directory_that_holds_a_manifest(dataset, tmp_path, c
     assert {path.name: path.read_bytes() for path in runs.iterdir()} == before
 
 
-@pytest.mark.parametrize("command", ["couplings", "tensor", "sweep", "attribute", "dynamics"])
+# each command's artifacts, the first one holding the embedded config
+_ARTIFACTS = {"couplings": ("couplings.json", "couplings.json.npy"),
+              "tensor": ("tensor.json",), "sweep": ("sweep.csv",),
+              "attribute": ("attribution.json",),
+              "dynamics": ("dynamics.json", "trajectory.csv")}
+
+
+def _embedded_config(path: Path) -> dict:
+    text = path.read_text()
+    if path.suffix == ".csv":
+        return json.loads(text.split("\n", 1)[0][len("# config: "):])
+    return json.loads(text)["config"]
+
+
+@pytest.mark.parametrize("command", list(_ARTIFACTS))
 def test_runs_based_artifacts_record_the_baseline_g(dataset, tmp_path, command):
     # from runs the spin's g is the baseline run's, whatever physics.g0 says,
     # so the embedded config must hold the baseline's g
@@ -157,13 +173,7 @@ def test_runs_based_artifacts_record_the_baseline_g(dataset, tmp_path, command):
     out = tmp_path / "art"
     assert run(command, "--config", str(cfgfile), "--modes", dataset["modes"],
                "--manifest", dataset["manifest"], *flags, "--out", str(out))[0] == 0
-    if command == "sweep":
-        line = (out / "sweep.csv").read_text().split("\n")[0]
-        config = json.loads(line[len("# config: "):])
-    else:
-        artifact = {"couplings": "couplings.json", "tensor": "tensor.json",
-                    "attribute": "attribution.json", "dynamics": "dynamics.json"}[command]
-        config = json.loads((out / artifact).read_text())["config"]
+    config = _embedded_config(out / _ARTIFACTS[command][0])
     baseline = load_run_set(dataset["manifest"], dataset["modeset"]).baseline
     assert config["physics"]["g0"] == baseline.tolist()
 
@@ -272,10 +282,16 @@ def test_tensor_report(dataset, tmp_path, capsys):
                           capsys=capsys)
     assert code == 0
     report = json.loads((out / "tensor.json").read_text())
+    assert set(report) == {"config", "metadata", "lambda1", "lambda2", "lambda2_quartic",
+                           "lambda2_gsq", "principal_rates_cm", "principal_axes",
+                           "times_us", "mode_attribution"}
+    # the inputs are recorded once, in config; metadata holds only the
+    # spin frequency, which the config does not give
     expected_omega = larmor_frequency(BASE_G, [0.0, 0.0, 1266.0])
-    assert report["metadata"]["omega_cm"] == pytest.approx(expected_omega, rel=1e-12)
-    assert report["metadata"]["temperature_k"] == 20.0
+    assert report["metadata"] == {"omega_cm": pytest.approx(expected_omega, rel=1e-12)}
     assert report["config"]["physics"]["temperatures_k"] == [20.0]
+    assert report["config"]["physics"]["fields_mt"] == [1266.0]
+    assert report["config"]["physics"]["linewidth_cm"] == 2.0
     assert "omega" in stdout and "tensor.json" in stdout
 
 
@@ -454,8 +470,8 @@ def test_tilted_sweep_rows_equal_tensor(dataset, pair_dataset, tmp_path):
 @pytest.mark.parametrize("direction", ["0,0,1", "1,-2,-2"])
 @pytest.mark.parametrize("field", ["-1266", "1266", "0"])
 def test_tensor_records_the_signed_field(dataset, tmp_path, direction, field):
-    # tensor.json records the field as the config and the sweep row at the
-    # same point give it: signed along the field direction, a zero as 0.0
+    # tensor.json's config records the field as the sweep row at the same
+    # point gives it: signed along the field direction, a zero as 0.0
     runs = ("--modes", dataset["modes"], "--manifest", dataset["manifest"],
             "--temp", "20", "--field-mt", field, "--field-dir", direction)
     assert run("sweep", *runs, "--out", str(tmp_path / "sweep"))[0] == 0
@@ -463,9 +479,45 @@ def test_tensor_records_the_signed_field(dataset, tmp_path, direction, field):
     header, row = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
     swept = dict(zip(header.split(","), map(float, row.split(","))))["field_mt"]
     doc = json.loads((tmp_path / "tensor" / "tensor.json").read_text())
-    recorded = doc["metadata"]["field_mt"]
-    assert recorded == swept == doc["config"]["physics"]["fields_mt"][0] == float(field)
+    (recorded,) = doc["config"]["physics"]["fields_mt"]
+    assert recorded == swept == float(field)
     assert np.copysign(1.0, recorded) == np.copysign(1.0, float(field))
+
+
+@pytest.mark.parametrize("command, source", [
+    *((command, "runs") for command in _ARTIFACTS),
+    *((command, "couplings-file") for command in _ARTIFACTS if command != "couplings"),
+])
+def test_embedded_config_replays_to_the_same_bytes(pair_dataset, tmp_path, capsys,
+                                                   command, source):
+    # an artifact names its inputs only in its config: given back as the
+    # only --config, that config makes the command write the same bytes,
+    # here on a tilted, negative field with all_pairs
+    direction = ("--field-dir", "1,-2,-2")
+    if source == "runs":
+        inputs = ("--modes", pair_dataset["modes"], "--manifest", pair_dataset["manifest"])
+    else:
+        built = tmp_path / "built"
+        assert run("couplings", "--modes", pair_dataset["modes"], "--manifest",
+                   pair_dataset["manifest"], *direction, "--out", str(built),
+                   capsys=capsys)[0] == 0
+        inputs = ("--config", _g0_config(tmp_path, pair_dataset),
+                  "--couplings", str(built / "couplings.json"))
+    point = {"couplings": (), "sweep": ("--temp", "20,300", "--field-mt", "-1266,700")}
+    flags = point.get(command, ("--temp", "20", "--field-mt", "-1266"))
+    if command != "couplings":
+        flags += ("--pairing", "all_pairs")
+    out = tmp_path / "art"
+    first = run(command, *inputs, *direction, *flags, "--out", str(out), capsys=capsys)
+    assert first[0] == 0, first[2]
+    paths = [out / name for name in _ARTIFACTS[command]]
+    written = {path.name: path.read_bytes() for path in paths}
+    cfgfile = tmp_path / "replay.json"
+    cfgfile.write_text(json.dumps(_embedded_config(paths[0])))
+    for path in paths:
+        path.unlink()
+    assert run(command, "--config", str(cfgfile), capsys=capsys) == first
+    assert {path.name: path.read_bytes() for path in paths} == written
 
 
 def _bool_at(key, *index_and_value):
@@ -1582,7 +1634,6 @@ def test_config_file_and_flag_override(dataset, tmp_path):
                      "--out", str(out))
     assert code == 0
     report = json.loads((out / "tensor.json").read_text())
-    assert report["metadata"]["temperature_k"] == 30.0
     assert report["config"]["physics"]["temperatures_k"] == [30.0]
 
 

@@ -320,12 +320,10 @@ _RECORDS = {
         baseline=2.0 * np.eye(3), singles=np.full((4, 3, 3), 2.0),
         pairs=np.full((4, 3, 3), 2.0)),
     "RelaxationTensor": lambda: _built(
-        RelaxationTensor, {"temperature_k": 20.0, "field_mt": 1266.0, "omega_cm": 1.2,
-                           "pairing": "diagonal_only"},
+        RelaxationTensor, {"omega_cm": 1.2},
         lambda1=np.diag([1.0, 2.0, 3.0]), lambda2_quartic=_ZERO.copy(),
         lambda2_gsq=_ZERO.copy(), per_mode_lambda1=np.diag([1.0, 2.0, 3.0])[None],
         per_mode_lambda2=_ZERO[None].copy(),
-        gamma_cm=np.array([2.0]), linewidth_cm=np.array([2.0]),
         frequencies=np.array([20.0]), source_modes=np.array([1.0])),
     "JumpBasisDissipator": lambda: _built(JumpBasisDissipator, {"omega_cm": 0.0},
                                           lam_cm=np.diag([1e-3, 2e-3, 3e-3])),

@@ -464,9 +464,7 @@ def test_rate_matrix_check_is_shared():
         builders = {
             "lambda1": lambda: RelaxationTensor(
                 lambda1=m, lambda2_quartic=zero, lambda2_gsq=zero,
-                per_mode_lambda1=m[None], per_mode_lambda2=zero[None], temperature_k=10.0,
-                field_mt=1000.0, omega_cm=1.0, gamma_cm=[2.0],
-                linewidth_cm=[2.0], pairing="diagonal_only",
+                per_mode_lambda1=m[None], per_mode_lambda2=zero[None], omega_cm=1.0,
                 frequencies=[20.0], source_modes=[1],
             ),
             "lam_cm": lambda: JumpBasisDissipator(m, 0.0),
@@ -946,7 +944,7 @@ def test_tensor_report_round_trips_through_json():
     report = tensor_report(tensor, axis=spin.axis, top_m=2)
     text = json.dumps(report, sort_keys=True)
     parsed = json.loads(text)
-    assert parsed["metadata"]["pairing"] == "diagonal_only"
+    assert parsed["metadata"] == {"omega_cm": tensor.omega_cm}
     assert len(parsed["mode_attribution"]) == 2
     assert set(parsed["times_us"]) == set(CONVENTIONS)
     shares = [row["trace_share2"] for row in parsed["mode_attribution"]]
